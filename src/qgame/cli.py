@@ -16,6 +16,7 @@ import sys
 from .circuits import ControlSpec, control_for_probability
 from .equilibrium import (
     DEFAULT_EPS_TIE,
+    check_eps_tie,
     classify,
     find_ne_bayesian,
     find_ne_bayesian_circuit,
@@ -69,12 +70,19 @@ def parse_angle(text: str) -> float:
         raise UsageError(f"cannot parse angle {text!r}") from None
 
 
+def _tolerance(text: str) -> float:
+    try:
+        return check_eps_tie(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_grid_flags(sub):
     sub.add_argument("--grid-theta", default="pi", help="theta step (default pi)")
     sub.add_argument("--grid-phi", default="pi/2", help="phi step (default pi/2)")
     sub.add_argument("--grid-alpha", default="pi/2", help="alpha step (default pi/2)")
     sub.add_argument(
-        "--eps-tie", type=float, default=DEFAULT_EPS_TIE, help="payoff tie tolerance"
+        "--eps-tie", type=_tolerance, default=DEFAULT_EPS_TIE, help="payoff tie tolerance"
     )
 
 
@@ -138,7 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = subs.add_parser("verify", help="re-check every NE in a result file")
     ver.add_argument("--in", dest="infile", required=True, help="result JSON file")
-    ver.add_argument("--eps-tie", type=float, default=None, help="override tie tolerance")
+    ver.add_argument(
+        "--eps-tie", type=_tolerance, default=None, help="override tie tolerance"
+    )
     ver.set_defaults(func=_cmd_verify)
 
     return parser

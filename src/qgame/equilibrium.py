@@ -2,9 +2,10 @@
 
 NE search is brute force over a finite strategy set: payoff tables are
 precomputed per gamma (they do not depend on p, so p-sweeps reuse
-them), best-response sets are read off with an absolute tie tolerance,
-and a profile is an equilibrium when every player's strategy is in its
-best-response set against the others.
+them), each as one real matrix product over a rank-16 factorization of
+the Born payoff; best-response sets are read off with an absolute tie
+tolerance, and a profile is an equilibrium when every player's strategy
+is in its best-response set against the others.
 
 ``verify_ne`` is the independent oracle: a naive deviation loop that
 re-evaluates payoffs through the scalar circuit path, never consulting
@@ -41,7 +42,18 @@ from .strategies import StrategySet, pauli_label
 
 DEFAULT_EPS_TIE = 1e-9
 
-_TABLE_CHUNK = 128
+# Working-array bounds of the vectorized Bayesian NE search: candidate
+# triples per block of a, and float64 entries per block of A's columns
+# (small enough to stay in cache).
+_TRIPLE_BLOCK = 1 << 20
+_COLUMN_BLOCK = 1 << 16
+
+
+def check_eps_tie(eps_tie: float) -> float:
+    """Return a tie tolerance if it is finite and non-negative, else raise ValueError."""
+    if not (math.isfinite(eps_tie) and eps_tie >= 0):
+        raise ValueError(f"eps_tie must be finite and non-negative, got {eps_tie}")
+    return eps_tie
 
 
 @dataclass(frozen=True)
@@ -79,37 +91,56 @@ class EquilibriumClass:
         return (tuple(round(t, 9) for t in self.theta_profile), self.operator_label)
 
 
-def _probability_rows(j: np.ndarray, jd: np.ndarray, left: np.ndarray, unitaries: np.ndarray):
-    """Outcome probabilities for row-chunks of (U_a, U_b) pairs.
+def _born_factors(sset: StrategySet) -> tuple[np.ndarray, np.ndarray]:
+    """Rows x_i = vec(U_i (x) conj U_i), 16 complex entries per strategy.
 
-    Uses (U_a (x) U_b) vec(M) = vec(U_a M U_b^T) on the row-major
-    2x2 reshape of J|00>.
+    Returned as the real GEMM operand [Re X, Im X] and X itself.
     """
-    n = unitaries.shape[0]
-    for start in range(0, n, _TABLE_CHUNK):
-        block = left[start : start + _TABLE_CHUNK]
-        amps = np.einsum("iab,jcb->ijac", block, unitaries).reshape(len(block), n, 4)
-        amps = amps @ jd.T
-        yield start, np.abs(amps) ** 2
+    u = sset.unitaries
+    x = np.einsum("ikm,iln->iklmn", u, u.conj()).reshape(len(sset), 16)
+    return np.hstack([x.real, x.imag]), x
+
+
+def _born_core(j: np.ndarray, payoff) -> np.ndarray:
+    """16x16 core C with T[a, b] = x_a^T C x_b for the Born payoff.
+
+    The payoff is tr(K rho K^dag M) with K = U_a (x) U_b, rho = J|00><00|J^dag
+    and M = J diag(payoff) J^dag.  Splitting each two-qubit index into
+    (A bit, B bit) makes it bilinear in U_a (x) conj U_a and U_b (x) conj U_b.
+    """
+    v = j[:, 0]
+    rho = np.outer(v, v.conj()).reshape(2, 2, 2, 2)
+    m = ((j * np.asarray(payoff, dtype=float)) @ j.conj().T).reshape(2, 2, 2, 2)
+    return np.einsum("cgdh,bfae->abcdefgh", rho, m).reshape(16, 16)
+
+
+def _payoff_table(factors, core: np.ndarray, columns: bool) -> np.ndarray:
+    """T = Re(X C X^T) as one real GEMM [Re XC, -Im XC] @ [Re X, Im X]^T.
+
+    With ``columns`` the table comes back in column-major order, so
+    columns T[:, j] are contiguous.
+    """
+    real, x = factors
+    xc = x @ core
+    left = np.hstack([xc.real, -xc.imag])
+    return (real @ left.T).T if columns else left @ real.T
+
+
+def _subgame_tables(game: TwoPlayerGame, j: np.ndarray, factors):
+    return (
+        _payoff_table(factors, _born_core(j, game.payoff_a), columns=True),
+        _payoff_table(factors, _born_core(j, game.payoff_b), columns=False),
+    )
 
 
 def two_player_tables(
     game: TwoPlayerGame, gamma: float, sset: StrategySet
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Payoff tables T_A[i, j], T_B[i, j] for A playing i against B playing j."""
-    j = entangler(gamma)
-    jd = j.conj().T
-    psi0 = j[:, 0].reshape(2, 2)
-    left = sset.unitaries @ psi0
-    n = len(sset)
-    pay_a = np.asarray(game.payoff_a)
-    pay_b = np.asarray(game.payoff_b)
-    ta = np.empty((n, n))
-    tb = np.empty((n, n))
-    for start, probs in _probability_rows(j, jd, left, sset.unitaries):
-        ta[start : start + probs.shape[0]] = probs @ pay_a
-        tb[start : start + probs.shape[0]] = probs @ pay_b
-    return ta, tb
+    """Payoff tables T_A[i, j], T_B[i, j] for A playing i against B playing j.
+
+    T_A is column-major (A's best responses scan columns), T_B row-major.
+    """
+    return _subgame_tables(game, entangler(gamma), _born_factors(sset))
 
 
 def bayesian_tables(
@@ -121,8 +152,10 @@ def bayesian_tables(
     p * T_A1[:, b1] + (1 - p) * T_A2[:, b2], so sweeps over p share
     these tables.
     """
-    ta1, tb1 = two_player_tables(game.subgame_b1, gamma, sset)
-    ta2, tb2 = two_player_tables(game.subgame_b2, gamma, sset)
+    j = entangler(gamma)
+    factors = _born_factors(sset)
+    ta1, tb1 = _subgame_tables(game.subgame_b1, j, factors)
+    ta2, tb2 = _subgame_tables(game.subgame_b2, j, factors)
     return ta1, tb1, ta2, tb2
 
 
@@ -133,8 +166,7 @@ def best_responses(
     eps_tie: float = DEFAULT_EPS_TIE,
 ) -> tuple[tuple[int, ...], float]:
     """All strategies within eps_tie of the best payoff against fixed opponents."""
-    if eps_tie < 0:
-        raise ValueError("eps_tie must be non-negative")
+    check_eps_tie(eps_tie)
     if len(sset) == 0:
         raise ValueError("strategy set is empty")
     values = np.array([payoff_fn(k, opponents) for k in range(len(sset))])
@@ -151,6 +183,7 @@ def find_ne_two_player(
     tables: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[EquilibriumRecord]:
     """All profiles (a, b) where each strategy best-responds to the other."""
+    check_eps_tie(eps_tie)
     ta, tb = tables if tables is not None else two_player_tables(game, gamma, sset)
     br_a = ta >= ta.max(axis=0, keepdims=True) - eps_tie
     br_b = tb >= tb.max(axis=1, keepdims=True) - eps_tie
@@ -159,6 +192,36 @@ def find_ne_two_player(
         EquilibriumRecord((int(i), int(j)), (float(ta[i, j]), float(tb[i, j])))
         for i, j in pairs
     ]
+
+
+def _candidate_triples(br1: np.ndarray, br2: np.ndarray):
+    """Triples (a, b1, b2) with br1[a, b1] and br2[a, b2], in lexicographic order.
+
+    Each (a, b1) of the row-major nonzero list of br1 is repeated once per
+    b2 of row a of br2, which ``start2`` locates in br2's nonzero list.
+    """
+    a1, b1 = np.divmod(np.flatnonzero(br1), br1.shape[1])
+    a2, b2 = np.divmod(np.flatnonzero(br2), br2.shape[1])
+    count2 = np.bincount(a2, minlength=len(br2))
+    start2 = np.cumsum(count2) - count2
+    reps = count2[a1]
+    within = np.arange(int(reps.sum())) - np.repeat(np.cumsum(reps) - reps, reps)
+    return np.repeat(a1, reps), np.repeat(b1, reps), b2[np.repeat(start2[a1], reps) + within]
+
+
+def _row_blocks(sizes: np.ndarray, budget: int):
+    """Consecutive row slices whose summed sizes stay within ``budget``.
+
+    A single row larger than the budget forms its own block.
+    """
+    start, total = 0, 0
+    for row, size in enumerate(sizes.tolist()):
+        if row > start and total + size > budget:
+            yield slice(start, row)
+            start, total = row, 0
+        total += size
+    if start < len(sizes):
+        yield slice(start, len(sizes))
 
 
 def find_ne_bayesian(
@@ -171,35 +234,42 @@ def find_ne_bayesian(
     """All profiles (a, b1, b2) stable under unilateral deviation.
 
     B1 best-responds in the (A, B1) subgame and B2 in the (A, B2)
-    subgame (their payoffs do not depend on the other B player), so
-    their best-response sets are computed once per a; A's check runs
-    over the p-weighted combination for each surviving (b1, b2) pair.
+    subgame (their payoffs do not depend on p or on the other B player),
+    so both best-response masks are taken for every a at once and
+    expanded into candidate triples.  A's check then runs once per
+    distinct (b1, b2) pair over the p-weighted combination of columns.
+    Candidates and column blocks are processed in bounded chunks.
     """
+    check_eps_tie(eps_tie)
     ta1, tb1, ta2, tb2 = (
         tables if tables is not None else bayesian_tables(game, gamma, sset)
     )
     p = game.p
     n = len(sset)
+    br1 = tb1 >= tb1.max(axis=1, keepdims=True) - eps_tie
+    br2 = tb2 >= tb2.max(axis=1, keepdims=True) - eps_tie
+    sizes = br1.sum(axis=1) * br2.sum(axis=1)
+    pair_block = max(1, _COLUMN_BLOCK // max(n, 1))
     records = []
-    for a in range(n):
-        br1 = np.nonzero(tb1[a] >= tb1[a].max() - eps_tie)[0]
-        br2 = np.nonzero(tb2[a] >= tb2[a].max() - eps_tie)[0]
-        for b1 in br1:
-            col1 = p * ta1[:, b1]
-            for b2 in br2:
-                pay_a = col1 + (1.0 - p) * ta2[:, b2]
-                if pay_a[a] >= pay_a.max() - eps_tie:
-                    records.append(
-                        EquilibriumRecord(
-                            (a, int(b1), int(b2)),
-                            (
-                                float(pay_a[a]),
-                                float(tb1[a, b1]),
-                                float(tb2[a, b2]),
-                            ),
-                        )
-                    )
-    records.sort(key=lambda r: r.profile)
+    for rows in _row_blocks(sizes, _TRIPLE_BLOCK):
+        a, b1, b2 = _candidate_triples(br1[rows], br2[rows])
+        a += rows.start
+        pairs, pair_of = np.unique(b1 * n + b2, return_inverse=True)
+        best = np.empty(len(pairs))
+        for start in range(0, len(pairs), pair_block):
+            u1, u2 = np.divmod(pairs[start : start + pair_block], n)
+            cols = p * ta1.T[u1] + (1.0 - p) * ta2.T[u2]
+            best[start : start + len(u1)] = cols.max(axis=1)
+        pay_a = p * ta1[a, b1] + (1.0 - p) * ta2[a, b2]
+        keep = pay_a >= best[pair_of] - eps_tie
+        a, b1, b2, pay_a = a[keep], b1[keep], b2[keep], pay_a[keep]
+        records.extend(
+            EquilibriumRecord(profile, payoffs)
+            for profile, payoffs in zip(
+                zip(a.tolist(), b1.tolist(), b2.tolist()),
+                zip(pay_a.tolist(), tb1[a, b1].tolist(), tb2[a, b2].tolist()),
+            )
+        )
     return records
 
 

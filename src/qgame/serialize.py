@@ -113,11 +113,27 @@ def _class_to_dict(cls: EquilibriumClass) -> dict:
     }
 
 
-def _class_from_dict(data: dict) -> EquilibriumClass:
+def _profile(prof, n_players: int, n_strategies: int, path: str) -> tuple[int, ...]:
+    """One stored profile: ``n_players`` integer indices in [0, n_strategies)."""
+    if not isinstance(prof, list) or len(prof) != n_players:
+        raise ConfigError(f"{path} must list {n_players} strategy indices, got {prof!r}")
+    for i in prof:
+        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < n_strategies:
+            raise ConfigError(
+                f"{path} holds index {i!r}, outside the grid's [0, {n_strategies})"
+            )
+    return tuple(prof)
+
+
+def _class_from_dict(
+    data: dict, n_players: int, n_strategies: int, path: str
+) -> EquilibriumClass:
     payoffs = tuple(float(x) for x in data["payoffs"])
     members = tuple(
-        EquilibriumRecord(tuple(int(i) for i in prof), payoffs)
-        for prof in data["members"]
+        EquilibriumRecord(
+            _profile(prof, n_players, n_strategies, f"{path}.members[{k}]"), payoffs
+        )
+        for k, prof in enumerate(data["members"])
     )
     return EquilibriumClass(
         theta_profile=tuple(float(t) for t in data["theta"]),
@@ -187,13 +203,19 @@ def load_result(path: str) -> LoadedResult:
             steps=steps,
             eps_tie=float(_require(data, "eps_tie", "")),
         )
+        n_players = 3 if isinstance(game, BayesianGame) else 2
         cells = tuple(
             CellResult(
                 p=float(c["p"]) if "p" in c else None,
                 gamma=float(c["gamma"]),
-                classes=tuple(_class_from_dict(cd) for cd in c["classes"]),
+                classes=tuple(
+                    _class_from_dict(
+                        cd, n_players, steps.n_strategies, f"cells[{i}].classes[{k}]"
+                    )
+                    for k, cd in enumerate(c["classes"])
+                ),
             )
-            for c in _require(data, "cells", "")
+            for i, c in enumerate(_require(data, "cells", ""))
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed result file {path}: {exc}") from exc

@@ -60,6 +60,12 @@ class GridSteps:
     def n_alpha(self) -> int:
         return _step_count(self.d_alpha, TAU, "d_alpha")
 
+    @property
+    def n_strategies(self) -> int:
+        """Size of the enumerated set, without allocating it: theta = 0
+        keeps phi only, theta = pi alpha only."""
+        return self.n_phi + self.n_alpha + (self.n_theta - 1) * self.n_phi * self.n_alpha
+
 
 DEFAULT_GRID = GridSteps(math.pi, math.pi / 2.0, math.pi / 2.0)
 

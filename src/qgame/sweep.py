@@ -5,8 +5,8 @@ gamma alone.  Payoff tables are built once per gamma and shared across
 every p in that row, which makes the p direction nearly free.  Rows are
 independent work units: with ``workers > 1`` they are evaluated in a
 process pool, and the merged result is sorted so output is identical
-regardless of parallelism.  The ``QGAME_THREADS`` environment variable
-caps the worker count.
+regardless of parallelism.  The worker count is capped by the row
+count, the CPU count and the ``QGAME_THREADS`` environment variable.
 """
 
 from __future__ import annotations
@@ -17,10 +17,13 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .equilibrium import (
     DEFAULT_EPS_TIE,
     EquilibriumClass,
     bayesian_tables,
+    check_eps_tie,
     classify,
     find_ne_bayesian,
     find_ne_two_player,
@@ -30,6 +33,9 @@ from .games import BayesianGame, TwoPlayerGame
 from .strategies import DEFAULT_GRID, GridSteps
 
 DEFAULT_STEP = 0.05
+
+# float64 entries per block of A's columns in the record re-check.
+_RECHECK_ENTRIES = 1 << 16
 
 
 def value_grid(limit: float, step: float = DEFAULT_STEP) -> tuple[float, ...]:
@@ -67,6 +73,7 @@ class SweepSpec:
     eps_tie: float = DEFAULT_EPS_TIE
 
     def __post_init__(self):
+        check_eps_tie(self.eps_tie)
         if not self.gamma_values or list(self.gamma_values) != sorted(self.gamma_values):
             raise ValueError("gamma_values must be non-empty and ascending")
         if isinstance(self.game, BayesianGame):
@@ -136,17 +143,28 @@ class RegionSummary:
 
 
 def _recheck(records, tables, p, eps_tie):
-    """Cheap table-backed deviation re-check of every found record."""
+    """Table-backed deviation re-check of every found record.
+
+    Recomputes each record's deviation payoffs from the tables alone, in
+    blocks of records, and raises on the first record that is not stable.
+    """
+    if not records:
+        return
     ta1, tb1, ta2, tb2 = tables
-    for rec in records:
-        a, b1, b2 = rec.profile
+    best1 = tb1.max(axis=1)
+    best2 = tb2.max(axis=1)
+    profiles = np.array([rec.profile for rec in records])
+    step = max(1, _RECHECK_ENTRIES // ta1.shape[0])
+    for start in range(0, len(profiles), step):
+        a, b1, b2 = profiles[start : start + step].T
         pay_a = p * ta1[:, b1] + (1.0 - p) * ta2[:, b2]
         ok = (
-            pay_a[a] >= pay_a.max() - eps_tie
-            and tb1[a, b1] >= tb1[a].max() - eps_tie
-            and tb2[a, b2] >= tb2[a].max() - eps_tie
+            (pay_a[a, np.arange(len(a))] >= pay_a.max(axis=0) - eps_tie)
+            & (tb1[a, b1] >= best1[a] - eps_tie)
+            & (tb2[a, b2] >= best2[a] - eps_tie)
         )
-        if not ok:
+        if not ok.all():
+            rec = records[start + int(np.argmin(ok))]
             raise RuntimeError(f"record {rec.profile} failed deviation re-check")
 
 
@@ -175,9 +193,18 @@ def _two_player_row(args) -> list[CellResult]:
     return [CellResult(None, gamma, tuple(classify(records, sset)))]
 
 
-def effective_workers(requested: int | None) -> int:
-    """Requested worker count, capped by the QGAME_THREADS environment variable."""
-    workers = max(1, int(requested or 1))
+def effective_workers(requested: int | None, rows: int | None = None) -> int:
+    """Worker count: min(requested, rows, CPU count), capped by QGAME_THREADS.
+
+    ``None`` requests one worker; a request below one is an error.
+    """
+    if requested is None:
+        requested = 1
+    if int(requested) < 1:
+        raise ValueError(f"worker count must be at least 1, got {requested}")
+    workers = min(int(requested), os.cpu_count() or 1)
+    if rows is not None:
+        workers = max(1, min(workers, rows))
     cap = os.environ.get("QGAME_THREADS")
     if cap is not None:
         try:
@@ -189,7 +216,6 @@ def effective_workers(requested: int | None) -> int:
 
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     """Evaluate every grid cell; deterministic regardless of parallelism."""
-    workers = effective_workers(workers)
     start = time.perf_counter()
     if isinstance(spec.game, BayesianGame):
         jobs = [
@@ -201,7 +227,8 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
         jobs = [(spec.game, g, spec.steps, spec.eps_tie) for g in spec.gamma_values]
         row_fn = _two_player_row
 
-    if workers > 1 and len(jobs) > 1:
+    workers = effective_workers(workers, len(jobs))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(row_fn, jobs))
     else:

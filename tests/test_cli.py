@@ -104,6 +104,34 @@ class TestExitCodes:
         assert main(["solve", "--game", "pd", "--gamma", "0.5", "--out", out]) == 3
 
 
+class TestToleranceAndWorkerFlags:
+    @pytest.mark.parametrize("eps", ["nan", "-1", "inf"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["solve", "--game", "bayesian", "--gamma", "0.5"],
+            ["sweep", "--p-step", "0.5", "--gamma-step", "0.8"],
+            ["verify", "--in", "unused.json"],
+        ],
+    )
+    def test_bad_eps_tie_is_argument_error(self, command, eps, capsys):
+        assert main(command + ["--eps-tie", eps]) == 1
+        err = capsys.readouterr().err
+        assert "--eps-tie" in err and "non-negative" in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["sweep", "--p-step", "0.5", "--gamma-step", "0.8"],
+            ["emit-figure", "--fig", "pd", "--out", "unused.csv"],
+        ],
+    )
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_non_positive_jobs_is_argument_error(self, command, jobs, capsys):
+        assert main(command + ["--jobs", jobs]) == 1
+        assert "worker count must be at least 1" in capsys.readouterr().err
+
+
 class TestGameLoading:
     def test_loads_builtin_equivalent(self, tmp_path):
         path = write_game(tmp_path, GAME_JSON)
@@ -289,3 +317,38 @@ class TestLoadResultErrors:
         path.write_text(json.dumps({"kind": "sweep"}), encoding="utf-8")
         with pytest.raises(ConfigError):
             load_result(str(path))
+
+    @staticmethod
+    def _with_member(tmp_path, member):
+        out = tmp_path / "solve.json"
+        main(["solve", "--game", "bayesian", "--p", "0.9", "--gamma", "0.3", "--out", str(out)])
+        data = json.loads(out.read_text(encoding="utf-8"))
+        data["cells"][0]["classes"][0]["members"][1] = member
+        out.write_text(json.dumps(data), encoding="utf-8")
+        return str(out)
+
+    def test_index_beyond_grid_is_config_error(self, tmp_path, capsys):
+        path = self._with_member(tmp_path, [99, 0, 0])
+        with pytest.raises(ConfigError, match=r"members\[1\].*99.*\[0, 8\)"):
+            load_result(path)
+        assert main(["verify", "--in", path]) == 2
+        assert "99" in capsys.readouterr().err
+
+    def test_negative_index_is_config_error(self, tmp_path, capsys):
+        path = self._with_member(tmp_path, [4, -1, 0])
+        with pytest.raises(ConfigError, match="-1"):
+            load_result(path)
+        assert main(["verify", "--in", path]) == 2
+
+    @pytest.mark.parametrize("member", [[4, 5], [4, 5, 0, 0], [4, 5.0, 0], [4, "5", 0]])
+    def test_malformed_profile_is_config_error(self, tmp_path, member):
+        with pytest.raises(ConfigError, match=r"members\[1\]"):
+            load_result(self._with_member(tmp_path, member))
+
+    def test_non_finite_stored_tolerance_is_config_error(self, tmp_path):
+        out = tmp_path / "solve.json"
+        main(["solve", "--game", "pd", "--gamma", "0.3", "--out", str(out)])
+        text = out.read_text(encoding="utf-8").replace('"eps_tie": 1e-09', '"eps_tie": NaN')
+        out.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match="eps_tie"):
+            load_result(str(out))

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from itertools import product
 
@@ -17,8 +18,17 @@ from qgame.equilibrium import (
     two_player_tables,
     verify_ne,
 )
-from qgame.games import builtin_bayesian, builtin_da, builtin_pd, classical_bayesian_ne
-from qgame.strategies import DEFAULT_GRID, enumerate_strategies
+from qgame import equilibrium
+from qgame.games import (
+    BayesianGame,
+    TwoPlayerGame,
+    builtin_bayesian,
+    builtin_da,
+    builtin_pd,
+    classical_bayesian_ne,
+)
+from qgame.strategies import DEFAULT_GRID, GridSteps, enumerate_strategies
+from qgame.sweep import _recheck
 
 PI = math.pi
 
@@ -31,6 +41,21 @@ IDENTITY, DEFECT = 0, 4
 @pytest.fixture(scope="module")
 def grid8():
     return enumerate_strategies(DEFAULT_GRID)
+
+
+@pytest.fixture(scope="module")
+def grid24():
+    return enumerate_strategies(GridSteps(PI / 2, PI / 2, PI / 2))
+
+
+def custom_bayesian(p):
+    """A Bayesian game whose subgames give A different payoff vectors:
+    chicken against B1, a stag hunt against B2."""
+    return BayesianGame(
+        TwoPlayerGame("chicken", (3, 1, 4, 0), (3, 4, 1, 0)),
+        TwoPlayerGame("stag-hunt", (5, 0, 3, 3), (5, 3, 0, 3)),
+        p,
+    )
 
 
 def scalar_two_player_tables(game, gamma, sset):
@@ -73,6 +98,25 @@ class TestTables:
             oa, ob = scalar_two_player_tables(game, gamma, grid8)
             assert np.max(np.abs(ta - oa)) < 1e-12
             assert np.max(np.abs(tb - ob)) < 1e-12
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.4, 1.1, PI / 2])
+    def test_factored_tables_match_scalar_path_on_24_grid(self, grid24, gamma):
+        games = [builtin_pd(), builtin_da()]
+        games += [custom_bayesian(0.5).subgame_b1, custom_bayesian(0.5).subgame_b2]
+        for game in games:
+            ta, tb = two_player_tables(game, gamma, grid24)
+            oa, ob = scalar_two_player_tables(game, gamma, grid24)
+            assert np.max(np.abs(ta - oa)) < 1e-12
+            assert np.max(np.abs(tb - ob)) < 1e-12
+
+    def test_bayesian_tables_layout(self, grid24):
+        # A's tables are read by column, the B players' by row.
+        ta1, tb1, ta2, tb2 = bayesian_tables(custom_bayesian(0.5), 0.7, grid24)
+        assert ta1.flags.f_contiguous and ta2.flags.f_contiguous
+        assert tb1.flags.c_contiguous and tb2.flags.c_contiguous
+        oa2, ob2 = scalar_two_player_tables(custom_bayesian(0.5).subgame_b2, 0.7, grid24)
+        assert np.max(np.abs(ta2 - oa2)) < 1e-12
+        assert np.max(np.abs(tb2 - ob2)) < 1e-12
 
 
 class TestBestResponses:
@@ -150,6 +194,13 @@ class TestFindNeBayesian:
         assert len(classes) == 1
         assert classes[0].theta_profile == (PI, PI, 0.0)
         assert classes[0].operator_label == "Y⊗X⊗Z"
+
+    @pytest.mark.parametrize("eps", [float("nan"), -1.0, float("inf")])
+    def test_rejects_bad_tie_tolerance(self, grid8, eps):
+        with pytest.raises(ValueError, match="eps_tie"):
+            find_ne_bayesian(builtin_bayesian(0.5), 0.3, grid8, eps)
+        with pytest.raises(ValueError, match="eps_tie"):
+            find_ne_two_player(builtin_pd(), 0.3, grid8, eps)
 
     def test_matches_four_qubit_circuit_search(self, grid8):
         game = builtin_bayesian(0.85)
@@ -250,6 +301,72 @@ class TestOracleEquivalence:
             game = builtin_bayesian(p)
             fast = {r.profile for r in find_ne_bayesian(game, gamma, grid8)}
             assert fast == naive_bayesian_ne(game, gamma, grid8, 1e-9)
+
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    def test_matches_naive_enumeration_on_24_grid_at_gamma_zero(self, grid24, p):
+        # Classical limit: payoffs depend on theta only, so every best
+        # response is tied across the free phases.
+        game = builtin_bayesian(p)
+        fast = find_ne_bayesian(game, 0.0, grid24)
+        assert len(fast) == 64
+        assert {r.profile for r in fast} == naive_bayesian_ne(game, 0.0, grid24, 1e-9)
+
+    def test_matches_naive_enumeration_on_24_grid_at_random_points(self, grid24):
+        rng = np.random.default_rng(314159)
+        for _ in range(4):
+            p = float(rng.uniform())
+            gamma = float(rng.uniform(0.0, PI / 2))
+            game = builtin_bayesian(p)
+            fast = {r.profile for r in find_ne_bayesian(game, gamma, grid24)}
+            assert fast == naive_bayesian_ne(game, gamma, grid24, 1e-9)
+
+    def test_custom_game_with_distinct_a_payoffs_matches_naive(self, grid24):
+        rng = np.random.default_rng(271828)
+        points = [(0.3, 0.0)] + [
+            (float(rng.uniform()), float(rng.uniform(0.0, PI / 2))) for _ in range(3)
+        ]
+        found = 0
+        for p, gamma in points:
+            game = custom_bayesian(p)
+            records = find_ne_bayesian(game, gamma, grid24)
+            assert {r.profile for r in records} == naive_bayesian_ne(
+                game, gamma, grid24, 1e-9
+            )
+            assert all(verify_ne(rec, game, gamma, grid24) for rec in records[:5])
+            found += len(records)
+        assert found > 0
+
+    def test_block_boundaries_do_not_change_records(self, grid24, monkeypatch):
+        game = custom_bayesian(0.4)
+        tables = bayesian_tables(game, 0.0, grid24)
+        whole = find_ne_bayesian(game, 0.0, grid24, tables=tables)
+        monkeypatch.setattr(equilibrium, "_TRIPLE_BLOCK", 5)
+        monkeypatch.setattr(equilibrium, "_COLUMN_BLOCK", 30)
+        assert find_ne_bayesian(game, 0.0, grid24, tables=tables) == whole
+        assert whole == sorted(whole, key=lambda r: r.profile)
+
+
+class TestRecheck:
+    def test_found_records_pass(self, grid24):
+        game = builtin_bayesian(0.0)
+        tables = bayesian_tables(game, 1.0, grid24)
+        records = find_ne_bayesian(game, 1.0, grid24, tables=tables)
+        assert records
+        _recheck(records, tables, 0.0, 1e-9)
+
+    def test_tampered_record_raises(self, grid24):
+        game = builtin_bayesian(0.0)
+        tables = bayesian_tables(game, 1.0, grid24)
+        records = find_ne_bayesian(game, 1.0, grid24, tables=tables)
+        bad = next(
+            prof
+            for prof in product(range(len(grid24)), repeat=3)
+            if prof not in {r.profile for r in records}
+        )
+        tampered = records[:-1] + [EquilibriumRecord(bad, records[-1].payoffs)]
+        with pytest.raises(RuntimeError, match=re.escape(str(bad))):
+            _recheck(tampered, tables, 0.0, 1e-9)
 
 
 class TestInvariants:

@@ -59,6 +59,19 @@ class TestEnumerate:
         # 7 interior theta values x 16 phi x 16 alpha, plus 16 each at the poles
         assert 7 * 16 * 16 + 16 + 16 == 1824
 
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            DEFAULT_GRID,
+            GridSteps(PI / 2, PI / 2, PI / 2),
+            GridSteps(PI / 8, PI / 8, PI / 8),
+            GridSteps(PI / 4, PI / 2, PI),
+            GridSteps(PI / 3, 2 * PI, PI / 4),
+        ],
+    )
+    def test_n_strategies_matches_enumeration(self, steps):
+        assert steps.n_strategies == len(enumerate_strategies(steps))
+
     def test_two_point_grid(self):
         # Oracle: by hand, theta in {0, pi} with phi = alpha = 0 gives the
         # identity and the real spin flip.

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -159,6 +160,7 @@ class TestDeterminism:
         assert serial == parallel
 
     def test_workers_capped_by_env(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setenv("QGAME_THREADS", "2")
         assert effective_workers(8) == 2
         monkeypatch.setenv("QGAME_THREADS", "junk")
@@ -166,6 +168,30 @@ class TestDeterminism:
             effective_workers(8)
         monkeypatch.delenv("QGAME_THREADS")
         assert effective_workers(None) == 1
+
+
+    def test_workers_capped_by_rows_and_cpus(self, monkeypatch):
+        # Only the computed count is checked; no pool is started.
+        monkeypatch.delenv("QGAME_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert effective_workers(1000, rows=3) == 3
+        assert effective_workers(1000, rows=50) == 4
+        assert effective_workers(1000) == 4
+        assert effective_workers(2, rows=50) == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert effective_workers(1000, rows=50) == 1
+
+    @pytest.mark.parametrize("requested", [0, -3])
+    def test_non_positive_worker_request_rejected(self, requested):
+        with pytest.raises(ValueError, match="at least 1"):
+            effective_workers(requested)
+
+
+class TestSweepSpec:
+    @pytest.mark.parametrize("eps", [float("nan"), -1e-9, float("inf")])
+    def test_bad_tie_tolerance_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps_tie"):
+            SweepSpec(builtin_pd(), gamma_grid(), eps_tie=eps)
 
 
 class TestSummarizeRegions:
