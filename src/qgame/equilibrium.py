@@ -27,9 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .circuits import (
-    TAU,
     ControlSpec,
-    StrategyParams,
     bayesian_payoffs_full_circuit,
     bayesian_payoffs_mixture,
     control_for_probability,
@@ -38,7 +36,7 @@ from .circuits import (
     payoff_expectation,
 )
 from .games import BayesianGame, TwoPlayerGame
-from .strategies import StrategySet, pauli_label
+from .strategies import StrategySet, wrap_angle
 
 DEFAULT_EPS_TIE = 1e-9
 
@@ -224,28 +222,18 @@ def _row_blocks(sizes: np.ndarray, budget: int):
         yield slice(start, len(sizes))
 
 
-def find_ne_bayesian(
-    game: BayesianGame,
-    gamma: float,
-    sset: StrategySet,
-    eps_tie: float = DEFAULT_EPS_TIE,
-    tables: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> list[EquilibriumRecord]:
-    """All profiles (a, b1, b2) stable under unilateral deviation.
+def _masked_search(tb1, tb2, payoff_a, eps_tie: float) -> list[EquilibriumRecord]:
+    """All profiles (a, b1, b2) stable under unilateral deviation, in profile order.
 
-    B1 best-responds in the (A, B1) subgame and B2 in the (A, B2)
-    subgame (their payoffs do not depend on p or on the other B player),
-    so both best-response masks are taken for every a at once and
-    expanded into candidate triples.  A's check then runs once per
-    distinct (b1, b2) pair over the p-weighted combination of columns.
-    Candidates and column blocks are processed in bounded chunks.
+    ``tb1[a, b1]`` and ``tb2[a, b2]`` are B1's and B2's payoffs; B1's does
+    not depend on b2 nor B2's on b1, so both best-response masks are
+    taken for every a at once and expanded into candidate triples.
+    ``payoff_a(b1, b2, a)`` gives A's payoffs elementwise, and
+    ``payoff_a(b1, b2)`` A's payoff of every strategy against each pair
+    (rows).  A's check runs once per distinct (b1, b2) pair.  Candidates
+    and column blocks are processed in bounded chunks.
     """
-    check_eps_tie(eps_tie)
-    ta1, tb1, ta2, tb2 = (
-        tables if tables is not None else bayesian_tables(game, gamma, sset)
-    )
-    p = game.p
-    n = len(sset)
+    n = tb1.shape[1]
     br1 = tb1 >= tb1.max(axis=1, keepdims=True) - eps_tie
     br2 = tb2 >= tb2.max(axis=1, keepdims=True) - eps_tie
     sizes = br1.sum(axis=1) * br2.sum(axis=1)
@@ -258,9 +246,8 @@ def find_ne_bayesian(
         best = np.empty(len(pairs))
         for start in range(0, len(pairs), pair_block):
             u1, u2 = np.divmod(pairs[start : start + pair_block], n)
-            cols = p * ta1.T[u1] + (1.0 - p) * ta2.T[u2]
-            best[start : start + len(u1)] = cols.max(axis=1)
-        pay_a = p * ta1[a, b1] + (1.0 - p) * ta2[a, b2]
+            best[start : start + len(u1)] = payoff_a(u1, u2).max(axis=1)
+        pay_a = payoff_a(b1, b2, a)
         keep = pay_a >= best[pair_of] - eps_tie
         a, b1, b2, pay_a = a[keep], b1[keep], b2[keep], pay_a[keep]
         records.extend(
@@ -271,6 +258,29 @@ def find_ne_bayesian(
             )
         )
     return records
+
+
+def find_ne_bayesian(
+    game: BayesianGame,
+    gamma: float,
+    sset: StrategySet,
+    eps_tie: float = DEFAULT_EPS_TIE,
+    tables: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> list[EquilibriumRecord]:
+    """All profiles (a, b1, b2) stable under unilateral deviation.
+
+    A's payoff is the p-weighted mixture of its two subgame tables.
+    """
+    check_eps_tie(eps_tie)
+    ta1, tb1, ta2, tb2 = (
+        tables if tables is not None else bayesian_tables(game, gamma, sset)
+    )
+    p = game.p
+
+    def payoff_a(b1, b2, a=slice(None)):
+        return p * ta1.T[b1, a] + (1.0 - p) * ta2.T[b2, a]
+
+    return _masked_search(tb1, tb2, payoff_a, eps_tie)
 
 
 def bayesian_circuit_tables(
@@ -317,28 +327,13 @@ def find_ne_bayesian_circuit(
     control: ControlSpec | None = None,
 ) -> list[EquilibriumRecord]:
     """NE search with payoffs evaluated through the four-qubit circuit."""
+    check_eps_tie(eps_tie)
     ta, tb1, tb2 = bayesian_circuit_tables(game, gamma, sset, control)
-    n = len(sset)
-    records = []
-    for a in range(n):
-        br1 = np.nonzero(tb1[a] >= tb1[a].max() - eps_tie)[0]
-        br2 = np.nonzero(tb2[a] >= tb2[a].max() - eps_tie)[0]
-        for b1 in br1:
-            for b2 in br2:
-                pay_a = ta[:, b1, b2]
-                if pay_a[a] >= pay_a.max() - eps_tie:
-                    records.append(
-                        EquilibriumRecord(
-                            (a, int(b1), int(b2)),
-                            (
-                                float(pay_a[a]),
-                                float(tb1[a, b1]),
-                                float(tb2[a, b2]),
-                            ),
-                        )
-                    )
-    records.sort(key=lambda r: r.profile)
-    return records
+
+    def payoff_a(b1, b2, a=slice(None)):
+        return ta.T[b2, b1, a]
+
+    return _masked_search(tb1, tb2, payoff_a, eps_tie)
 
 
 def _two_player_payoff(game, gamma, u_a, u_b):
@@ -397,26 +392,8 @@ def verify_ne(
     return True
 
 
-def _free_phase(s: StrategyParams) -> float | None:
-    """The phase parameter left free by theta: phi at 0, alpha at pi."""
-    if s.theta < 1e-9:
-        return s.phi
-    if math.pi - s.theta < 1e-9:
-        return s.alpha
-    return None
-
-
-def _wrap_offset(value: float) -> float:
-    w = math.fmod(value, TAU)
-    if w < 0.0:
-        w += TAU
-    if TAU - w < 1e-9:
-        w = 0.0
-    return round(w, 9)
-
-
-def _player_names(n_players: int) -> tuple[str, ...]:
-    return ("A", "B") if n_players == 2 else ("A", "B1", "B2")
+def _offset(phase: float) -> float:
+    return round(wrap_angle(phase), 9)
 
 
 def classify(
@@ -438,40 +415,26 @@ def classify(
         )
         groups.setdefault(key, []).append(rec)
 
-    names_cache: dict[int, tuple[str, ...]] = {}
+    free, names = sset.free_phases, sset.pauli_names
     classes = []
     for key in sorted(groups):
         members = tuple(groups[key])
         rep = members[0]
-        n_players = len(rep.profile)
-        names = names_cache.setdefault(n_players, _player_names(n_players))
+        others = ("B",) if len(rep.profile) == 2 else ("B1", "B2")
 
         phase_sums: dict[str, tuple[float, ...]] = {}
         phase_diffs: dict[str, tuple[float, ...]] = {}
-        for k in range(1, n_players):
-            pair = f"{names[0]}-{names[k]}"
-            sums = set()
-            diffs = set()
-            defined = True
-            for rec in members:
-                g_a = _free_phase(sset.params[rec.profile[0]])
-                g_k = _free_phase(sset.params[rec.profile[k]])
-                if g_a is None or g_k is None:
-                    defined = False
-                    break
-                sums.add(_wrap_offset(g_a + g_k))
-                diffs.add(_wrap_offset(g_k - g_a))
-            if defined:
-                phase_sums[pair] = tuple(sorted(sums))
-                phase_diffs[pair] = tuple(sorted(diffs))
+        for k, other in enumerate(others, start=1):
+            phases = [(free[rec.profile[0]], free[rec.profile[k]]) for rec in members]
+            if any(g_a is None or g_k is None for g_a, g_k in phases):
+                continue
+            pair = f"A-{other}"
+            phase_sums[pair] = tuple(sorted({_offset(g_a + g_k) for g_a, g_k in phases}))
+            phase_diffs[pair] = tuple(sorted({_offset(g_k - g_a) for g_a, g_k in phases}))
 
-        labels = [pauli_label(sset.unitaries[i]) for i in rep.profile]
         label = None
-        if all(lab is not None for lab in labels) and all(
-            all(pauli_label(sset.unitaries[i]) is not None for i in rec.profile)
-            for rec in members
-        ):
-            label = "⊗".join(lab[0] for lab in labels)
+        if all(names[i] is not None for rec in members for i in rec.profile):
+            label = "⊗".join(names[i] for i in rep.profile)
 
         theta_profile = tuple(sset.params[i].theta for i in rep.profile)
         classes.append(

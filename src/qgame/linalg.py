@@ -56,10 +56,6 @@ def state_vector(amplitudes, name: str = "state") -> np.ndarray:
     return psi
 
 
-def n_qubits(psi: np.ndarray) -> int:
-    return int(np.log2(len(psi)))
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product, with the left factor on the more significant qubits.
 

@@ -97,7 +97,7 @@ def game_to_dict(game: TwoPlayerGame | BayesianGame) -> dict:
     }
 
 
-def class_id(cls: EquilibriumClass) -> str:
+def class_id(cls: EquilibriumClass | RegionSummary) -> str:
     thetas = ";".join(_f9(t) for t in cls.theta_profile)
     return f"{thetas}|{cls.operator_label or '-'}"
 
@@ -335,9 +335,8 @@ def emit_regions(summaries: list[RegionSummary], fmt: str, path: str) -> None:
     for s in summaries:
         thetas = [_f9(t) for t in s.theta_profile]
         thetas += [""] * (3 - len(thetas))
-        sig = ";".join(_f9(t) for t in s.theta_profile) + "|" + (s.operator_label or "-")
         rows.append(
-            [sig]
+            [class_id(s)]
             + thetas
             + [
                 s.operator_label or "",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -87,8 +88,30 @@ class StrategySet:
     def unitary(self, i: int) -> np.ndarray:
         return self.unitaries[i]
 
+    @cached_property
+    def free_phases(self) -> tuple[float | None, ...]:
+        """Per index, the free phase (phi at theta = 0, alpha at pi), else None."""
+        return tuple(
+            None if (free := _free_parameter(s.theta)) is None else getattr(s, free)
+            for s in self.params
+        )
 
-def _wrap_angle(value: float) -> float:
+    @cached_property
+    def pauli_names(self) -> tuple[str | None, ...]:
+        """Per index, the Pauli matrix the unitary is a unimodular multiple of, else None.
+
+        Only theta = 0 or pi can give one: in between, all four entries
+        of the unitary are nonzero.
+        """
+        labels = (
+            None if g is None else pauli_label(u)
+            for u, g in zip(self.unitaries, self.free_phases)
+        )
+        return tuple(None if label is None else label[0] for label in labels)
+
+
+def wrap_angle(value: float) -> float:
+    """Reduce an angle to [0, 2*pi), snapping values within 1e-9 of 2*pi to 0."""
     w = math.fmod(value, TAU)
     if w < 0.0:
         w += TAU
@@ -97,14 +120,21 @@ def _wrap_angle(value: float) -> float:
     return w
 
 
+def _free_parameter(theta: float) -> str | None:
+    """The phase parameter theta leaves free, "phi" at 0 and "alpha" at pi (the
+    other is undefined there); None in between, where both matter."""
+    if theta < _ANGLE_SNAP:
+        return "phi"
+    if math.pi - theta < _ANGLE_SNAP:
+        return "alpha"
+    return None
+
+
 def canonicalize(s: StrategyParams) -> StrategyParams:
     """Reduce phases mod 2*pi and zero the parameter that theta makes undefined."""
-    phi = _wrap_angle(s.phi)
-    alpha = _wrap_angle(s.alpha)
-    if s.theta < _ANGLE_SNAP:
-        alpha = 0.0
-    if math.pi - s.theta < _ANGLE_SNAP:
-        phi = 0.0
+    free = _free_parameter(s.theta)
+    phi = 0.0 if free == "alpha" else wrap_angle(s.phi)
+    alpha = 0.0 if free == "phi" else wrap_angle(s.alpha)
     return StrategyParams(s.theta, phi, alpha)
 
 

@@ -201,6 +201,8 @@ class TestFindNeBayesian:
             find_ne_bayesian(builtin_bayesian(0.5), 0.3, grid8, eps)
         with pytest.raises(ValueError, match="eps_tie"):
             find_ne_two_player(builtin_pd(), 0.3, grid8, eps)
+        with pytest.raises(ValueError, match="eps_tie"):
+            find_ne_bayesian_circuit(builtin_bayesian(0.3), 0.8, grid8, eps)
 
     def test_matches_four_qubit_circuit_search(self, grid8):
         game = builtin_bayesian(0.85)

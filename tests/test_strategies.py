@@ -129,3 +129,19 @@ class TestPauliLabel:
         from qgame.circuits import strategy_unitary
 
         assert pauli_label(strategy_unitary(StrategyParams(PI / 2, 0.0, 0.0))) is None
+
+
+class TestPerIndexFacts:
+    def test_match_direct_computation_on_24_grid(self):
+        sset = enumerate_strategies(GridSteps(PI / 2, PI / 2, PI / 2))
+        for s, u, phase, name in zip(
+            sset.params, sset.unitaries, sset.free_phases, sset.pauli_names
+        ):
+            label = pauli_label(u)
+            assert name == (label[0] if label else None)
+            if s.theta == 0.0:
+                assert phase == s.phi
+            elif s.theta == PI:
+                assert phase == s.alpha
+            else:
+                assert phase is None and name is None
