@@ -33,6 +33,11 @@ CASES = [
         ["solve", "--game", "bayesian", "--p", "0.3", "--gamma", "0.8", "--circuit", "full"],
     ),
     ("solve_pi8.json", ["solve", "--game", "bayesian", "--p", "0.1", "--gamma", "1.3"] + PI8),
+    # At p = 1 the q = 0 branch is empty, so B2's payoff is the two-player fallback.
+    (
+        "solve_circuit_p1.json",
+        ["solve", "--game", "bayesian", "--p", "1", "--gamma", "0.8", "--circuit", "full"],
+    ),
 ]
 
 
