@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .games import BayesianGame
-from .linalg import dagger, embed, kron, state_vector
+from .linalg import embed
 
 TAU = 2.0 * math.pi
 
@@ -118,17 +118,20 @@ def entangler(gamma: float) -> np.ndarray:
 
 
 def _as_unitary(u) -> np.ndarray:
-    """Accept StrategyParams or a ready 2x2 matrix."""
+    """Accept StrategyParams or a ready, finite 2x2 matrix."""
     if isinstance(u, StrategyParams):
         return strategy_unitary(u)
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError(f"strategy matrix must be 2x2, got shape {u.shape}")
+    if not np.isfinite(u).all():
+        raise ValueError("strategy matrix contains non-finite entries")
     return u
 
 
 def _checked_norm(psi: np.ndarray) -> np.ndarray:
-    if abs(np.linalg.norm(psi) - 1.0) > _NORM_TOL:
+    # Written so that a NaN norm fails too.
+    if not abs(np.linalg.norm(psi) - 1.0) <= _NORM_TOL:
         raise RuntimeError("state norm drifted beyond 1e-12 during evolution")
     return psi
 
@@ -136,13 +139,17 @@ def _checked_norm(psi: np.ndarray) -> np.ndarray:
 def evolve_two_player(gamma: float, u_a, u_b) -> np.ndarray:
     """Final two-qubit state J^dag (U_A (x) U_B) J |00>."""
     j = entangler(gamma)
-    layer = kron(_as_unitary(u_a), _as_unitary(u_b))
-    return _checked_norm(dagger(j) @ (layer @ j[:, 0]))
+    layer = np.kron(_as_unitary(u_a), _as_unitary(u_b))
+    return _checked_norm(j.conj().T @ (layer @ j[:, 0]))
 
 
 def payoff_expectation(psi: np.ndarray, payoff) -> float:
-    """Born-rule expectation sum_j |psi_j|^2 * payoff_j."""
-    psi = state_vector(psi)
+    """Born-rule expectation sum_j |psi_j|^2 * payoff_j over 1 to 4 qubits."""
+    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    if len(psi) not in (2, 4, 8, 16):
+        raise ValueError(f"state length must be 2, 4, 8 or 16, got {len(psi)}")
+    if not np.isfinite(psi).all():
+        raise ValueError("state contains non-finite amplitudes")
     vec = np.asarray(payoff, dtype=float)
     if vec.shape != psi.shape:
         raise ValueError(
@@ -190,7 +197,7 @@ def _controlled_entanglers(gamma: float):
     j2 = embed(j2_local, [0, 1, 3], 4)
     if np.max(np.abs(j1 @ j2 - j2 @ j1)) > 1e-12:
         raise RuntimeError("controlled entanglers failed to commute")
-    return j1, j2, dagger(j1), dagger(j2)
+    return j1, j2, j1.conj().T, j2.conj().T
 
 
 def evolve_bayesian_circuit(
@@ -212,6 +219,11 @@ def evolve_bayesian_circuit(
     return _checked_norm(psi)
 
 
+def _branch_weights(probs: np.ndarray) -> tuple[float, float]:
+    """Outcome weights of the q = 1 (facing B1) and q = 0 (facing B2) branches."""
+    return probs[8:].sum(), probs[:8].sum()
+
+
 def bayesian_payoffs_circuit(
     psi: np.ndarray,
     game: BayesianGame,
@@ -226,9 +238,11 @@ def bayesian_payoffs_circuit(
     the conditional is undefined and the two-player subgame value must
     be supplied as a fallback.
     """
-    psi = state_vector(psi)
+    psi = np.asarray(psi, dtype=complex).reshape(-1)
     if len(psi) != 16:
         raise ValueError(f"expected a 4-qubit state of length 16, got {len(psi)}")
+    if not np.isfinite(psi).all():
+        raise ValueError("state contains non-finite amplitudes")
     probs = np.abs(psi) ** 2
     pd_a = np.asarray(game.subgame_b1.payoff_a)
     pd_b = np.asarray(game.subgame_b1.payoff_b)
@@ -242,8 +256,7 @@ def bayesian_payoffs_circuit(
     pd_outcome = 2 * a_bit + b1_bit
     da_outcome = 2 * a_bit + b2_bit
 
-    p1 = probs[8:].sum()
-    p0 = probs[:8].sum()
+    p1, p0 = _branch_weights(probs)
     pay_a = float(
         probs[8:] @ pd_a[pd_outcome[8:]] + probs[:8] @ da_a[da_outcome[:8]]
     )
@@ -270,12 +283,17 @@ def bayesian_payoffs_full_circuit(
 ) -> tuple[float, float, float]:
     """Evolve the four-qubit circuit and read off payoffs.
 
-    Degenerate control branches fall back to the two-player subgame
-    expectations, the continuous limit of the conditional payoffs.
+    A degenerate control branch falls back to the two-player subgame
+    expectation, the continuous limit of the conditional payoff; only
+    such a branch runs the two-player evolution.
     """
     psi = evolve_bayesian_circuit(control, gamma, u_a, u_b1, u_b2)
-    fb1 = payoff_expectation(evolve_two_player(gamma, u_a, u_b1), game.subgame_b1.payoff_b)
-    fb2 = payoff_expectation(evolve_two_player(gamma, u_a, u_b2), game.subgame_b2.payoff_b)
+    p1, p0 = _branch_weights(np.abs(psi) ** 2)
+    fb1 = fb2 = None
+    if p1 <= _DEGENERATE_BRANCH:
+        fb1 = payoff_expectation(evolve_two_player(gamma, u_a, u_b1), game.subgame_b1.payoff_b)
+    if p0 <= _DEGENERATE_BRANCH:
+        fb2 = payoff_expectation(evolve_two_player(gamma, u_a, u_b2), game.subgame_b2.payoff_b)
     return bayesian_payoffs_circuit(psi, game, fallback_b1=fb1, fallback_b2=fb2)
 
 

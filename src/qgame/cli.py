@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Commands: solve, sweep, classify, emit-figure, verify.  Angles are in
-radians everywhere; flags also accept expressions like ``pi/8`` or
-``3pi/2``.  Exit codes: 0 success, 1 argument error, 2 game/result
-config error, 3 I/O or numerical failure.
+Commands: solve, sweep, classify, emit-figure, verify.  emit-figure is
+a preset of sweep: a built-in game at the default steps, written to a
+file.  Angles are in radians everywhere; flags also accept expressions
+like ``pi/8`` or ``3pi/2``.  Exit codes: 0 success, 1 argument error,
+2 game/result config error, 3 I/O or numerical failure.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .serialize import (
     load_game,
     load_result,
 )
-from .strategies import DEFAULT_GRID, GridSteps, enumerate_strategies
+from .strategies import GridSteps, enumerate_strategies
 from .sweep import (
     CellResult,
     SweepResult,
@@ -135,14 +136,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out_flags(cls)
     cls.set_defaults(func=_cmd_classify)
 
-    fig = subs.add_parser("emit-figure", help="write the data behind a payoff figure")
-    fig.add_argument("--fig", choices=("pd", "da", "bayesian"), required=True)
+    fig = subs.add_parser(
+        "emit-figure", help="write the data behind a payoff figure (a default sweep)"
+    )
+    fig.add_argument("--fig", dest="game", choices=("pd", "da", "bayesian"), required=True)
     fig.add_argument("--out", required=True)
     fig.add_argument(
         "--format", choices=("csv", "json"), default=None, help="default csv"
     )
     fig.add_argument("--jobs", type=int, default=1)
-    fig.set_defaults(func=_cmd_emit_figure)
+    preset = ("p_step", "gamma_step", "grid_theta", "grid_phi", "grid_alpha", "eps_tie")
+    fig.set_defaults(func=_cmd_sweep, **{name: sweep.get_default(name) for name in preset})
 
     ver = subs.add_parser("verify", help="re-check every NE in a result file")
     ver.add_argument("--in", dest="infile", required=True, help="result JSON file")
@@ -259,21 +263,13 @@ def _cmd_solve(args) -> int:
 def _cmd_sweep(args) -> int:
     game = _resolve_game(args.game)
     steps = _grid_steps(args)
-    if isinstance(game, BayesianGame):
-        spec = SweepSpec(
-            game=game,
-            gamma_values=gamma_grid(args.gamma_step),
-            p_values=p_grid(args.p_step),
-            steps=steps,
-            eps_tie=args.eps_tie,
-        )
-    else:
-        spec = SweepSpec(
-            game=game,
-            gamma_values=gamma_grid(args.gamma_step),
-            steps=steps,
-            eps_tie=args.eps_tie,
-        )
+    spec = SweepSpec(
+        game=game,
+        gamma_values=gamma_grid(args.gamma_step),
+        p_values=p_grid(args.p_step) if isinstance(game, BayesianGame) else (),
+        steps=steps,
+        eps_tie=args.eps_tie,
+    )
     result = run_sweep(spec, workers=args.jobs)
     occupied = sum(1 for c in result.cells if c.classes)
     print(
@@ -302,23 +298,6 @@ def _cmd_classify(args) -> int:
     if args.out:
         emit_regions(summaries, _format_for(args, "csv"), args.out)
         print(f"wrote {args.out}")
-    return 0
-
-
-def _cmd_emit_figure(args) -> int:
-    fmt = args.format or ("json" if args.out.endswith(".json") else "csv")
-    if args.fig == "bayesian":
-        spec = SweepSpec(
-            game=builtin_bayesian(),
-            gamma_values=gamma_grid(),
-            p_values=p_grid(),
-        )
-    else:
-        game = builtin_pd() if args.fig == "pd" else builtin_da()
-        spec = SweepSpec(game=game, gamma_values=gamma_grid())
-    result = run_sweep(spec, workers=args.jobs)
-    emit(result, fmt, args.out)
-    print(f"wrote {args.out}")
     return 0
 
 

@@ -375,19 +375,10 @@ def verify_ne(
             > base[0] + eps_tie
         ):
             return False
-        if (
-            payoff_expectation(
-                evolve_two_player(gamma, us[a], us[alt]), game.subgame_b1.payoff_b
-            )
-            > base[1] + eps_tie
-        ):
+        psi = evolve_two_player(gamma, us[a], us[alt])
+        if payoff_expectation(psi, game.subgame_b1.payoff_b) > base[1] + eps_tie:
             return False
-        if (
-            payoff_expectation(
-                evolve_two_player(gamma, us[a], us[alt]), game.subgame_b2.payoff_b
-            )
-            > base[2] + eps_tie
-        ):
+        if payoff_expectation(psi, game.subgame_b2.payoff_b) > base[2] + eps_tie:
             return False
     return True
 

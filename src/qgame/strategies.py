@@ -85,9 +85,6 @@ class StrategySet:
     def __len__(self) -> int:
         return len(self.params)
 
-    def unitary(self, i: int) -> np.ndarray:
-        return self.unitaries[i]
-
     @cached_property
     def free_phases(self) -> tuple[float | None, ...]:
         """Per index, the free phase (phi at theta = 0, alpha at pi), else None."""

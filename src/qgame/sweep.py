@@ -81,23 +81,6 @@ class SweepSpec:
                 raise ValueError("p_values must be non-empty and ascending")
 
 
-def default_bayesian_spec(
-    p_step: float = DEFAULT_STEP,
-    gamma_step: float = DEFAULT_STEP,
-    steps: GridSteps = DEFAULT_GRID,
-    eps_tie: float = DEFAULT_EPS_TIE,
-) -> SweepSpec:
-    from .games import builtin_bayesian
-
-    return SweepSpec(
-        game=builtin_bayesian(),
-        gamma_values=gamma_grid(gamma_step),
-        p_values=p_grid(p_step),
-        steps=steps,
-        eps_tie=eps_tie,
-    )
-
-
 @dataclass(frozen=True)
 class CellResult:
     """Equilibrium classes found at one grid cell; p is None for 1-D sweeps."""

@@ -6,21 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgame.circuits import StrategyParams, entangler, strategy_unitary
-from qgame.linalg import (
-    PAULI_X,
-    apply,
-    as_matrix,
-    dagger,
-    embed,
-    is_unitary,
-    kron,
-    phase_equal,
-    state_vector,
-)
-from qgame.strategies import DEFAULT_GRID, enumerate_strategies
+from qgame.linalg import PAULI_X, embed, is_unitary
 
 I2 = np.eye(2, dtype=complex)
-I4 = np.eye(4, dtype=complex)
 
 angles = st.floats(min_value=0.0, max_value=math.pi, allow_nan=False)
 phases = st.floats(min_value=0.0, max_value=2.0 * math.pi - 1e-9, allow_nan=False)
@@ -30,40 +18,16 @@ def random_unitary(theta, phi, alpha):
     return strategy_unitary(StrategyParams(theta, phi, alpha))
 
 
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(I2, I2), I4)
-
-    def test_pauli_x_pair_is_antidiagonal(self):
-        xx = kron(PAULI_X, PAULI_X)
-        assert np.array_equal(xx, np.fliplr(np.eye(4)))
-
-    def test_definition_elementwise(self):
-        rng = np.random.default_rng(1)
-        a = rng.integers(-3, 4, (2, 2)) + 1j * rng.integers(-3, 4, (2, 2))
-        b = rng.integers(-3, 4, (4, 4)) + 1j * rng.integers(-3, 4, (4, 4))
-        out = kron(a, b)
-        for i in range(2):
-            for j in range(2):
-                for k in range(4):
-                    for m in range(4):
-                        assert out[i * 4 + k, j * 4 + m] == a[i, j] * b[k, m]
-
-    def test_dimension_overflow(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            kron(np.eye(4), np.eye(8))
-
-
 class TestEmbed:
     def test_single_qubit_definition(self):
-        assert np.allclose(embed(PAULI_X, [0], 2), kron(PAULI_X, I2))
+        assert np.allclose(embed(PAULI_X, [0], 2), np.kron(PAULI_X, I2))
 
     def test_identity_case(self):
         assert np.allclose(embed(np.eye(8), [0, 1, 2], 4), np.eye(16))
 
     def test_matches_kron_composition(self):
         j = entangler(0.8)
-        expected = kron(I2, kron(j, I2))
+        expected = np.kron(I2, np.kron(j, I2))
         assert np.max(np.abs(embed(j, [1, 2], 4) - expected)) < 1e-15
 
     def test_duplicate_targets(self):
@@ -82,7 +46,7 @@ class TestEmbed:
         op = entangler(0.9)
         for targets in ([0, 1], [1, 3], [2, 0], [3, 1]):
             expected = _direct_apply(op, targets, psi)
-            assert np.max(np.abs(apply(embed(op, targets, 4), psi) - expected)) < 1e-14
+            assert np.max(np.abs(embed(op, targets, 4) @ psi - expected)) < 1e-14
 
 
 def _direct_apply(op, targets, psi):
@@ -108,71 +72,12 @@ def _direct_apply(op, targets, psi):
     return out
 
 
-class TestApplyDagger:
-    def test_apply_identity(self):
-        psi = state_vector([1, 0, 0, 0])
-        assert np.array_equal(apply(I4, psi), psi)
-
-    def test_apply_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="does not match"):
-            apply(I4, [1, 0])
-
-    def test_entangler_unitary_via_dagger(self):
-        j = entangler(0.7)
-        assert np.max(np.abs(dagger(j) @ j - I4)) < 1e-12
-
-
-class TestPhaseEqual:
-    def test_scalar_factor(self):
-        m = np.array([[0, 1], [-1, 0]], dtype=complex)
-        assert phase_equal(m, np.array([[0, -1j], [1j, 0]]), 1e-12)
-
-    def test_rejects_different_shape_of_support(self):
-        assert not phase_equal(PAULI_X, I2, 1e-12)
-
-    def test_equivalence_relation_on_coarse_set(self):
-        us = enumerate_strategies(DEFAULT_GRID).unitaries
-        n = len(us)
-        rel = [[phase_equal(us[i], us[j], 1e-12) for j in range(n)] for i in range(n)]
-        for i in range(n):
-            assert rel[i][i]
-            for j in range(n):
-                assert rel[i][j] == rel[j][i]
-                for k in range(n):
-                    if rel[i][j] and rel[j][k]:
-                        assert rel[i][k]
-        # the 8 strategies pair up into 4 phase classes
-        sizes = sorted(sum(row) for row in rel)
-        assert sizes == [2] * 8
-
-
-class TestValidation:
-    def test_state_rejects_nan(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            state_vector([float("nan"), 0])
-
-    def test_matrix_rejects_inf(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            as_matrix([[float("inf"), 0], [0, 1]])
-
-    def test_matrix_rejects_bad_dimension(self):
-        with pytest.raises(ValueError, match="power of two"):
-            as_matrix(np.eye(3))
-
-
 class TestUnitarityInvariants:
     @settings(max_examples=25, deadline=None)
     @given(angles, phases, phases, angles, phases, phases)
     def test_kron_embed_dagger_preserve_unitarity(self, t1, p1, a1, t2, p2, a2):
         u = random_unitary(t1, p1, a1)
         v = random_unitary(t2, p2, a2)
-        assert is_unitary(kron(u, v), 1e-12)
+        assert is_unitary(np.kron(u, v), 1e-12)
         assert is_unitary(embed(u, [1], 3), 1e-12)
-        assert is_unitary(dagger(u), 1e-12)
-
-    @settings(max_examples=25, deadline=None)
-    @given(angles, phases, phases)
-    def test_apply_preserves_norm(self, theta, phi, alpha):
-        u = random_unitary(theta, phi, alpha)
-        psi = state_vector([0.6, 0.8j])
-        assert abs(np.linalg.norm(apply(u, psi)) - 1.0) < 1e-12
+        assert is_unitary(u.conj().T, 1e-12)

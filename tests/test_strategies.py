@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qgame.circuits import StrategyParams
-from qgame.linalg import is_unitary, phase_equal
+from qgame.linalg import is_unitary
 from qgame.strategies import (
     DEFAULT_GRID,
     GridSteps,
@@ -111,7 +111,10 @@ class TestEnumerate:
         assert sorted(by_symbol) == ["I", "X", "Y", "Z"]
         for us in by_symbol.values():
             assert len(us) == 2
-            assert phase_equal(us[0], us[1], 1e-12)
+            # us[0] = c * us[1] with |c| = 1; the Frobenius norm of a 2x2 unitary is sqrt(2)
+            c = np.vdot(us[1], us[0]) / 2.0
+            assert abs(abs(c) - 1.0) < 1e-12
+            assert np.max(np.abs(us[0] - c * us[1])) < 1e-12
 
 
 class TestPauliLabel:
