@@ -7,16 +7,23 @@ can depend on the BLAS build.
 
 To re-record after an intended change of output, run each case's
 command with ``--out`` pointed at the golden file's name without
-``.gz`` and compress it with ``gzip -9n``.
+``.gz`` and compress it with ``gzip -9n``.  The fine-row case has no
+CLI command: write ``result_to_json_text`` of ``fine_row_spec()``'s
+sweep to ``fine_row_pi8_g14.json`` and compress it the same way.
 """
 
 import gzip
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from qgame.cli import main
+from qgame.games import builtin_bayesian
+from qgame.serialize import result_to_json_text
+from qgame.strategies import GridSteps
+from qgame.sweep import SweepSpec, gamma_grid, p_grid, run_sweep
 
 GOLDEN = Path(__file__).parent / "golden"
 PI8 = ["--grid-theta", "pi/8", "--grid-phi", "pi/8", "--grid-alpha", "pi/8"]
@@ -75,3 +82,16 @@ def test_cli_output_matches_golden(tmp_path, capsys, name, argv):
         assert actual == expected
     else:
         _assert_same_json(json.loads(actual), json.loads(expected))
+
+
+def fine_row_spec() -> SweepSpec:
+    """One row of the pi/8 Bayesian diagram: gamma = 0.7, p = 0, 0.2, ..., 1."""
+    pi8 = GridSteps(math.pi / 8, math.pi / 8, math.pi / 8)
+    return SweepSpec(builtin_bayesian(), (gamma_grid()[14],), p_grid(0.2), pi8)
+
+
+def test_fine_row_matches_golden():
+    # The row's record counts change with p (1280, 576, 576, 448, 64, 64),
+    # so a search that mixes up cells of one row shows here.
+    actual = json.loads(result_to_json_text(run_sweep(fine_row_spec())))
+    _assert_same_json(actual, json.loads(_golden_bytes("fine_row_pi8_g14.json")))
