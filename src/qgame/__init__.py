@@ -25,9 +25,9 @@ from .equilibrium import (
     EquilibriumClass,
     EquilibriumRecord,
     bayesian_tables,
-    best_responses,
     classify,
     find_ne_bayesian,
+    find_ne_bayesian_row,
     find_ne_bayesian_circuit,
     find_ne_two_player,
     two_player_tables,

@@ -326,7 +326,8 @@ def _cmd_verify(args) -> int:
                 f"FAIL p={p} gamma={gamma:.6g} profile={profile}", file=sys.stderr
             )
         print(
-            f"{len(failures)} of {checked} recorded profiles are not equilibria",
+            f"{len(failures)} of {checked} recorded profiles are not equilibria"
+            " with their stored payoffs",
             file=sys.stderr,
         )
         return 3

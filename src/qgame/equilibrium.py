@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,6 +39,12 @@ from .games import BayesianGame, TwoPlayerGame
 from .strategies import StrategySet, wrap_angle
 
 DEFAULT_EPS_TIE = 1e-9
+
+# How far a record's stored payoffs may sit from the recomputed ones in
+# ``verify_ne``.  A class stores its first member's payoffs for every
+# member, and members agree to round(x, 9), so within 1e-9; the rest
+# covers the last bits by which tables and scalar circuits differ.
+PAYOFF_TOL = 2e-9
 
 # Working-array bounds of the vectorized Bayesian NE search: candidate
 # triples per block of a, and float64 entries per block of A's columns
@@ -157,22 +163,6 @@ def bayesian_tables(
     return ta1, tb1, ta2, tb2
 
 
-def best_responses(
-    payoff_fn: Callable[[int, tuple[int, ...]], float],
-    sset: StrategySet,
-    opponents: tuple[int, ...],
-    eps_tie: float = DEFAULT_EPS_TIE,
-) -> tuple[tuple[int, ...], float]:
-    """All strategies within eps_tie of the best payoff against fixed opponents."""
-    check_eps_tie(eps_tie)
-    if len(sset) == 0:
-        raise ValueError("strategy set is empty")
-    values = np.array([payoff_fn(k, opponents) for k in range(len(sset))])
-    top = float(values.max())
-    indices = tuple(int(i) for i in np.nonzero(values >= top - eps_tie)[0])
-    return indices, top
-
-
 def find_ne_two_player(
     game: TwoPlayerGame,
     gamma: float,
@@ -222,42 +212,85 @@ def _row_blocks(sizes: np.ndarray, budget: int):
         yield slice(start, len(sizes))
 
 
-def _masked_search(tb1, tb2, payoff_a, eps_tie: float) -> list[EquilibriumRecord]:
-    """All profiles (a, b1, b2) stable under unilateral deviation, in profile order.
+def _masked_search(
+    tb1, tb2, columns_a, cells: Sequence[Callable], eps_tie: float
+) -> list[list[EquilibriumRecord]]:
+    """Per cell, all profiles (a, b1, b2) stable under unilateral deviation.
 
-    ``tb1[a, b1]`` and ``tb2[a, b2]`` are B1's and B2's payoffs; B1's does
-    not depend on b2 nor B2's on b1, so both best-response masks are
-    taken for every a at once and expanded into candidate triples.
-    ``payoff_a(b1, b2, a)`` gives A's payoffs elementwise, and
-    ``payoff_a(b1, b2)`` A's payoff of every strategy against each pair
-    (rows).  A's check runs once per distinct (b1, b2) pair.  Candidates
-    and column blocks are processed in bounded chunks.
+    ``tb1[a, b1]`` and ``tb2[a, b2]`` are B1's and B2's payoffs in every
+    cell; B1's does not depend on b2 nor B2's on b1, so both best-response
+    masks are taken for every a at once and expanded into candidate
+    triples.  ``columns_a(b1, b2, a)`` gathers the arrays A's payoffs are
+    made of, elementwise, and ``columns_a(b1, b2)`` the same for every
+    strategy against each pair (rows); each of ``cells`` maps those arrays
+    to A's payoffs in one cell.  Masks, candidates and gathered arrays are
+    built once for all cells; only A's check runs per cell, once per
+    distinct (b1, b2) pair.  Candidates, column blocks and the per-cell
+    best payoffs are processed in bounded chunks.  Records come back in
+    profile order, one list per cell.
     """
     n = tb1.shape[1]
     br1 = tb1 >= tb1.max(axis=1, keepdims=True) - eps_tie
     br2 = tb2 >= tb2.max(axis=1, keepdims=True) - eps_tie
     sizes = br1.sum(axis=1) * br2.sum(axis=1)
     pair_block = max(1, _COLUMN_BLOCK // max(n, 1))
-    records = []
+    records: list[list[EquilibriumRecord]] = [[] for _ in cells]
     for rows in _row_blocks(sizes, _TRIPLE_BLOCK):
         a, b1, b2 = _candidate_triples(br1[rows], br2[rows])
         a += rows.start
         pairs, pair_of = np.unique(b1 * n + b2, return_inverse=True)
-        best = np.empty(len(pairs))
-        for start in range(0, len(pairs), pair_block):
-            u1, u2 = np.divmod(pairs[start : start + pair_block], n)
-            best[start : start + len(u1)] = payoff_a(u1, u2).max(axis=1)
-        pay_a = payoff_a(b1, b2, a)
-        keep = pay_a >= best[pair_of] - eps_tie
-        a, b1, b2, pay_a = a[keep], b1[keep], b2[keep], pay_a[keep]
-        records.extend(
-            EquilibriumRecord(profile, payoffs)
-            for profile, payoffs in zip(
-                zip(a.tolist(), b1.tolist(), b2.tolist()),
-                zip(pay_a.tolist(), tb1[a, b1].tolist(), tb2[a, b2].tolist()),
-            )
-        )
+        parts = columns_a(b1, b2, a)
+        cell_block = max(1, _TRIPLE_BLOCK // max(len(pairs), 1))
+        for first in range(0, len(cells), cell_block):
+            group = cells[first : first + cell_block]
+            best = np.empty((len(group), len(pairs)))
+            for start in range(0, len(pairs), pair_block):
+                rows_a = columns_a(*np.divmod(pairs[start : start + pair_block], n))
+                for best_c, mix in zip(best, group):
+                    best_c[start : start + pair_block] = mix(*rows_a).max(axis=1)
+            for best_c, mix, out in zip(best, group, records[first:]):
+                pay_a = mix(*parts)
+                keep = np.flatnonzero(pay_a >= best_c[pair_of] - eps_tie)
+                ak, b1k, b2k = a[keep], b1[keep], b2[keep]
+                out.extend(
+                    EquilibriumRecord(profile, payoffs)
+                    for profile, payoffs in zip(
+                        zip(ak.tolist(), b1k.tolist(), b2k.tolist()),
+                        zip(
+                            pay_a[keep].tolist(),
+                            tb1[ak, b1k].tolist(),
+                            tb2[ak, b2k].tolist(),
+                        ),
+                    )
+                )
     return records
+
+
+def find_ne_bayesian_row(
+    game: BayesianGame,
+    gamma: float,
+    sset: StrategySet,
+    p_values: Sequence[float],
+    eps_tie: float = DEFAULT_EPS_TIE,
+    tables: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> list[list[EquilibriumRecord]]:
+    """The records of ``find_ne_bayesian`` at each p of ``p_values`` (game.p unused).
+
+    Only A's payoff depends on p, so one search serves the whole row.
+    """
+    check_eps_tie(eps_tie)
+    for p in p_values:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p must lie in [0, 1], got {p}")
+    ta1, tb1, ta2, tb2 = (
+        tables if tables is not None else bayesian_tables(game, gamma, sset)
+    )
+
+    def columns_a(b1, b2, a=slice(None)):
+        return ta1.T[b1, a], ta2.T[b2, a]
+
+    cells = [lambda g1, g2, p=p: p * g1 + (1.0 - p) * g2 for p in p_values]
+    return _masked_search(tb1, tb2, columns_a, cells, eps_tie)
 
 
 def find_ne_bayesian(
@@ -271,16 +304,7 @@ def find_ne_bayesian(
 
     A's payoff is the p-weighted mixture of its two subgame tables.
     """
-    check_eps_tie(eps_tie)
-    ta1, tb1, ta2, tb2 = (
-        tables if tables is not None else bayesian_tables(game, gamma, sset)
-    )
-    p = game.p
-
-    def payoff_a(b1, b2, a=slice(None)):
-        return p * ta1.T[b1, a] + (1.0 - p) * ta2.T[b2, a]
-
-    return _masked_search(tb1, tb2, payoff_a, eps_tie)
+    return find_ne_bayesian_row(game, gamma, sset, (game.p,), eps_tie, tables)[0]
 
 
 def bayesian_circuit_tables(
@@ -330,10 +354,10 @@ def find_ne_bayesian_circuit(
     check_eps_tie(eps_tie)
     ta, tb1, tb2 = bayesian_circuit_tables(game, gamma, sset, control)
 
-    def payoff_a(b1, b2, a=slice(None)):
-        return ta.T[b2, b1, a]
+    def columns_a(b1, b2, a=slice(None)):
+        return (ta.T[b2, b1, a],)
 
-    return _masked_search(tb1, tb2, payoff_a, eps_tie)
+    return _masked_search(tb1, tb2, columns_a, [lambda pay_a: pay_a], eps_tie)[0]
 
 
 def _two_player_payoff(game, gamma, u_a, u_b):
@@ -341,6 +365,12 @@ def _two_player_payoff(game, gamma, u_a, u_b):
     return (
         payoff_expectation(psi, game.payoff_a),
         payoff_expectation(psi, game.payoff_b),
+    )
+
+
+def _payoffs_match(stored, base) -> bool:
+    return len(stored) == len(base) and all(
+        abs(x - y) <= PAYOFF_TOL for x, y in zip(stored, base)
     )
 
 
@@ -355,11 +385,15 @@ def verify_ne(
 
     Payoffs are recomputed through the scalar circuit path so the check
     shares nothing with the vectorized tables or best-response masks.
+    The record also fails when its stored payoffs are more than
+    ``PAYOFF_TOL`` from the recomputed ones.
     """
     us = sset.unitaries
     if isinstance(game, TwoPlayerGame):
         a, b = record.profile
         base_a, base_b = _two_player_payoff(game, gamma, us[a], us[b])
+        if not _payoffs_match(record.payoffs, (base_a, base_b)):
+            return False
         for alt in range(len(sset)):
             if _two_player_payoff(game, gamma, us[alt], us[b])[0] > base_a + eps_tie:
                 return False
@@ -369,6 +403,8 @@ def verify_ne(
 
     a, b1, b2 = record.profile
     base = bayesian_payoffs_mixture(game.p, gamma, us[a], us[b1], us[b2], game)
+    if not _payoffs_match(record.payoffs, base):
+        return False
     for alt in range(len(sset)):
         if (
             bayesian_payoffs_mixture(game.p, gamma, us[alt], us[b1], us[b2], game)[0]
@@ -397,14 +433,16 @@ def classify(
     theta values pin a single free phase.  The operator label comes
     from the first member in profile order.
     """
+    # Keys round each strategy's theta once, and each distinct payoff tuple
+    # once: a cell's records share far fewer payoffs than profiles.
+    theta9 = [round(s.theta, 9) for s in sset.params]
+    payoffs9: dict[tuple, tuple] = {}
     groups: dict[tuple, list[EquilibriumRecord]] = {}
     for rec in sorted(records, key=lambda r: r.profile):
-        thetas = tuple(sset.params[i].theta for i in rec.profile)
-        key = (
-            tuple(round(t, 9) for t in thetas),
-            tuple(round(x, 9) for x in rec.payoffs),
-        )
-        groups.setdefault(key, []).append(rec)
+        pay9 = payoffs9.get(rec.payoffs)
+        if pay9 is None:
+            pay9 = payoffs9[rec.payoffs] = tuple([round(x, 9) for x in rec.payoffs])
+        groups.setdefault((tuple([theta9[i] for i in rec.profile]), pay9), []).append(rec)
 
     free, names = sset.free_phases, sset.pauli_names
     classes = []
@@ -416,7 +454,7 @@ def classify(
         phase_sums: dict[str, tuple[float, ...]] = {}
         phase_diffs: dict[str, tuple[float, ...]] = {}
         for k, other in enumerate(others, start=1):
-            phases = [(free[rec.profile[0]], free[rec.profile[k]]) for rec in members]
+            phases = {(free[rec.profile[0]], free[rec.profile[k]]) for rec in members}
             if any(g_a is None or g_k is None for g_a, g_k in phases):
                 continue
             pair = f"A-{other}"

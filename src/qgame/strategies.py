@@ -26,10 +26,16 @@ _PAULIS = (("I", PAULI_I), ("X", PAULI_X), ("Y", PAULI_Y), ("Z", PAULI_Z))
 _DIVIDES_TOL = 1e-12
 _ANGLE_SNAP = 1e-9
 
+# Largest strategy count a grid may have.  The pi/16 grid's 15,424 fit;
+# the pi/32 grid's 127,104 would need 129 GB per dense payoff table.
+MAX_STRATEGIES = 16_384
+
 
 def _step_count(step: float, full_range: float, name: str) -> int:
     if not step > 0:
         raise ValueError(f"{name} must be positive, got {step}")
+    if not math.isfinite(full_range / step):
+        raise ValueError(f"{name} = {step} is too small")
     n = round(full_range / step)
     if n < 1 or abs(n * step - full_range) > _DIVIDES_TOL:
         raise ValueError(f"{name} = {step} does not divide {full_range:.6g} exactly")
@@ -38,7 +44,8 @@ def _step_count(step: float, full_range: float, name: str) -> int:
 
 @dataclass(frozen=True)
 class GridSteps:
-    """Step sizes for the (theta, phi, alpha) grid; each must divide its range."""
+    """Step sizes for the (theta, phi, alpha) grid; each must divide its range,
+    and the grid may hold at most ``MAX_STRATEGIES`` strategies."""
 
     d_theta: float
     d_phi: float
@@ -48,6 +55,10 @@ class GridSteps:
         _step_count(self.d_theta, math.pi, "d_theta")
         _step_count(self.d_phi, TAU, "d_phi")
         _step_count(self.d_alpha, TAU, "d_alpha")
+        if self.n_strategies > MAX_STRATEGIES:
+            raise ValueError(
+                f"grid has {self.n_strategies} strategies, more than {MAX_STRATEGIES}"
+            )
 
     @property
     def n_theta(self) -> int:

@@ -1,12 +1,15 @@
 """Parameter sweeps over entanglement gamma and type probability p.
 
 Bayesian sweeps cover the (p, gamma) plane; two-player games sweep
-gamma alone.  Payoff tables are built once per gamma and shared across
-every p in that row, which makes the p direction nearly free.  Rows are
-independent work units: with ``workers > 1`` they are evaluated in a
+gamma alone.  A gamma row is one unit of work: its payoff tables are
+built once, and one NE search (``find_ne_bayesian_row``) returns the
+records of every p in the row, because only A's payoff depends on p.
+Each cell's records are then re-checked against the tables and
+classified on their own.  With ``workers > 1`` rows are evaluated in a
 process pool, and the merged result is sorted so output is identical
 regardless of parallelism.  The worker count is capped by the row
 count, the CPU count and the ``QGAME_THREADS`` environment variable.
+Grids above ``MAX_GRID_POINTS`` points per axis are refused.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +28,7 @@ from .equilibrium import (
     bayesian_tables,
     check_eps_tie,
     classify,
-    find_ne_bayesian,
+    find_ne_bayesian_row,
     find_ne_two_player,
     two_player_tables,
 )
@@ -33,6 +36,10 @@ from .games import BayesianGame, TwoPlayerGame
 from .strategies import DEFAULT_GRID, GridSteps
 
 DEFAULT_STEP = 0.05
+
+# Largest limit / step ratio ``value_grid`` accepts: a 1e-4 step still
+# fits on [0, pi/2] (15,709 points).
+MAX_GRID_POINTS = 20_000
 
 # float64 entries per block of A's columns in the record re-check.
 _RECHECK_ENTRIES = 1 << 16
@@ -43,10 +50,16 @@ def value_grid(limit: float, step: float = DEFAULT_STEP) -> tuple[float, ...]:
 
     The last regular point closer than half a step to the limit is
     replaced by the limit itself, so [0, 1] at 0.05 gives 21 values and
-    [0, pi/2] at 0.05 gives 32 (0, 0.05, ..., 1.5, pi/2).
+    [0, pi/2] at 0.05 gives 32 (0, 0.05, ..., 1.5, pi/2).  A step with
+    ``limit / step`` above ``MAX_GRID_POINTS`` is refused before any
+    point is built.
     """
     if step <= 0 or limit <= 0:
         raise ValueError("limit and step must be positive")
+    if not limit / step <= MAX_GRID_POINTS:
+        raise ValueError(
+            f"step {step} gives more than {MAX_GRID_POINTS} points on [0, {limit:.6g}]"
+        )
     values = []
     i = 0
     while i * step < limit - step / 2.0:
@@ -157,10 +170,9 @@ def _bayesian_row(args) -> list[CellResult]:
 
     sset = enumerate_strategies(steps)
     tables = bayesian_tables(game, gamma, sset)
+    row = find_ne_bayesian_row(game, gamma, sset, p_values, eps_tie, tables)
     cells = []
-    for p in p_values:
-        cell_game = replace(game, p=p)
-        records = find_ne_bayesian(cell_game, gamma, sset, eps_tie, tables=tables)
+    for p, records in zip(p_values, row):
         _recheck(records, tables, p, eps_tie)
         cells.append(CellResult(p, gamma, tuple(classify(records, sset))))
     return cells

@@ -120,6 +120,18 @@ class TestToleranceAndWorkerFlags:
         assert "--eps-tie" in err and "non-negative" in err
 
     @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--p-step", "1e-7", "--gamma-step", "1e-7"], "points"),
+            (["--grid-theta", "pi/32", "--grid-phi", "pi/32", "--grid-alpha", "pi/32"],
+             "strategies"),
+        ],
+    )
+    def test_oversized_sweep_is_refused(self, flags, message, capsys):
+        assert main(["sweep"] + flags) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "command",
         [
             ["sweep", "--p-step", "0.5", "--gamma-step", "0.8"],
@@ -186,6 +198,16 @@ class TestResultFiles:
         out.write_text(json.dumps(data), encoding="utf-8")
         assert main(["verify", "--in", str(out)]) == 3
         assert "not equilibria" in capsys.readouterr().err
+
+    def test_verify_command_flags_zeroed_payoffs(self, tmp_path, capsys):
+        out = tmp_path / "solve.json"
+        main(["solve", "--game", "bayesian", "--p", "0.9", "--gamma", "0.3", "--out", str(out)])
+        data = json.loads(out.read_text(encoding="utf-8"))
+        for cls in data["cells"][0]["classes"]:
+            cls["payoffs"] = [0.0] * len(cls["payoffs"])
+        out.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["verify", "--in", str(out)]) == 3
+        assert "stored payoffs" in capsys.readouterr().err
 
     def test_classify_command_summarizes_regions(self, tmp_path, capsys):
         res = str(tmp_path / "sweep.json")

@@ -10,10 +10,10 @@ from qgame.circuits import evolve_two_player, payoff_expectation
 from qgame.equilibrium import (
     EquilibriumRecord,
     bayesian_tables,
-    best_responses,
     classify,
     find_ne_bayesian,
     find_ne_bayesian_circuit,
+    find_ne_bayesian_row,
     find_ne_two_player,
     two_player_tables,
     verify_ne,
@@ -119,49 +119,6 @@ class TestTables:
         assert np.max(np.abs(tb2 - ob2)) < 1e-12
 
 
-class TestBestResponses:
-    def test_defect_dominates_classically(self, grid8):
-        game = builtin_pd()
-        ta, _ = two_player_tables(game, 0.0, grid8)
-
-        def payoff(k, opponents):
-            return ta[k, opponents[0]]
-
-        indices, value = best_responses(payoff, grid8, (DEFECT,), 1e-9)
-        assert indices == (4, 5, 6, 7)
-        assert value == pytest.approx(6.0, abs=1e-12)
-
-    def test_constant_payoff_ties_everyone(self, grid8):
-        indices, value = best_responses(lambda k, opp: 1.5, grid8, (0,), 1e-9)
-        assert indices == tuple(range(8))
-        assert value == 1.5
-
-    def test_entangled_best_response_from_exhaustive_scan(self, grid8):
-        # Oracle: per-candidate payoffs via the scalar circuit path.
-        game = builtin_pd()
-        scans = [
-            payoff_expectation(
-                evolve_two_player(1.0, grid8.unitaries[k], grid8.unitaries[DEFECT]),
-                game.payoff_a,
-            )
-            for k in range(8)
-        ]
-        best = max(scans)
-        expected = tuple(k for k in range(8) if scans[k] >= best - 1e-9)
-
-        ta, _ = two_player_tables(game, 1.0, grid8)
-        indices, value = best_responses(lambda k, opp: ta[k, opp[0]], grid8, (DEFECT,), 1e-9)
-        assert indices == expected == (5, 7)
-        assert value == pytest.approx(9.540367091367856, abs=1e-12)
-
-    def test_empty_set_rejected(self, grid8):
-        from qgame.strategies import StrategySet
-
-        empty = StrategySet((), np.zeros((0, 2, 2), dtype=complex))
-        with pytest.raises(ValueError, match="empty"):
-            best_responses(lambda k, opp: 0.0, empty, (0,), 1e-9)
-
-
 class TestFindNeTwoPlayer:
     def test_pd_classical_limit(self, grid8):
         classes = classify(find_ne_two_player(builtin_pd(), 0.0, grid8), grid8)
@@ -227,6 +184,27 @@ class TestVerifyNe:
     def test_classical_cc_is_not_quantum_pd_ne(self, grid8):
         rec = EquilibriumRecord((IDENTITY, IDENTITY), (11.0, 9.0))
         assert not verify_ne(rec, builtin_pd(), 0.0, grid8)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e-9, -1e-9])
+    def test_stored_payoffs_within_tolerance_pass(self, grid8, shift):
+        game = builtin_bayesian(0.9)
+        rec = find_ne_bayesian(game, 0.3, grid8)[0]
+        moved = tuple(x + shift for x in rec.payoffs)
+        assert verify_ne(EquilibriumRecord(rec.profile, moved), game, 0.3, grid8)
+
+    @pytest.mark.parametrize("player", [0, 1, 2])
+    def test_wrong_stored_payoff_fails(self, grid8, player):
+        game = builtin_bayesian(0.9)
+        rec = find_ne_bayesian(game, 0.3, grid8)[0]
+        payoffs = list(rec.payoffs)
+        payoffs[player] += 1e-6
+        assert not verify_ne(EquilibriumRecord(rec.profile, tuple(payoffs)), game, 0.3, grid8)
+
+    def test_zeroed_two_player_payoffs_fail(self, grid8):
+        rec = find_ne_two_player(builtin_pd(), 0.5, grid8)[0]
+        zeroed = EquilibriumRecord(rec.profile, (0.0, 0.0))
+        assert verify_ne(rec, builtin_pd(), 0.5, grid8)
+        assert not verify_ne(zeroed, builtin_pd(), 0.5, grid8)
 
 
 class TestClassify:
@@ -347,6 +325,56 @@ class TestOracleEquivalence:
         monkeypatch.setattr(equilibrium, "_COLUMN_BLOCK", 30)
         assert find_ne_bayesian(game, 0.0, grid24, tables=tables) == whole
         assert whole == sorted(whole, key=lambda r: r.profile)
+
+
+class TestRowSearch:
+    """One search over a gamma row gives each p the records of a per-p call."""
+
+    @staticmethod
+    def per_p(game, gamma, sset, p_values, tables):
+        return [
+            find_ne_bayesian(replace(game, p=p), gamma, sset, tables=tables)
+            for p in p_values
+        ]
+
+    def test_matches_per_p_calls_at_random_points(self, grid24):
+        rng = np.random.default_rng(161803)
+        game = builtin_bayesian(0.5)
+        for gamma in [0.0] + [float(g) for g in rng.uniform(0.0, PI / 2, size=3)]:
+            p_values = [0.0] + rng.uniform(size=4).tolist() + [1.0]
+            tables = bayesian_tables(game, gamma, grid24)
+            row = find_ne_bayesian_row(game, gamma, grid24, p_values, tables=tables)
+            assert row == self.per_p(game, gamma, grid24, p_values, tables)
+
+    def test_custom_game_with_distinct_a_payoffs(self, grid24):
+        rng = np.random.default_rng(141421)
+        game = custom_bayesian(0.5)
+        counts = set()
+        for gamma in (0.0, float(rng.uniform(0.0, PI / 2))):
+            p_values = sorted(rng.uniform(size=6).tolist())
+            tables = bayesian_tables(game, gamma, grid24)
+            row = find_ne_bayesian_row(game, gamma, grid24, p_values, tables=tables)
+            assert row == self.per_p(game, gamma, grid24, p_values, tables)
+            counts.update((gamma, len(records)) for records in row)
+        # Some row's record count changes with p, and some cell is not empty.
+        assert len(counts) > 2 and any(n for _, n in counts)
+
+    @pytest.mark.parametrize("triple_block,column_block", [(5, 30), (200, 100)])
+    def test_block_boundaries_do_not_change_records(
+        self, grid24, monkeypatch, triple_block, column_block
+    ):
+        game = custom_bayesian(0.5)
+        p_values = [0.0, 0.2, 0.45, 0.7, 1.0]
+        tables = bayesian_tables(game, 0.0, grid24)
+        whole = find_ne_bayesian_row(game, 0.0, grid24, p_values, tables=tables)
+        monkeypatch.setattr(equilibrium, "_TRIPLE_BLOCK", triple_block)
+        monkeypatch.setattr(equilibrium, "_COLUMN_BLOCK", column_block)
+        assert find_ne_bayesian_row(game, 0.0, grid24, p_values, tables=tables) == whole
+        assert self.per_p(game, 0.0, grid24, p_values, tables) == whole
+
+    def test_rejects_p_outside_unit_interval(self, grid8):
+        with pytest.raises(ValueError, match="p must lie"):
+            find_ne_bayesian_row(builtin_bayesian(0.5), 0.3, grid8, [0.5, 1.5])
 
 
 class TestRecheck:

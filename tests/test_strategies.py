@@ -33,6 +33,15 @@ class TestGridSteps:
         with pytest.raises(ValueError, match="positive"):
             GridSteps(0.0, PI / 2, PI / 2)
 
+    def test_rejects_grid_above_strategy_cap(self):
+        # pi/32 divides every range but gives 127,104 strategies.
+        with pytest.raises(ValueError, match="127104 strategies"):
+            GridSteps(PI / 32, PI / 32, PI / 32)
+
+    def test_rejects_step_too_small_to_count(self):
+        with pytest.raises(ValueError, match="too small"):
+            GridSteps(5e-324, PI / 2, PI / 2)
+
 
 class TestCanonicalize:
     def test_alpha_undefined_at_theta_zero(self):

@@ -53,6 +53,11 @@ class TestGrids:
         with pytest.raises(ValueError):
             value_grid(1.0, 0.0)
 
+    @pytest.mark.parametrize("step", [1e-7, float("nan")])
+    def test_value_grid_rejects_step_above_point_cap(self, step):
+        with pytest.raises(ValueError, match="points"):
+            value_grid(1.0, step)
+
 
 class TestRunSweep:
     def test_cell_count_and_order(self, bayes_result):
@@ -226,3 +231,19 @@ class TestSummarizeRegions:
         result = run_sweep(spec)
         assert all(not c.classes for c in result.cells)
         assert summarize_regions(result) == []
+
+
+def test_bayesian_sweep_searches_once_per_gamma(monkeypatch):
+    from qgame import equilibrium
+
+    calls = []
+    search = equilibrium._masked_search
+
+    def counted(tb1, tb2, columns_a, cells, eps_tie):
+        calls.append(len(cells))
+        return search(tb1, tb2, columns_a, cells, eps_tie)
+
+    monkeypatch.setattr(equilibrium, "_masked_search", counted)
+    spec = SweepSpec(builtin_bayesian(), (0.0, 0.8), (0.0, 0.3, 0.6, 1.0))
+    assert len(run_sweep(spec).cells) == 8
+    assert calls == [4, 4]
