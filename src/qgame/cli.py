@@ -19,9 +19,7 @@ from .equilibrium import (
     DEFAULT_EPS_TIE,
     check_eps_tie,
     classify,
-    find_ne_bayesian,
     find_ne_bayesian_circuit,
-    find_ne_two_player,
     verify_ne,
 )
 from .games import BayesianGame, TwoPlayerGame, builtin_bayesian, builtin_da, builtin_pd
@@ -116,8 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="Bayesian evaluation: statistical mixture or the 4-qubit circuit",
     )
     solve.add_argument("--theta-q", help="control rotation theta (full circuit only)")
-    solve.add_argument("--phi-q", default="0", help="control rotation phi")
-    solve.add_argument("--alpha-q", default="0", help="control rotation alpha")
+    solve.add_argument("--phi-q", help="control rotation phi (full circuit only)")
+    solve.add_argument("--alpha-q", help="control rotation alpha (full circuit only)")
     _add_grid_flags(solve)
     _add_out_flags(solve)
     solve.set_defaults(func=_cmd_solve)
@@ -227,33 +225,32 @@ def _cmd_solve(args) -> int:
     p = _check_unit(args.p, "--p")
     game = _resolve_game(args.game, p)
     steps = _grid_steps(args)
-    sset = enumerate_strategies(steps)
+    full = isinstance(game, BayesianGame) and args.circuit == "full"
+    if not full and (args.theta_q, args.phi_q, args.alpha_q) != (None, None, None):
+        raise UsageError(
+            "--theta-q, --phi-q and --alpha-q need --circuit full and a Bayesian game"
+        )
 
-    if isinstance(game, BayesianGame):
-        if args.circuit == "full":
-            control = (
-                ControlSpec(
-                    parse_angle(args.theta_q),
-                    parse_angle(args.phi_q),
-                    parse_angle(args.alpha_q),
-                )
-                if args.theta_q is not None
-                else control_for_probability(game.p)
-            )
-            records = find_ne_bayesian_circuit(game, gamma, sset, args.eps_tie, control)
-        else:
-            records = find_ne_bayesian(game, gamma, sset, args.eps_tie)
-        cell = CellResult(game.p, gamma, tuple(classify(records, sset)))
-        p_values: tuple[float, ...] = (game.p,)
+    if full:
+        control = ControlSpec(
+            control_for_probability(p).theta_q
+            if args.theta_q is None
+            else parse_angle(args.theta_q),
+            parse_angle(args.phi_q or "0"),
+            parse_angle(args.alpha_q or "0"),
+        )
+        if args.theta_q is not None:
+            p = control.p  # the p the circuit plays, which verify re-checks
+        sset = enumerate_strategies(steps)
+        records = find_ne_bayesian_circuit(game, gamma, sset, args.eps_tie, control)
+        result = SweepResult(
+            SweepSpec(game, (gamma,), (p,), steps, args.eps_tie),
+            (CellResult(p, gamma, tuple(classify(records, sset))),),
+        )
     else:
-        records = find_ne_two_player(game, gamma, sset, args.eps_tie)
-        cell = CellResult(None, gamma, tuple(classify(records, sset)))
-        p_values = ()
-
-    result = SweepResult(
-        SweepSpec(game, (gamma,), p_values, steps, args.eps_tie), (cell,)
-    )
-    _print_classes(cell)
+        p_values = (game.p,) if isinstance(game, BayesianGame) else ()
+        result = run_sweep(SweepSpec(game, (gamma,), p_values, steps, args.eps_tie))
+    _print_classes(result.cells[0])
     if args.out:
         emit(result, _format_for(args, "json"), args.out, kind="solve", circuit=args.circuit)
         print(f"wrote {args.out}")

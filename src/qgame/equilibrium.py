@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -163,6 +163,24 @@ def bayesian_tables(
     return ta1, tb1, ta2, tb2
 
 
+def _dense_ne(tables: Sequence[np.ndarray], eps_tie: float) -> list[EquilibriumRecord]:
+    """Profiles where each player is within ``eps_tie`` of its best deviation.
+
+    ``tables[k]`` is player k's payoff over the whole profile grid, and
+    axis k is that player's strategy.  Records come back in profile order.
+    """
+    stable = np.ones(tables[0].shape, dtype=bool)
+    for k, t in enumerate(tables):
+        stable &= t >= t.max(axis=k, keepdims=True) - eps_tie
+    found = np.nonzero(stable)
+    return [
+        EquilibriumRecord(profile, payoffs)
+        for profile, payoffs in zip(
+            zip(*(i.tolist() for i in found)), zip(*(t[found].tolist() for t in tables))
+        )
+    ]
+
+
 def find_ne_two_player(
     game: TwoPlayerGame,
     gamma: float,
@@ -173,13 +191,7 @@ def find_ne_two_player(
     """All profiles (a, b) where each strategy best-responds to the other."""
     check_eps_tie(eps_tie)
     ta, tb = tables if tables is not None else two_player_tables(game, gamma, sset)
-    br_a = ta >= ta.max(axis=0, keepdims=True) - eps_tie
-    br_b = tb >= tb.max(axis=1, keepdims=True) - eps_tie
-    pairs = np.argwhere(br_a & br_b)
-    return [
-        EquilibriumRecord((int(i), int(j)), (float(ta[i, j]), float(tb[i, j])))
-        for i, j in pairs
-    ]
+    return _dense_ne((ta, tb), eps_tie)
 
 
 def _candidate_triples(br1: np.ndarray, br2: np.ndarray):
@@ -212,45 +224,57 @@ def _row_blocks(sizes: np.ndarray, budget: int):
         yield slice(start, len(sizes))
 
 
-def _masked_search(
-    tb1, tb2, columns_a, cells: Sequence[Callable], eps_tie: float
+def find_ne_bayesian_row(
+    game: BayesianGame,
+    gamma: float,
+    sset: StrategySet,
+    p_values: Sequence[float],
+    eps_tie: float = DEFAULT_EPS_TIE,
+    tables: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> list[list[EquilibriumRecord]]:
-    """Per cell, all profiles (a, b1, b2) stable under unilateral deviation.
+    """The records of ``find_ne_bayesian`` at each p of ``p_values`` (game.p unused).
 
-    ``tb1[a, b1]`` and ``tb2[a, b2]`` are B1's and B2's payoffs in every
-    cell; B1's does not depend on b2 nor B2's on b1, so both best-response
-    masks are taken for every a at once and expanded into candidate
-    triples.  ``columns_a(b1, b2, a)`` gathers the arrays A's payoffs are
-    made of, elementwise, and ``columns_a(b1, b2)`` the same for every
-    strategy against each pair (rows); each of ``cells`` maps those arrays
-    to A's payoffs in one cell.  Masks, candidates and gathered arrays are
-    built once for all cells; only A's check runs per cell, once per
-    distinct (b1, b2) pair.  Candidates, column blocks and the per-cell
-    best payoffs are processed in bounded chunks.  Records come back in
-    profile order, one list per cell.
+    Only A's payoff depends on p, so one search serves the whole row.
+    B1's payoff does not depend on b2 nor B2's on b1, so both
+    best-response masks are taken for every a at once and expanded into
+    candidate triples.  The triples, their distinct (b1, b2) pairs and
+    A's gathered columns are built once for the row; only A's mixture,
+    its maximum and the tie test run per p, once per distinct pair.
+    Candidates, column blocks and the per-p best payoffs are processed in
+    bounded chunks.  Records come back in profile order, one list per p.
     """
+    check_eps_tie(eps_tie)
+    for p in p_values:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p must lie in [0, 1], got {p}")
+    ta1, tb1, ta2, tb2 = (
+        tables if tables is not None else bayesian_tables(game, gamma, sset)
+    )
     n = tb1.shape[1]
     br1 = tb1 >= tb1.max(axis=1, keepdims=True) - eps_tie
     br2 = tb2 >= tb2.max(axis=1, keepdims=True) - eps_tie
     sizes = br1.sum(axis=1) * br2.sum(axis=1)
     pair_block = max(1, _COLUMN_BLOCK // max(n, 1))
-    records: list[list[EquilibriumRecord]] = [[] for _ in cells]
+    records: list[list[EquilibriumRecord]] = [[] for _ in p_values]
     for rows in _row_blocks(sizes, _TRIPLE_BLOCK):
         a, b1, b2 = _candidate_triples(br1[rows], br2[rows])
         a += rows.start
         pairs, pair_of = np.unique(b1 * n + b2, return_inverse=True)
-        parts = columns_a(b1, b2, a)
-        cell_block = max(1, _TRIPLE_BLOCK // max(len(pairs), 1))
-        for first in range(0, len(cells), cell_block):
-            group = cells[first : first + cell_block]
+        g1, g2 = ta1.T[b1, a], ta2.T[b2, a]
+        p_block = max(1, _TRIPLE_BLOCK // max(len(pairs), 1))
+        for first in range(0, len(p_values), p_block):
+            group = p_values[first : first + p_block]
             best = np.empty((len(group), len(pairs)))
             for start in range(0, len(pairs), pair_block):
-                rows_a = columns_a(*np.divmod(pairs[start : start + pair_block], n))
-                for best_c, mix in zip(best, group):
-                    best_c[start : start + pair_block] = mix(*rows_a).max(axis=1)
-            for best_c, mix, out in zip(best, group, records[first:]):
-                pay_a = mix(*parts)
-                keep = np.flatnonzero(pay_a >= best_c[pair_of] - eps_tie)
+                c1, c2 = np.divmod(pairs[start : start + pair_block], n)
+                cols1, cols2 = ta1.T[c1], ta2.T[c2]
+                for best_p, p in zip(best, group):
+                    best_p[start : start + pair_block] = (
+                        p * cols1 + (1.0 - p) * cols2
+                    ).max(axis=1)
+            for best_p, p, out in zip(best, group, records[first:]):
+                pay_a = p * g1 + (1.0 - p) * g2
+                keep = np.flatnonzero(pay_a >= best_p[pair_of] - eps_tie)
                 ak, b1k, b2k = a[keep], b1[keep], b2[keep]
                 out.extend(
                     EquilibriumRecord(profile, payoffs)
@@ -264,33 +288,6 @@ def _masked_search(
                     )
                 )
     return records
-
-
-def find_ne_bayesian_row(
-    game: BayesianGame,
-    gamma: float,
-    sset: StrategySet,
-    p_values: Sequence[float],
-    eps_tie: float = DEFAULT_EPS_TIE,
-    tables: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> list[list[EquilibriumRecord]]:
-    """The records of ``find_ne_bayesian`` at each p of ``p_values`` (game.p unused).
-
-    Only A's payoff depends on p, so one search serves the whole row.
-    """
-    check_eps_tie(eps_tie)
-    for p in p_values:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {p}")
-    ta1, tb1, ta2, tb2 = (
-        tables if tables is not None else bayesian_tables(game, gamma, sset)
-    )
-
-    def columns_a(b1, b2, a=slice(None)):
-        return ta1.T[b1, a], ta2.T[b2, a]
-
-    cells = [lambda g1, g2, p=p: p * g1 + (1.0 - p) * g2 for p in p_values]
-    return _masked_search(tb1, tb2, columns_a, cells, eps_tie)
 
 
 def find_ne_bayesian(
@@ -312,35 +309,23 @@ def bayesian_circuit_tables(
     gamma: float,
     sset: StrategySet,
     control: ControlSpec | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Payoff tables evaluated through the four-qubit circuit.
 
-    Returns (T_A[a, b1, b2], T_B1[a, b1], T_B2[a, b2]).  Cubic in the
-    strategy count; intended for the coarse grid.
+    Returns one (3, n, n, n) array: A's, B1's and B2's payoffs at every
+    profile (a, b1, b2), one circuit evaluation per profile.  Cubic in
+    the strategy count; intended for coarse grids.
     """
     if control is None:
         control = control_for_probability(game.p)
     n = len(sset)
-    ta = np.empty((n, n, n))
-    tb1 = np.empty((n, n))
-    tb2 = np.empty((n, n))
-    for a in range(n):
-        for b1 in range(n):
-            for b2 in range(n):
-                pa, p1, p2 = bayesian_payoffs_full_circuit(
-                    control,
-                    gamma,
-                    sset.unitaries[a],
-                    sset.unitaries[b1],
-                    sset.unitaries[b2],
-                    game,
-                )
-                ta[a, b1, b2] = pa
-                if b2 == 0:
-                    tb1[a, b1] = p1
-                if b1 == 0:
-                    tb2[a, b2] = p2
-    return ta, tb1, tb2
+    us = sset.unitaries
+    tables = np.empty((3, n, n, n))
+    for a, b1, b2 in np.ndindex(n, n, n):
+        tables[:, a, b1, b2] = bayesian_payoffs_full_circuit(
+            control, gamma, us[a], us[b1], us[b2], game
+        )
+    return tables
 
 
 def find_ne_bayesian_circuit(
@@ -350,14 +335,13 @@ def find_ne_bayesian_circuit(
     eps_tie: float = DEFAULT_EPS_TIE,
     control: ControlSpec | None = None,
 ) -> list[EquilibriumRecord]:
-    """NE search with payoffs evaluated through the four-qubit circuit."""
+    """NE search with payoffs evaluated through the four-qubit circuit.
+
+    A dense check of the whole profile cube: it shares no search code
+    with the p-mixture, whose witness it is.
+    """
     check_eps_tie(eps_tie)
-    ta, tb1, tb2 = bayesian_circuit_tables(game, gamma, sset, control)
-
-    def columns_a(b1, b2, a=slice(None)):
-        return (ta.T[b2, b1, a],)
-
-    return _masked_search(tb1, tb2, columns_a, [lambda pay_a: pay_a], eps_tie)[0]
+    return _dense_ne(bayesian_circuit_tables(game, gamma, sset, control), eps_tie)
 
 
 def _two_player_payoff(game, gamma, u_a, u_b):

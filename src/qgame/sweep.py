@@ -52,10 +52,10 @@ def value_grid(limit: float, step: float = DEFAULT_STEP) -> tuple[float, ...]:
     replaced by the limit itself, so [0, 1] at 0.05 gives 21 values and
     [0, pi/2] at 0.05 gives 32 (0, 0.05, ..., 1.5, pi/2).  A step with
     ``limit / step`` above ``MAX_GRID_POINTS`` is refused before any
-    point is built.
+    point is built; so is an infinite step, which would give the limit alone.
     """
-    if step <= 0 or limit <= 0:
-        raise ValueError("limit and step must be positive")
+    if step <= 0 or limit <= 0 or math.isinf(step):
+        raise ValueError(f"limit and step must be positive and finite, got step {step}")
     if not limit / step <= MAX_GRID_POINTS:
         raise ValueError(
             f"step {step} gives more than {MAX_GRID_POINTS} points on [0, {limit:.6g}]"
@@ -138,30 +138,32 @@ class RegionSummary:
         return len(self.cells)
 
 
-def _recheck(records, tables, p, eps_tie):
-    """Table-backed deviation re-check of every found record.
+def _recheck(row, tables, p_values, eps_tie):
+    """Table-backed deviation re-check of every record of a gamma row.
 
     Recomputes each record's deviation payoffs from the tables alone, in
     blocks of records, and raises on the first record that is not stable.
+    B1's and B2's best payoffs do not depend on p and are taken once.
     """
-    if not records:
+    if not any(row):
         return
     ta1, tb1, ta2, tb2 = tables
     best1 = tb1.max(axis=1)
     best2 = tb2.max(axis=1)
-    profiles = np.array([rec.profile for rec in records])
     step = max(1, _RECHECK_ENTRIES // ta1.shape[0])
-    for start in range(0, len(profiles), step):
-        a, b1, b2 = profiles[start : start + step].T
-        pay_a = p * ta1[:, b1] + (1.0 - p) * ta2[:, b2]
-        ok = (
-            (pay_a[a, np.arange(len(a))] >= pay_a.max(axis=0) - eps_tie)
-            & (tb1[a, b1] >= best1[a] - eps_tie)
-            & (tb2[a, b2] >= best2[a] - eps_tie)
-        )
-        if not ok.all():
-            rec = records[start + int(np.argmin(ok))]
-            raise RuntimeError(f"record {rec.profile} failed deviation re-check")
+    for p, records in zip(p_values, row):
+        profiles = np.array([rec.profile for rec in records])
+        for start in range(0, len(profiles), step):
+            a, b1, b2 = profiles[start : start + step].T
+            pay_a = p * ta1[:, b1] + (1.0 - p) * ta2[:, b2]
+            ok = (
+                (pay_a[a, np.arange(len(a))] >= pay_a.max(axis=0) - eps_tie)
+                & (tb1[a, b1] >= best1[a] - eps_tie)
+                & (tb2[a, b2] >= best2[a] - eps_tie)
+            )
+            if not ok.all():
+                rec = records[start + int(np.argmin(ok))]
+                raise RuntimeError(f"record {rec.profile} failed deviation re-check")
 
 
 def _bayesian_row(args) -> list[CellResult]:
@@ -171,11 +173,11 @@ def _bayesian_row(args) -> list[CellResult]:
     sset = enumerate_strategies(steps)
     tables = bayesian_tables(game, gamma, sset)
     row = find_ne_bayesian_row(game, gamma, sset, p_values, eps_tie, tables)
-    cells = []
-    for p, records in zip(p_values, row):
-        _recheck(records, tables, p, eps_tie)
-        cells.append(CellResult(p, gamma, tuple(classify(records, sset))))
-    return cells
+    _recheck(row, tables, p_values, eps_tie)
+    return [
+        CellResult(p, gamma, tuple(classify(records, sset)))
+        for p, records in zip(p_values, row)
+    ]
 
 
 def _two_player_row(args) -> list[CellResult]:

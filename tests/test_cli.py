@@ -125,6 +125,7 @@ class TestToleranceAndWorkerFlags:
             (["--p-step", "1e-7", "--gamma-step", "1e-7"], "points"),
             (["--grid-theta", "pi/32", "--grid-phi", "pi/32", "--grid-alpha", "pi/32"],
              "strategies"),
+            (["--p-step", "inf"], "finite"),
         ],
     )
     def test_oversized_sweep_is_refused(self, flags, message, capsys):
@@ -316,6 +317,36 @@ class TestFullCircuitMode:
         assert rc == 0
         # theta_q = pi puts all weight on the PD subgame (p = 1)
         assert "3.14159265;3.14159265;" in capsys.readouterr().out
+
+    def test_control_override_records_the_circuit_p(self, tmp_path, capsys):
+        out = str(tmp_path / "tq.json")
+        argv = ["solve", "--game", "bayesian", "--gamma", "0.3", "--circuit", "full"]
+        assert main(argv + ["--theta-q", "pi", "--p", "0.1", "--out", out]) == 0
+        assert "p=1:" in capsys.readouterr().out
+        assert json.loads(Path(out).read_text(encoding="utf-8"))["cells"][0]["p"] == 1.0
+        assert main(["verify", "--in", out]) == 0
+        assert "all pass" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--theta-q", "--phi-q", "--alpha-q"])
+    @pytest.mark.parametrize("game", ["bayesian", "pd"])
+    def test_control_flags_need_the_full_circuit(self, flag, game, capsys):
+        argv = ["solve", "--game", game, "--gamma", "0.3", flag, "pi/2"]
+        assert main(argv) == 1
+        assert "--circuit full" in capsys.readouterr().err
+
+    def test_solve_rechecks_its_records_once(self, monkeypatch, capsys):
+        from qgame import sweep
+
+        calls = []
+        recheck = sweep._recheck
+
+        def counted(*args):
+            calls.append(args)
+            return recheck(*args)
+
+        monkeypatch.setattr(sweep, "_recheck", counted)
+        assert main(["solve", "--game", "bayesian", "--p", "0.9", "--gamma", "0.3"]) == 0
+        assert len(calls) == 1
 
 
 class TestSubprocessEntry:

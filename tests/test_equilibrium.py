@@ -6,9 +6,15 @@ from itertools import product
 import numpy as np
 import pytest
 
-from qgame.circuits import evolve_two_player, payoff_expectation
+from qgame.circuits import (
+    bayesian_payoffs_full_circuit,
+    control_for_probability,
+    evolve_two_player,
+    payoff_expectation,
+)
 from qgame.equilibrium import (
     EquilibriumRecord,
+    bayesian_circuit_tables,
     bayesian_tables,
     classify,
     find_ne_bayesian,
@@ -166,6 +172,57 @@ class TestFindNeBayesian:
         mixture = {r.profile for r in find_ne_bayesian(game, 0.4, grid8)}
         circuit = {r.profile for r in find_ne_bayesian_circuit(game, 0.4, grid8)}
         assert mixture == circuit
+
+
+class TestFourQubitWitness:
+    def test_search_runs_without_mixture_search_code(self, grid8, monkeypatch):
+        game = builtin_bayesian(0.85)
+        mixture = find_ne_bayesian(game, 0.4, grid8)
+
+        def refuse(*args):
+            raise AssertionError("the four-qubit witness reached the mixture search")
+
+        monkeypatch.setattr(equilibrium, "_candidate_triples", refuse)
+        monkeypatch.setattr(equilibrium, "_row_blocks", refuse)
+        records = find_ne_bayesian_circuit(game, 0.4, grid8)
+        assert [r.profile for r in records] == [r.profile for r in mixture]
+
+    def test_tables_match_scalar_circuit_at_sampled_profiles(self, grid24):
+        game = custom_bayesian(0.35)
+        tables = bayesian_circuit_tables(game, 0.9, grid24)
+        n = len(grid24)
+        assert tables.shape == (3, n, n, n)
+        control = control_for_probability(0.35)
+        us = grid24.unitaries
+        rng = np.random.default_rng(57721)
+        for a, b1, b2 in rng.integers(n, size=(40, 3)).tolist():
+            expected = bayesian_payoffs_full_circuit(control, 0.9, us[a], us[b1], us[b2], game)
+            assert tuple(tables[:, a, b1, b2]) == expected
+
+
+class TestDenseNe:
+    @staticmethod
+    def naive(tables, eps):
+        found = []
+        for profile in np.ndindex(tables[0].shape):
+            stable = True
+            for k, t in enumerate(tables):
+                for alt in range(t.shape[k]):
+                    deviated = profile[:k] + (alt,) + profile[k + 1 :]
+                    stable = stable and t[deviated] <= t[profile] + eps
+            if stable:
+                found.append(profile)
+        return found
+
+    @pytest.mark.parametrize("shape", [(5, 6), (4, 3, 5)])
+    def test_matches_naive_deviation_loop_with_ties(self, shape):
+        rng = np.random.default_rng(len(shape))
+        for _ in range(20):
+            tables = [rng.integers(0, 3, size=shape).astype(float) for _ in shape]
+            records = equilibrium._dense_ne(tables, 0.5)
+            assert [r.profile for r in records] == self.naive(tables, 0.5)
+            for r in records:
+                assert r.payoffs == tuple(float(t[r.profile]) for t in tables)
 
 
 class TestVerifyNe:
@@ -383,7 +440,7 @@ class TestRecheck:
         tables = bayesian_tables(game, 1.0, grid24)
         records = find_ne_bayesian(game, 1.0, grid24, tables=tables)
         assert records
-        _recheck(records, tables, 0.0, 1e-9)
+        _recheck([records], tables, [0.0], 1e-9)
 
     def test_tampered_record_raises(self, grid24):
         game = builtin_bayesian(0.0)
@@ -396,7 +453,7 @@ class TestRecheck:
         )
         tampered = records[:-1] + [EquilibriumRecord(bad, records[-1].payoffs)]
         with pytest.raises(RuntimeError, match=re.escape(str(bad))):
-            _recheck(tampered, tables, 0.0, 1e-9)
+            _recheck([tampered], tables, [0.0], 1e-9)
 
 
 class TestInvariants:

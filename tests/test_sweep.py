@@ -50,8 +50,9 @@ class TestGrids:
         assert grid[-2] == pytest.approx(1.5)
 
     def test_value_grid_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            value_grid(1.0, 0.0)
+        for step in (0.0, float("inf")):
+            with pytest.raises(ValueError):
+                value_grid(1.0, step)
 
     @pytest.mark.parametrize("step", [1e-7, float("nan")])
     def test_value_grid_rejects_step_above_point_cap(self, step):
@@ -234,16 +235,16 @@ class TestSummarizeRegions:
 
 
 def test_bayesian_sweep_searches_once_per_gamma(monkeypatch):
-    from qgame import equilibrium
+    from qgame import sweep
 
     calls = []
-    search = equilibrium._masked_search
+    search = sweep.find_ne_bayesian_row
 
-    def counted(tb1, tb2, columns_a, cells, eps_tie):
-        calls.append(len(cells))
-        return search(tb1, tb2, columns_a, cells, eps_tie)
+    def counted(game, gamma, sset, p_values, eps_tie, tables):
+        calls.append(len(p_values))
+        return search(game, gamma, sset, p_values, eps_tie, tables)
 
-    monkeypatch.setattr(equilibrium, "_masked_search", counted)
+    monkeypatch.setattr(sweep, "find_ne_bayesian_row", counted)
     spec = SweepSpec(builtin_bayesian(), (0.0, 0.8), (0.0, 0.3, 0.6, 1.0))
     assert len(run_sweep(spec).cells) == 8
     assert calls == [4, 4]
