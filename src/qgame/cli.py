@@ -22,7 +22,7 @@ from .equilibrium import (
     find_ne_bayesian_circuit,
     verify_ne,
 )
-from .games import BayesianGame, TwoPlayerGame, builtin_bayesian, builtin_da, builtin_pd
+from .games import BayesianGame, builtin_bayesian, builtin_da, builtin_pd
 from .serialize import (
     ConfigError,
     class_id,
@@ -156,17 +156,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_game(selector: str, p: float | None = None):
+def _resolve_game(selector: str):
     if selector == "pd":
         return builtin_pd()
     if selector == "da":
         return builtin_da()
     if selector == "bayesian":
-        return builtin_bayesian(p if p is not None else 0.5)
-    game = load_game(selector)
-    if isinstance(game, BayesianGame) and p is not None:
-        game = BayesianGame(game.subgame_b1, game.subgame_b2, p)
-    return game
+        return builtin_bayesian()
+    return load_game(selector)
 
 
 def _grid_steps(args) -> GridSteps:
@@ -223,9 +220,12 @@ def _print_classes(cell: CellResult) -> None:
 def _cmd_solve(args) -> int:
     gamma = _check_gamma(parse_angle(args.gamma))
     p = _check_unit(args.p, "--p")
-    game = _resolve_game(args.game, p)
+    game = _resolve_game(args.game)
     steps = _grid_steps(args)
-    full = isinstance(game, BayesianGame) and args.circuit == "full"
+    bayesian = isinstance(game, BayesianGame)
+    full = args.circuit == "full"
+    if full and not bayesian:
+        raise UsageError("--circuit full needs a Bayesian game")
     if not full and (args.theta_q, args.phi_q, args.alpha_q) != (None, None, None):
         raise UsageError(
             "--theta-q, --phi-q and --alpha-q need --circuit full and a Bayesian game"
@@ -242,13 +242,13 @@ def _cmd_solve(args) -> int:
         if args.theta_q is not None:
             p = control.p  # the p the circuit plays, which verify re-checks
         sset = enumerate_strategies(steps)
-        records = find_ne_bayesian_circuit(game, gamma, sset, args.eps_tie, control)
+        records = find_ne_bayesian_circuit(game, gamma, sset, control, args.eps_tie)
         result = SweepResult(
             SweepSpec(game, (gamma,), (p,), steps, args.eps_tie),
             (CellResult(p, gamma, tuple(classify(records, sset))),),
         )
     else:
-        p_values = (game.p,) if isinstance(game, BayesianGame) else ()
+        p_values = (p,) if bayesian else ()
         result = run_sweep(SweepSpec(game, (gamma,), p_values, steps, args.eps_tie))
     _print_classes(result.cells[0])
     if args.out:
@@ -306,16 +306,10 @@ def _cmd_verify(args) -> int:
     checked = 0
     failures = []
     for cell in loaded.result.cells:
-        if isinstance(spec.game, BayesianGame):
-            game: TwoPlayerGame | BayesianGame = BayesianGame(
-                spec.game.subgame_b1, spec.game.subgame_b2, cell.p
-            )
-        else:
-            game = spec.game
         for cls in cell.classes:
             for rec in cls.members:
                 checked += 1
-                if not verify_ne(rec, game, cell.gamma, sset, eps):
+                if not verify_ne(rec, spec.game, cell.gamma, sset, eps, cell.p):
                     failures.append((cell.p, cell.gamma, rec.profile))
     if failures:
         for p, gamma, profile in failures[:20]:

@@ -30,7 +30,6 @@ from .circuits import (
     ControlSpec,
     bayesian_payoffs_full_circuit,
     bayesian_payoffs_mixture,
-    control_for_probability,
     entangler,
     evolve_two_player,
     payoff_expectation,
@@ -232,7 +231,7 @@ def find_ne_bayesian_row(
     eps_tie: float = DEFAULT_EPS_TIE,
     tables: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> list[list[EquilibriumRecord]]:
-    """The records of ``find_ne_bayesian`` at each p of ``p_values`` (game.p unused).
+    """The records of ``find_ne_bayesian`` at each p of ``p_values``.
 
     Only A's payoff depends on p, so one search serves the whole row.
     B1's payoff does not depend on b2 nor B2's on b1, so both
@@ -294,21 +293,22 @@ def find_ne_bayesian(
     game: BayesianGame,
     gamma: float,
     sset: StrategySet,
+    p: float,
     eps_tie: float = DEFAULT_EPS_TIE,
     tables: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> list[EquilibriumRecord]:
-    """All profiles (a, b1, b2) stable under unilateral deviation.
+    """All profiles (a, b1, b2) stable under unilateral deviation at one p.
 
     A's payoff is the p-weighted mixture of its two subgame tables.
     """
-    return find_ne_bayesian_row(game, gamma, sset, (game.p,), eps_tie, tables)[0]
+    return find_ne_bayesian_row(game, gamma, sset, (p,), eps_tie, tables)[0]
 
 
 def bayesian_circuit_tables(
     game: BayesianGame,
     gamma: float,
     sset: StrategySet,
-    control: ControlSpec | None = None,
+    control: ControlSpec,
 ) -> np.ndarray:
     """Payoff tables evaluated through the four-qubit circuit.
 
@@ -316,8 +316,6 @@ def bayesian_circuit_tables(
     profile (a, b1, b2), one circuit evaluation per profile.  Cubic in
     the strategy count; intended for coarse grids.
     """
-    if control is None:
-        control = control_for_probability(game.p)
     n = len(sset)
     us = sset.unitaries
     tables = np.empty((3, n, n, n))
@@ -332,8 +330,8 @@ def find_ne_bayesian_circuit(
     game: BayesianGame,
     gamma: float,
     sset: StrategySet,
+    control: ControlSpec,
     eps_tie: float = DEFAULT_EPS_TIE,
-    control: ControlSpec | None = None,
 ) -> list[EquilibriumRecord]:
     """NE search with payoffs evaluated through the four-qubit circuit.
 
@@ -364,13 +362,15 @@ def verify_ne(
     gamma: float,
     sset: StrategySet,
     eps_tie: float = DEFAULT_EPS_TIE,
+    p: float | None = None,
 ) -> bool:
     """Independent NE check: a naive loop over every unilateral deviation.
 
     Payoffs are recomputed through the scalar circuit path so the check
     shares nothing with the vectorized tables or best-response masks.
     The record also fails when its stored payoffs are more than
-    ``PAYOFF_TOL`` from the recomputed ones.
+    ``PAYOFF_TOL`` from the recomputed ones.  A Bayesian record needs the
+    ``p`` it was found at; a two-player record takes none.
     """
     us = sset.unitaries
     if isinstance(game, TwoPlayerGame):
@@ -385,13 +385,15 @@ def verify_ne(
                 return False
         return True
 
+    if p is None:
+        raise ValueError("verify_ne needs p for a Bayesian record")
     a, b1, b2 = record.profile
-    base = bayesian_payoffs_mixture(game.p, gamma, us[a], us[b1], us[b2], game)
+    base = bayesian_payoffs_mixture(p, gamma, us[a], us[b1], us[b2], game)
     if not _payoffs_match(record.payoffs, base):
         return False
     for alt in range(len(sset)):
         if (
-            bayesian_payoffs_mixture(game.p, gamma, us[alt], us[b1], us[b2], game)[0]
+            bayesian_payoffs_mixture(p, gamma, us[alt], us[b1], us[b2], game)[0]
             > base[0] + eps_tie
         ):
             return False

@@ -1,9 +1,11 @@
 """Payoff data for the prisoner's dilemma family and classical baselines.
 
-Payoff vectors are length-4 tuples indexed by the two-qubit basis
-outcome (|00>, |01>, |10>, |11>) with the first player's bit most
-significant.  Classical strategies are encoded as 0 = cooperate (C),
-1 = defect (D).
+A game holds only its payoffs.  Payoff vectors are length-4 tuples
+indexed by the two-qubit basis outcome (|00>, |01>, |10>, |11>) with
+the first player's bit most significant.  Classical strategies are
+encoded as 0 = cooperate (C), 1 = defect (D).  The probability p that A
+faces B1 is not part of a Bayesian game: like gamma, it is a coordinate
+of the (p, gamma) plane and is passed wherever it is used.
 """
 
 from __future__ import annotations
@@ -11,12 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-
-COOPERATE = 0
-DEFECT = 1
-
-OUTCOME_BASIS = ("00", "01", "10", "11")
-
 
 def payoff_vector(values, name: str = "payoff vector") -> tuple[float, float, float, float]:
     vec = tuple(float(v) for v in values)
@@ -31,7 +27,6 @@ def payoff_vector(values, name: str = "payoff vector") -> tuple[float, float, fl
 class TwoPlayerGame:
     """A two-player game given by per-player payoff vectors in basis order."""
 
-    name: str
     payoff_a: tuple[float, float, float, float]
     payoff_b: tuple[float, float, float, float]
 
@@ -50,25 +45,20 @@ class BayesianGame:
 
     subgame_b1: TwoPlayerGame
     subgame_b2: TwoPlayerGame
-    p: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {self.p}")
 
 
 def builtin_pd() -> TwoPlayerGame:
     """Asymmetric prisoner's dilemma between A and B1; classical NE (D, D)."""
-    return TwoPlayerGame("pd", (11, 1, 10, 6), (9, 10, 1, 6))
+    return TwoPlayerGame((11, 1, 10, 6), (9, 10, 1, 6))
 
 
 def builtin_da() -> TwoPlayerGame:
     """District attorney's brother variant between A and B2; classical NE (C, C)."""
-    return TwoPlayerGame("da", (11, 1, 10, 6), (9, 6, 1, 0))
+    return TwoPlayerGame((11, 1, 10, 6), (9, 6, 1, 0))
 
 
-def builtin_bayesian(p: float = 0.5) -> BayesianGame:
-    return BayesianGame(builtin_pd(), builtin_da(), p)
+def builtin_bayesian() -> BayesianGame:
+    return BayesianGame(builtin_pd(), builtin_da())
 
 
 def classical_payoffs(game: TwoPlayerGame, row: int, col: int) -> tuple[float, float]:
@@ -91,7 +81,7 @@ def classical_pure_ne(game: TwoPlayerGame, eps: float = 1e-12) -> list[tuple[int
 
 
 def classical_bayesian_payoffs(
-    game: BayesianGame, a: int, b1: int, b2: int
+    game: BayesianGame, p: float, a: int, b1: int, b2: int
 ) -> tuple[float, float, float]:
     """Payoffs (A, B1, B2) for a classical profile of the Bayesian game.
 
@@ -99,9 +89,11 @@ def classical_bayesian_payoffs(
     players receive their conditional subgame payoff, not scaled by the
     probability of playing.
     """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
     pa1, pb1 = classical_payoffs(game.subgame_b1, a, b1)
     pa2, pb2 = classical_payoffs(game.subgame_b2, a, b2)
-    return game.p * pa1 + (1.0 - game.p) * pa2, pb1, pb2
+    return p * pa1 + (1.0 - p) * pa2, pb1, pb2
 
 
 def classical_bayesian_ne(
@@ -114,23 +106,15 @@ def classical_bayesian_ne(
     above it, and both at the threshold.
     """
     if game is None:
-        game = builtin_bayesian(p)
-    else:
-        game = BayesianGame(game.subgame_b1, game.subgame_b2, p)
+        game = builtin_bayesian()
     ne = []
-    for a, b1, b2 in product((0, 1), repeat=3):
-        pa, pb1, pb2 = classical_bayesian_payoffs(game, a, b1, b2)
-        if any(
-            classical_bayesian_payoffs(game, alt, b1, b2)[0] > pa + eps for alt in (0, 1)
+    for profile in product((0, 1), repeat=3):
+        base = classical_bayesian_payoffs(game, p, *profile)
+        if all(
+            classical_bayesian_payoffs(game, p, *profile[:k], alt, *profile[k + 1 :])[k]
+            <= base[k] + eps
+            for k in range(3)
+            for alt in (0, 1)
         ):
-            continue
-        if any(
-            classical_bayesian_payoffs(game, a, alt, b2)[1] > pb1 + eps for alt in (0, 1)
-        ):
-            continue
-        if any(
-            classical_bayesian_payoffs(game, a, b1, alt)[2] > pb2 + eps for alt in (0, 1)
-        ):
-            continue
-        ne.append(((a, b1, b2), (pa, pb1, pb2)))
+            ne.append((profile, base))
     return ne

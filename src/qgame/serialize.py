@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 from .equilibrium import EquilibriumClass, EquilibriumRecord
@@ -55,15 +56,11 @@ def game_from_dict(data: dict) -> TwoPlayerGame | BayesianGame:
     block1 = _require(payoffs, "A_vs_B1", "payoffs.")
     pa1, pb1 = _payoff_pair(block1, "payoffs.A_vs_B1.")
     if kind == "two-player":
-        return TwoPlayerGame("custom", pa1, pb1)
+        return TwoPlayerGame(pa1, pb1)
     if kind == "bayesian":
         block2 = _require(payoffs, "A_vs_B2", "payoffs.")
         pa2, pb2 = _payoff_pair(block2, "payoffs.A_vs_B2.")
-        return BayesianGame(
-            TwoPlayerGame("custom-b1", pa1, pb1),
-            TwoPlayerGame("custom-b2", pa2, pb2),
-            p=0.5,
-        )
+        return BayesianGame(TwoPlayerGame(pa1, pb1), TwoPlayerGame(pa2, pb2))
     raise ConfigError(f"field 'game' must be 'two-player' or 'bayesian', got {kind!r}")
 
 
@@ -175,6 +172,22 @@ def result_to_dict(result: SweepResult, kind: str = "sweep", circuit: str = "mix
     return out
 
 
+def _cell_coordinates(cell, path: str, bayesian: bool) -> tuple[float | None, float]:
+    """A stored cell's (p, gamma): p in [0, 1] for Bayesian cells and absent
+    otherwise, gamma in [0, pi/2]; NaN and infinities fail the range tests."""
+    gamma = float(_require(cell, "gamma", path))
+    if not 0.0 <= gamma <= math.pi / 2.0:
+        raise ConfigError(f"{path}gamma must lie in [0, pi/2], got {gamma}")
+    if not bayesian:
+        if "p" in cell:
+            raise ConfigError(f"{path}p is set on a two-player cell")
+        return None, gamma
+    p = float(_require(cell, "p", path))
+    if not 0.0 <= p <= 1.0:
+        raise ConfigError(f"{path}p must lie in [0, 1], got {p}")
+    return p, gamma
+
+
 @dataclass(frozen=True)
 class LoadedResult:
     result: SweepResult
@@ -203,11 +216,11 @@ def load_result(path: str) -> LoadedResult:
             steps=steps,
             eps_tie=float(_require(data, "eps_tie", "")),
         )
-        n_players = 3 if isinstance(game, BayesianGame) else 2
+        bayesian = isinstance(game, BayesianGame)
+        n_players = 3 if bayesian else 2
         cells = tuple(
             CellResult(
-                p=float(c["p"]) if "p" in c else None,
-                gamma=float(c["gamma"]),
+                *_cell_coordinates(c, f"cells[{i}].", bayesian),
                 classes=tuple(
                     _class_from_dict(
                         cd, n_players, steps.n_strategies, f"cells[{i}].classes[{k}]"

@@ -88,7 +88,6 @@ class StrategySet:
 
     params: tuple[StrategyParams, ...]
     unitaries: np.ndarray
-    steps: GridSteps | None = None
 
     def __post_init__(self):
         self.unitaries.setflags(write=False)
@@ -161,7 +160,7 @@ def enumerate_strategies(steps: GridSteps) -> StrategySet:
                 seen.setdefault(key, s)
     params = tuple(seen[key] for key in sorted(seen))
     unitaries = np.stack([strategy_unitary(s) for s in params])
-    return StrategySet(params, unitaries, steps)
+    return StrategySet(params, unitaries)
 
 
 def pauli_label(u: np.ndarray, tol: float = 1e-10) -> tuple[str, complex] | None:

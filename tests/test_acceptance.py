@@ -8,7 +8,6 @@ the conftest hook prints a PASS/FAIL line for each.
 
 import math
 import time
-from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -296,9 +295,9 @@ def test_c09a_oracle_equivalence(grid8):
     for _ in range(20):
         p = float(rng.uniform())
         gamma = float(rng.uniform(0.0, PI / 2))
-        game = builtin_bayesian(p)
-        fast = {r.profile for r in find_ne_bayesian(game, gamma, grid8, EPS_TIE)}
-        assert fast == naive_bayesian_ne(game, gamma, grid8, EPS_TIE)
+        game = builtin_bayesian()
+        fast = {r.profile for r in find_ne_bayesian(game, gamma, grid8, p, EPS_TIE)}
+        assert fast == naive_bayesian_ne(game, gamma, grid8, p, EPS_TIE)
 
 
 def test_c09b_unitarity_and_normalization(grid8):
@@ -345,10 +344,10 @@ def test_c09d_no_signaling_of_entangled_distributions(grid8):
 
 def test_c09e_found_equilibria_pass_independent_verification(grid8):
     for p, gamma in ((0.9, 0.3), (0.1, 0.5), (0.5, 0.8), (0.1, 1.3), (0.1, PI / 2)):
-        game = builtin_bayesian(p)
-        records = find_ne_bayesian(game, gamma, grid8, EPS_TIE)
+        game = builtin_bayesian()
+        records = find_ne_bayesian(game, gamma, grid8, p, EPS_TIE)
         assert records
-        assert all(verify_ne(rec, game, gamma, grid8, EPS_TIE) for rec in records)
+        assert all(verify_ne(rec, game, gamma, grid8, EPS_TIE, p) for rec in records)
 
 
 def test_c10_performance(bayes_sweep):

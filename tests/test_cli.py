@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from qgame.cli import main, parse_angle
-from qgame.games import BayesianGame, builtin_bayesian
+from qgame.games import builtin_bayesian, builtin_pd
 from qgame.serialize import (
     BAYESIAN_CSV_HEADER,
     TWO_PLAYER_CSV_HEADER,
@@ -147,13 +147,9 @@ class TestToleranceAndWorkerFlags:
 
 class TestGameLoading:
     def test_loads_builtin_equivalent(self, tmp_path):
-        path = write_game(tmp_path, GAME_JSON)
-        game = load_game(path)
-        builtin = builtin_bayesian()
-        assert isinstance(game, BayesianGame)
-        assert game.subgame_b1.payoff_a == builtin.subgame_b1.payoff_a
-        assert game.subgame_b1.payoff_b == builtin.subgame_b1.payoff_b
-        assert game.subgame_b2.payoff_b == builtin.subgame_b2.payoff_b
+        assert load_game(write_game(tmp_path, GAME_JSON)) == builtin_bayesian()
+        pd = {"game": "two-player", "payoffs": {"A_vs_B1": GAME_JSON["payoffs"]["A_vs_B1"]}}
+        assert load_game(write_game(tmp_path, pd, "pd.json")) == builtin_pd()
 
     def test_two_player_uses_only_first_block(self, tmp_path):
         data = {"game": "two-player", "payoffs": {"A_vs_B1": {"A": [1, 2, 3, 4], "B": [4, 3, 2, 1]}}}
@@ -334,6 +330,13 @@ class TestFullCircuitMode:
         assert main(argv) == 1
         assert "--circuit full" in capsys.readouterr().err
 
+    def test_full_circuit_needs_a_bayesian_game(self, tmp_path, capsys):
+        out = tmp_path / "pd.json"
+        argv = ["solve", "--game", "pd", "--gamma", "0.3", "--circuit", "full"]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert "--circuit full" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_solve_rechecks_its_records_once(self, monkeypatch, capsys):
         from qgame import sweep
 
@@ -372,13 +375,20 @@ class TestLoadResultErrors:
             load_result(str(path))
 
     @staticmethod
-    def _with_member(tmp_path, member):
+    def _with_cell(tmp_path, game, edit):
+        """A one-cell solve result of ``game`` after ``edit`` of its cell."""
         out = tmp_path / "solve.json"
-        main(["solve", "--game", "bayesian", "--p", "0.9", "--gamma", "0.3", "--out", str(out)])
+        main(["solve", "--game", game, "--p", "0.9", "--gamma", "0.3", "--out", str(out)])
         data = json.loads(out.read_text(encoding="utf-8"))
-        data["cells"][0]["classes"][0]["members"][1] = member
+        edit(data["cells"][0])
         out.write_text(json.dumps(data), encoding="utf-8")
         return str(out)
+
+    def _with_member(self, tmp_path, member):
+        def edit(cell):
+            cell["classes"][0]["members"][1] = member
+
+        return self._with_cell(tmp_path, "bayesian", edit)
 
     def test_index_beyond_grid_is_config_error(self, tmp_path, capsys):
         path = self._with_member(tmp_path, [99, 0, 0])
@@ -405,3 +415,35 @@ class TestLoadResultErrors:
         out.write_text(text, encoding="utf-8")
         with pytest.raises(ConfigError, match="eps_tie"):
             load_result(str(out))
+
+    @pytest.mark.parametrize(
+        "game,edit,field",
+        [
+            ("bayesian", lambda cell: cell.pop("p"), "p"),
+            ("bayesian", lambda cell: cell.update(p=1.5), "p"),
+            ("bayesian", lambda cell: cell.update(p=-0.1), "p"),
+            ("bayesian", lambda cell: cell.update(p=float("nan")), "p"),
+            ("bayesian", lambda cell: cell.update(gamma=5.0), "gamma"),
+            ("bayesian", lambda cell: cell.update(gamma=float("inf")), "gamma"),
+            ("pd", lambda cell: cell.update(p=0.5), "p"),
+            ("pd", lambda cell: cell.update(gamma=-0.3), "gamma"),
+        ],
+        ids=[
+            "missing-p",
+            "p-above-1",
+            "negative-p",
+            "nan-p",
+            "gamma-above-half-pi",
+            "infinite-gamma",
+            "two-player-p",
+            "negative-two-player-gamma",
+        ],
+    )
+    def test_bad_cell_coordinate_is_config_error(self, tmp_path, capsys, game, edit, field):
+        path = self._with_cell(tmp_path, game, edit)
+        with pytest.raises(ConfigError, match=rf"cells\[0\]\.{field}"):
+            load_result(path)
+        capsys.readouterr()
+        assert main(["verify", "--in", path]) == 2
+        assert f"cells[0].{field}" in capsys.readouterr().err
+        assert main(["classify", "--in", path]) == 2

@@ -1,6 +1,5 @@
 import math
 import re
-from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -54,13 +53,12 @@ def grid24():
     return enumerate_strategies(GridSteps(PI / 2, PI / 2, PI / 2))
 
 
-def custom_bayesian(p):
+def custom_bayesian():
     """A Bayesian game whose subgames give A different payoff vectors:
     chicken against B1, a stag hunt against B2."""
     return BayesianGame(
-        TwoPlayerGame("chicken", (3, 1, 4, 0), (3, 4, 1, 0)),
-        TwoPlayerGame("stag-hunt", (5, 0, 3, 3), (5, 3, 0, 3)),
-        p,
+        TwoPlayerGame((3, 1, 4, 0), (3, 4, 1, 0)),
+        TwoPlayerGame((5, 0, 3, 3), (5, 3, 0, 3)),
     )
 
 
@@ -77,11 +75,10 @@ def scalar_two_player_tables(game, gamma, sset):
     return ta, tb
 
 
-def naive_bayesian_ne(game, gamma, sset, eps):
+def naive_bayesian_ne(game, gamma, sset, p, eps):
     """Oracle: triple loop over all profiles with explicit deviation checks."""
     ta1, tb1 = scalar_two_player_tables(game.subgame_b1, gamma, sset)
     ta2, tb2 = scalar_two_player_tables(game.subgame_b2, gamma, sset)
-    p = game.p
     n = len(sset)
     found = set()
     for a, b1, b2 in product(range(n), repeat=3):
@@ -108,7 +105,7 @@ class TestTables:
     @pytest.mark.parametrize("gamma", [0.0, 0.4, 1.1, PI / 2])
     def test_factored_tables_match_scalar_path_on_24_grid(self, grid24, gamma):
         games = [builtin_pd(), builtin_da()]
-        games += [custom_bayesian(0.5).subgame_b1, custom_bayesian(0.5).subgame_b2]
+        games += [custom_bayesian().subgame_b1, custom_bayesian().subgame_b2]
         for game in games:
             ta, tb = two_player_tables(game, gamma, grid24)
             oa, ob = scalar_two_player_tables(game, gamma, grid24)
@@ -117,10 +114,10 @@ class TestTables:
 
     def test_bayesian_tables_layout(self, grid24):
         # A's tables are read by column, the B players' by row.
-        ta1, tb1, ta2, tb2 = bayesian_tables(custom_bayesian(0.5), 0.7, grid24)
+        ta1, tb1, ta2, tb2 = bayesian_tables(custom_bayesian(), 0.7, grid24)
         assert ta1.flags.f_contiguous and ta2.flags.f_contiguous
         assert tb1.flags.c_contiguous and tb2.flags.c_contiguous
-        oa2, ob2 = scalar_two_player_tables(custom_bayesian(0.5).subgame_b2, 0.7, grid24)
+        oa2, ob2 = scalar_two_player_tables(custom_bayesian().subgame_b2, 0.7, grid24)
         assert np.max(np.abs(ta2 - oa2)) < 1e-12
         assert np.max(np.abs(tb2 - ob2)) < 1e-12
 
@@ -144,16 +141,16 @@ class TestFindNeTwoPlayer:
 
 class TestFindNeBayesian:
     def test_central_gap_has_no_ne(self, grid8):
-        assert find_ne_bayesian(builtin_bayesian(0.5), 0.3, grid8) == []
+        assert find_ne_bayesian(builtin_bayesian(), 0.3, grid8, 0.5) == []
 
     def test_classical_limit_low_p(self, grid8):
-        classes = classify(find_ne_bayesian(builtin_bayesian(0.1), 0.0, grid8), grid8)
+        classes = classify(find_ne_bayesian(builtin_bayesian(), 0.0, grid8, 0.1), grid8)
         assert len(classes) == 1
         assert classes[0].theta_profile == (0.0, PI, 0.0)
         assert classes[0].payoffs == pytest.approx((10.0, 10.0, 9.0), abs=1e-9)
 
     def test_high_p_low_gamma_class(self, grid8):
-        classes = classify(find_ne_bayesian(builtin_bayesian(0.9), 0.3, grid8), grid8)
+        classes = classify(find_ne_bayesian(builtin_bayesian(), 0.3, grid8, 0.9), grid8)
         assert len(classes) == 1
         assert classes[0].theta_profile == (PI, PI, 0.0)
         assert classes[0].operator_label == "Y⊗X⊗Z"
@@ -161,38 +158,40 @@ class TestFindNeBayesian:
     @pytest.mark.parametrize("eps", [float("nan"), -1.0, float("inf")])
     def test_rejects_bad_tie_tolerance(self, grid8, eps):
         with pytest.raises(ValueError, match="eps_tie"):
-            find_ne_bayesian(builtin_bayesian(0.5), 0.3, grid8, eps)
+            find_ne_bayesian(builtin_bayesian(), 0.3, grid8, 0.5, eps)
         with pytest.raises(ValueError, match="eps_tie"):
             find_ne_two_player(builtin_pd(), 0.3, grid8, eps)
         with pytest.raises(ValueError, match="eps_tie"):
-            find_ne_bayesian_circuit(builtin_bayesian(0.3), 0.8, grid8, eps)
+            find_ne_bayesian_circuit(
+                builtin_bayesian(), 0.8, grid8, control_for_probability(0.3), eps
+            )
 
     def test_matches_four_qubit_circuit_search(self, grid8):
-        game = builtin_bayesian(0.85)
-        mixture = {r.profile for r in find_ne_bayesian(game, 0.4, grid8)}
-        circuit = {r.profile for r in find_ne_bayesian_circuit(game, 0.4, grid8)}
+        game, control = builtin_bayesian(), control_for_probability(0.85)
+        mixture = {r.profile for r in find_ne_bayesian(game, 0.4, grid8, 0.85)}
+        circuit = {r.profile for r in find_ne_bayesian_circuit(game, 0.4, grid8, control)}
         assert mixture == circuit
 
 
 class TestFourQubitWitness:
     def test_search_runs_without_mixture_search_code(self, grid8, monkeypatch):
-        game = builtin_bayesian(0.85)
-        mixture = find_ne_bayesian(game, 0.4, grid8)
+        game = builtin_bayesian()
+        mixture = find_ne_bayesian(game, 0.4, grid8, 0.85)
 
         def refuse(*args):
             raise AssertionError("the four-qubit witness reached the mixture search")
 
         monkeypatch.setattr(equilibrium, "_candidate_triples", refuse)
         monkeypatch.setattr(equilibrium, "_row_blocks", refuse)
-        records = find_ne_bayesian_circuit(game, 0.4, grid8)
+        records = find_ne_bayesian_circuit(game, 0.4, grid8, control_for_probability(0.85))
         assert [r.profile for r in records] == [r.profile for r in mixture]
 
     def test_tables_match_scalar_circuit_at_sampled_profiles(self, grid24):
-        game = custom_bayesian(0.35)
-        tables = bayesian_circuit_tables(game, 0.9, grid24)
+        game = custom_bayesian()
+        control = control_for_probability(0.35)
+        tables = bayesian_circuit_tables(game, 0.9, grid24, control)
         n = len(grid24)
         assert tables.shape == (3, n, n, n)
-        control = control_for_probability(0.35)
         us = grid24.unitaries
         rng = np.random.default_rng(57721)
         for a, b1, b2 in rng.integers(n, size=(40, 3)).tolist():
@@ -227,16 +226,16 @@ class TestDenseNe:
 
 class TestVerifyNe:
     def test_all_found_records_verify(self, grid8):
-        game = builtin_bayesian(0.9)
-        records = find_ne_bayesian(game, 0.3, grid8)
+        game = builtin_bayesian()
+        records = find_ne_bayesian(game, 0.3, grid8, 0.9)
         assert records
-        assert all(verify_ne(rec, game, 0.3, grid8) for rec in records)
+        assert all(verify_ne(rec, game, 0.3, grid8, p=0.9) for rec in records)
 
     def test_perturbed_profile_fails(self, grid8):
-        game = builtin_bayesian(0.9)
-        rec = find_ne_bayesian(game, 0.3, grid8)[0]
+        game = builtin_bayesian()
+        rec = find_ne_bayesian(game, 0.3, grid8, 0.9)[0]
         broken = EquilibriumRecord((IDENTITY,) + rec.profile[1:], rec.payoffs)
-        assert not verify_ne(broken, game, 0.3, grid8)
+        assert not verify_ne(broken, game, 0.3, grid8, p=0.9)
 
     def test_classical_cc_is_not_quantum_pd_ne(self, grid8):
         rec = EquilibriumRecord((IDENTITY, IDENTITY), (11.0, 9.0))
@@ -244,24 +243,31 @@ class TestVerifyNe:
 
     @pytest.mark.parametrize("shift", [1e-9, -1e-9])
     def test_stored_payoffs_within_tolerance_pass(self, grid8, shift):
-        game = builtin_bayesian(0.9)
-        rec = find_ne_bayesian(game, 0.3, grid8)[0]
+        game = builtin_bayesian()
+        rec = find_ne_bayesian(game, 0.3, grid8, 0.9)[0]
         moved = tuple(x + shift for x in rec.payoffs)
-        assert verify_ne(EquilibriumRecord(rec.profile, moved), game, 0.3, grid8)
+        assert verify_ne(EquilibriumRecord(rec.profile, moved), game, 0.3, grid8, p=0.9)
 
     @pytest.mark.parametrize("player", [0, 1, 2])
     def test_wrong_stored_payoff_fails(self, grid8, player):
-        game = builtin_bayesian(0.9)
-        rec = find_ne_bayesian(game, 0.3, grid8)[0]
+        game = builtin_bayesian()
+        rec = find_ne_bayesian(game, 0.3, grid8, 0.9)[0]
         payoffs = list(rec.payoffs)
         payoffs[player] += 1e-6
-        assert not verify_ne(EquilibriumRecord(rec.profile, tuple(payoffs)), game, 0.3, grid8)
+        wrong = EquilibriumRecord(rec.profile, tuple(payoffs))
+        assert not verify_ne(wrong, game, 0.3, grid8, p=0.9)
 
     def test_zeroed_two_player_payoffs_fail(self, grid8):
         rec = find_ne_two_player(builtin_pd(), 0.5, grid8)[0]
         zeroed = EquilibriumRecord(rec.profile, (0.0, 0.0))
         assert verify_ne(rec, builtin_pd(), 0.5, grid8)
         assert not verify_ne(zeroed, builtin_pd(), 0.5, grid8)
+
+    def test_bayesian_record_without_p_raises(self, grid8):
+        game = builtin_bayesian()
+        rec = find_ne_bayesian(game, 0.3, grid8, 0.9)[0]
+        with pytest.raises(ValueError, match="needs p"):
+            verify_ne(rec, game, 0.3, grid8)
 
 
 class TestClassify:
@@ -276,7 +282,7 @@ class TestClassify:
         assert cls.n_profiles == 8
 
     def test_bayesian_cooperate_class(self, grid8):
-        classes = classify(find_ne_bayesian(builtin_bayesian(0.1), 0.5, grid8), grid8)
+        classes = classify(find_ne_bayesian(builtin_bayesian(), 0.5, grid8, 0.1), grid8)
         assert len(classes) == 1
         cls = classes[0]
         assert cls.theta_profile == (0.0, PI, 0.0)
@@ -295,7 +301,7 @@ class TestClassify:
     def test_payoff_spread_within_class(self, grid8):
         for gamma in (0.35, 0.8):
             for cls in classify(
-                find_ne_bayesian(builtin_bayesian(0.8), gamma, grid8), grid8
+                find_ne_bayesian(builtin_bayesian(), gamma, grid8, 0.8), grid8
             ):
                 for rec in cls.members:
                     assert np.max(np.abs(np.array(rec.payoffs) - cls.payoffs)) < 1e-9
@@ -303,8 +309,7 @@ class TestClassify:
     def test_phase_class_closure(self, grid8):
         # Every grid profile consistent with the class theta-profile and its
         # reported phase-sum sets must itself be a member: no missing siblings.
-        game = builtin_bayesian(0.9)
-        records = find_ne_bayesian(game, 0.3, grid8)
+        records = find_ne_bayesian(builtin_bayesian(), 0.3, grid8, 0.9)
         for cls in classify(records, grid8):
             members = {rec.profile for rec in cls.members}
             thetas = [round(t, 9) for t in cls.theta_profile]
@@ -335,28 +340,28 @@ class TestOracleEquivalence:
         for _ in range(20):
             p = float(rng.uniform())
             gamma = float(rng.uniform(0.0, PI / 2))
-            game = builtin_bayesian(p)
-            fast = {r.profile for r in find_ne_bayesian(game, gamma, grid8)}
-            assert fast == naive_bayesian_ne(game, gamma, grid8, 1e-9)
+            game = builtin_bayesian()
+            fast = {r.profile for r in find_ne_bayesian(game, gamma, grid8, p)}
+            assert fast == naive_bayesian_ne(game, gamma, grid8, p, 1e-9)
 
 
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     def test_matches_naive_enumeration_on_24_grid_at_gamma_zero(self, grid24, p):
         # Classical limit: payoffs depend on theta only, so every best
         # response is tied across the free phases.
-        game = builtin_bayesian(p)
-        fast = find_ne_bayesian(game, 0.0, grid24)
+        game = builtin_bayesian()
+        fast = find_ne_bayesian(game, 0.0, grid24, p)
         assert len(fast) == 64
-        assert {r.profile for r in fast} == naive_bayesian_ne(game, 0.0, grid24, 1e-9)
+        assert {r.profile for r in fast} == naive_bayesian_ne(game, 0.0, grid24, p, 1e-9)
 
     def test_matches_naive_enumeration_on_24_grid_at_random_points(self, grid24):
         rng = np.random.default_rng(314159)
         for _ in range(4):
             p = float(rng.uniform())
             gamma = float(rng.uniform(0.0, PI / 2))
-            game = builtin_bayesian(p)
-            fast = {r.profile for r in find_ne_bayesian(game, gamma, grid24)}
-            assert fast == naive_bayesian_ne(game, gamma, grid24, 1e-9)
+            game = builtin_bayesian()
+            fast = {r.profile for r in find_ne_bayesian(game, gamma, grid24, p)}
+            assert fast == naive_bayesian_ne(game, gamma, grid24, p, 1e-9)
 
     def test_custom_game_with_distinct_a_payoffs_matches_naive(self, grid24):
         rng = np.random.default_rng(271828)
@@ -364,23 +369,23 @@ class TestOracleEquivalence:
             (float(rng.uniform()), float(rng.uniform(0.0, PI / 2))) for _ in range(3)
         ]
         found = 0
+        game = custom_bayesian()
         for p, gamma in points:
-            game = custom_bayesian(p)
-            records = find_ne_bayesian(game, gamma, grid24)
+            records = find_ne_bayesian(game, gamma, grid24, p)
             assert {r.profile for r in records} == naive_bayesian_ne(
-                game, gamma, grid24, 1e-9
+                game, gamma, grid24, p, 1e-9
             )
-            assert all(verify_ne(rec, game, gamma, grid24) for rec in records[:5])
+            assert all(verify_ne(rec, game, gamma, grid24, p=p) for rec in records[:5])
             found += len(records)
         assert found > 0
 
     def test_block_boundaries_do_not_change_records(self, grid24, monkeypatch):
-        game = custom_bayesian(0.4)
+        game = custom_bayesian()
         tables = bayesian_tables(game, 0.0, grid24)
-        whole = find_ne_bayesian(game, 0.0, grid24, tables=tables)
+        whole = find_ne_bayesian(game, 0.0, grid24, 0.4, tables=tables)
         monkeypatch.setattr(equilibrium, "_TRIPLE_BLOCK", 5)
         monkeypatch.setattr(equilibrium, "_COLUMN_BLOCK", 30)
-        assert find_ne_bayesian(game, 0.0, grid24, tables=tables) == whole
+        assert find_ne_bayesian(game, 0.0, grid24, 0.4, tables=tables) == whole
         assert whole == sorted(whole, key=lambda r: r.profile)
 
 
@@ -390,13 +395,13 @@ class TestRowSearch:
     @staticmethod
     def per_p(game, gamma, sset, p_values, tables):
         return [
-            find_ne_bayesian(replace(game, p=p), gamma, sset, tables=tables)
+            find_ne_bayesian(game, gamma, sset, p, tables=tables)
             for p in p_values
         ]
 
     def test_matches_per_p_calls_at_random_points(self, grid24):
         rng = np.random.default_rng(161803)
-        game = builtin_bayesian(0.5)
+        game = builtin_bayesian()
         for gamma in [0.0] + [float(g) for g in rng.uniform(0.0, PI / 2, size=3)]:
             p_values = [0.0] + rng.uniform(size=4).tolist() + [1.0]
             tables = bayesian_tables(game, gamma, grid24)
@@ -405,7 +410,7 @@ class TestRowSearch:
 
     def test_custom_game_with_distinct_a_payoffs(self, grid24):
         rng = np.random.default_rng(141421)
-        game = custom_bayesian(0.5)
+        game = custom_bayesian()
         counts = set()
         for gamma in (0.0, float(rng.uniform(0.0, PI / 2))):
             p_values = sorted(rng.uniform(size=6).tolist())
@@ -420,7 +425,7 @@ class TestRowSearch:
     def test_block_boundaries_do_not_change_records(
         self, grid24, monkeypatch, triple_block, column_block
     ):
-        game = custom_bayesian(0.5)
+        game = custom_bayesian()
         p_values = [0.0, 0.2, 0.45, 0.7, 1.0]
         tables = bayesian_tables(game, 0.0, grid24)
         whole = find_ne_bayesian_row(game, 0.0, grid24, p_values, tables=tables)
@@ -431,21 +436,21 @@ class TestRowSearch:
 
     def test_rejects_p_outside_unit_interval(self, grid8):
         with pytest.raises(ValueError, match="p must lie"):
-            find_ne_bayesian_row(builtin_bayesian(0.5), 0.3, grid8, [0.5, 1.5])
+            find_ne_bayesian_row(builtin_bayesian(), 0.3, grid8, [0.5, 1.5])
 
 
 class TestRecheck:
     def test_found_records_pass(self, grid24):
-        game = builtin_bayesian(0.0)
+        game = builtin_bayesian()
         tables = bayesian_tables(game, 1.0, grid24)
-        records = find_ne_bayesian(game, 1.0, grid24, tables=tables)
+        records = find_ne_bayesian(game, 1.0, grid24, 0.0, tables=tables)
         assert records
         _recheck([records], tables, [0.0], 1e-9)
 
     def test_tampered_record_raises(self, grid24):
-        game = builtin_bayesian(0.0)
+        game = builtin_bayesian()
         tables = bayesian_tables(game, 1.0, grid24)
-        records = find_ne_bayesian(game, 1.0, grid24, tables=tables)
+        records = find_ne_bayesian(game, 1.0, grid24, 0.0, tables=tables)
         bad = next(
             prof
             for prof in product(range(len(grid24)), repeat=3)
@@ -464,7 +469,7 @@ class TestInvariants:
             p = 0.05 * i
             if abs(p - 1 / 6) <= 0.05:
                 continue
-            classes = classify(find_ne_bayesian(builtin_bayesian(p), 0.0, grid8), grid8)
+            classes = classify(find_ne_bayesian(builtin_bayesian(), 0.0, grid8, p), grid8)
             classical = classical_bayesian_ne(p)
             assert len(classes) == len(classical) == 1
             assert classes[0].payoffs == pytest.approx(classical[0][1], abs=1e-9)
@@ -483,8 +488,8 @@ class TestInvariants:
     def test_eps_tie_robustness(self, grid8):
         points = [(0.9, 0.3), (0.1, 0.5), (0.5, 0.8), (0.1, 1.3), (0.5, 0.3)]
         for p, gamma in points:
-            game = builtin_bayesian(p)
+            game = builtin_bayesian()
             tables = bayesian_tables(game, gamma, grid8)
-            strict = {r.profile for r in find_ne_bayesian(game, gamma, grid8, 1e-9, tables)}
-            loose = {r.profile for r in find_ne_bayesian(game, gamma, grid8, 1e-6, tables)}
+            strict = {r.profile for r in find_ne_bayesian(game, gamma, grid8, p, 1e-9, tables)}
+            loose = {r.profile for r in find_ne_bayesian(game, gamma, grid8, p, 1e-6, tables)}
             assert strict == loose

@@ -3,7 +3,6 @@ from itertools import product
 import pytest
 
 from qgame.games import (
-    BayesianGame,
     TwoPlayerGame,
     builtin_bayesian,
     builtin_da,
@@ -41,9 +40,9 @@ def test_payoff_vector_validation():
         payoff_vector([1, 2, 3, float("nan")])
 
 
-def test_bayesian_game_rejects_bad_p():
+def test_classical_bayesian_ne_rejects_bad_p():
     with pytest.raises(ValueError, match="p must lie"):
-        BayesianGame(builtin_pd(), builtin_da(), 1.5)
+        classical_bayesian_ne(1.5)
 
 
 class TestClassicalPureNE:
@@ -58,7 +57,7 @@ class TestClassicalPureNE:
         assert classical_payoffs(game, C, C) == (11, 9)
 
     def test_zero_game_total_indifference(self):
-        game = TwoPlayerGame("zero", (0, 0, 0, 0), (0, 0, 0, 0))
+        game = TwoPlayerGame((0, 0, 0, 0), (0, 0, 0, 0))
         assert classical_pure_ne(game) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_against_independent_enumeration(self):
@@ -94,8 +93,7 @@ class TestClassicalBayesianNE:
         assert results[0][1][0] == results[1][1][0]
 
     def test_payoff_weighting(self):
-        game = builtin_bayesian(0.3)
-        pa, pb1, pb2 = classical_bayesian_payoffs(game, C, D, C)
+        pa, pb1, pb2 = classical_bayesian_payoffs(builtin_bayesian(), 0.3, C, D, C)
         assert pa == pytest.approx(0.3 * 1 + 0.7 * 11)
         assert pb1 == 10
         assert pb2 == 9
