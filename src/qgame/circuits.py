@@ -21,6 +21,11 @@ The entangler J(gamma) has cos(gamma/2) on the diagonal and
 +/- i sin(gamma/2) on the anti-diagonal; gamma = 0 is the classical
 limit (J = I), gamma = pi/2 maps |00> to the Bell state
 (|00> + i |11>)/sqrt(2).
+
+The evolution and payoff functions also take stacks of strategies: 2x2
+matrices with leading batch axes that broadcast against each other.  A
+stack gives each of its profiles the same bits as a call on that profile
+alone, and one non-finite, non-unitary or misshapen matrix fails the call.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .games import BayesianGame
-from .linalg import embed
+from .linalg import DEFAULT_TOL, embed
 
 TAU = 2.0 * math.pi
 
@@ -118,59 +123,203 @@ def entangler(gamma: float) -> np.ndarray:
 
 
 def _as_unitary(u) -> np.ndarray:
-    """Accept StrategyParams or a ready, finite 2x2 matrix."""
+    """StrategyParams, or a 2x2 matrix or stack of them (leading batch axes).
+
+    Every matrix of a stack must be finite and unitary, max |U^dag U - I|
+    within ``linalg.DEFAULT_TOL``; one bad matrix fails the whole call.
+    """
     if isinstance(u, StrategyParams):
         return strategy_unitary(u)
     u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
+    if u.shape[-2:] != (2, 2):
         raise ValueError(f"strategy matrix must be 2x2, got shape {u.shape}")
     if not np.isfinite(u).all():
         raise ValueError("strategy matrix contains non-finite entries")
+    # U^dag U has |u00|^2 + |u10|^2 and |u01|^2 + |u11|^2 on its diagonal and
+    # conj(u00) u01 + conj(u10) u11 and its conjugate off it.
+    m = u.reshape(-1, 2, 2)
+    squares = np.abs(m) ** 2
+    diagonal = squares[:, 0] + squares[:, 1]
+    off = m[:, 0, 0].conj() * m[:, 0, 1] + m[:, 1, 0].conj() * m[:, 1, 1]
+    error = max(np.abs(diagonal - 1.0).max(initial=0.0), np.abs(off).max(initial=0.0))
+    if not error <= DEFAULT_TOL:
+        raise ValueError(f"strategy matrix is not unitary within {DEFAULT_TOL:g}")
     return u
 
 
+# Stacked evaluation.  The public functions below take stacks of
+# strategies (leading batch axes, broadcast against each other) and return
+# states with the state index last.  Each element of a stack goes through
+# the same elementwise operations as it would alone and so rounds exactly
+# alike: complex products are formed from real parts (numpy's complex
+# multiply may fuse a multiply-add in its vector loops), and sums run in
+# index order rather than through BLAS or numpy reductions, whose order
+# depends on memory layout.  The circuits work on planar arrays: axis 0
+# holds the real and imaginary parts, then come the qubit or matrix axes,
+# and the stack runs last, so numpy's inner loops run contiguously along it.
+
+
+def _planar(z: np.ndarray) -> np.ndarray:
+    return np.array((z.real, z.imag))
+
+
+def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise complex product of two planar arrays."""
+    out = np.empty((2,) + np.broadcast(x[0], y[0]).shape)
+    re, im = out
+    np.multiply(x[0], y[0], out=re)
+    re -= x[1] * y[1]
+    np.multiply(x[0], y[1], out=im)
+    im += x[1] * y[0]
+    return out
+
+
+def _sum_first(terms: np.ndarray) -> np.ndarray:
+    """Sum over the first axis in index order."""
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+def _probabilities(psi: np.ndarray) -> np.ndarray:
+    return psi.real**2 + psi.imag**2
+
+
+def _on_qubit(u: np.ndarray, psi: np.ndarray, k: int) -> np.ndarray:
+    """Apply planar ``u`` (2, 2, 2, stack) to qubit k of planar states
+    ``psi`` (2, 2, .., 2, stack); the qubit's axis is swapped to the front
+    and back."""
+    psi = psi.swapaxes(1, k + 1)
+    u = u.reshape(u.shape[:3] + (1,) * (psi.ndim - 3) + u.shape[3:])
+    terms = _cmul(u, psi[:, None])
+    return (terms[:, :, 0] + terms[:, :, 1]).swapaxes(1, k + 1)
+
+
+def _sparse_rows(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A square operator as (columns, values): row i's nonzero entries are
+    op[i, columns[i, j]] = values[i, j] in column order, padded with zeros.
+
+    Values are planar (2, d, m).  A skipped zero entry contributes an exact
+    zero to a product's sum, so skipping it does not change the sum.
+    """
+    width = max(1, int((op != 0).sum(axis=1).max()))
+    columns = np.zeros((len(op), width), dtype=int)
+    values = np.zeros((len(op), width), dtype=complex)
+    for i, row in enumerate(op):
+        nonzero = np.flatnonzero(row)
+        columns[i, : len(nonzero)] = nonzero
+        values[i, : len(nonzero)] = row[nonzero]
+    return columns, _planar(values)
+
+
+def _apply(op: tuple[np.ndarray, np.ndarray], psi: np.ndarray) -> np.ndarray:
+    """op @ psi for planar states ``psi`` (2, d, stack) and an operator in
+    the form of ``_sparse_rows``."""
+    columns, values = op
+    return _sum_first(np.moveaxis(_cmul(values[..., None], psi[:, columns]), 2, 0))
+
+
 def _checked_norm(psi: np.ndarray) -> np.ndarray:
+    """Planar states (2, d, stack) whose every norm is within 1e-12 of 1."""
     # Written so that a NaN norm fails too.
-    if not abs(np.linalg.norm(psi) - 1.0) <= _NORM_TOL:
+    if not (np.abs(np.sqrt((psi**2).sum(axis=(0, 1))) - 1.0) <= _NORM_TOL).all():
         raise RuntimeError("state norm drifted beyond 1e-12 during evolution")
     return psi
 
 
-def evolve_two_player(gamma: float, u_a, u_b) -> np.ndarray:
-    """Final two-qubit state J^dag (U_A (x) U_B) J |00>."""
+def _evolve(psi0: np.ndarray, strategies, op: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """op (I (x) U_1 (x) .. (x) U_m) psi0 for checked stacks of strategies U_i.
+
+    ``psi0`` is one n-qubit state as a planar (2, 2, .., 2, 1) array,
+    ``op`` is in the form of ``_sparse_rows``, and strategy i acts on
+    qubit n - m + i.  Returns the states as (batch..., 2**n).
+    """
+    n = psi0.ndim - 2
+    batch = np.broadcast_shapes(*(u.shape[:-2] for u in strategies))
+    psi = psi0
+    for k, u in enumerate(strategies, start=n - len(strategies)):
+        flat = np.broadcast_to(u, batch + (2, 2)).reshape(-1, 2, 2)
+        psi = _on_qubit(_planar(flat.transpose(1, 2, 0)), psi, k)
+    psi = _checked_norm(_apply(op, psi.reshape(2, 2**n, -1)))
+    out = np.empty(psi.shape[1:], dtype=complex)
+    out.real, out.imag = psi
+    return _state_last(out.reshape((2**n,) + batch))
+
+
+def _state_last(psi: np.ndarray) -> np.ndarray:
+    """(d, batch...) states as the public (batch..., d) view."""
+    return psi.transpose(tuple(range(1, psi.ndim)) + (0,))
+
+
+def _state_first(psi: np.ndarray) -> np.ndarray:
+    return psi.transpose((psi.ndim - 1,) + tuple(range(psi.ndim - 1)))
+
+
+def _value(x):
+    """A float for a single profile, the array itself for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+@lru_cache(maxsize=64)
+def _entangled_pair(gamma: float):
+    """J|00> as a planar (2, 2, 2, 1) amplitude array (A's qubit first), and
+    J^dag in the form of ``_sparse_rows``."""
     j = entangler(gamma)
-    layer = np.kron(_as_unitary(u_a), _as_unitary(u_b))
-    return _checked_norm(j.conj().T @ (layer @ j[:, 0]))
+    return _planar(j[:, 0].reshape(2, 2, 1)), _sparse_rows(j.conj().T)
 
 
-def payoff_expectation(psi: np.ndarray, payoff) -> float:
-    """Born-rule expectation sum_j |psi_j|^2 * payoff_j over 1 to 4 qubits."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if len(psi) not in (2, 4, 8, 16):
-        raise ValueError(f"state length must be 2, 4, 8 or 16, got {len(psi)}")
+def evolve_two_player(gamma: float, u_a, u_b) -> np.ndarray:
+    """Final two-qubit state J^dag (U_A (x) U_B) J |00>, or a stack of them.
+
+    ``u_a`` and ``u_b`` may be stacks of 2x2 matrices; their batch axes
+    broadcast, and the states come back with the state index last.
+    """
+    return _two_player_states(gamma, _as_unitary(u_a), _as_unitary(u_b))
+
+
+def _two_player_states(gamma: float, u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:
+    psi, j_dag = _entangled_pair(float(gamma))
+    return _evolve(psi, (u_a, u_b), j_dag)
+
+
+def payoff_expectation(psi: np.ndarray, payoff):
+    """Born-rule expectation sum_j |psi_j|^2 * payoff_j over 1 to 4 qubits.
+
+    ``psi`` holds one state or a stack (state index last); the result is
+    a float or an array of the stack's shape.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    length = psi.shape[-1] if psi.ndim else 1
+    if psi.ndim == 0 or length not in (2, 4, 8, 16):
+        raise ValueError(f"state length must be 2, 4, 8 or 16, got {length}")
     if not np.isfinite(psi).all():
         raise ValueError("state contains non-finite amplitudes")
     vec = np.asarray(payoff, dtype=float)
-    if vec.shape != psi.shape:
+    if vec.shape != (length,):
         raise ValueError(
-            f"payoff vector length {vec.shape} does not match state length {psi.shape}"
+            f"payoff vector length {vec.shape} does not match state length {(length,)}"
         )
-    return float(np.abs(psi) ** 2 @ vec)
+    probs = _probabilities(_state_first(psi))
+    return _value(_sum_first(probs * vec.reshape(vec.shape + (1,) * (psi.ndim - 1))))
 
 
-def bayesian_payoffs_mixture(
-    p: float, gamma: float, u_a, u_b1, u_b2, game: BayesianGame
-) -> tuple[float, float, float]:
+def bayesian_payoffs_mixture(p: float, gamma: float, u_a, u_b1, u_b2, game: BayesianGame):
     """Payoffs from the statistical mixture of the two subgame circuits.
 
     A's payoff is p-weighted across the subgames at the same gamma; each
     B player receives its conditional subgame expectation, which does
-    not depend on p or on the other B player's strategy.
+    not depend on p or on the other B player's strategy.  Strategies may
+    be stacks; each payoff is then an array over all their batch axes.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    psi1 = evolve_two_player(gamma, u_a, u_b1)
-    psi2 = evolve_two_player(gamma, u_a, u_b2)
+    u_a, u_b1, u_b2 = (_as_unitary(u) for u in (u_a, u_b1, u_b2))
+    full = np.broadcast_shapes(u_a.shape, u_b1.shape, u_b2.shape)
+    # Both subgames in one stacked evolution: A against B1, then against B2.
+    psi1, psi2 = _two_player_states(
+        gamma, u_a, np.array([np.broadcast_to(u_b1, full), np.broadcast_to(u_b2, full)])
+    )
     pay_a = p * payoff_expectation(psi1, game.subgame_b1.payoff_a) + (
         1.0 - p
     ) * payoff_expectation(psi2, game.subgame_b2.payoff_a)
@@ -181,7 +330,8 @@ def bayesian_payoffs_mixture(
 
 @lru_cache(maxsize=64)
 def _controlled_entanglers(gamma: float):
-    """16x16 controlled entanglers and their daggers for a given gamma.
+    """The 16x16 product J2 J1 of the controlled entanglers, and its dagger
+    in the form of ``_sparse_rows``.
 
     J1 = blockdiag(I4, J) on qubits (Q, A, B1): entangles (A, B1) when
     Q = |1>.  J2 = blockdiag(J, I4) on qubits (Q, A, B2): entangles
@@ -197,7 +347,8 @@ def _controlled_entanglers(gamma: float):
     j2 = embed(j2_local, [0, 1, 3], 4)
     if np.max(np.abs(j1 @ j2 - j2 @ j1)) > 1e-12:
         raise RuntimeError("controlled entanglers failed to commute")
-    return j1, j2, j1.conj().T, j2.conj().T
+    both = j2 @ j1
+    return both, _sparse_rows(both.conj().T)
 
 
 def evolve_bayesian_circuit(
@@ -206,93 +357,102 @@ def evolve_bayesian_circuit(
     """Final four-qubit state of the controlled-entangler circuit.
 
     J1^dag J2^dag (I_Q (x) U_A (x) U_B1 (x) U_B2) J2 J1 (U_Q (x) I_8) |0000>.
+    Strategies may be stacks; the states come back with the state index last.
     """
-    j1, j2, j1d, j2d = _controlled_entanglers(float(gamma))
+    entangle, disentangle = _controlled_entanglers(float(gamma))
     uq = strategy_unitary(StrategyParams(control.theta_q, control.phi_q, control.alpha_q))
     psi = np.zeros(16, dtype=complex)
     psi[0] = uq[0, 0]
     psi[8] = uq[1, 0]
-    psi = j2 @ (j1 @ psi)
-    local = np.kron(_as_unitary(u_a), np.kron(_as_unitary(u_b1), _as_unitary(u_b2)))
-    psi = (psi.reshape(2, 8) @ local.T).reshape(16)
-    psi = j1d @ (j2d @ psi)
-    return _checked_norm(psi)
+    psi = _planar((entangle @ psi).reshape(2, 2, 2, 2, 1))
+    return _evolve(psi, [_as_unitary(u) for u in (u_a, u_b1, u_b2)], disentangle)
 
 
-def _branch_weights(probs: np.ndarray) -> tuple[float, float]:
-    """Outcome weights of the q = 1 (facing B1) and q = 0 (facing B2) branches."""
-    return probs[8:].sum(), probs[:8].sum()
+# Two-player outcome 2a + b of each four-qubit basis state 8q + 4a + 2b1 + b2:
+# (A, B1) on the q = 1 half, (A, B2) on the q = 0 half.
+_BASIS = np.arange(16)
+_PD_OUTCOME = (2 * ((_BASIS >> 2) & 1) + ((_BASIS >> 1) & 1))[8:]
+_DA_OUTCOME = (2 * ((_BASIS >> 2) & 1) + (_BASIS & 1))[:8]
+
+
+def _branch_weights(probs: np.ndarray):
+    """Outcome weights of the q = 1 (facing B1) and q = 0 (facing B2) branches
+    of probabilities (16, batch...)."""
+    return _sum_first(probs[8:]), _sum_first(probs[:8])
+
+
+def _conditional(total, weight, fallback, message: str):
+    """total / weight, or ``fallback`` where the branch weight is degenerate."""
+    degenerate = weight <= _DEGENERATE_BRANCH
+    if not degenerate.any():
+        return total / weight
+    if fallback is None:
+        raise ValueError(message)
+    return np.where(degenerate, fallback, total / np.where(degenerate, 1.0, weight))
 
 
 def bayesian_payoffs_circuit(
     psi: np.ndarray,
     game: BayesianGame,
-    fallback_b1: float | None = None,
-    fallback_b2: float | None = None,
-) -> tuple[float, float, float]:
-    """Payoffs read off a four-qubit final state.
+    fallback_b1=None,
+    fallback_b2=None,
+):
+    """Payoffs read off a four-qubit final state, or a stack of them.
 
     A's payoff sums PD payoffs over the q = 1 outcomes and DA payoffs
     over q = 0.  Each B player's payoff is the expectation conditioned
-    on its own branch; when a branch carries (numerically) zero weight
+    on its own branch; where a branch carries (numerically) zero weight
     the conditional is undefined and the two-player subgame value must
-    be supplied as a fallback.
+    be supplied as a fallback (a float, or an array broadcasting against
+    the stack).
     """
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if len(psi) != 16:
-        raise ValueError(f"expected a 4-qubit state of length 16, got {len(psi)}")
+    psi = np.asarray(psi, dtype=complex)
+    length = psi.shape[-1] if psi.ndim else 1
+    if psi.ndim == 0 or length != 16:
+        raise ValueError(f"expected a 4-qubit state of length 16, got {length}")
     if not np.isfinite(psi).all():
         raise ValueError("state contains non-finite amplitudes")
-    probs = np.abs(psi) ** 2
-    pd_a = np.asarray(game.subgame_b1.payoff_a)
-    pd_b = np.asarray(game.subgame_b1.payoff_b)
-    da_a = np.asarray(game.subgame_b2.payoff_a)
-    da_b = np.asarray(game.subgame_b2.payoff_b)
+    probs = _probabilities(_state_first(psi))
+    column = (1,) * (psi.ndim - 1)
 
-    idx = np.arange(16)
-    a_bit = (idx >> 2) & 1
-    b1_bit = (idx >> 1) & 1
-    b2_bit = idx & 1
-    pd_outcome = 2 * a_bit + b1_bit
-    da_outcome = 2 * a_bit + b2_bit
+    pd_a = np.asarray(game.subgame_b1.payoff_a, dtype=float)[_PD_OUTCOME]
+    pd_b = np.asarray(game.subgame_b1.payoff_b, dtype=float)[_PD_OUTCOME]
+    da_a = np.asarray(game.subgame_b2.payoff_a, dtype=float)[_DA_OUTCOME]
+    da_b = np.asarray(game.subgame_b2.payoff_b, dtype=float)[_DA_OUTCOME]
 
     p1, p0 = _branch_weights(probs)
-    pay_a = float(
-        probs[8:] @ pd_a[pd_outcome[8:]] + probs[:8] @ da_a[da_outcome[:8]]
+    pay_a = _sum_first(probs * np.concatenate([da_a, pd_a]).reshape((16,) + column))
+    pay_b1 = _conditional(
+        _sum_first(probs[8:] * pd_b.reshape((8,) + column)),
+        p1,
+        fallback_b1,
+        "q=1 branch has zero weight and no fallback_b1 was given",
     )
-
-    if p1 > _DEGENERATE_BRANCH:
-        pay_b1 = float(probs[8:] @ pd_b[pd_outcome[8:]] / p1)
-    elif fallback_b1 is not None:
-        pay_b1 = float(fallback_b1)
-    else:
-        raise ValueError("q=1 branch has zero weight and no fallback_b1 was given")
-
-    if p0 > _DEGENERATE_BRANCH:
-        pay_b2 = float(probs[:8] @ da_b[da_outcome[:8]] / p0)
-    elif fallback_b2 is not None:
-        pay_b2 = float(fallback_b2)
-    else:
-        raise ValueError("q=0 branch has zero weight and no fallback_b2 was given")
-
-    return pay_a, pay_b1, pay_b2
+    pay_b2 = _conditional(
+        _sum_first(probs[:8] * da_b.reshape((8,) + column)),
+        p0,
+        fallback_b2,
+        "q=0 branch has zero weight and no fallback_b2 was given",
+    )
+    return _value(pay_a), _value(pay_b1), _value(pay_b2)
 
 
 def bayesian_payoffs_full_circuit(
     control: ControlSpec, gamma: float, u_a, u_b1, u_b2, game: BayesianGame
-) -> tuple[float, float, float]:
+):
     """Evolve the four-qubit circuit and read off payoffs.
 
-    A degenerate control branch falls back to the two-player subgame
-    expectation, the continuous limit of the conditional payoff; only
-    such a branch runs the two-player evolution.
+    A degenerate control branch falls back, element by element, to the
+    two-player subgame expectation, the continuous limit of the
+    conditional payoff; only such a branch runs the two-player evolution.
+    Strategies may be stacks; each payoff is then an array.
     """
     psi = evolve_bayesian_circuit(control, gamma, u_a, u_b1, u_b2)
-    p1, p0 = _branch_weights(np.abs(psi) ** 2)
+    p1, p0 = _branch_weights(_probabilities(_state_first(psi)))
     fb1 = fb2 = None
-    if p1 <= _DEGENERATE_BRANCH:
+    if (p1 <= _DEGENERATE_BRANCH).any():
         fb1 = payoff_expectation(evolve_two_player(gamma, u_a, u_b1), game.subgame_b1.payoff_b)
-    if p0 <= _DEGENERATE_BRANCH:
+    if (p0 <= _DEGENERATE_BRANCH).any():
         fb2 = payoff_expectation(evolve_two_player(gamma, u_a, u_b2), game.subgame_b2.payoff_b)
     return bayesian_payoffs_circuit(psi, game, fallback_b1=fb1, fallback_b2=fb2)
 

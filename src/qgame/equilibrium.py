@@ -7,8 +7,8 @@ the Born payoff; best-response sets are read off with an absolute tie
 tolerance, and a profile is an equilibrium when every player's strategy
 is in its best-response set against the others.
 
-``verify_ne`` is the independent oracle: a naive deviation loop that
-re-evaluates payoffs through the scalar circuit path, never consulting
+``verify_ne`` is the independent oracle: it re-evaluates every
+unilateral deviation through the scalar circuit path, never consulting
 the vectorized tables or best-response structure.
 
 Equilibria group into classes sharing a theta-profile and payoffs whose
@@ -313,15 +313,15 @@ def bayesian_circuit_tables(
     """Payoff tables evaluated through the four-qubit circuit.
 
     Returns one (3, n, n, n) array: A's, B1's and B2's payoffs at every
-    profile (a, b1, b2), one circuit evaluation per profile.  Cubic in
-    the strategy count; intended for coarse grids.
+    profile (a, b1, b2), one stacked circuit call per strategy of A.
+    Cubic in the strategy count; intended for coarse grids.
     """
     n = len(sset)
     us = sset.unitaries
     tables = np.empty((3, n, n, n))
-    for a, b1, b2 in np.ndindex(n, n, n):
-        tables[:, a, b1, b2] = bayesian_payoffs_full_circuit(
-            control, gamma, us[a], us[b1], us[b2], game
+    for a in range(n):
+        tables[:, a] = bayesian_payoffs_full_circuit(
+            control, gamma, us[a], us[:, None], us[None, :], game
         )
     return tables
 
@@ -342,18 +342,27 @@ def find_ne_bayesian_circuit(
     return _dense_ne(bayesian_circuit_tables(game, gamma, sset, control), eps_tie)
 
 
-def _two_player_payoff(game, gamma, u_a, u_b):
-    psi = evolve_two_player(gamma, u_a, u_b)
-    return (
-        payoff_expectation(psi, game.payoff_a),
-        payoff_expectation(psi, game.payoff_b),
-    )
-
-
 def _payoffs_match(stored, base) -> bool:
     return len(stored) == len(base) and all(
         abs(x - y) <= PAYOFF_TOL for x, y in zip(stored, base)
     )
+
+
+def _deviation_stacks(us: np.ndarray, profile: tuple[int, ...]) -> list[np.ndarray]:
+    """Each player's strategy stack for evaluating every unilateral deviation.
+
+    In the first n rows (n strategies) A plays each strategy in turn and
+    the others keep theirs; in the next n every B player plays each
+    strategy at once while A keeps its own.  That is sound because a B
+    player's payoff depends only on A's strategy and its own.
+    """
+    def repeated(s):
+        return np.repeat(us[s : s + 1], len(us), axis=0)
+
+    a, *bs = profile
+    return [np.concatenate([us, repeated(a)])] + [
+        np.concatenate([repeated(b), us]) for b in bs
+    ]
 
 
 def verify_ne(
@@ -364,45 +373,33 @@ def verify_ne(
     eps_tie: float = DEFAULT_EPS_TIE,
     p: float | None = None,
 ) -> bool:
-    """Independent NE check: a naive loop over every unilateral deviation.
+    """Independent NE check: every unilateral deviation, re-evaluated.
 
-    Payoffs are recomputed through the scalar circuit path so the check
-    shares nothing with the vectorized tables or best-response masks.
-    The record also fails when its stored payoffs are more than
-    ``PAYOFF_TOL`` from the recomputed ones.  A Bayesian record needs the
-    ``p`` it was found at; a two-player record takes none.
+    Payoffs are recomputed through the scalar circuit path, all of a
+    record's deviations in one stacked call, so the check shares nothing
+    with the vectorized tables or best-response masks.  A player's
+    deviation to its recorded strategy is the base payoff.  The record
+    also fails when its stored payoffs are more than ``PAYOFF_TOL`` from
+    the recomputed ones.  A Bayesian record needs the ``p`` it was found
+    at; a two-player record takes none.
     """
-    us = sset.unitaries
+    n = len(sset)
+    stacks = _deviation_stacks(sset.unitaries, record.profile)
     if isinstance(game, TwoPlayerGame):
-        a, b = record.profile
-        base_a, base_b = _two_player_payoff(game, gamma, us[a], us[b])
-        if not _payoffs_match(record.payoffs, (base_a, base_b)):
-            return False
-        for alt in range(len(sset)):
-            if _two_player_payoff(game, gamma, us[alt], us[b])[0] > base_a + eps_tie:
-                return False
-            if _two_player_payoff(game, gamma, us[a], us[alt])[1] > base_b + eps_tie:
-                return False
-        return True
-
-    if p is None:
-        raise ValueError("verify_ne needs p for a Bayesian record")
-    a, b1, b2 = record.profile
-    base = bayesian_payoffs_mixture(p, gamma, us[a], us[b1], us[b2], game)
-    if not _payoffs_match(record.payoffs, base):
-        return False
-    for alt in range(len(sset)):
-        if (
-            bayesian_payoffs_mixture(p, gamma, us[alt], us[b1], us[b2], game)[0]
-            > base[0] + eps_tie
-        ):
-            return False
-        psi = evolve_two_player(gamma, us[a], us[alt])
-        if payoff_expectation(psi, game.subgame_b1.payoff_b) > base[1] + eps_tie:
-            return False
-        if payoff_expectation(psi, game.subgame_b2.payoff_b) > base[2] + eps_tie:
-            return False
-    return True
+        psi = evolve_two_player(gamma, *stacks)
+        payoffs = (
+            payoff_expectation(psi, game.payoff_a),
+            payoff_expectation(psi, game.payoff_b),
+        )
+    else:
+        if p is None:
+            raise ValueError("verify_ne needs p for a Bayesian record")
+        payoffs = bayesian_payoffs_mixture(p, gamma, *stacks, game)
+    deviations = [payoffs[0][:n]] + [pay[n:] for pay in payoffs[1:]]
+    base = tuple(float(dev[s]) for dev, s in zip(deviations, record.profile))
+    return _payoffs_match(record.payoffs, base) and all(
+        dev.max() <= pay + eps_tie for dev, pay in zip(deviations, base)
+    )
 
 
 def _offset(phase: float) -> float:

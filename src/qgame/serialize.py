@@ -188,6 +188,33 @@ def _cell_coordinates(cell, path: str, bayesian: bool) -> tuple[float | None, fl
     return p, gamma
 
 
+def _axis(values, name: str, hi: float) -> tuple[float, ...]:
+    """A header axis: a list of values in [0, hi], ascending; NaN and
+    infinities fail the range test."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{name} must be a list, got {values!r}")
+    values = tuple(float(v) for v in values)
+    for v in values:
+        if not 0.0 <= v <= hi:
+            raise ConfigError(f"{name} must lie in [0, {hi:.6g}], got {v}")
+    if list(values) != sorted(values):
+        raise ConfigError(f"{name} must be ascending")
+    return values
+
+
+def _check_cells_on_axes(cells, spec: SweepSpec) -> None:
+    """Every cell's p and gamma must be among the header's values.
+
+    Containment, not equality: a file may hold a subset of its sweep's cells.
+    """
+    gammas, ps = set(spec.gamma_values), set(spec.p_values)
+    for i, cell in enumerate(cells):
+        if cell.gamma not in gammas:
+            raise ConfigError(f"cells[{i}].gamma {cell.gamma} is not among gamma_values")
+        if cell.p is not None and cell.p not in ps:
+            raise ConfigError(f"cells[{i}].p {cell.p} is not among p_values")
+
+
 @dataclass(frozen=True)
 class LoadedResult:
     result: SweepResult
@@ -211,8 +238,8 @@ def load_result(path: str) -> LoadedResult:
         )
         spec = SweepSpec(
             game=game,
-            gamma_values=tuple(float(g) for g in _require(data, "gamma_values", "")),
-            p_values=tuple(float(p) for p in data.get("p_values", ())),
+            gamma_values=_axis(_require(data, "gamma_values", ""), "gamma_values", math.pi / 2),
+            p_values=_axis(data.get("p_values", []), "p_values", 1.0),
             steps=steps,
             eps_tie=float(_require(data, "eps_tie", "")),
         )
@@ -230,6 +257,7 @@ def load_result(path: str) -> LoadedResult:
             )
             for i, c in enumerate(_require(data, "cells", ""))
         )
+        _check_cells_on_axes(cells, spec)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed result file {path}: {exc}") from exc
     return LoadedResult(

@@ -20,7 +20,6 @@ from qgame.circuits import (
     evolve_bayesian_circuit,
     evolve_two_player,
     no_signaling_check,
-    strategy_unitary,
 )
 from qgame.equilibrium import (
     bayesian_tables,
@@ -261,7 +260,7 @@ def test_c07_phase_relations(bayes_sweep):
 
 
 def test_c08_mixture_circuit_equivalence(grid8):
-    game = builtin_bayesian()
+    game, us = builtin_bayesian(), grid8.unitaries
     worst = 0.0
     for gamma in (0.0, 0.5, 1.0, PI / 2):
         ta1, tb1, ta2, tb2 = bayesian_tables(game, gamma, grid8)
@@ -269,22 +268,17 @@ def test_c08_mixture_circuit_equivalence(grid8):
             p = math.sin(theta_q / 2.0) ** 2
             for phi_q, alpha_q in product((0.0, 1.1), repeat=2):
                 control = ControlSpec(theta_q, phi_q, alpha_q)
-                for a, b1, b2 in product(range(8), repeat=3):
-                    circuit = bayesian_payoffs_full_circuit(
-                        control,
-                        gamma,
-                        grid8.unitaries[a],
-                        grid8.unitaries[b1],
-                        grid8.unitaries[b2],
-                        game,
-                    )
-                    mixture = (
-                        p * ta1[a, b1] + (1.0 - p) * ta2[a, b2],
-                        tb1[a, b1],
-                        tb2[a, b2],
-                    )
-                    dev = max(abs(x - y) for x, y in zip(circuit, mixture))
-                    worst = max(worst, dev)
+                # All 512 profiles (a, b1, b2) in one stacked call.
+                circuit = bayesian_payoffs_full_circuit(
+                    control, gamma, us[:, None, None], us[None, :, None], us[None, None, :], game
+                )
+                mixture = (
+                    p * ta1[:, :, None] + (1.0 - p) * ta2[:, None, :],
+                    tb1[:, :, None],
+                    tb2[:, None, :],
+                )
+                for x, y in zip(circuit, mixture):
+                    worst = max(worst, np.max(np.abs(x - y)))
     assert worst < 1e-9, f"worst mixture/circuit deviation {worst}"
 
 

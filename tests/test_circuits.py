@@ -20,9 +20,9 @@ from qgame.circuits import (
     payoff_expectation,
     strategy_unitary,
 )
-from qgame.games import builtin_bayesian, builtin_da, builtin_pd
+from qgame.games import builtin_bayesian
 from qgame.linalg import is_unitary
-from qgame.strategies import DEFAULT_GRID, enumerate_strategies
+from qgame.strategies import DEFAULT_GRID, GridSteps, enumerate_strategies
 
 PI = math.pi
 
@@ -308,6 +308,130 @@ class TestInputValidation:
                 payoff_expectation(np.ones(n) / math.sqrt(n), np.ones(n))
         with pytest.raises(ValueError, match="length 16"):
             bayesian_payoffs_circuit(np.eye(8)[0], builtin_bayesian(), 0.0, 0.0)
+
+
+class TestUnitarityCheck:
+    def test_non_unitary_strategy_rejected(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            evolve_two_player(0.0, np.diag([1, 2]), np.eye(2))
+        with pytest.raises(ValueError, match="not unitary"):
+            bayesian_payoffs_full_circuit(
+                ControlSpec(1.0), 0.5, np.eye(2), 2 * np.eye(2), np.eye(2) / 2, builtin_bayesian()
+            )
+
+
+@pytest.fixture(scope="module")
+def grid24():
+    return enumerate_strategies(GridSteps(PI / 2, PI / 2, PI / 2))
+
+
+def _sampled_profiles(n, count, seed):
+    return np.random.default_rng(seed).integers(n, size=(count, 3)).tolist()
+
+
+class TestStackedEvaluation:
+    """A stack evaluates each element bit for bit as a call on that element alone."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.9, PI / 2])
+    def test_evolve_two_player(self, grid24, gamma):
+        us = grid24.unitaries
+        stacked = evolve_two_player(gamma, us[:, None], us[None, :])
+        assert stacked.shape == (len(us), len(us), 4)
+        for a, b in product(range(len(us)), repeat=2):
+            assert np.array_equal(stacked[a, b], evolve_two_player(gamma, us[a], us[b]))
+
+    def test_payoff_expectation(self, grid24):
+        us = grid24.unitaries
+        psi = evolve_two_player(0.9, us, us[5])
+        stacked = payoff_expectation(psi, (11, 1, 10, 6))
+        assert stacked.shape == (len(us),)
+        assert [payoff_expectation(s, (11, 1, 10, 6)) for s in psi] == stacked.tolist()
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_bayesian_payoffs_mixture(self, grid24, p):
+        game, us = builtin_bayesian(), grid24.unitaries
+        stacked = bayesian_payoffs_mixture(
+            p, 0.9, us[:, None, None], us[None, :, None], us[None, None, :], game
+        )
+        for a, b1, b2 in _sampled_profiles(len(us), 60, 11):
+            single = bayesian_payoffs_mixture(p, 0.9, us[a], us[b1], us[b2], game)
+            assert tuple(t[a, b1, b2] for t in stacked) == single
+
+    @pytest.mark.parametrize("p", [0.0, 0.35, 1.0])
+    def test_bayesian_payoffs_full_circuit(self, grid24, p):
+        # At p = 0 and p = 1 one branch is empty, so its payoffs are fallbacks.
+        game, us = builtin_bayesian(), grid24.unitaries
+        control = control_for_probability(p)
+        stacked = bayesian_payoffs_full_circuit(
+            control, 0.9, us[:, None, None], us[None, :, None], us[None, None, :], game
+        )
+        for a, b1, b2 in _sampled_profiles(len(us), 60, 13):
+            single = bayesian_payoffs_full_circuit(control, 0.9, us[a], us[b1], us[b2], game)
+            assert tuple(t[a, b1, b2] for t in stacked) == single
+
+    def test_stack_shapes_broadcast(self, grid24):
+        us = grid24.unitaries
+        control = ControlSpec(1.0)
+        out = evolve_bayesian_circuit(control, 0.5, us[3], us[:, None], us[None, :5])
+        assert out.shape == (len(us), 5, 16)
+        single = evolve_bayesian_circuit(control, 0.5, us[3], us[7], us[2])
+        assert np.array_equal(out[7, 2], single)
+
+
+# One bad element in a stack of strategies, and the message its call fails with.
+BAD_ELEMENTS = {
+    "nan": (np.array([[math.nan, 0], [0, 1]]), "non-finite"),
+    "non_unitary": (np.diag([1.0, 2.0]), "not unitary"),
+}
+
+
+class TestStackValidation:
+    @pytest.mark.parametrize("bad", sorted(BAD_ELEMENTS))
+    @pytest.mark.parametrize("evolution", sorted(EVOLUTIONS))
+    def test_one_bad_element_fails_the_stack(self, grid24, evolution, bad):
+        matrix, message = BAD_ELEMENTS[bad]
+        stack = grid24.unitaries.copy()
+        stack[17] = matrix
+        with pytest.raises(ValueError, match=message):
+            EVOLUTIONS[evolution]([stack, D_LIKE_X, C_LIKE])
+
+    @pytest.mark.parametrize("bad", sorted(BAD_ELEMENTS))
+    def test_one_bad_element_fails_the_payoff_calls(self, grid24, bad):
+        matrix, message = BAD_ELEMENTS[bad]
+        game, stack = builtin_bayesian(), grid24.unitaries.copy()
+        stack[2] = matrix
+        with pytest.raises(ValueError, match=message):
+            bayesian_payoffs_mixture(0.3, 0.9, C_LIKE, stack, D_LIKE, game)
+        with pytest.raises(ValueError, match=message):
+            bayesian_payoffs_full_circuit(ControlSpec(1.0), 0.9, C_LIKE, D_LIKE, stack, game)
+
+    @pytest.mark.parametrize("evolution", sorted(EVOLUTIONS))
+    def test_non_2x2_stack_rejected(self, grid24, evolution):
+        stack = np.tile(np.eye(3), (4, 1, 1))
+        with pytest.raises(ValueError, match="2x2"):
+            EVOLUTIONS[evolution]([grid24.unitaries, stack, C_LIKE])
+
+    def test_one_nan_state_in_a_stack_rejected(self, grid24):
+        psi = evolve_two_player(0.9, grid24.unitaries, C_LIKE)
+        psi[4, 1] = math.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            payoff_expectation(psi, (11, 1, 10, 6))
+        states = np.zeros((3, 16), dtype=complex)
+        states[:, 0] = 1.0
+        states[1, 5] = math.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            bayesian_payoffs_circuit(states, builtin_bayesian(), 0.0, 0.0)
+
+    def test_degenerate_branch_fallback_per_element(self):
+        game = builtin_bayesian()
+        states = np.zeros((2, 16), dtype=complex)
+        states[0, 14] = 1.0  # q = 1 only: B2's branch is empty
+        states[1, [0, 14]] = 1 / math.sqrt(2)
+        _, _, pay_b2 = bayesian_payoffs_circuit(states, game, fallback_b2=np.array([-1.0, -2.0]))
+        assert pay_b2[0] == -1.0
+        assert pay_b2[1] == pytest.approx(9.0, abs=1e-12)
+        with pytest.raises(ValueError, match="fallback_b2"):
+            bayesian_payoffs_circuit(states, game)
 
 
 class TestNoSignaling:

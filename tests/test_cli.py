@@ -447,3 +447,56 @@ class TestLoadResultErrors:
         assert main(["verify", "--in", path]) == 2
         assert f"cells[0].{field}" in capsys.readouterr().err
         assert main(["classify", "--in", path]) == 2
+
+    @staticmethod
+    def _with_header(tmp_path, edit):
+        """A one-cell Bayesian solve result (p = 0.9, gamma = 0.3) after ``edit``."""
+        out = tmp_path / "solve.json"
+        main(["solve", "--game", "bayesian", "--p", "0.9", "--gamma", "0.3", "--out", str(out)])
+        data = json.loads(out.read_text(encoding="utf-8"))
+        edit(data)
+        out.write_text(json.dumps(data), encoding="utf-8")
+        return str(out)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda d: d.update(p_values=[7.0], gamma_values=[9.0]), "gamma_values must lie"),
+            (lambda d: d.update(p_values=[7.0]), "p_values must lie"),
+            (lambda d: d.update(p_values=[float("nan")]), "p_values must lie"),
+            (lambda d: d.update(gamma_values=[-0.1, 0.3]), "gamma_values must lie"),
+            (lambda d: d.update(gamma_values=[float("inf")]), "gamma_values must lie"),
+            (lambda d: d.update(p_values=[0.9, 0.5]), "p_values must be ascending"),
+            (lambda d: d.update(p_values=0.9), "p_values must be a list"),
+            (lambda d: d.update(p_values=[0.5]), r"cells\[0\]\.p 0\.9 is not among p_values"),
+            (lambda d: d.update(gamma_values=[0.2]), r"cells\[0\]\.gamma 0\.3 is not among"),
+        ],
+        ids=[
+            "both-out-of-range",
+            "p-above-1",
+            "nan-p",
+            "negative-gamma",
+            "infinite-gamma",
+            "descending-p",
+            "p-not-a-list",
+            "cell-p-missing-from-header",
+            "cell-gamma-missing-from-header",
+        ],
+    )
+    def test_bad_header_axis_is_config_error(self, tmp_path, capsys, edit, message):
+        path = self._with_header(tmp_path, edit)
+        with pytest.raises(ConfigError, match=message):
+            load_result(path)
+        capsys.readouterr()
+        assert main(["verify", "--in", path]) == 2
+        assert main(["classify", "--in", path]) == 2
+
+    def test_header_may_hold_more_values_than_its_cells(self, tmp_path, capsys):
+        # A sampled file keeps its sweep's full axes over a subset of cells.
+        def edit(data):
+            data.update(p_values=[0.0, 0.5, 0.9, 1.0], gamma_values=[0.0, 0.3, 1.5])
+
+        path = self._with_header(tmp_path, edit)
+        assert load_result(path).result.spec.p_values == (0.0, 0.5, 0.9, 1.0)
+        assert main(["verify", "--in", path]) == 0
+        capsys.readouterr()

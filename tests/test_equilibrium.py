@@ -186,6 +186,16 @@ class TestFourQubitWitness:
         records = find_ne_bayesian_circuit(game, 0.4, grid8, control_for_probability(0.85))
         assert [r.profile for r in records] == [r.profile for r in mixture]
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.9, PI / 2])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_matches_mixture_records_on_24_grid(self, grid24, p, gamma):
+        # At p = 0 and p = 1 one control branch is empty, so the circuit's
+        # payoff for that branch's B player is the two-player fallback.
+        game = builtin_bayesian()
+        mixture = find_ne_bayesian(game, gamma, grid24, p)
+        circuit = find_ne_bayesian_circuit(game, gamma, grid24, control_for_probability(p))
+        assert [r.profile for r in circuit] == [r.profile for r in mixture]
+
     def test_tables_match_scalar_circuit_at_sampled_profiles(self, grid24):
         game = custom_bayesian()
         control = control_for_probability(0.35)

@@ -1,7 +1,6 @@
 import math
 import os
 
-import numpy as np
 import pytest
 
 from qgame.games import builtin_bayesian, builtin_da, builtin_pd
