@@ -32,6 +32,7 @@ from .equilibrium import (
     find_ne_two_player,
     two_player_tables,
     verify_ne,
+    verify_records,
 )
 from .games import (
     BayesianGame,

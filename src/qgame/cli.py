@@ -20,7 +20,7 @@ from .equilibrium import (
     check_eps_tie,
     classify,
     find_ne_bayesian_circuit,
-    verify_ne,
+    verify_records,
 )
 from .games import BayesianGame, builtin_bayesian, builtin_da, builtin_pd
 from .serialize import (
@@ -306,11 +306,14 @@ def _cmd_verify(args) -> int:
     checked = 0
     failures = []
     for cell in loaded.result.cells:
-        for cls in cell.classes:
-            for rec in cls.members:
-                checked += 1
-                if not verify_ne(rec, spec.game, cell.gamma, sset, eps, cell.p):
-                    failures.append((cell.p, cell.gamma, rec.profile))
+        records = [rec for cls in cell.classes for rec in cls.members]
+        checked += len(records)
+        verdicts = verify_records(records, spec.game, cell.gamma, sset, eps, cell.p)
+        failures.extend(
+            (cell.p, cell.gamma, rec.profile)
+            for rec, ok in zip(records, verdicts)
+            if not ok
+        )
     if failures:
         for p, gamma, profile in failures[:20]:
             print(

@@ -7,9 +7,10 @@ the Born payoff; best-response sets are read off with an absolute tie
 tolerance, and a profile is an equilibrium when every player's strategy
 is in its best-response set against the others.
 
-``verify_ne`` is the independent oracle: it re-evaluates every
+``verify_records`` is the independent oracle: it re-evaluates every
 unilateral deviation through the scalar circuit path, never consulting
-the vectorized tables or best-response structure.
+the vectorized tables or best-response structure; ``verify_ne`` is its
+one-record case.
 
 Equilibria group into classes sharing a theta-profile and payoffs whose
 members differ only by correlated phase shifts.  For each class the
@@ -40,7 +41,7 @@ from .strategies import StrategySet, wrap_angle
 DEFAULT_EPS_TIE = 1e-9
 
 # How far a record's stored payoffs may sit from the recomputed ones in
-# ``verify_ne``.  A class stores its first member's payoffs for every
+# ``verify_records``.  A class stores its first member's payoffs for every
 # member, and members agree to round(x, 9), so within 1e-9; the rest
 # covers the last bits by which tables and scalar circuits differ.
 PAYOFF_TOL = 2e-9
@@ -50,6 +51,10 @@ PAYOFF_TOL = 2e-9
 # (small enough to stay in cache).
 _TRIPLE_BLOCK = 1 << 20
 _COLUMN_BLOCK = 1 << 16
+
+# Deviation states per stacked circuit call in ``verify_records``, which
+# bounds the temporaries of one call.
+_VERIFY_BLOCK = 1 << 12
 
 
 def check_eps_tie(eps_tie: float) -> float:
@@ -342,27 +347,97 @@ def find_ne_bayesian_circuit(
     return _dense_ne(bayesian_circuit_tables(game, gamma, sset, control), eps_tie)
 
 
-def _payoffs_match(stored, base) -> bool:
-    return len(stored) == len(base) and all(
-        abs(x - y) <= PAYOFF_TOL for x, y in zip(stored, base)
-    )
+def _best_deviations(evaluate, keys: int, n: int, picks):
+    """Each deviator's best payoff per key, and its payoffs at picked states.
 
-
-def _deviation_stacks(us: np.ndarray, profile: tuple[int, ...]) -> list[np.ndarray]:
-    """Each player's strategy stack for evaluating every unilateral deviation.
-
-    In the first n rows (n strategies) A plays each strategy in turn and
-    the others keep theirs; in the next n every B player plays each
-    strategy at once while A keeps its own.  That is sound because a B
-    player's payoff depends only on A's strategy and its own.
+    State ``key * n + alt`` has the deviator play strategy ``alt`` against
+    ``key``.  The states are evaluated in order, in blocks of at most
+    ``_VERIFY_BLOCK``, by ``evaluate(key, alt)``, which returns one payoff
+    array per deviator; a block may split a key.  ``picks[d]`` holds the
+    states whose payoffs deviator d's records need.  Returns the best
+    payoffs (one array of ``keys`` per deviator) and the picked payoffs.
     """
-    def repeated(s):
-        return np.repeat(us[s : s + 1], len(us), axis=0)
+    best = [np.full(keys, -np.inf) for _ in picks]
+    picked = [np.empty(len(pick)) for pick in picks]
+    orders = [np.argsort(pick, kind="stable") for pick in picks]
+    sorted_picks = [pick[order] for pick, order in zip(picks, orders)]
+    for start in range(0, keys * n, _VERIFY_BLOCK):
+        stop = min(start + _VERIFY_BLOCK, keys * n)
+        key, alt = np.divmod(np.arange(start, stop), n)
+        heads = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        span = slice(key[0], key[-1] + 1)
+        for values, top, out, order, pick in zip(
+            evaluate(key, alt), best, picked, orders, sorted_picks
+        ):
+            top[span] = np.maximum(top[span], np.maximum.reduceat(values, heads))
+            lo, hi = np.searchsorted(pick, (start, stop))
+            out[order[lo:hi]] = values[pick[lo:hi] - start]
+    return best, picked
 
-    a, *bs = profile
-    return [np.concatenate([us, repeated(a)])] + [
-        np.concatenate([repeated(b), us]) for b in bs
-    ]
+
+def verify_records(
+    records: Sequence[EquilibriumRecord],
+    game: TwoPlayerGame | BayesianGame,
+    gamma: float,
+    sset: StrategySet,
+    eps_tie: float = DEFAULT_EPS_TIE,
+    p: float | None = None,
+) -> list[bool]:
+    """Independent NE check of one cell's records: every unilateral
+    deviation, re-evaluated.
+
+    Payoffs are recomputed through the scalar circuit path, so the check
+    shares nothing with the vectorized tables or best-response masks.
+    A's deviations depend only on the other players' strategies and each
+    B player's only on A's, so every distinct key is evaluated once, with
+    all its alternatives, for the records that share it; a B key's state
+    serves both subgames.  A player's deviation to its recorded strategy
+    is the base payoff, and a record also fails when its stored payoffs
+    are more than ``PAYOFF_TOL`` from the base ones.  Bayesian records
+    need the ``p`` they were found at; two-player records take none.
+    Returns one verdict per record, in order.
+    """
+    bayesian = isinstance(game, BayesianGame)
+    if bayesian and p is None:
+        raise ValueError("verifying a Bayesian record needs p")
+    us = sset.unitaries
+    n, players = len(us), 3 if bayesian else 2
+    for rec in records:
+        if len(rec.profile) != players or not all(0 <= s < n for s in rec.profile):
+            raise ValueError(
+                f"profile {rec.profile} is not {players} strategy indices in [0, {n})"
+            )
+    if not records:
+        return []
+    a, *bs = np.array([rec.profile for rec in records]).T
+    # Stored payoffs of the wrong length become NaN, which fails the test.
+    stored = np.array(
+        [rec.payoffs if len(rec.payoffs) == players else (np.nan,) * players for rec in records],
+        dtype=float,
+    )
+    shape = (n,) * len(bs)
+    others, other_of = np.unique(np.ravel_multi_index(bs, shape), return_inverse=True)
+    own, own_of = np.unique(a, return_inverse=True)
+    subgames = (game.subgame_b1, game.subgame_b2) if bayesian else (game,)
+
+    def a_payoffs(key, alt):
+        rest = [us[b] for b in np.unravel_index(others[key], shape)]
+        if bayesian:
+            return bayesian_payoffs_mixture(p, gamma, us[alt], *rest, game)[:1]
+        return (payoff_expectation(evolve_two_player(gamma, us[alt], *rest), game.payoff_a),)
+
+    def b_payoffs(key, alt):
+        psi = evolve_two_player(gamma, us[own[key]], us[alt])
+        return [payoff_expectation(psi, sub.payoff_b) for sub in subgames]
+
+    (best_a,), (base_a,) = _best_deviations(a_payoffs, len(others), n, [other_of * n + a])
+    best_bs, base_bs = _best_deviations(b_payoffs, len(own), n, [own_of * n + b for b in bs])
+    best = np.stack([best_a[other_of]] + [top[own_of] for top in best_bs], axis=1)
+    base = np.stack([base_a] + base_bs, axis=1)
+    return (
+        (np.abs(stored - base) <= PAYOFF_TOL).all(axis=1)
+        & (best <= base + eps_tie).all(axis=1)
+    ).tolist()
 
 
 def verify_ne(
@@ -373,33 +448,8 @@ def verify_ne(
     eps_tie: float = DEFAULT_EPS_TIE,
     p: float | None = None,
 ) -> bool:
-    """Independent NE check: every unilateral deviation, re-evaluated.
-
-    Payoffs are recomputed through the scalar circuit path, all of a
-    record's deviations in one stacked call, so the check shares nothing
-    with the vectorized tables or best-response masks.  A player's
-    deviation to its recorded strategy is the base payoff.  The record
-    also fails when its stored payoffs are more than ``PAYOFF_TOL`` from
-    the recomputed ones.  A Bayesian record needs the ``p`` it was found
-    at; a two-player record takes none.
-    """
-    n = len(sset)
-    stacks = _deviation_stacks(sset.unitaries, record.profile)
-    if isinstance(game, TwoPlayerGame):
-        psi = evolve_two_player(gamma, *stacks)
-        payoffs = (
-            payoff_expectation(psi, game.payoff_a),
-            payoff_expectation(psi, game.payoff_b),
-        )
-    else:
-        if p is None:
-            raise ValueError("verify_ne needs p for a Bayesian record")
-        payoffs = bayesian_payoffs_mixture(p, gamma, *stacks, game)
-    deviations = [payoffs[0][:n]] + [pay[n:] for pay in payoffs[1:]]
-    base = tuple(float(dev[s]) for dev, s in zip(deviations, record.profile))
-    return _payoffs_match(record.payoffs, base) and all(
-        dev.max() <= pay + eps_tie for dev, pay in zip(deviations, base)
-    )
+    """``verify_records`` of one record."""
+    return verify_records([record], game, gamma, sset, eps_tie, p)[0]
 
 
 def _offset(phase: float) -> float:

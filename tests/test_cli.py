@@ -206,6 +206,30 @@ class TestResultFiles:
         assert main(["verify", "--in", str(out)]) == 3
         assert "stored payoffs" in capsys.readouterr().err
 
+    def test_verify_command_reports_failures_in_file_order(self, tmp_path, capsys):
+        out = tmp_path / "sweep.json"
+        argv = ["sweep", "--p-step", "0.5", "--gamma-step", "0.4", "--format", "json"]
+        assert main(argv + ["--out", str(out)]) == 0
+        data = json.loads(out.read_text(encoding="utf-8"))
+        # Shift every other class's payoffs, counting classes across cells.
+        classes = [(cell, cls) for cell in data["cells"] for cls in cell["classes"]]
+        expected = []
+        for cell, cls in classes[1::2]:
+            cls["payoffs"] = [x + 1e-6 for x in cls["payoffs"]]
+            expected += [
+                f"FAIL p={cell['p']} gamma={cell['gamma']:.6g} profile={tuple(m)}"
+                for m in cls["members"]
+            ]
+        checked = sum(len(cls["members"]) for _, cls in classes)
+        assert len({line.split(" profile")[0] for line in expected[:20]}) > 1
+        out.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["verify", "--in", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == expected[:20] + [
+            f"{len(expected)} of {checked} recorded profiles are not equilibria"
+            " with their stored payoffs"
+        ]
+
     def test_classify_command_summarizes_regions(self, tmp_path, capsys):
         res = str(tmp_path / "sweep.json")
         assert (

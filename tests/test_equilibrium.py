@@ -1,12 +1,15 @@
+import gzip
 import math
 import re
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qgame.circuits import (
     bayesian_payoffs_full_circuit,
+    bayesian_payoffs_mixture,
     control_for_probability,
     evolve_two_player,
     payoff_expectation,
@@ -22,6 +25,7 @@ from qgame.equilibrium import (
     find_ne_two_player,
     two_player_tables,
     verify_ne,
+    verify_records,
 )
 from qgame import equilibrium
 from qgame.games import (
@@ -32,10 +36,12 @@ from qgame.games import (
     builtin_pd,
     classical_bayesian_ne,
 )
+from qgame.serialize import load_result
 from qgame.strategies import DEFAULT_GRID, GridSteps, enumerate_strategies
 from qgame.sweep import _recheck
 
 PI = math.pi
+GOLDEN = Path(__file__).parent / "golden"
 
 # Index map for the coarse grid (lexicographic by theta, phi, alpha):
 # 0..3 are cooperate-like (theta=0, phi = 0, pi/2, pi, 3pi/2),
@@ -278,6 +284,116 @@ class TestVerifyNe:
         rec = find_ne_bayesian(game, 0.3, grid8, 0.9)[0]
         with pytest.raises(ValueError, match="needs p"):
             verify_ne(rec, game, 0.3, grid8)
+
+
+def one_at_a_time(game, gamma, sset, p=None):
+    """Every player's payoffs at one profile, each profile its own circuit call."""
+    us = sset.unitaries
+    cache = {}
+
+    def payoffs(profile):
+        if profile not in cache:
+            if isinstance(game, TwoPlayerGame):
+                psi = evolve_two_player(gamma, *(us[s] for s in profile))
+                cache[profile] = (
+                    payoff_expectation(psi, game.payoff_a),
+                    payoff_expectation(psi, game.payoff_b),
+                )
+            else:
+                cache[profile] = bayesian_payoffs_mixture(
+                    p, gamma, *(us[s] for s in profile), game
+                )
+        return cache[profile]
+
+    return payoffs
+
+
+def oracle_verdicts(records, game, gamma, sset, p=None, eps=1e-9):
+    """The NE test of ``verify_records``, spelled out one profile at a time."""
+    payoffs = one_at_a_time(game, gamma, sset, p)
+    verdicts = []
+    for rec in records:
+        base = payoffs(rec.profile)
+        ok = len(rec.payoffs) == len(base) and all(
+            abs(x - y) <= equilibrium.PAYOFF_TOL for x, y in zip(rec.payoffs, base)
+        )
+        for k in range(len(rec.profile)):
+            for alt in range(len(sset)):
+                dev = rec.profile[:k] + (alt,) + rec.profile[k + 1 :]
+                ok = ok and payoffs(dev)[k] <= base[k] + eps
+        verdicts.append(ok)
+    return verdicts
+
+
+def with_decoys(records, n, players, rng, payoffs):
+    """``records`` with about a third of them copied with one payoff shifted
+    by 1e-6, and five random profiles carrying their true ``payoffs``."""
+    decoys = []
+    for rec in records:
+        if rng.random() < 0.3:
+            shifted = list(rec.payoffs)
+            shifted[rng.integers(players)] += 1e-6
+            decoys.append(EquilibriumRecord(rec.profile, tuple(shifted)))
+    for _ in range(5):
+        profile = tuple(int(s) for s in rng.integers(0, n, size=players))
+        decoys.append(EquilibriumRecord(profile, payoffs(profile)))
+    return list(records) + decoys
+
+
+@pytest.fixture(scope="module")
+def golden_sweep(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden") / "sweep.json"
+    with gzip.open(GOLDEN / "sweep.json.gz", "rb") as fh:
+        path.write_bytes(fh.read())
+    return load_result(str(path)).result
+
+
+class TestVerifyRecords:
+    # Cell 185 holds no NE, so only the random profiles are checked there.
+    @pytest.mark.parametrize("index", [0, 111, 185, 370, 592])
+    def test_golden_cells_match_one_at_a_time_oracle(self, golden_sweep, index):
+        spec, cell = golden_sweep.spec, golden_sweep.cells[index]
+        sset = enumerate_strategies(spec.steps)
+        found = [rec for cls in cell.classes for rec in cls.members]
+        payoffs = one_at_a_time(spec.game, cell.gamma, sset, cell.p)
+        records = with_decoys(found, len(sset), 3, np.random.default_rng(index), payoffs)
+        verdicts = verify_records(records, spec.game, cell.gamma, sset, p=cell.p)
+        assert verdicts == oracle_verdicts(records, spec.game, cell.gamma, sset, cell.p)
+        assert verdicts[: len(found)] == [True] * len(found)
+        assert not all(verdicts)
+
+    def test_pd_cell_matches_one_at_a_time_oracle(self, grid24):
+        game = builtin_pd()
+        found = find_ne_two_player(game, 0.7, grid24)
+        payoffs = one_at_a_time(game, 0.7, grid24)
+        records = with_decoys(found, len(grid24), 2, np.random.default_rng(5), payoffs)
+        verdicts = verify_records(records, game, 0.7, grid24)
+        assert verdicts == oracle_verdicts(records, game, 0.7, grid24)
+        assert verdicts[: len(found)] == [True] * len(found)
+        assert not all(verdicts)
+
+    def test_empty_record_list(self, grid8):
+        assert verify_records([], builtin_bayesian(), 0.3, grid8, p=0.9) == []
+        assert verify_records([], builtin_pd(), 0.3, grid8) == []
+
+    @pytest.mark.parametrize("block", [1, 24, 7])
+    def test_block_edges_do_not_change_verdicts(self, grid24, monkeypatch, block):
+        # Blocks of 1 and 7 states split keys of 24 alternatives; blocks of
+        # 24 fall exactly between keys.
+        game = custom_bayesian()
+        found = find_ne_bayesian(game, 0.9, grid24, 0.3)[:40]
+        payoffs = one_at_a_time(game, 0.9, grid24, 0.3)
+        records = with_decoys(found, len(grid24), 3, np.random.default_rng(block), payoffs)
+        whole = verify_records(records, game, 0.9, grid24, p=0.3)
+        monkeypatch.setattr(equilibrium, "_VERIFY_BLOCK", block)
+        assert verify_records(records, game, 0.9, grid24, p=0.3) == whole
+        assert whole[: len(found)] == [True] * len(found)
+        assert not all(whole)
+
+    def test_wrong_profile_length_raises(self, grid8):
+        rec = EquilibriumRecord((0, 0), (0.0, 0.0))
+        with pytest.raises(ValueError, match="strategy indices"):
+            verify_records([rec], builtin_bayesian(), 0.3, grid8, p=0.5)
 
 
 class TestClassify:
