@@ -43,7 +43,6 @@ from .games import (
     classical_bayesian_ne,
     classical_pure_ne,
 )
-from .linalg import embed
 from .serialize import ConfigError, emit, load_game, load_result
 from .strategies import (
     DEFAULT_GRID,

@@ -37,12 +37,12 @@ from functools import lru_cache
 import numpy as np
 
 from .games import BayesianGame
-from .linalg import DEFAULT_TOL, embed
 
 TAU = 2.0 * math.pi
 
 _DEGENERATE_BRANCH = 1e-12
 _NORM_TOL = 1e-12
+_UNITARY_TOL = 1e-12
 
 
 def _check_angle(value: float, lo: float, hi: float, name: str) -> float:
@@ -126,7 +126,7 @@ def _as_unitary(u) -> np.ndarray:
     """StrategyParams, or a 2x2 matrix or stack of them (leading batch axes).
 
     Every matrix of a stack must be finite and unitary, max |U^dag U - I|
-    within ``linalg.DEFAULT_TOL``; one bad matrix fails the whole call.
+    within 1e-12; one bad matrix fails the whole call.
     """
     if isinstance(u, StrategyParams):
         return strategy_unitary(u)
@@ -142,8 +142,8 @@ def _as_unitary(u) -> np.ndarray:
     diagonal = squares[:, 0] + squares[:, 1]
     off = m[:, 0, 0].conj() * m[:, 0, 1] + m[:, 1, 0].conj() * m[:, 1, 1]
     error = max(np.abs(diagonal - 1.0).max(initial=0.0), np.abs(off).max(initial=0.0))
-    if not error <= DEFAULT_TOL:
-        raise ValueError(f"strategy matrix is not unitary within {DEFAULT_TOL:g}")
+    if not error <= _UNITARY_TOL:
+        raise ValueError(f"strategy matrix is not unitary within {_UNITARY_TOL:g}")
     return u
 
 
@@ -333,18 +333,18 @@ def _controlled_entanglers(gamma: float):
     """The 16x16 product J2 J1 of the controlled entanglers, and its dagger
     in the form of ``_sparse_rows``.
 
-    J1 = blockdiag(I4, J) on qubits (Q, A, B1): entangles (A, B1) when
-    Q = |1>.  J2 = blockdiag(J, I4) on qubits (Q, A, B2): entangles
-    (A, B2) when Q = |0>.  They act on orthogonal Q branches and must
-    commute; this is asserted once per gamma.
+    J1 = blockdiag(I8, J (x) I2): entangles (A, B1) when Q = |1>.
+    J2 = blockdiag(J on (A, B2), I8): entangles (A, B2) when Q = |0>.
+    They act on orthogonal Q branches and must commute; this is asserted
+    once per gamma.
     """
-    j = entangler(gamma)
-    j1_local = np.eye(8, dtype=complex)
-    j1_local[4:, 4:] = j
-    j2_local = np.eye(8, dtype=complex)
-    j2_local[:4, :4] = j
-    j1 = embed(j1_local, [0, 1, 2], 4)
-    j2 = embed(j2_local, [0, 1, 3], 4)
+    j_b1 = np.kron(entangler(gamma), np.eye(2))
+    # The same operator on (A, B2): swap the B1 and B2 axes of rows and columns.
+    j_b2 = j_b1.reshape((2,) * 6).transpose(0, 2, 1, 3, 5, 4).reshape(8, 8)
+    j1 = np.eye(16, dtype=complex)
+    j1[8:, 8:] = j_b1
+    j2 = np.eye(16, dtype=complex)
+    j2[:8, :8] = j_b2
     if np.max(np.abs(j1 @ j2 - j2 @ j1)) > 1e-12:
         raise RuntimeError("controlled entanglers failed to commute")
     both = j2 @ j1

@@ -41,12 +41,23 @@ def _require(mapping, key, path):
     return mapping[key]
 
 
+def _numbers(values, path: str, count: int | None = None) -> tuple[float, ...]:
+    """A JSON list of numbers, booleans excluded, of ``count`` items if given."""
+    if not isinstance(values, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+    ):
+        raise ConfigError(f"{path} must be a list of numbers, got {values!r}")
+    if count is not None and len(values) != count:
+        raise ConfigError(f"{path} must list {count} numbers, got {len(values)}")
+    return tuple(float(v) for v in values)
+
+
 def _payoff_pair(block, path) -> tuple[tuple, tuple]:
-    vec_a = _require(block, "A", path)
-    vec_b = _require(block, "B", path)
+    vec_a = _numbers(_require(block, "A", path), f"{path}A", 4)
+    vec_b = _numbers(_require(block, "B", path), f"{path}B", 4)
     try:
         return payoff_vector(vec_a, f"{path}A"), payoff_vector(vec_b, f"{path}B")
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -122,22 +133,32 @@ def _profile(prof, n_players: int, n_strategies: int, path: str) -> tuple[int, .
     return tuple(prof)
 
 
+def _phase_map(data: dict, key: str, path: str) -> dict[str, tuple[float, ...]]:
+    """A class's phase sums or differences: an object of number lists."""
+    value = _require(data, key, path)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}{key} must be an object of number lists, got {value!r}")
+    return {k: _numbers(v, f"{path}{key}.{k}") for k, v in value.items()}
+
+
 def _class_from_dict(
     data: dict, n_players: int, n_strategies: int, path: str
 ) -> EquilibriumClass:
-    payoffs = tuple(float(x) for x in data["payoffs"])
+    payoffs = _numbers(_require(data, "payoffs", path), f"{path}payoffs", n_players)
     members = tuple(
         EquilibriumRecord(
-            _profile(prof, n_players, n_strategies, f"{path}.members[{k}]"), payoffs
+            _profile(prof, n_players, n_strategies, f"{path}members[{k}]"), payoffs
         )
-        for k, prof in enumerate(data["members"])
+        for k, prof in enumerate(_require(data, "members", path))
     )
+    if not members:
+        raise ConfigError(f"{path}members must list at least one profile")
     return EquilibriumClass(
-        theta_profile=tuple(float(t) for t in data["theta"]),
+        theta_profile=_numbers(_require(data, "theta", path), f"{path}theta", n_players),
         payoffs=payoffs,
         members=members,
-        phase_sums={k: tuple(v) for k, v in data["phase_sums"].items()},
-        phase_diffs={k: tuple(v) for k, v in data["phase_diffs"].items()},
+        phase_sums=_phase_map(data, "phase_sums", path),
+        phase_diffs=_phase_map(data, "phase_diffs", path),
         operator_label=data["operator_label"],
     )
 
@@ -250,7 +271,7 @@ def load_result(path: str) -> LoadedResult:
                 *_cell_coordinates(c, f"cells[{i}].", bayesian),
                 classes=tuple(
                     _class_from_dict(
-                        cd, n_players, steps.n_strategies, f"cells[{i}].classes[{k}]"
+                        cd, n_players, steps.n_strategies, f"cells[{i}].classes[{k}]."
                     )
                     for k, cd in enumerate(c["classes"])
                 ),

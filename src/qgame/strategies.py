@@ -19,9 +19,13 @@ from functools import cached_property
 import numpy as np
 
 from .circuits import TAU, StrategyParams, strategy_unitary
-from .linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
 
-_PAULIS = (("I", PAULI_I), ("X", PAULI_X), ("Y", PAULI_Y), ("Z", PAULI_Z))
+_PAULIS = (
+    ("I", np.eye(2, dtype=complex)),
+    ("X", np.array([[0, 1], [1, 0]], dtype=complex)),
+    ("Y", np.array([[0, -1j], [1j, 0]], dtype=complex)),
+    ("Z", np.array([[1, 0], [0, -1]], dtype=complex)),
+)
 
 _DIVIDES_TOL = 1e-12
 _ANGLE_SNAP = 1e-9

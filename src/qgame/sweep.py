@@ -8,7 +8,7 @@ Each cell's records are then re-checked against the tables and
 classified on their own.  With ``workers > 1`` rows are evaluated in a
 process pool, and the merged result is sorted so output is identical
 regardless of parallelism.  The worker count is capped by the row
-count, the CPU count and the ``QGAME_THREADS`` environment variable.
+count and the CPU count.
 Grids above ``MAX_GRID_POINTS`` points per axis are refused.
 """
 
@@ -191,7 +191,7 @@ def _two_player_row(args) -> list[CellResult]:
 
 
 def effective_workers(requested: int | None, rows: int | None = None) -> int:
-    """Worker count: min(requested, rows, CPU count), capped by QGAME_THREADS.
+    """Worker count: min(requested, rows, CPU count).
 
     ``None`` requests one worker; a request below one is an error.
     """
@@ -202,12 +202,6 @@ def effective_workers(requested: int | None, rows: int | None = None) -> int:
     workers = min(int(requested), os.cpu_count() or 1)
     if rows is not None:
         workers = max(1, min(workers, rows))
-    cap = os.environ.get("QGAME_THREADS")
-    if cap is not None:
-        try:
-            workers = max(1, min(workers, int(cap)))
-        except ValueError:
-            raise ValueError(f"QGAME_THREADS must be an integer, got {cap!r}")
     return workers
 
 

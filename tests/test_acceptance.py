@@ -29,9 +29,10 @@ from qgame.equilibrium import (
     verify_ne,
 )
 from qgame.games import builtin_bayesian, builtin_da, builtin_pd, classical_bayesian_ne
-from qgame.linalg import is_unitary
 from qgame.strategies import DEFAULT_GRID, GridSteps, enumerate_strategies
 from qgame.sweep import SweepSpec, gamma_grid, p_grid, run_sweep
+
+from conftest import is_unitary
 
 PI = math.pi
 EPS_TIE = 1e-9

@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from qgame.circuits import (
     ControlSpec,
     StrategyParams,
+    _controlled_entanglers,
     bayesian_payoffs_circuit,
     bayesian_payoffs_full_circuit,
     bayesian_payoffs_mixture,
@@ -21,8 +23,9 @@ from qgame.circuits import (
     strategy_unitary,
 )
 from qgame.games import builtin_bayesian
-from qgame.linalg import is_unitary
 from qgame.strategies import DEFAULT_GRID, GridSteps, enumerate_strategies
+
+from conftest import is_unitary
 
 PI = math.pi
 
@@ -214,14 +217,39 @@ class TestBayesianCircuit:
         mix = bayesian_payoffs_mixture(0.5, 0.5, ua, ub1, ub2, game)
         assert np.max(np.abs(np.array(out) - np.array(mix))) < 1e-9
 
-    def test_control_phases_do_not_matter(self):
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.floats(min_value=0.1, max_value=PI - 0.1),
+        phases,
+        phases,
+        st.floats(min_value=0.0, max_value=PI / 2),
+        st.lists(st.integers(0, 1823), min_size=12, max_size=12),
+    )
+    def test_control_phases_do_not_matter(self, theta_q, phi_q, alpha_q, gamma, picks):
+        # The two control branches are never interfered, so phi_q and alpha_q
+        # only set their phases: the payoffs are the p-mixture's at p = control.p.
         game = builtin_bayesian()
-        ref = bayesian_payoffs_full_circuit(ControlSpec(1.0), 0.8, D_LIKE, C_LIKE, D_LIKE_X, game)
-        for phi_q, alpha_q in product((0.9, 2.5), repeat=2):
-            out = bayesian_payoffs_full_circuit(
-                ControlSpec(1.0, phi_q, alpha_q), 0.8, D_LIKE, C_LIKE, D_LIKE_X, game
-            )
-            assert np.max(np.abs(np.array(out) - np.array(ref))) < 1e-12
+        control = ControlSpec(theta_q, phi_q, alpha_q)
+        us = _pi8_unitaries()[picks].reshape(3, 4, 2, 2)
+        stacks = (us[0][:, None, None], us[1][None, :, None], us[2][None, None, :])
+        out = bayesian_payoffs_full_circuit(control, gamma, *stacks, game)
+        mix = bayesian_payoffs_mixture(control.p, gamma, *stacks, game)
+        assert np.max(np.abs(np.array(out) - np.array(mix))) < 1e-12
+
+    def test_controlled_entanglers_agree_with_direct_index_arithmetic(self):
+        # Oracle: J1 = blockdiag(I4, J) on (Q, A, B1) and J2 = blockdiag(J, I4)
+        # on (Q, A, B2), each scattered over the amplitudes by hand.
+        rng = np.random.default_rng(3)
+        psi = rng.normal(size=16) + 1j * rng.normal(size=16)
+        psi /= np.linalg.norm(psi)
+        for gamma in (0.0, 0.4, 0.9, PI / 2):
+            j1_local = np.eye(8, dtype=complex)
+            j1_local[4:, 4:] = entangler(gamma)
+            j2_local = np.eye(8, dtype=complex)
+            j2_local[:4, :4] = entangler(gamma)
+            expected = _direct_apply(j2_local, [0, 1, 3], _direct_apply(j1_local, [0, 1, 2], psi))
+            both, _ = _controlled_entanglers(gamma)
+            assert np.max(np.abs(both @ psi - expected)) < 1e-14
 
     def test_final_state_normalized(self):
         psi = evolve_bayesian_circuit(ControlSpec(1.2, 0.3, 0.1), 0.9, D_LIKE, C_LIKE, D_LIKE_X)
@@ -230,6 +258,35 @@ class TestBayesianCircuit:
     def test_control_for_probability_roundtrip(self):
         for p in (0.0, 0.3, 1.0):
             assert control_for_probability(p).p == pytest.approx(p, abs=1e-12)
+
+
+@lru_cache(maxsize=1)
+def _pi8_unitaries():
+    return enumerate_strategies(GridSteps(PI / 8, PI / 8, PI / 8)).unitaries
+
+
+def _direct_apply(op, targets, psi):
+    """``op`` on qubits ``targets`` of state ``psi``, amplitude by amplitude."""
+    n = int(np.log2(len(psi)))
+    k = len(targets)
+    out = np.zeros_like(psi)
+    for i in range(len(psi)):
+        bits = [(i >> (n - 1 - q)) & 1 for q in range(n)]
+        loc = 0
+        for t in targets:
+            loc = (loc << 1) | bits[t]
+        for loc2 in range(2**k):
+            amp = op[loc, loc2]
+            if amp == 0:
+                continue
+            nb = bits[:]
+            for pos, t in enumerate(targets):
+                nb[t] = (loc2 >> (k - 1 - pos)) & 1
+            j = 0
+            for b in nb:
+                j = (j << 1) | b
+            out[i] += amp * psi[j]
+    return out
 
 
 class TestBayesianPayoffsFromState:

@@ -53,8 +53,9 @@ class TestParseAngle:
     def test_rejects_garbage(self):
         from qgame.cli import UsageError
 
-        with pytest.raises(UsageError):
-            parse_angle("fast")
+        for text in ("fast", "pi/0", "3pi/0.0"):
+            with pytest.raises(UsageError):
+                parse_angle(text)
 
 
 class TestExitCodes:
@@ -73,6 +74,20 @@ class TestExitCodes:
 
     def test_gamma_out_of_range(self, capsys):
         assert main(["solve", "--game", "pd", "--gamma", "2.0"]) == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--gamma", "pi/0"],
+            ["--gamma", "0.5", "--grid-phi", "pi/0"],
+            ["--gamma", "0.5", "--circuit", "full", "--theta-q", "pi/0"],
+            ["--gamma", "0.5", "--circuit", "full", "--phi-q", "2pi/0"],
+            ["--gamma", "0.5", "--circuit", "full", "--alpha-q", "pi/0.0"],
+        ],
+    )
+    def test_zero_angle_denominator_is_argument_error(self, flags, capsys):
+        assert main(["solve", "--game", "bayesian"] + flags) == 1
+        assert "divides by zero" in capsys.readouterr().err
 
     def test_bad_grid_step(self, capsys):
         assert (
@@ -150,6 +165,19 @@ class TestGameLoading:
         assert load_game(write_game(tmp_path, GAME_JSON)) == builtin_bayesian()
         pd = {"game": "two-player", "payoffs": {"A_vs_B1": GAME_JSON["payoffs"]["A_vs_B1"]}}
         assert load_game(write_game(tmp_path, pd, "pd.json")) == builtin_pd()
+
+    @pytest.mark.parametrize(
+        "vector",
+        ["9876", True, {"0": 1, "1": 2, "2": 3, "3": 4}, [11, 1, 10, True], [11, 1, 10, "6"]],
+        ids=["string", "boolean", "object", "boolean-entry", "string-entry"],
+    )
+    def test_malformed_payoff_vector_is_config_error(self, tmp_path, vector):
+        data = json.loads(json.dumps(GAME_JSON))
+        data["payoffs"]["A_vs_B2"]["B"] = vector
+        path = write_game(tmp_path, data)
+        with pytest.raises(ConfigError, match=r"payoffs\.A_vs_B2\.B must be a list of numbers"):
+            load_game(path)
+        assert main(["solve", "--game", path, "--gamma", "0.5"]) == 2
 
     def test_two_player_uses_only_first_block(self, tmp_path):
         data = {"game": "two-player", "payoffs": {"A_vs_B1": {"A": [1, 2, 3, 4], "B": [4, 3, 2, 1]}}}
@@ -431,6 +459,36 @@ class TestLoadResultErrors:
     def test_malformed_profile_is_config_error(self, tmp_path, member):
         with pytest.raises(ConfigError, match=r"members\[1\]"):
             load_result(self._with_member(tmp_path, member))
+
+    @pytest.mark.parametrize(
+        "edit,field",
+        [
+            (lambda cls: cls.update(phase_sums=[0.0]), "phase_sums"),
+            (lambda cls: cls.update(phase_diffs={"A-B1": 1.5}), r"phase_diffs\.A-B1"),
+            (lambda cls: cls.update(phase_sums={"A-B1": [0.0, True]}), r"phase_sums\.A-B1"),
+            (lambda cls: cls.update(theta=[0.0, 0.0]), "theta"),
+            (lambda cls: cls.update(payoffs=cls["payoffs"][:2]), "payoffs"),
+            (lambda cls: cls.update(payoffs=cls["payoffs"] + [0.0]), "payoffs"),
+            (lambda cls: cls.update(payoffs="10"), "payoffs"),
+            (lambda cls: cls.update(members=[]), "members"),
+        ],
+        ids=[
+            "phase-sums-list",
+            "phase-diffs-number",
+            "phase-sums-boolean",
+            "short-theta",
+            "short-payoffs",
+            "long-payoffs",
+            "string-payoffs",
+            "no-members",
+        ],
+    )
+    def test_malformed_class_is_config_error(self, tmp_path, edit, field):
+        path = self._with_cell(tmp_path, "bayesian", lambda cell: edit(cell["classes"][0]))
+        with pytest.raises(ConfigError, match=rf"cells\[0\]\.classes\[0\]\.{field}"):
+            load_result(path)
+        assert main(["verify", "--in", path]) == 2
+        assert main(["classify", "--in", path]) == 2
 
     def test_non_finite_stored_tolerance_is_config_error(self, tmp_path):
         out = tmp_path / "solve.json"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qgame.circuits import StrategyParams
-from qgame.linalg import is_unitary
 from qgame.strategies import (
     DEFAULT_GRID,
     GridSteps,
@@ -12,6 +11,8 @@ from qgame.strategies import (
     enumerate_strategies,
     pauli_label,
 )
+
+from conftest import is_unitary
 
 PI = math.pi
 

@@ -164,21 +164,10 @@ class TestDeterminism:
         parallel = result_to_json_text(run_sweep(spec, workers=2))
         assert serial == parallel
 
-    def test_workers_capped_by_env(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        monkeypatch.setenv("QGAME_THREADS", "2")
-        assert effective_workers(8) == 2
-        monkeypatch.setenv("QGAME_THREADS", "junk")
-        with pytest.raises(ValueError, match="QGAME_THREADS"):
-            effective_workers(8)
-        monkeypatch.delenv("QGAME_THREADS")
-        assert effective_workers(None) == 1
-
-
     def test_workers_capped_by_rows_and_cpus(self, monkeypatch):
         # Only the computed count is checked; no pool is started.
-        monkeypatch.delenv("QGAME_THREADS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert effective_workers(None) == 1
         assert effective_workers(1000, rows=3) == 3
         assert effective_workers(1000, rows=50) == 4
         assert effective_workers(1000) == 4
