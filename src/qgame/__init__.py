@@ -8,12 +8,9 @@ sweeps.
 """
 
 from .circuits import (
-    ControlSpec,
     StrategyParams,
-    bayesian_payoffs_circuit,
     bayesian_payoffs_full_circuit,
     bayesian_payoffs_mixture,
-    control_for_probability,
     entangler,
     evolve_bayesian_circuit,
     evolve_two_player,

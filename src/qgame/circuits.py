@@ -5,12 +5,14 @@ with basis index 2a + b and payoffs as Born-rule expectations over the
 outcome distribution.
 
 Bayesian circuit: a four-qubit register (Q, A, B1, B2), basis index
-8q + 4a + 2b1 + b2.  A control rotation U_Q prepares qubit Q, then two
-controlled entanglers act: one entangles (A, B1) on the Q = |1> branch,
-the other entangles (A, B2) on the Q = |0> branch.  Both are block
-diagonal in Q and commute.  Measuring Q selects the subgame: q = 1
-plays (A, B1), q = 0 plays (A, B2), so the probability of facing B1 is
-p = sin^2(theta_q / 2).
+8q + 4a + 2b1 + b2.  The control qubit Q is prepared from p as
+cos(x)|0> - sin(x)|1> with x = asin(sqrt(p)), then two controlled
+entanglers act: one entangles (A, B1) on the Q = |1> branch, the other
+entangles (A, B2) on the Q = |0> branch.  Both are block diagonal in Q
+and commute.  Measuring Q selects the subgame: q = 1 plays (A, B1),
+q = 0 plays (A, B2), so the probability of facing B1 is p.  The two
+branches never interfere, so no phase of the control can change a
+payoff and none is a parameter.
 
 Strategy unitaries take three angles (theta, phi, alpha):
 
@@ -52,6 +54,13 @@ def _check_angle(value: float, lo: float, hi: float, name: str) -> float:
     return value
 
 
+def _check_probability(p: float) -> float:
+    p = float(p)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    return p
+
+
 @dataclass(frozen=True)
 class StrategyParams:
     """The (theta, phi, alpha) triple parametrizing one player's strategy.
@@ -69,31 +78,6 @@ class StrategyParams:
         _check_angle(self.theta, 0.0, math.pi, "theta")
         _check_angle(self.phi, 0.0, TAU, "phi")
         _check_angle(self.alpha, 0.0, TAU, "alpha")
-
-
-@dataclass(frozen=True)
-class ControlSpec:
-    """Rotation angles for the control qubit; p = sin^2(theta_q / 2)."""
-
-    theta_q: float
-    phi_q: float = 0.0
-    alpha_q: float = 0.0
-
-    def __post_init__(self):
-        _check_angle(self.theta_q, 0.0, math.pi, "theta_q")
-        _check_angle(self.phi_q, 0.0, TAU, "phi_q")
-        _check_angle(self.alpha_q, 0.0, TAU, "alpha_q")
-
-    @property
-    def p(self) -> float:
-        return math.sin(self.theta_q / 2.0) ** 2
-
-
-def control_for_probability(p: float) -> ControlSpec:
-    """Control rotation realizing a given probability of playing B1."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    return ControlSpec(2.0 * math.asin(math.sqrt(p)))
 
 
 def strategy_unitary(s: StrategyParams) -> np.ndarray:
@@ -312,8 +296,7 @@ def bayesian_payoffs_mixture(p: float, gamma: float, u_a, u_b1, u_b2, game: Baye
     not depend on p or on the other B player's strategy.  Strategies may
     be stacks; each payoff is then an array over all their batch axes.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    p = _check_probability(p)
     u_a, u_b1, u_b2 = (_as_unitary(u) for u in (u_a, u_b1, u_b2))
     full = np.broadcast_shapes(u_a.shape, u_b1.shape, u_b2.shape)
     # Both subgames in one stacked evolution: A against B1, then against B2.
@@ -351,19 +334,18 @@ def _controlled_entanglers(gamma: float):
     return both, _sparse_rows(both.conj().T)
 
 
-def evolve_bayesian_circuit(
-    control: ControlSpec, gamma: float, u_a, u_b1, u_b2
-) -> np.ndarray:
+def evolve_bayesian_circuit(p: float, gamma: float, u_a, u_b1, u_b2) -> np.ndarray:
     """Final four-qubit state of the controlled-entangler circuit.
 
-    J1^dag J2^dag (I_Q (x) U_A (x) U_B1 (x) U_B2) J2 J1 (U_Q (x) I_8) |0000>.
-    Strategies may be stacks; the states come back with the state index last.
+    J1^dag J2^dag (I_Q (x) U_A (x) U_B1 (x) U_B2) J2 J1 |c>|000>, with the
+    control |c> = cos(x)|0> - sin(x)|1> and x = asin(sqrt(p)).  Strategies
+    may be stacks; the states come back with the state index last.
     """
+    x = math.asin(math.sqrt(_check_probability(p)))
     entangle, disentangle = _controlled_entanglers(float(gamma))
-    uq = strategy_unitary(StrategyParams(control.theta_q, control.phi_q, control.alpha_q))
     psi = np.zeros(16, dtype=complex)
-    psi[0] = uq[0, 0]
-    psi[8] = uq[1, 0]
+    psi[0] = math.cos(x)
+    psi[8] = -math.sin(x)
     psi = _planar((entangle @ psi).reshape(2, 2, 2, 2, 1))
     return _evolve(psi, [_as_unitary(u) for u in (u_a, u_b1, u_b2)], disentangle)
 
@@ -375,86 +357,40 @@ _PD_OUTCOME = (2 * ((_BASIS >> 2) & 1) + ((_BASIS >> 1) & 1))[8:]
 _DA_OUTCOME = (2 * ((_BASIS >> 2) & 1) + (_BASIS & 1))[:8]
 
 
-def _branch_weights(probs: np.ndarray):
-    """Outcome weights of the q = 1 (facing B1) and q = 0 (facing B2) branches
-    of probabilities (16, batch...)."""
-    return _sum_first(probs[8:]), _sum_first(probs[:8])
-
-
-def _conditional(total, weight, fallback, message: str):
-    """total / weight, or ``fallback`` where the branch weight is degenerate."""
-    degenerate = weight <= _DEGENERATE_BRANCH
-    if not degenerate.any():
-        return total / weight
-    if fallback is None:
-        raise ValueError(message)
-    return np.where(degenerate, fallback, total / np.where(degenerate, 1.0, weight))
-
-
-def bayesian_payoffs_circuit(
-    psi: np.ndarray,
-    game: BayesianGame,
-    fallback_b1=None,
-    fallback_b2=None,
-):
-    """Payoffs read off a four-qubit final state, or a stack of them.
+def bayesian_payoffs_full_circuit(p: float, gamma: float, u_a, u_b1, u_b2, game: BayesianGame):
+    """Evolve the four-qubit circuit and read off payoffs.
 
     A's payoff sums PD payoffs over the q = 1 outcomes and DA payoffs
-    over q = 0.  Each B player's payoff is the expectation conditioned
-    on its own branch; where a branch carries (numerically) zero weight
-    the conditional is undefined and the two-player subgame value must
-    be supplied as a fallback (a float, or an array broadcasting against
-    the stack).
+    over q = 0.  Each B player's payoff is the expectation on its own
+    branch divided by the branch's measured weight.  Where p leaves a
+    branch empty (weight p or 1 - p within 1e-12) that conditional is
+    undefined, and the B player gets its two-player subgame expectation,
+    the conditional's continuous limit; only then does the two-player
+    evolution run.  Strategies may be stacks; each payoff is then an array.
     """
-    psi = np.asarray(psi, dtype=complex)
-    length = psi.shape[-1] if psi.ndim else 1
-    if psi.ndim == 0 or length != 16:
-        raise ValueError(f"expected a 4-qubit state of length 16, got {length}")
-    if not np.isfinite(psi).all():
-        raise ValueError("state contains non-finite amplitudes")
+    p = _check_probability(p)
+    psi = evolve_bayesian_circuit(p, gamma, u_a, u_b1, u_b2)
     probs = _probabilities(_state_first(psi))
     column = (1,) * (psi.ndim - 1)
 
-    pd_a = np.asarray(game.subgame_b1.payoff_a, dtype=float)[_PD_OUTCOME]
-    pd_b = np.asarray(game.subgame_b1.payoff_b, dtype=float)[_PD_OUTCOME]
-    da_a = np.asarray(game.subgame_b2.payoff_a, dtype=float)[_DA_OUTCOME]
-    da_b = np.asarray(game.subgame_b2.payoff_b, dtype=float)[_DA_OUTCOME]
+    def vector(payoff, outcome):
+        return np.asarray(payoff, dtype=float)[outcome].reshape((len(outcome),) + column)
 
-    p1, p0 = _branch_weights(probs)
-    pay_a = _sum_first(probs * np.concatenate([da_a, pd_a]).reshape((16,) + column))
-    pay_b1 = _conditional(
-        _sum_first(probs[8:] * pd_b.reshape((8,) + column)),
-        p1,
-        fallback_b1,
-        "q=1 branch has zero weight and no fallback_b1 was given",
-    )
-    pay_b2 = _conditional(
-        _sum_first(probs[:8] * da_b.reshape((8,) + column)),
-        p0,
-        fallback_b2,
-        "q=0 branch has zero weight and no fallback_b2 was given",
-    )
-    return _value(pay_a), _value(pay_b1), _value(pay_b2)
-
-
-def bayesian_payoffs_full_circuit(
-    control: ControlSpec, gamma: float, u_a, u_b1, u_b2, game: BayesianGame
-):
-    """Evolve the four-qubit circuit and read off payoffs.
-
-    A degenerate control branch falls back, element by element, to the
-    two-player subgame expectation, the continuous limit of the
-    conditional payoff; only such a branch runs the two-player evolution.
-    Strategies may be stacks; each payoff is then an array.
-    """
-    psi = evolve_bayesian_circuit(control, gamma, u_a, u_b1, u_b2)
-    p1, p0 = _branch_weights(_probabilities(_state_first(psi)))
-    fb1 = fb2 = None
-    if (p1 <= _DEGENERATE_BRANCH).any():
-        fb1 = payoff_expectation(evolve_two_player(gamma, u_a, u_b1), game.subgame_b1.payoff_b)
-    if (p0 <= _DEGENERATE_BRANCH).any():
-        fb2 = payoff_expectation(evolve_two_player(gamma, u_a, u_b2), game.subgame_b2.payoff_b)
-    return bayesian_payoffs_circuit(psi, game, fallback_b1=fb1, fallback_b2=fb2)
+    pd, da = game.subgame_b1, game.subgame_b2
+    a_vec = np.concatenate([vector(da.payoff_a, _DA_OUTCOME), vector(pd.payoff_a, _PD_OUTCOME)])
+    pays = [_sum_first(probs * a_vec)]
+    for weight, sub, u_b, branch, outcome in (
+        (p, pd, u_b1, probs[8:], _PD_OUTCOME),
+        (1.0 - p, da, u_b2, probs[:8], _DA_OUTCOME),
+    ):
+        if weight <= _DEGENERATE_BRANCH:
+            limit = payoff_expectation(evolve_two_player(gamma, u_a, u_b), sub.payoff_b)
+            pays.append(np.array(np.broadcast_to(limit, probs.shape[1:])))
+        else:
+            pays.append(
+                _sum_first(branch * vector(sub.payoff_b, outcome)) / _sum_first(branch)
+            )
+    return tuple(_value(x) for x in pays)
 
 
 def no_signaling_check(dist: np.ndarray, tol: float = 1e-9) -> bool:

@@ -14,7 +14,6 @@ import math
 import re
 import sys
 
-from .circuits import ControlSpec, control_for_probability
 from .equilibrium import (
     DEFAULT_EPS_TIE,
     check_eps_tie,
@@ -108,23 +107,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="pd | da | bayesian | path to a game JSON file",
     )
     solve.add_argument("--gamma", required=True, help="entanglement angle in [0, pi/2]")
-    solve.add_argument("--p", type=float, default=0.5, help="probability of facing B1")
+    solve.add_argument(
+        "--p", type=float, help="probability of facing B1 (Bayesian games; default 0.5)"
+    )
     solve.add_argument(
         "--circuit",
         choices=("mixture", "full"),
         default="mixture",
         help="Bayesian evaluation: statistical mixture or the 4-qubit circuit",
     )
-    solve.add_argument("--theta-q", help="control rotation theta (full circuit only)")
-    solve.add_argument("--phi-q", help="control rotation phi (full circuit only)")
-    solve.add_argument("--alpha-q", help="control rotation alpha (full circuit only)")
     _add_grid_flags(solve)
     _add_out_flags(solve)
     solve.set_defaults(func=_cmd_solve)
 
     sweep = subs.add_parser("sweep", help="sweep gamma (and p for Bayesian games)")
     sweep.add_argument("--game", default="bayesian", help="pd | da | bayesian | path")
-    sweep.add_argument("--p-step", type=float, default=0.05)
+    sweep.add_argument(
+        "--p-step", type=float, help="p step (Bayesian games; default 0.05)"
+    )
     sweep.add_argument("--gamma-step", type=float, default=0.05)
     sweep.add_argument("--jobs", type=int, default=1, help="parallel workers")
     _add_grid_flags(sweep)
@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     preset = ("p_step", "gamma_step", "grid_theta", "grid_phi", "grid_alpha", "eps_tie")
     fig.set_defaults(func=_cmd_sweep, **{name: sweep.get_default(name) for name in preset})
 
-    ver = subs.add_parser("verify", help="re-check every NE in a result file")
+    ver = subs.add_parser("verify", help="re-check every NE and class in a result file")
     ver.add_argument("--in", dest="infile", required=True, help="result JSON file")
     ver.add_argument(
         "--eps-tie", type=_tolerance, default=None, help="override tie tolerance"
@@ -177,12 +177,6 @@ def _grid_steps(args) -> GridSteps:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-
-
-def _check_unit(value: float, name: str) -> float:
-    if not 0.0 <= value <= 1.0:
-        raise UsageError(f"{name} must lie in [0, 1], got {value}")
-    return value
 
 
 def _check_gamma(value: float) -> float:
@@ -219,38 +213,33 @@ def _print_classes(cell: CellResult) -> None:
         )
 
 
+def _bayesian_only(game, value, flag: str, default: float):
+    """A p flag's value for a Bayesian game; two-player games take none."""
+    if isinstance(game, BayesianGame):
+        return default if value is None else value
+    if value is not None:
+        raise UsageError(f"{flag} needs a Bayesian game")
+    return None
+
+
 def _cmd_solve(args) -> int:
     gamma = _check_gamma(parse_angle(args.gamma))
-    p = _check_unit(args.p, "--p")
     game = _resolve_game(args.game)
-    steps = _grid_steps(args)
-    bayesian = isinstance(game, BayesianGame)
-    full = args.circuit == "full"
-    if full and not bayesian:
+    p = _bayesian_only(game, args.p, "--p", 0.5)
+    if p is None and args.circuit == "full":
         raise UsageError("--circuit full needs a Bayesian game")
-    if not full and (args.theta_q, args.phi_q, args.alpha_q) != (None, None, None):
-        raise UsageError(
-            "--theta-q, --phi-q and --alpha-q need --circuit full and a Bayesian game"
-        )
-
-    if full:
-        control = ControlSpec(
-            control_for_probability(p).theta_q
-            if args.theta_q is None
-            else parse_angle(args.theta_q),
-            parse_angle(args.phi_q or "0"),
-            parse_angle(args.alpha_q or "0"),
-        )
-        if args.theta_q is not None:
-            p = control.p  # the p the circuit plays, which verify re-checks
+    if p is not None and not 0.0 <= p <= 1.0:
+        raise UsageError(f"--p must lie in [0, 1], got {p}")
+    steps = _grid_steps(args)
+    if args.circuit == "full":
         sset = enumerate_strategies(steps)
-        records = find_ne_bayesian_circuit(game, gamma, sset, control, args.eps_tie)
+        records = find_ne_bayesian_circuit(game, gamma, sset, p, args.eps_tie)
         result = SweepResult(
             SweepSpec(game, (gamma,), (p,), steps, args.eps_tie),
             (CellResult(p, gamma, tuple(classify(records, sset))),),
         )
     else:
-        p_values = (p,) if bayesian else ()
+        p_values = () if p is None else (p,)
         result = run_sweep(SweepSpec(game, (gamma,), p_values, steps, args.eps_tie))
     _print_classes(result.cells[0])
     if args.out:
@@ -261,11 +250,12 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     game = _resolve_game(args.game)
+    p_step = _bayesian_only(game, args.p_step, "--p-step", 0.05)
     steps = _grid_steps(args)
     spec = SweepSpec(
         game=game,
         gamma_values=gamma_grid(args.gamma_step),
-        p_values=p_grid(args.p_step) if isinstance(game, BayesianGame) else (),
+        p_values=() if p_step is None else p_grid(p_step),
         steps=steps,
         eps_tie=args.eps_tie,
     )
@@ -307,6 +297,7 @@ def _cmd_verify(args) -> int:
     sset = enumerate_strategies(spec.steps)
     checked = 0
     failures = []
+    bad_classes = []
     for cell in loaded.result.cells:
         records = [rec for cls in cell.classes for rec in cls.members]
         checked += len(records)
@@ -316,18 +307,32 @@ def _cmd_verify(args) -> int:
             for rec, ok in zip(records, verdicts)
             if not ok
         )
+        # Each stored class must be the class its members re-derive to.
+        derived = {rec.profile: cls for cls in classify(records, sset) for rec in cls.members}
+        bad_classes.extend(
+            (cell.p, cell.gamma, class_id(cls))
+            for cls in cell.classes
+            if derived[cls.members[0].profile] != cls
+        )
+    for p, gamma, profile in failures[:20]:
+        print(f"FAIL p={p} gamma={gamma:.6g} profile={profile}", file=sys.stderr)
     if failures:
-        for p, gamma, profile in failures[:20]:
-            print(
-                f"FAIL p={p} gamma={gamma:.6g} profile={profile}", file=sys.stderr
-            )
         print(
             f"{len(failures)} of {checked} recorded profiles are not equilibria"
             " with their stored payoffs",
             file=sys.stderr,
         )
+    for p, gamma, cid in bad_classes[:20]:
+        print(f"FAIL p={p} gamma={gamma:.6g} class={cid}", file=sys.stderr)
+    if bad_classes:
+        print(
+            f"{len(bad_classes)} stored classes differ from the classes"
+            " their members re-derive to",
+            file=sys.stderr,
+        )
+    if failures or bad_classes:
         return 3
-    print(f"verified {checked} recorded NE profiles: all pass")
+    print(f"verified {checked} recorded NE profiles and their classes: all pass")
     return 0
 
 

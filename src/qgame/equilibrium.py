@@ -28,7 +28,6 @@ from typing import Sequence
 import numpy as np
 
 from .circuits import (
-    ControlSpec,
     bayesian_payoffs_full_circuit,
     bayesian_payoffs_mixture,
     entangler,
@@ -313,7 +312,7 @@ def bayesian_circuit_tables(
     game: BayesianGame,
     gamma: float,
     sset: StrategySet,
-    control: ControlSpec,
+    p: float,
 ) -> np.ndarray:
     """Payoff tables evaluated through the four-qubit circuit.
 
@@ -326,7 +325,7 @@ def bayesian_circuit_tables(
     tables = np.empty((3, n, n, n))
     for a in range(n):
         tables[:, a] = bayesian_payoffs_full_circuit(
-            control, gamma, us[a], us[:, None], us[None, :], game
+            p, gamma, us[a], us[:, None], us[None, :], game
         )
     return tables
 
@@ -335,7 +334,7 @@ def find_ne_bayesian_circuit(
     game: BayesianGame,
     gamma: float,
     sset: StrategySet,
-    control: ControlSpec,
+    p: float,
     eps_tie: float = DEFAULT_EPS_TIE,
 ) -> list[EquilibriumRecord]:
     """NE search with payoffs evaluated through the four-qubit circuit.
@@ -344,7 +343,7 @@ def find_ne_bayesian_circuit(
     with the p-mixture, whose witness it is.
     """
     check_eps_tie(eps_tie)
-    return _dense_ne(bayesian_circuit_tables(game, gamma, sset, control), eps_tie)
+    return _dense_ne(bayesian_circuit_tables(game, gamma, sset, p), eps_tie)
 
 
 def _best_deviations(evaluate, keys: int, n: int, picks):

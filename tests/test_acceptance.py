@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from qgame.circuits import (
-    ControlSpec,
     bayesian_payoffs_full_circuit,
     entangler,
     evolve_bayesian_circuit,
@@ -265,21 +264,18 @@ def test_c08_mixture_circuit_equivalence(grid8):
     worst = 0.0
     for gamma in (0.0, 0.5, 1.0, PI / 2):
         ta1, tb1, ta2, tb2 = bayesian_tables(game, gamma, grid8)
-        for theta_q in (0.0, PI / 3, PI / 2, PI):
-            p = math.sin(theta_q / 2.0) ** 2
-            for phi_q, alpha_q in product((0.0, 1.1), repeat=2):
-                control = ControlSpec(theta_q, phi_q, alpha_q)
-                # All 512 profiles (a, b1, b2) in one stacked call.
-                circuit = bayesian_payoffs_full_circuit(
-                    control, gamma, us[:, None, None], us[None, :, None], us[None, None, :], game
-                )
-                mixture = (
-                    p * ta1[:, :, None] + (1.0 - p) * ta2[:, None, :],
-                    tb1[:, :, None],
-                    tb2[:, None, :],
-                )
-                for x, y in zip(circuit, mixture):
-                    worst = max(worst, np.max(np.abs(x - y)))
+        for p in (0.0, 0.25, 0.5, 1.0):
+            # All 512 profiles (a, b1, b2) in one stacked call.
+            circuit = bayesian_payoffs_full_circuit(
+                p, gamma, us[:, None, None], us[None, :, None], us[None, None, :], game
+            )
+            mixture = (
+                p * ta1[:, :, None] + (1.0 - p) * ta2[:, None, :],
+                tb1[:, :, None],
+                tb2[:, None, :],
+            )
+            for x, y in zip(circuit, mixture):
+                worst = max(worst, np.max(np.abs(x - y)))
     assert worst < 1e-9, f"worst mixture/circuit deviation {worst}"
 
 
@@ -305,8 +301,7 @@ def test_c09b_unitarity_and_normalization(grid8):
         ua, ub1, ub2 = (grid8.unitaries[i] for i in rng.integers(0, 8, 3))
         gamma = float(rng.uniform(0.0, PI / 2))
         assert abs(np.linalg.norm(evolve_two_player(gamma, ua, ub1)) - 1) < 1e-12
-        control = ControlSpec(float(rng.uniform(0, PI)), 0.4, 1.9)
-        psi = evolve_bayesian_circuit(control, gamma, ua, ub1, ub2)
+        psi = evolve_bayesian_circuit(float(rng.uniform()), gamma, ua, ub1, ub2)
         assert abs(np.linalg.norm(psi) - 1) < 1e-12
 
 

@@ -8,13 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgame.circuits import (
-    ControlSpec,
     StrategyParams,
     _controlled_entanglers,
-    bayesian_payoffs_circuit,
     bayesian_payoffs_full_circuit,
     bayesian_payoffs_mixture,
-    control_for_probability,
     entangler,
     evolve_bayesian_circuit,
     evolve_two_player,
@@ -198,43 +195,48 @@ class TestGlobalPhaseInvariance:
 
 
 class TestBayesianCircuit:
+    # The control is cos(x)|0> - sin(x)|1> with x = asin(sqrt(p)): its
+    # rotation angle 2x is 0 at p = 0 and pi at p = 1.
     def test_all_weight_on_da_branch_at_theta_zero(self):
         game = builtin_bayesian()
-        out = bayesian_payoffs_full_circuit(ControlSpec(0.0), 0.7, D_LIKE, D_LIKE_X, C_LIKE, game)
+        out = bayesian_payoffs_full_circuit(0.0, 0.7, D_LIKE, D_LIKE_X, C_LIKE, game)
         mix = bayesian_payoffs_mixture(0.0, 0.7, D_LIKE, D_LIKE_X, C_LIKE, game)
         assert np.max(np.abs(np.array(out) - np.array(mix))) < 1e-12
 
     def test_all_weight_on_pd_branch_at_theta_pi(self):
         game = builtin_bayesian()
-        out = bayesian_payoffs_full_circuit(ControlSpec(PI), 0.7, D_LIKE, D_LIKE_X, C_LIKE, game)
+        out = bayesian_payoffs_full_circuit(1.0, 0.7, D_LIKE, D_LIKE_X, C_LIKE, game)
         mix = bayesian_payoffs_mixture(1.0, 0.7, D_LIKE, D_LIKE_X, C_LIKE, game)
         assert np.max(np.abs(np.array(out) - np.array(mix))) < 1e-12
 
     def test_equal_superposition_matches_half_mixture(self):
         game = builtin_bayesian()
         ua, ub1, ub2 = StrategyParams(1.3, 0.4, 5.0), D_LIKE_X, StrategyParams(0.0, 2.0, 0.0)
-        out = bayesian_payoffs_full_circuit(ControlSpec(PI / 2), 0.5, ua, ub1, ub2, game)
+        out = bayesian_payoffs_full_circuit(0.5, 0.5, ua, ub1, ub2, game)
         mix = bayesian_payoffs_mixture(0.5, 0.5, ua, ub1, ub2, game)
         assert np.max(np.abs(np.array(out) - np.array(mix))) < 1e-9
 
-    @settings(max_examples=25, deadline=None)
-    @given(
-        st.floats(min_value=0.1, max_value=PI - 0.1),
-        phases,
-        phases,
-        st.floats(min_value=0.0, max_value=PI / 2),
-        st.lists(st.integers(0, 1823), min_size=12, max_size=12),
-    )
-    def test_control_phases_do_not_matter(self, theta_q, phi_q, alpha_q, gamma, picks):
-        # The two control branches are never interfered, so phi_q and alpha_q
-        # only set their phases: the payoffs are the p-mixture's at p = control.p.
+    @pytest.mark.parametrize("p", [0.0, 1e-13, 0.3, 1.0 - 1e-13, 1.0])
+    def test_full_circuit_equals_mixture(self, p):
+        # p within 1e-12 of 0 or 1 leaves a branch empty, whose B player then
+        # gets the two-player limit: the mixture's conditional payoff.
+        game, rng = builtin_bayesian(), np.random.default_rng(4242)
+        for gamma in (0.0, 0.6, PI / 2):
+            us = _pi8_unitaries()[rng.integers(1824, size=12)].reshape(3, 4, 2, 2)
+            stacks = (us[0][:, None, None], us[1][None, :, None], us[2][None, None, :])
+            out = bayesian_payoffs_full_circuit(p, gamma, *stacks, game)
+            mix = bayesian_payoffs_mixture(p, gamma, *stacks, game)
+            for x, y in zip(out, mix):
+                assert x.shape == (4, 4, 4)
+                assert np.max(np.abs(x - y)) < 1e-12
+
+    @pytest.mark.parametrize("p", [-0.1, 1.0 + 1e-9, math.nan, math.inf])
+    def test_p_outside_unit_interval_rejected(self, p):
         game = builtin_bayesian()
-        control = ControlSpec(theta_q, phi_q, alpha_q)
-        us = _pi8_unitaries()[picks].reshape(3, 4, 2, 2)
-        stacks = (us[0][:, None, None], us[1][None, :, None], us[2][None, None, :])
-        out = bayesian_payoffs_full_circuit(control, gamma, *stacks, game)
-        mix = bayesian_payoffs_mixture(control.p, gamma, *stacks, game)
-        assert np.max(np.abs(np.array(out) - np.array(mix))) < 1e-12
+        with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+            evolve_bayesian_circuit(p, 0.5, D_LIKE, C_LIKE, D_LIKE_X)
+        with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+            bayesian_payoffs_full_circuit(p, 0.5, D_LIKE, C_LIKE, D_LIKE_X, game)
 
     def test_controlled_entanglers_agree_with_direct_index_arithmetic(self):
         # Oracle: J1 = blockdiag(I4, J) on (Q, A, B1) and J2 = blockdiag(J, I4)
@@ -252,12 +254,14 @@ class TestBayesianCircuit:
             assert np.max(np.abs(both @ psi - expected)) < 1e-14
 
     def test_final_state_normalized(self):
-        psi = evolve_bayesian_circuit(ControlSpec(1.2, 0.3, 0.1), 0.9, D_LIKE, C_LIKE, D_LIKE_X)
+        psi = evolve_bayesian_circuit(0.4, 0.9, D_LIKE, C_LIKE, D_LIKE_X)
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
 
     def test_control_for_probability_roundtrip(self):
+        # The control prepared for p puts weight p on the q = 1 branch.
         for p in (0.0, 0.3, 1.0):
-            assert control_for_probability(p).p == pytest.approx(p, abs=1e-12)
+            psi = evolve_bayesian_circuit(p, 0.9, D_LIKE, C_LIKE, D_LIKE_X)
+            assert np.sum(np.abs(psi[8:]) ** 2) == pytest.approx(p, abs=1e-12)
 
 
 @lru_cache(maxsize=1)
@@ -290,47 +294,33 @@ def _direct_apply(op, targets, psi):
 
 
 class TestBayesianPayoffsFromState:
+    """Payoffs read off the final state; at gamma = 0 the circuit is classical."""
+
     def test_pd_branch_pure_defect(self):
         game = builtin_bayesian()
-        psi = np.zeros(16, dtype=complex)
-        # q=1, a=1, b1=1 with B2's qubit in an arbitrary superposition
-        psi[8 + 4 + 2 + 0] = 0.6
-        psi[8 + 4 + 2 + 1] = 0.8j
-        pa, pb1, _ = bayesian_payoffs_circuit(psi, game, fallback_b2=0.0)
+        pa, pb1, _ = bayesian_payoffs_full_circuit(1.0, 0.0, D_LIKE, D_LIKE, C_LIKE, game)
         assert pa == pytest.approx(6.0, abs=1e-12)
         assert pb1 == pytest.approx(6.0, abs=1e-12)
 
     def test_da_branch_pure_cooperate(self):
         game = builtin_bayesian()
-        psi = np.zeros(16, dtype=complex)
-        psi[0] = 1 / math.sqrt(2)  # q=0, a=0, b1=0, b2=0
-        psi[2] = 1j / math.sqrt(2)  # q=0, a=0, b1=1, b2=0
-        pa, _, pb2 = bayesian_payoffs_circuit(psi, game, fallback_b1=0.0)
+        pa, _, pb2 = bayesian_payoffs_full_circuit(0.0, 0.0, C_LIKE, D_LIKE, C_LIKE, game)
         assert pa == pytest.approx(11.0, abs=1e-12)
         assert pb2 == pytest.approx(9.0, abs=1e-12)
 
     def test_equal_branch_superposition(self):
+        # PD branch (D, D), DA branch (D, C), each with weight 1/2.
         game = builtin_bayesian()
-        psi = np.zeros(16, dtype=complex)
-        psi[14] = 1 / math.sqrt(2)  # q=1, a=1, b1=1, b2=0 -> PD (D, D)
-        psi[0] = 1 / math.sqrt(2)  # q=0, a=0, b2=0 -> DA (C, C)
-        pa, pb1, pb2 = bayesian_payoffs_circuit(psi, game)
-        assert pa == pytest.approx(0.5 * 6 + 0.5 * 11, abs=1e-12)
+        pa, pb1, pb2 = bayesian_payoffs_full_circuit(0.5, 0.0, D_LIKE, D_LIKE, C_LIKE, game)
+        assert pa == pytest.approx(0.5 * 6 + 0.5 * 10, abs=1e-12)
         assert pb1 == pytest.approx(6.0, abs=1e-12)
-        assert pb2 == pytest.approx(9.0, abs=1e-12)
-
-    def test_degenerate_branch_requires_fallback(self):
-        game = builtin_bayesian()
-        psi = np.zeros(16, dtype=complex)
-        psi[14] = 1.0
-        with pytest.raises(ValueError, match="fallback_b2"):
-            bayesian_payoffs_circuit(psi, game)
+        assert pb2 == pytest.approx(1.0, abs=1e-12)
 
 
 # Each public evolution with the given strategies in player order (A, B1, B2).
 EVOLUTIONS = {
     "two_player": lambda us: evolve_two_player(0.7, us[0], us[1]),
-    "bayesian": lambda us: evolve_bayesian_circuit(ControlSpec(1.0), 0.5, *us),
+    "bayesian": lambda us: evolve_bayesian_circuit(0.3, 0.5, *us),
 }
 
 
@@ -351,20 +341,17 @@ class TestInputValidation:
             EVOLUTIONS[evolution]([np.eye(3), D_LIKE, C_LIKE])
 
     def test_nan_state_rejected(self):
-        game = builtin_bayesian()
         with pytest.raises(ValueError, match="non-finite"):
             payoff_expectation([math.nan, 0, 0, 0], (11, 1, 10, 6))
         psi = np.zeros(16, dtype=complex)
         psi[0] = math.nan
         with pytest.raises(ValueError, match="non-finite"):
-            bayesian_payoffs_circuit(psi, game, fallback_b1=0.0, fallback_b2=0.0)
+            payoff_expectation(psi, np.ones(16))
 
     def test_wrong_length_state_rejected(self):
         for n in (1, 3, 32):
             with pytest.raises(ValueError, match="length"):
                 payoff_expectation(np.ones(n) / math.sqrt(n), np.ones(n))
-        with pytest.raises(ValueError, match="length 16"):
-            bayesian_payoffs_circuit(np.eye(8)[0], builtin_bayesian(), 0.0, 0.0)
 
 
 class TestUnitarityCheck:
@@ -373,7 +360,7 @@ class TestUnitarityCheck:
             evolve_two_player(0.0, np.diag([1, 2]), np.eye(2))
         with pytest.raises(ValueError, match="not unitary"):
             bayesian_payoffs_full_circuit(
-                ControlSpec(1.0), 0.5, np.eye(2), 2 * np.eye(2), np.eye(2) / 2, builtin_bayesian()
+                0.3, 0.5, np.eye(2), 2 * np.eye(2), np.eye(2) / 2, builtin_bayesian()
             )
 
 
@@ -418,20 +405,18 @@ class TestStackedEvaluation:
     def test_bayesian_payoffs_full_circuit(self, grid24, p):
         # At p = 0 and p = 1 one branch is empty, so its payoffs are fallbacks.
         game, us = builtin_bayesian(), grid24.unitaries
-        control = control_for_probability(p)
         stacked = bayesian_payoffs_full_circuit(
-            control, 0.9, us[:, None, None], us[None, :, None], us[None, None, :], game
+            p, 0.9, us[:, None, None], us[None, :, None], us[None, None, :], game
         )
         for a, b1, b2 in _sampled_profiles(len(us), 60, 13):
-            single = bayesian_payoffs_full_circuit(control, 0.9, us[a], us[b1], us[b2], game)
+            single = bayesian_payoffs_full_circuit(p, 0.9, us[a], us[b1], us[b2], game)
             assert tuple(t[a, b1, b2] for t in stacked) == single
 
     def test_stack_shapes_broadcast(self, grid24):
         us = grid24.unitaries
-        control = ControlSpec(1.0)
-        out = evolve_bayesian_circuit(control, 0.5, us[3], us[:, None], us[None, :5])
+        out = evolve_bayesian_circuit(0.3, 0.5, us[3], us[:, None], us[None, :5])
         assert out.shape == (len(us), 5, 16)
-        single = evolve_bayesian_circuit(control, 0.5, us[3], us[7], us[2])
+        single = evolve_bayesian_circuit(0.3, 0.5, us[3], us[7], us[2])
         assert np.array_equal(out[7, 2], single)
 
 
@@ -460,7 +445,7 @@ class TestStackValidation:
         with pytest.raises(ValueError, match=message):
             bayesian_payoffs_mixture(0.3, 0.9, C_LIKE, stack, D_LIKE, game)
         with pytest.raises(ValueError, match=message):
-            bayesian_payoffs_full_circuit(ControlSpec(1.0), 0.9, C_LIKE, D_LIKE, stack, game)
+            bayesian_payoffs_full_circuit(0.3, 0.9, C_LIKE, D_LIKE, stack, game)
 
     @pytest.mark.parametrize("evolution", sorted(EVOLUTIONS))
     def test_non_2x2_stack_rejected(self, grid24, evolution):
@@ -477,18 +462,20 @@ class TestStackValidation:
         states[:, 0] = 1.0
         states[1, 5] = math.nan
         with pytest.raises(ValueError, match="non-finite"):
-            bayesian_payoffs_circuit(states, builtin_bayesian(), 0.0, 0.0)
+            payoff_expectation(states, np.ones(16))
 
-    def test_degenerate_branch_fallback_per_element(self):
-        game = builtin_bayesian()
-        states = np.zeros((2, 16), dtype=complex)
-        states[0, 14] = 1.0  # q = 1 only: B2's branch is empty
-        states[1, [0, 14]] = 1 / math.sqrt(2)
-        _, _, pay_b2 = bayesian_payoffs_circuit(states, game, fallback_b2=np.array([-1.0, -2.0]))
-        assert pay_b2[0] == -1.0
-        assert pay_b2[1] == pytest.approx(9.0, abs=1e-12)
-        with pytest.raises(ValueError, match="fallback_b2"):
-            bayesian_payoffs_circuit(states, game)
+    def test_degenerate_branch_fallback_per_element(self, grid24):
+        # The empty branch's B player gets each element's own two-player
+        # payoff, broadcast to the full stack shape though it depends on
+        # A and that player only.
+        game, us = builtin_bayesian(), grid24.unitaries
+        stacks = [us[:5, None, None], us[None, :6, None], us[None, None, :7]]
+        for p, k, sub in ((0.0, 1, game.subgame_b1), (1.0, 2, game.subgame_b2)):
+            pay = bayesian_payoffs_full_circuit(p, 0.9, *stacks, game)[k]
+            assert pay.shape == (5, 6, 7) and pay.flags.writeable
+            two_player = evolve_two_player(0.9, stacks[0], stacks[k])
+            limit = payoff_expectation(two_player, sub.payoff_b)
+            assert np.array_equal(pay, np.broadcast_to(limit, pay.shape))
 
 
 class TestNoSignaling:

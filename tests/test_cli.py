@@ -13,6 +13,7 @@ from qgame.serialize import (
     BAYESIAN_CSV_HEADER,
     TWO_PLAYER_CSV_HEADER,
     ConfigError,
+    class_id,
     emit,
     load_game,
     load_result,
@@ -68,6 +69,21 @@ class TestExitCodes:
     def test_unknown_flag_is_argument_error(self, capsys):
         assert main(["solve", "--game", "pd", "--gamma", "0.5", "--bogus"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["solve", "--game", "pd", "--gamma", "0.5", "--p", "0.3"], "--p"),
+            (["solve", "--game", "da", "--gamma", "0.5", "--p", "0.5"], "--p"),
+            (["sweep", "--game", "pd", "--p-step", "0.5"], "--p-step"),
+        ],
+        ids=["solve-pd", "solve-da", "sweep-pd"],
+    )
+    def test_p_flag_refused_for_two_player_game(self, tmp_path, argv, flag, capsys):
+        out = tmp_path / "out.json"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert f"{flag} needs a Bayesian game" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_p_out_of_range(self, capsys):
         assert main(["solve", "--game", "bayesian", "--gamma", "0.5", "--p", "1.2"]) == 1
         assert "must lie in [0, 1]" in capsys.readouterr().err
@@ -80,9 +96,9 @@ class TestExitCodes:
         [
             ["--gamma", "pi/0"],
             ["--gamma", "0.5", "--grid-phi", "pi/0"],
-            ["--gamma", "0.5", "--circuit", "full", "--theta-q", "pi/0"],
-            ["--gamma", "0.5", "--circuit", "full", "--phi-q", "2pi/0"],
-            ["--gamma", "0.5", "--circuit", "full", "--alpha-q", "pi/0.0"],
+            ["--gamma", "0.5", "--circuit", "full", "--grid-theta", "pi/0"],
+            ["--gamma", "0.5", "--circuit", "full", "--grid-alpha", "2pi/0"],
+            ["--gamma", "3pi/0.0"],
         ],
     )
     def test_zero_angle_denominator_is_argument_error(self, flags, capsys):
@@ -224,6 +240,48 @@ class TestResultFiles:
         assert main(["verify", "--in", str(out)]) == 3
         assert "not equilibria" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda cls: cls.update(
+                theta=[0.0, 0.0, 0.0], operator_label="I⊗I⊗I", phase_sums={"A-B1": [9.0]}
+            ),
+            lambda cls: cls.update(theta=[0.0, 0.0, 0.0]),
+            lambda cls: cls.update(operator_label=None),
+            lambda cls: cls["phase_diffs"].update({"A-B2": [1.0]}),
+        ],
+        ids=["found-30", "theta", "label", "phase-diffs"],
+    )
+    def test_verify_command_flags_a_class_its_members_do_not_derive(
+        self, tmp_path, capsys, edit
+    ):
+        out = tmp_path / "solve.json"
+        main(["solve", "--game", "bayesian", "--p", "0.9", "--gamma", "0.3", "--out", str(out)])
+        data = json.loads(out.read_text(encoding="utf-8"))
+        edit(data["cells"][0]["classes"][0])
+        out.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["verify", "--in", str(out)]) == 3
+        err = capsys.readouterr().err
+        cls = load_result(str(out)).result.cells[0].classes[0]
+        assert f"FAIL p=0.9 gamma=0.3 class={class_id(cls)}" in err
+        assert "1 stored classes differ" in err and "not equilibria" not in err
+
+    def test_verify_command_flags_regrouped_members(self, tmp_path, capsys):
+        # Split a class in two: every member still passes, the grouping does not.
+        out = tmp_path / "solve.json"
+        main(["solve", "--game", "bayesian", "--p", "0.9", "--gamma", "0.3", "--out", str(out)])
+        data = json.loads(out.read_text(encoding="utf-8"))
+        classes = data["cells"][0]["classes"]
+        first = classes[0]
+        assert len(first["members"]) > 1
+        classes.insert(1, dict(first, members=first["members"][1:]))
+        first["members"] = first["members"][:1]
+        out.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["verify", "--in", str(out)]) == 3
+        assert "2 stored classes differ" in capsys.readouterr().err
+
     def test_verify_command_flags_zeroed_payoffs(self, tmp_path, capsys):
         out = tmp_path / "solve.json"
         main(["solve", "--game", "bayesian", "--p", "0.9", "--gamma", "0.3", "--out", str(out)])
@@ -346,41 +404,24 @@ class TestFullCircuitMode:
             c["members"] for c in full["cells"][0]["classes"]
         ]
 
-    def test_full_circuit_control_override(self, capsys):
-        rc = main(
-            [
-                "solve",
-                "--game",
-                "bayesian",
-                "--gamma",
-                "0.3",
-                "--circuit",
-                "full",
-                "--theta-q",
-                "pi",
-                "--phi-q",
-                "1.0",
-            ]
-        )
-        assert rc == 0
-        # theta_q = pi puts all weight on the PD subgame (p = 1)
-        assert "3.14159265;3.14159265;" in capsys.readouterr().out
-
-    def test_control_override_records_the_circuit_p(self, tmp_path, capsys):
-        out = str(tmp_path / "tq.json")
+    def test_full_circuit_at_p_one(self, tmp_path, capsys):
+        # p = 1 puts all weight on the PD subgame, and verify re-checks that p.
+        out = str(tmp_path / "p1.json")
         argv = ["solve", "--game", "bayesian", "--gamma", "0.3", "--circuit", "full"]
-        assert main(argv + ["--theta-q", "pi", "--p", "0.1", "--out", out]) == 0
-        assert "p=1:" in capsys.readouterr().out
+        assert main(argv + ["--p", "1", "--out", out]) == 0
+        assert "3.14159265;3.14159265;" in capsys.readouterr().out
         assert json.loads(Path(out).read_text(encoding="utf-8"))["cells"][0]["p"] == 1.0
         assert main(["verify", "--in", out]) == 0
         assert "all pass" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag", ["--theta-q", "--phi-q", "--alpha-q"])
     @pytest.mark.parametrize("game", ["bayesian", "pd"])
-    def test_control_flags_need_the_full_circuit(self, flag, game, capsys):
-        argv = ["solve", "--game", game, "--gamma", "0.3", flag, "pi/2"]
+    def test_removed_control_flags_are_refused(self, flag, game, capsys):
+        # The control is prepared from --p alone; these flags no longer exist.
+        argv = ["solve", "--game", game, "--gamma", "0.3", "--circuit", "full", flag, "pi/2"]
         assert main(argv) == 1
-        assert "--circuit full" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
 
     def test_full_circuit_needs_a_bayesian_game(self, tmp_path, capsys):
         out = tmp_path / "pd.json"
@@ -430,7 +471,8 @@ class TestLoadResultErrors:
     def _with_cell(tmp_path, game, edit):
         """A one-cell solve result of ``game`` after ``edit`` of its cell."""
         out = tmp_path / "solve.json"
-        main(["solve", "--game", game, "--p", "0.9", "--gamma", "0.3", "--out", str(out)])
+        p = ["--p", "0.9"] if game == "bayesian" else []
+        main(["solve", "--game", game, "--gamma", "0.3", "--out", str(out)] + p)
         data = json.loads(out.read_text(encoding="utf-8"))
         edit(data["cells"][0])
         out.write_text(json.dumps(data), encoding="utf-8")

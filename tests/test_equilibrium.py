@@ -10,7 +10,6 @@ import pytest
 from qgame.circuits import (
     bayesian_payoffs_full_circuit,
     bayesian_payoffs_mixture,
-    control_for_probability,
     evolve_two_player,
     payoff_expectation,
 )
@@ -168,14 +167,12 @@ class TestFindNeBayesian:
         with pytest.raises(ValueError, match="eps_tie"):
             find_ne_two_player(builtin_pd(), 0.3, grid8, eps)
         with pytest.raises(ValueError, match="eps_tie"):
-            find_ne_bayesian_circuit(
-                builtin_bayesian(), 0.8, grid8, control_for_probability(0.3), eps
-            )
+            find_ne_bayesian_circuit(builtin_bayesian(), 0.8, grid8, 0.3, eps)
 
     def test_matches_four_qubit_circuit_search(self, grid8):
-        game, control = builtin_bayesian(), control_for_probability(0.85)
+        game = builtin_bayesian()
         mixture = {r.profile for r in find_ne_bayesian(game, 0.4, grid8, 0.85)}
-        circuit = {r.profile for r in find_ne_bayesian_circuit(game, 0.4, grid8, control)}
+        circuit = {r.profile for r in find_ne_bayesian_circuit(game, 0.4, grid8, 0.85)}
         assert mixture == circuit
 
 
@@ -189,7 +186,7 @@ class TestFourQubitWitness:
 
         monkeypatch.setattr(equilibrium, "_candidate_triples", refuse)
         monkeypatch.setattr(equilibrium, "_row_blocks", refuse)
-        records = find_ne_bayesian_circuit(game, 0.4, grid8, control_for_probability(0.85))
+        records = find_ne_bayesian_circuit(game, 0.4, grid8, 0.85)
         assert [r.profile for r in records] == [r.profile for r in mixture]
 
     @pytest.mark.parametrize("gamma", [0.0, 0.9, PI / 2])
@@ -199,20 +196,44 @@ class TestFourQubitWitness:
         # payoff for that branch's B player is the two-player fallback.
         game = builtin_bayesian()
         mixture = find_ne_bayesian(game, gamma, grid24, p)
-        circuit = find_ne_bayesian_circuit(game, gamma, grid24, control_for_probability(p))
+        circuit = find_ne_bayesian_circuit(game, gamma, grid24, p)
         assert [r.profile for r in circuit] == [r.profile for r in mixture]
 
     def test_tables_match_scalar_circuit_at_sampled_profiles(self, grid24):
         game = custom_bayesian()
-        control = control_for_probability(0.35)
-        tables = bayesian_circuit_tables(game, 0.9, grid24, control)
+        tables = bayesian_circuit_tables(game, 0.9, grid24, 0.35)
         n = len(grid24)
         assert tables.shape == (3, n, n, n)
         us = grid24.unitaries
         rng = np.random.default_rng(57721)
         for a, b1, b2 in rng.integers(n, size=(40, 3)).tolist():
-            expected = bayesian_payoffs_full_circuit(control, 0.9, us[a], us[b1], us[b2], game)
+            expected = bayesian_payoffs_full_circuit(0.35, 0.9, us[a], us[b1], us[b2], game)
             assert tuple(tables[:, a, b1, b2]) == expected
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_tables_fill_every_profile_when_a_branch_is_empty(self, grid24, p):
+        # The empty branch's B payoffs depend on (a, b1) or (a, b2) only and
+        # must be spread over the whole table, not a (1, n) slice of it.
+        game = custom_bayesian()
+        tables = bayesian_circuit_tables(game, 0.9, grid24, p)
+        n = len(grid24)
+        assert tables.shape == (3, n, n, n)
+        ta1, tb1, ta2, tb2 = bayesian_tables(game, 0.9, grid24)
+        mixture = (
+            p * ta1[:, :, None] + (1.0 - p) * ta2[:, None, :],
+            np.broadcast_to(tb1[:, :, None], (n, n, n)),
+            np.broadcast_to(tb2[:, None, :], (n, n, n)),
+        )
+        for circuit, expected in zip(tables, mixture):
+            assert np.max(np.abs(circuit - expected)) < 1e-12
+
+    @pytest.mark.parametrize("p", [-0.5, 1.5, math.nan])
+    def test_p_outside_unit_interval_rejected(self, grid8, p):
+        game = builtin_bayesian()
+        with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+            bayesian_circuit_tables(game, 0.8, grid8, p)
+        with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+            find_ne_bayesian_circuit(game, 0.8, grid8, p)
 
 
 class TestDenseNe:
