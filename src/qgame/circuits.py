@@ -368,7 +368,6 @@ def bayesian_payoffs_full_circuit(p: float, gamma: float, u_a, u_b1, u_b2, game:
     the conditional's continuous limit; only then does the two-player
     evolution run.  Strategies may be stacks; each payoff is then an array.
     """
-    p = _check_probability(p)
     psi = evolve_bayesian_circuit(p, gamma, u_a, u_b1, u_b2)
     probs = _probabilities(_state_first(psi))
     column = (1,) * (psi.ndim - 1)
