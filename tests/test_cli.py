@@ -404,12 +404,18 @@ class TestFullCircuitMode:
             c["members"] for c in full["cells"][0]["classes"]
         ]
 
-    def test_full_circuit_at_p_one(self, tmp_path, capsys):
-        # p = 1 puts all weight on the PD subgame, and verify re-checks that p.
+    def test_full_circuit_control_override(self, capsys):
+        # --p 1 prepares the control at theta_Q = pi: all weight on the PD subgame.
+        argv = ["solve", "--game", "bayesian", "--gamma", "0.3", "--circuit", "full"]
+        assert main(argv + ["--p", "1"]) == 0
+        assert "3.14159265;3.14159265;" in capsys.readouterr().out
+
+    def test_control_override_records_the_circuit_p(self, tmp_path, capsys):
+        # The p the control was prepared from is the p recorded and re-verified.
         out = str(tmp_path / "p1.json")
         argv = ["solve", "--game", "bayesian", "--gamma", "0.3", "--circuit", "full"]
         assert main(argv + ["--p", "1", "--out", out]) == 0
-        assert "3.14159265;3.14159265;" in capsys.readouterr().out
+        assert "p=1:" in capsys.readouterr().out
         assert json.loads(Path(out).read_text(encoding="utf-8"))["cells"][0]["p"] == 1.0
         assert main(["verify", "--in", out]) == 0
         assert "all pass" in capsys.readouterr().out
