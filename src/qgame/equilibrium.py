@@ -29,7 +29,6 @@ import numpy as np
 
 from .circuits import (
     bayesian_payoffs_full_circuit,
-    bayesian_payoffs_mixture,
     entangler,
     evolve_two_player,
     payoff_expectation,
@@ -47,7 +46,7 @@ PAYOFF_TOL = 2e-9
 
 # Working-array bounds of the vectorized Bayesian NE search: candidate
 # triples per block of a, and float64 entries per block of A's columns
-# (small enough to stay in cache).
+# (small enough to stay in cache), a bound ``verify_records`` shares.
 _TRIPLE_BLOCK = 1 << 20
 _COLUMN_BLOCK = 1 << 16
 
@@ -189,12 +188,10 @@ def find_ne_two_player(
     gamma: float,
     sset: StrategySet,
     eps_tie: float = DEFAULT_EPS_TIE,
-    tables: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[EquilibriumRecord]:
     """All profiles (a, b) where each strategy best-responds to the other."""
     check_eps_tie(eps_tie)
-    ta, tb = tables if tables is not None else two_player_tables(game, gamma, sset)
-    return _dense_ne((ta, tb), eps_tie)
+    return _dense_ne(two_player_tables(game, gamma, sset), eps_tie)
 
 
 def _candidate_triples(br1: np.ndarray, br2: np.ndarray):
@@ -346,34 +343,6 @@ def find_ne_bayesian_circuit(
     return _dense_ne(bayesian_circuit_tables(game, gamma, sset, p), eps_tie)
 
 
-def _best_deviations(evaluate, keys: int, n: int, picks):
-    """Each deviator's best payoff per key, and its payoffs at picked states.
-
-    State ``key * n + alt`` has the deviator play strategy ``alt`` against
-    ``key``.  The states are evaluated in order, in blocks of at most
-    ``_VERIFY_BLOCK``, by ``evaluate(key, alt)``, which returns one payoff
-    array per deviator; a block may split a key.  ``picks[d]`` holds the
-    states whose payoffs deviator d's records need.  Returns the best
-    payoffs (one array of ``keys`` per deviator) and the picked payoffs.
-    """
-    best = [np.full(keys, -np.inf) for _ in picks]
-    picked = [np.empty(len(pick)) for pick in picks]
-    orders = [np.argsort(pick, kind="stable") for pick in picks]
-    sorted_picks = [pick[order] for pick, order in zip(picks, orders)]
-    for start in range(0, keys * n, _VERIFY_BLOCK):
-        stop = min(start + _VERIFY_BLOCK, keys * n)
-        key, alt = np.divmod(np.arange(start, stop), n)
-        heads = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        span = slice(key[0], key[-1] + 1)
-        for values, top, out, order, pick in zip(
-            evaluate(key, alt), best, picked, orders, sorted_picks
-        ):
-            top[span] = np.maximum(top[span], np.maximum.reduceat(values, heads))
-            lo, hi = np.searchsorted(pick, (start, stop))
-            out[order[lo:hi]] = values[pick[lo:hi] - start]
-    return best, picked
-
-
 def verify_records(
     records: Sequence[EquilibriumRecord],
     game: TwoPlayerGame | BayesianGame,
@@ -387,18 +356,26 @@ def verify_records(
 
     Payoffs are recomputed through the scalar circuit path, so the check
     shares nothing with the vectorized tables or best-response masks.
-    A's deviations depend only on the other players' strategies and each
-    B player's only on A's, so every distinct key is evaluated once, with
-    all its alternatives, for the records that share it; a B key's state
-    serves both subgames.  A player's deviation to its recorded strategy
-    is the base payoff, and a record also fails when its stored payoffs
-    are more than ``PAYOFF_TOL`` from the base ones.  Bayesian records
-    need the ``p`` they were found at; two-player records take none.
-    Returns one verdict per record, in order.
+    Every deviation is keyed by the deviator's subgame opponent.  Each B
+    player's payoff for every alternative is tabled against each distinct
+    a, one state serving both B players; A's payoff in each subgame is
+    tabled against each distinct B strategy, one state serving both
+    subgames.  The states are evaluated in blocks of ``_VERIFY_BLOCK``,
+    and each table holds at most n x n floats.  A's Bayesian payoff
+    against (b1, b2) is ``p * E1[b1] + (1.0 - p) * E2[b2]``, the
+    mixture's own expression, maximized once per distinct pair in blocks
+    of ``_COLUMN_BLOCK`` entries; a two-player A reads its one table.
+    A player's deviation to its recorded strategy is the base payoff, and
+    a record also fails when its stored payoffs are more than
+    ``PAYOFF_TOL`` from the base ones.  Bayesian records need the ``p``
+    they were found at; two-player records take none.  Returns one
+    verdict per record, in order.
     """
     bayesian = isinstance(game, BayesianGame)
     if bayesian and p is None:
         raise ValueError("verifying a Bayesian record needs p")
+    if bayesian and not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
     us = sset.unitaries
     n, players = len(us), 3 if bayesian else 2
     for rec in records:
@@ -414,25 +391,44 @@ def verify_records(
         [rec.payoffs if len(rec.payoffs) == players else (np.nan,) * players for rec in records],
         dtype=float,
     )
-    shape = (n,) * len(bs)
-    others, other_of = np.unique(np.ravel_multi_index(bs, shape), return_inverse=True)
-    own, own_of = np.unique(a, return_inverse=True)
     subgames = (game.subgame_b1, game.subgame_b2) if bayesian else (game,)
+    weights = (float(p), 1.0 - float(p)) if bayesian else (1.0,)
 
-    def a_payoffs(key, alt):
-        rest = [us[b] for b in np.unravel_index(others[key], shape)]
-        if bayesian:
-            return bayesian_payoffs_mixture(p, gamma, us[alt], *rest, game)[:1]
-        return (payoff_expectation(evolve_two_player(gamma, us[alt], *rest), game.payoff_a),)
+    def table(keys, vectors, deviator_first):
+        """Payoffs ``vectors[k]`` of the deviator playing each alternative
+        against each key, as (len(vectors), len(keys), n)."""
+        total = len(keys) * n
+        out = np.empty((len(vectors), total))
+        for start in range(0, total, _VERIFY_BLOCK):
+            key, alt = np.divmod(np.arange(start, min(start + _VERIFY_BLOCK, total)), n)
+            pair = (us[alt], us[keys[key]]) if deviator_first else (us[keys[key]], us[alt])
+            psi = evolve_two_player(gamma, *pair)
+            for row, vec in zip(out, vectors):
+                row[start : start + len(key)] = payoff_expectation(psi, vec)
+        return out.reshape(len(vectors), len(keys), n)
 
-    def b_payoffs(key, alt):
-        psi = evolve_two_player(gamma, us[own[key]], us[alt])
-        return [payoff_expectation(psi, sub.payoff_b) for sub in subgames]
+    own, own_of = np.unique(a, return_inverse=True)
+    table_b = table(own, [sub.payoff_b for sub in subgames], deviator_first=False)
+    best_b = [t.max(axis=1)[own_of] for t in table_b]
+    base_b = [t[own_of, b] for t, b in zip(table_b, bs)]
+    del table_b  # freed before A's table is built, which lowers the peak
 
-    (best_a,), (base_a,) = _best_deviations(a_payoffs, len(others), n, [other_of * n + a])
-    best_bs, base_bs = _best_deviations(b_payoffs, len(own), n, [own_of * n + b for b in bs])
-    best = np.stack([best_a[other_of]] + [top[own_of] for top in best_bs], axis=1)
-    base = np.stack([base_a] + base_bs, axis=1)
+    others, other_of = np.unique(np.concatenate(bs), return_inverse=True)
+    table_a = table(others, [sub.payoff_a for sub in subgames], deviator_first=True)
+    keys = other_of.reshape(len(bs), len(records))
+    shape = (len(others),) * len(bs)
+    pairs, pair_of = np.unique(np.ravel_multi_index(keys, shape), return_inverse=True)
+    pair_keys = np.unravel_index(pairs, shape)
+    best_a = np.empty(len(pairs))
+    step = max(1, _COLUMN_BLOCK // n)
+    for start in range(0, len(pairs), step):
+        block = slice(start, start + step)
+        best_a[block] = sum(
+            w * t[k[block]] for w, t, k in zip(weights, table_a, pair_keys)
+        ).max(axis=1)
+    base_a = sum(w * t[k, a] for w, t, k in zip(weights, table_a, keys))
+    best = np.stack([best_a[pair_of]] + best_b, axis=1)
+    base = np.stack([base_a] + base_b, axis=1)
     return (
         (np.abs(stored - base) <= PAYOFF_TOL).all(axis=1)
         & (best <= base + eps_tie).all(axis=1)

@@ -30,7 +30,6 @@ from .equilibrium import (
     classify,
     find_ne_bayesian_row,
     find_ne_two_player,
-    two_player_tables,
 )
 from .games import BayesianGame, TwoPlayerGame
 from .strategies import DEFAULT_GRID, GridSteps
@@ -167,10 +166,7 @@ def _recheck(row, tables, p_values, eps_tie):
 
 
 def _bayesian_row(args) -> list[CellResult]:
-    game, gamma, p_values, steps, eps_tie = args
-    from .strategies import enumerate_strategies
-
-    sset = enumerate_strategies(steps)
+    game, gamma, p_values, sset, eps_tie = args
     tables = bayesian_tables(game, gamma, sset)
     row = find_ne_bayesian_row(game, gamma, sset, p_values, eps_tie, tables)
     _recheck(row, tables, p_values, eps_tie)
@@ -181,12 +177,8 @@ def _bayesian_row(args) -> list[CellResult]:
 
 
 def _two_player_row(args) -> list[CellResult]:
-    game, gamma, steps, eps_tie = args
-    from .strategies import enumerate_strategies
-
-    sset = enumerate_strategies(steps)
-    tables = two_player_tables(game, gamma, sset)
-    records = find_ne_two_player(game, gamma, sset, eps_tie, tables=tables)
+    game, gamma, sset, eps_tie = args
+    records = find_ne_two_player(game, gamma, sset, eps_tie)
     return [CellResult(None, gamma, tuple(classify(records, sset)))]
 
 
@@ -206,16 +198,21 @@ def effective_workers(requested: int | None, rows: int | None = None) -> int:
 
 
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
-    """Evaluate every grid cell; deterministic regardless of parallelism."""
+    """Evaluate every grid cell; deterministic regardless of parallelism.
+
+    The strategy grid is enumerated once and shared by every row.
+    """
+    # Looked up at call time, so a patch on the strategies module's
+    # enumerate_strategies (as bench's tracer makes) sees the call.
+    from .strategies import enumerate_strategies
+
     start = time.perf_counter()
+    sset = enumerate_strategies(spec.steps)
     if isinstance(spec.game, BayesianGame):
-        jobs = [
-            (spec.game, g, spec.p_values, spec.steps, spec.eps_tie)
-            for g in spec.gamma_values
-        ]
+        jobs = [(spec.game, g, spec.p_values, sset, spec.eps_tie) for g in spec.gamma_values]
         row_fn = _bayesian_row
     else:
-        jobs = [(spec.game, g, spec.steps, spec.eps_tie) for g in spec.gamma_values]
+        jobs = [(spec.game, g, sset, spec.eps_tie) for g in spec.gamma_values]
         row_fn = _two_player_row
 
     workers = effective_workers(workers, len(jobs))

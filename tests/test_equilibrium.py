@@ -306,6 +306,13 @@ class TestVerifyNe:
         with pytest.raises(ValueError, match="needs p"):
             verify_ne(rec, game, 0.3, grid8)
 
+    @pytest.mark.parametrize("p", [-0.1, 1.2, math.nan])
+    def test_bayesian_record_with_p_out_of_range_raises(self, grid8, p):
+        game = builtin_bayesian()
+        rec = find_ne_bayesian(game, 0.3, grid8, 0.9)[0]
+        with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+            verify_ne(rec, game, 0.3, grid8, p=p)
+
 
 def one_at_a_time(game, gamma, sset, p=None):
     """Every player's payoffs at one profile, each profile its own circuit call."""
@@ -370,8 +377,9 @@ def golden_sweep(tmp_path_factory):
 
 
 class TestVerifyRecords:
-    # Cell 185 holds no NE, so only the random profiles are checked there.
-    @pytest.mark.parametrize("index", [0, 111, 185, 370, 592])
+    # Cell 185 holds no NE, so only the random profiles are checked there;
+    # cell 660 lies at p = 1, where B2's weight in A's mixture is 0.
+    @pytest.mark.parametrize("index", [0, 111, 185, 370, 592, 660])
     def test_golden_cells_match_one_at_a_time_oracle(self, golden_sweep, index):
         spec, cell = golden_sweep.spec, golden_sweep.cells[index]
         sset = enumerate_strategies(spec.steps)
@@ -410,6 +418,28 @@ class TestVerifyRecords:
         assert verify_records(records, game, 0.9, grid24, p=0.3) == whole
         assert whole[: len(found)] == [True] * len(found)
         assert not all(whole)
+
+    def test_states_evaluated_once_per_subgame_opponent(self, grid24, monkeypatch):
+        # One row of n states per distinct a serves both B players, and one
+        # per distinct B strategy in b1 or b2 serves A in both subgames.
+        game = custom_bayesian()
+        found = find_ne_bayesian(game, 0.9, grid24, 0.3)
+        payoffs = one_at_a_time(game, 0.9, grid24, 0.3)
+        records = with_decoys(found, len(grid24), 3, np.random.default_rng(13), payoffs)
+        evolve, states = equilibrium.evolve_two_player, []
+
+        def counting(gamma, u_a, u_b):
+            psi = evolve(gamma, u_a, u_b)
+            states.append(psi.size // 4)
+            return psi
+
+        monkeypatch.setattr(equilibrium, "evolve_two_player", counting)
+        verdicts = verify_records(records, game, 0.9, grid24, p=0.3)
+        a, b1, b2 = np.array([rec.profile for rec in records]).T
+        keys = len(np.unique(a)) + len(np.union1d(b1, b2))
+        assert sum(states) == keys * len(grid24)
+        assert verdicts[: len(found)] == [True] * len(found)
+        assert not all(verdicts)
 
     def test_wrong_profile_length_raises(self, grid8):
         rec = EquilibriumRecord((0, 0), (0.0, 0.0))
