@@ -19,6 +19,7 @@ from .circuits import (
     strategy_unitary,
 )
 from .equilibrium import (
+    BayesianTables,
     EquilibriumClass,
     EquilibriumRecord,
     bayesian_tables,

@@ -5,7 +5,9 @@ precomputed per gamma (they do not depend on p, so p-sweeps reuse
 them), each as one real matrix product over a rank-16 factorization of
 the Born payoff; best-response sets are read off with an absolute tie
 tolerance, and a profile is an equilibrium when every player's strategy
-is in its best-response set against the others.
+is in its best-response set against the others.  A Bayesian row keeps
+A's dense tables, one per distinct payoff vector of A, and each B
+player's table only as its list of best responses.
 
 ``verify_records`` is the independent oracle: it re-evaluates every
 unilateral deviation through the scalar circuit path, never consulting
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -132,13 +134,6 @@ def _payoff_table(factors, core: np.ndarray, columns: bool) -> np.ndarray:
     return (real @ left.T).T if columns else left @ real.T
 
 
-def _subgame_tables(game: TwoPlayerGame, j: np.ndarray, factors):
-    return (
-        _payoff_table(factors, _born_core(j, game.payoff_a), columns=True),
-        _payoff_table(factors, _born_core(j, game.payoff_b), columns=False),
-    )
-
-
 def two_player_tables(
     game: TwoPlayerGame, gamma: float, sset: StrategySet
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -146,23 +141,84 @@ def two_player_tables(
 
     T_A is column-major (A's best responses scan columns), T_B row-major.
     """
-    return _subgame_tables(game, entangler(gamma), _born_factors(sset))
+    j, factors = entangler(gamma), _born_factors(sset)
+    return (
+        _payoff_table(factors, _born_core(j, game.payoff_a), columns=True),
+        _payoff_table(factors, _born_core(j, game.payoff_b), columns=False),
+    )
+
+
+class BayesianTables(NamedTuple):
+    """What the Bayesian search of one gamma row reads, reduced at one tie tolerance.
+
+    ``ta1[i, j]`` and ``ta2[i, j]`` are A's payoffs for playing i against
+    B1 and against B2 playing j, column-major; when both subgames give A
+    the same payoff vector they are one array (``ta2 is ta1``).
+    ``br1`` holds B1's best responses as ascending row-major flat indices
+    ``a * n + b1`` of B1's table, the entries within ``eps_tie`` of row
+    a's maximum, and ``pay1`` B1's payoffs there; ``br2`` and ``pay2``
+    likewise for B2.  ``eps_tie`` is a 0-d array, so every field is an
+    array.
+    """
+
+    ta1: np.ndarray
+    ta2: np.ndarray
+    br1: np.ndarray
+    pay1: np.ndarray
+    br2: np.ndarray
+    pay2: np.ndarray
+    eps_tie: np.ndarray
+
+    def check_reduced_at(self, eps_tie: float) -> None:
+        """Raise ValueError unless the lists were reduced at ``eps_tie``."""
+        if self.eps_tie != eps_tie:
+            raise ValueError(
+                f"tables were reduced at eps_tie {float(self.eps_tie)}, not {eps_tie}"
+            )
+
+
+def _best_responses(tb: np.ndarray, eps_tie: float) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of a row-major table's entries within ``eps_tie`` of
+    their row's maximum, and the entries there."""
+    idx = np.flatnonzero(tb >= tb.max(axis=1, keepdims=True) - eps_tie)
+    return idx, tb.ravel()[idx]
 
 
 def bayesian_tables(
-    game: BayesianGame, gamma: float, sset: StrategySet
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-subgame payoff tables (T_A1, T_B1, T_A2, T_B2) at one gamma.
+    game: BayesianGame,
+    gamma: float,
+    sset: StrategySet,
+    eps_tie: float = DEFAULT_EPS_TIE,
+) -> BayesianTables:
+    """A's per-subgame tables and the B players' best-response lists at one gamma.
 
     Independent of p: A's Bayesian payoff against (b1, b2) is
-    p * T_A1[:, b1] + (1 - p) * T_A2[:, b2], so sweeps over p share
-    these tables.
+    p * T_A1[b1] + (1 - p) * T_A2[b2] by columns, so sweeps over p share
+    these tables.  Each B table is built whole, reduced to its best
+    responses and dropped before the next table is built; A's tables
+    come last, and A's second table is the first when the two payoff
+    vectors agree byte for byte (so -0.0 never stands in for 0.0).  The
+    row therefore holds at most one n x n table per distinct payoff
+    vector of A, plus one B table while it is reduced.
     """
-    j = entangler(gamma)
-    factors = _born_factors(sset)
-    ta1, tb1 = _subgame_tables(game.subgame_b1, j, factors)
-    ta2, tb2 = _subgame_tables(game.subgame_b2, j, factors)
-    return ta1, tb1, ta2, tb2
+    check_eps_tie(eps_tie)
+    j, factors = entangler(gamma), _born_factors(sset)
+    subgames = (game.subgame_b1, game.subgame_b2)
+    # Each B table is a temporary of one list item, freed before the next.
+    (br1, pay1), (br2, pay2) = [
+        _best_responses(
+            _payoff_table(factors, _born_core(j, sub.payoff_b), columns=False), eps_tie
+        )
+        for sub in subgames
+    ]
+    vec1, vec2 = (np.asarray(sub.payoff_a, dtype=float) for sub in subgames)
+    ta1 = _payoff_table(factors, _born_core(j, vec1), columns=True)
+    ta2 = (
+        ta1
+        if vec1.tobytes() == vec2.tobytes()
+        else _payoff_table(factors, _born_core(j, vec2), columns=True)
+    )
+    return BayesianTables(ta1, ta2, br1, pay1, br2, pay2, np.array(eps_tie))
 
 
 def _dense_ne(tables: Sequence[np.ndarray], eps_tie: float) -> list[EquilibriumRecord]:
@@ -194,19 +250,17 @@ def find_ne_two_player(
     return _dense_ne(two_player_tables(game, gamma, sset), eps_tie)
 
 
-def _candidate_triples(br1: np.ndarray, br2: np.ndarray):
-    """Triples (a, b1, b2) with br1[a, b1] and br2[a, b2], in lexicographic order.
+def _candidate_triples(rows1: np.ndarray, count2: np.ndarray, start2: np.ndarray):
+    """Positions (i1, i2) of candidate triples in the B players' best-response lists.
 
-    Each (a, b1) of the row-major nonzero list of br1 is repeated once per
-    b2 of row a of br2, which ``start2`` locates in br2's nonzero list.
+    ``rows1`` holds the rows a of a run of B1's list.  Each of its entries
+    is repeated once per entry of row a of B2's list, which starts at
+    ``start2[a]`` and holds ``count2[a]`` entries, so the triples come in
+    lexicographic order.  i1 counts from the start of the run.
     """
-    a1, b1 = np.divmod(np.flatnonzero(br1), br1.shape[1])
-    a2, b2 = np.divmod(np.flatnonzero(br2), br2.shape[1])
-    count2 = np.bincount(a2, minlength=len(br2))
-    start2 = np.cumsum(count2) - count2
-    reps = count2[a1]
+    reps = count2[rows1]
     within = np.arange(int(reps.sum())) - np.repeat(np.cumsum(reps) - reps, reps)
-    return np.repeat(a1, reps), np.repeat(b1, reps), b2[np.repeat(start2[a1], reps) + within]
+    return np.repeat(np.arange(len(rows1)), reps), np.repeat(start2[rows1], reps) + within
 
 
 def _row_blocks(sizes: np.ndarray, budget: int):
@@ -230,35 +284,41 @@ def find_ne_bayesian_row(
     sset: StrategySet,
     p_values: Sequence[float],
     eps_tie: float = DEFAULT_EPS_TIE,
-    tables: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
+    tables: BayesianTables | None = None,
 ) -> list[list[EquilibriumRecord]]:
     """The records of ``find_ne_bayesian`` at each p of ``p_values``.
 
     Only A's payoff depends on p, so one search serves the whole row.
-    B1's payoff does not depend on b2 nor B2's on b1, so both
-    best-response masks are taken for every a at once and expanded into
-    candidate triples.  The triples, their distinct (b1, b2) pairs and
-    A's gathered columns are built once for the row; only A's mixture,
-    its maximum and the tie test run per p, once per distinct pair.
-    Candidates, column blocks and the per-p best payoffs are processed in
-    bounded chunks.  Records come back in profile order, one list per p.
+    B1's payoff does not depend on b2 nor B2's on b1, so the candidate
+    triples are read straight off the two best-response lists of
+    ``tables``, which must have been reduced at ``eps_tie``.  The
+    triples, their distinct (b1, b2) pairs and A's gathered columns are
+    built once for the row; only A's mixture, its maximum and the tie
+    test run per p, once per distinct pair.  Candidates, column blocks
+    and the per-p best payoffs are processed in bounded chunks.  Records
+    come back in profile order, one list per p.
     """
     check_eps_tie(eps_tie)
     for p in p_values:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {p}")
-    ta1, tb1, ta2, tb2 = (
-        tables if tables is not None else bayesian_tables(game, gamma, sset)
-    )
-    n = tb1.shape[1]
-    br1 = tb1 >= tb1.max(axis=1, keepdims=True) - eps_tie
-    br2 = tb2 >= tb2.max(axis=1, keepdims=True) - eps_tie
-    sizes = br1.sum(axis=1) * br2.sum(axis=1)
+    if tables is None:
+        tables = bayesian_tables(game, gamma, sset, eps_tie)
+    tables.check_reduced_at(eps_tie)
+    ta1, ta2 = tables.ta1, tables.ta2
+    n = ta1.shape[0]
+    a1, b1_of = np.divmod(tables.br1, n)
+    a2, b2_of = np.divmod(tables.br2, n)
+    count1, count2 = (np.bincount(rows, minlength=n) for rows in (a1, a2))
+    end1 = np.cumsum(count1)
+    start2 = np.cumsum(count2) - count2
     pair_block = max(1, _COLUMN_BLOCK // max(n, 1))
     records: list[list[EquilibriumRecord]] = [[] for _ in p_values]
-    for rows in _row_blocks(sizes, _TRIPLE_BLOCK):
-        a, b1, b2 = _candidate_triples(br1[rows], br2[rows])
-        a += rows.start
+    for rows in _row_blocks(count1 * count2, _TRIPLE_BLOCK):
+        offset = end1[rows.start] - count1[rows.start]
+        i1, i2 = _candidate_triples(a1[offset : end1[rows.stop - 1]], count2, start2)
+        i1 += offset
+        a, b1, b2 = a1[i1], b1_of[i1], b2_of[i2]
         pairs, pair_of = np.unique(b1 * n + b2, return_inverse=True)
         g1, g2 = ta1.T[b1, a], ta2.T[b2, a]
         p_block = max(1, _TRIPLE_BLOCK // max(len(pairs), 1))
@@ -275,15 +335,14 @@ def find_ne_bayesian_row(
             for best_p, p, out in zip(best, group, records[first:]):
                 pay_a = p * g1 + (1.0 - p) * g2
                 keep = np.flatnonzero(pay_a >= best_p[pair_of] - eps_tie)
-                ak, b1k, b2k = a[keep], b1[keep], b2[keep]
                 out.extend(
                     EquilibriumRecord(profile, payoffs)
                     for profile, payoffs in zip(
-                        zip(ak.tolist(), b1k.tolist(), b2k.tolist()),
+                        zip(a[keep].tolist(), b1[keep].tolist(), b2[keep].tolist()),
                         zip(
                             pay_a[keep].tolist(),
-                            tb1[ak, b1k].tolist(),
-                            tb2[ak, b2k].tolist(),
+                            tables.pay1[i1[keep]].tolist(),
+                            tables.pay2[i2[keep]].tolist(),
                         ),
                     )
                 )
@@ -296,7 +355,7 @@ def find_ne_bayesian(
     sset: StrategySet,
     p: float,
     eps_tie: float = DEFAULT_EPS_TIE,
-    tables: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
+    tables: BayesianTables | None = None,
 ) -> list[EquilibriumRecord]:
     """All profiles (a, b1, b2) stable under unilateral deviation at one p.
 

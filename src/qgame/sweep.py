@@ -1,11 +1,12 @@
 """Parameter sweeps over entanglement gamma and type probability p.
 
 Bayesian sweeps cover the (p, gamma) plane; two-player games sweep
-gamma alone.  A gamma row is one unit of work: its payoff tables are
-built once, and one NE search (``find_ne_bayesian_row``) returns the
-records of every p in the row, because only A's payoff depends on p.
-Each cell's records are then re-checked against the tables and
-classified on their own.  With ``workers > 1`` rows are evaluated in a
+gamma alone.  A gamma row is one unit of work: its table set (A's
+payoff tables and the B players' best-response lists) is built once,
+and one NE search (``find_ne_bayesian_row``) returns the records of
+every p in the row, because only A's payoff depends on p.  The row's
+records are then re-checked against that table set, and each cell is
+classified on its own.  With ``workers > 1`` rows are evaluated in a
 process pool, and the merged result is sorted so output is identical
 regardless of parallelism.  The worker count is capped by the row
 count and the CPU count.
@@ -51,9 +52,10 @@ def value_grid(limit: float, step: float = DEFAULT_STEP) -> tuple[float, ...]:
     replaced by the limit itself, so [0, 1] at 0.05 gives 21 values and
     [0, pi/2] at 0.05 gives 32 (0, 0.05, ..., 1.5, pi/2).  A step with
     ``limit / step`` above ``MAX_GRID_POINTS`` is refused before any
-    point is built; so is an infinite step, which would give the limit alone.
+    point is built; so is an infinite step, which would give the limit
+    alone, and a NaN one.
     """
-    if step <= 0 or limit <= 0 or math.isinf(step):
+    if not (math.isfinite(step) and step > 0 and limit > 0):
         raise ValueError(f"limit and step must be positive and finite, got step {step}")
     if not limit / step <= MAX_GRID_POINTS:
         raise ValueError(
@@ -140,34 +142,43 @@ class RegionSummary:
 def _recheck(row, tables, p_values, eps_tie):
     """Table-backed deviation re-check of every record of a gamma row.
 
-    Recomputes each record's deviation payoffs from the tables alone, in
-    blocks of records, and raises on the first record that is not stable.
-    B1's and B2's best payoffs do not depend on p and are taken once.
+    Recomputes each record's deviation payoffs from the tables alone and
+    raises on the first record that is not stable.  A's best deviation
+    is taken once per distinct (b1, b2) of each cell, in blocks of pairs;
+    each B player is stable when its (a, b) is in its best-response list,
+    which ``tables`` must hold reduced at ``eps_tie``.  All cells of the
+    row are checked together.
     """
-    if not any(row):
+    tables.check_reduced_at(eps_tie)
+    records = [rec for cell in row for rec in cell]
+    if not records:
         return
-    ta1, tb1, ta2, tb2 = tables
-    best1 = tb1.max(axis=1)
-    best2 = tb2.max(axis=1)
-    step = max(1, _RECHECK_ENTRIES // ta1.shape[0])
-    for p, records in zip(p_values, row):
-        profiles = np.array([rec.profile for rec in records])
-        for start in range(0, len(profiles), step):
-            a, b1, b2 = profiles[start : start + step].T
-            pay_a = p * ta1[:, b1] + (1.0 - p) * ta2[:, b2]
-            ok = (
-                (pay_a[a, np.arange(len(a))] >= pay_a.max(axis=0) - eps_tie)
-                & (tb1[a, b1] >= best1[a] - eps_tie)
-                & (tb2[a, b2] >= best2[a] - eps_tie)
-            )
-            if not ok.all():
-                rec = records[start + int(np.argmin(ok))]
-                raise RuntimeError(f"record {rec.profile} failed deviation re-check")
+    ta1, ta2 = tables.ta1, tables.ta2
+    n = ta1.shape[0]
+    p_cell = np.asarray(p_values, dtype=float)
+    cell = np.repeat(np.arange(len(row)), [len(recs) for recs in row])
+    p = p_cell[cell]
+    a, b1, b2 = np.array([rec.profile for rec in records]).T
+    pairs, pair_of = np.unique((cell * n + b1) * n + b2, return_inverse=True)
+    best = np.empty(len(pairs))
+    step = max(1, _RECHECK_ENTRIES // n)
+    for start in range(0, len(pairs), step):
+        c, c1, c2 = np.unravel_index(pairs[start : start + step], (len(row), n, n))
+        pc = p_cell[c]
+        best[start : start + step] = (pc * ta1[:, c1] + (1.0 - pc) * ta2[:, c2]).max(axis=0)
+    ok = (
+        (p * ta1[a, b1] + (1.0 - p) * ta2[a, b2] >= best[pair_of] - eps_tie)
+        & np.isin(a * n + b1, tables.br1)
+        & np.isin(a * n + b2, tables.br2)
+    )
+    if not ok.all():
+        rec = records[int(np.argmin(ok))]
+        raise RuntimeError(f"record {rec.profile} failed deviation re-check")
 
 
 def _bayesian_row(args) -> list[CellResult]:
     game, gamma, p_values, sset, eps_tie = args
-    tables = bayesian_tables(game, gamma, sset)
+    tables = bayesian_tables(game, gamma, sset, eps_tie)
     row = find_ne_bayesian_row(game, gamma, sset, p_values, eps_tie, tables)
     _recheck(row, tables, p_values, eps_tie)
     return [

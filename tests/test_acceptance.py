@@ -21,10 +21,10 @@ from qgame.circuits import (
     no_signaling_check,
 )
 from qgame.equilibrium import (
-    bayesian_tables,
     classify,
     find_ne_bayesian,
     find_ne_two_player,
+    two_player_tables,
     verify_ne,
 )
 from qgame.games import builtin_bayesian, builtin_da, builtin_pd, classical_bayesian_ne
@@ -263,7 +263,8 @@ def test_c08_mixture_circuit_equivalence(grid8):
     game, us = builtin_bayesian(), grid8.unitaries
     worst = 0.0
     for gamma in (0.0, 0.5, 1.0, PI / 2):
-        ta1, tb1, ta2, tb2 = bayesian_tables(game, gamma, grid8)
+        ta1, tb1 = two_player_tables(game.subgame_b1, gamma, grid8)
+        ta2, tb2 = two_player_tables(game.subgame_b2, gamma, grid8)
         for p in (0.0, 0.25, 0.5, 1.0):
             # All 512 profiles (a, b1, b2) in one stacked call.
             circuit = bayesian_payoffs_full_circuit(

@@ -157,6 +157,8 @@ class TestToleranceAndWorkerFlags:
             (["--grid-theta", "pi/32", "--grid-phi", "pi/32", "--grid-alpha", "pi/32"],
              "strategies"),
             (["--p-step", "inf"], "finite"),
+            (["--p-step", "nan"], "must be positive and finite"),
+            (["--gamma-step", "nan"], "must be positive and finite"),
         ],
     )
     def test_oversized_sweep_is_refused(self, flags, message, capsys):

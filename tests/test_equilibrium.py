@@ -1,6 +1,7 @@
 import gzip
 import math
 import re
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -37,7 +38,7 @@ from qgame.games import (
 )
 from qgame.serialize import load_result
 from qgame.strategies import DEFAULT_GRID, GridSteps, enumerate_strategies
-from qgame.sweep import _recheck
+from qgame.sweep import _bayesian_row, _recheck, gamma_grid, p_grid
 
 PI = math.pi
 GOLDEN = Path(__file__).parent / "golden"
@@ -117,14 +118,60 @@ class TestTables:
             assert np.max(np.abs(ta - oa)) < 1e-12
             assert np.max(np.abs(tb - ob)) < 1e-12
 
-    def test_bayesian_tables_layout(self, grid24):
-        # A's tables are read by column, the B players' by row.
-        ta1, tb1, ta2, tb2 = bayesian_tables(custom_bayesian(), 0.7, grid24)
-        assert ta1.flags.f_contiguous and ta2.flags.f_contiguous
-        assert tb1.flags.c_contiguous and tb2.flags.c_contiguous
-        oa2, ob2 = scalar_two_player_tables(custom_bayesian().subgame_b2, 0.7, grid24)
-        assert np.max(np.abs(ta2 - oa2)) < 1e-12
-        assert np.max(np.abs(tb2 - ob2)) < 1e-12
+    @pytest.mark.parametrize("gamma", [0.0, 0.4, 1.1, PI / 2])
+    def test_best_response_lists_match_dense_tables(self, grid24, gamma):
+        eps = 1e-9
+        game = custom_bayesian()
+        tables = bayesian_tables(game, gamma, grid24, eps)
+        lists = ((tables.br1, tables.pay1), (tables.br2, tables.pay2))
+        for sub, (idx, pay) in zip((game.subgame_b1, game.subgame_b2), lists):
+            tb = two_player_tables(sub, gamma, grid24)[1]
+            expected = np.flatnonzero(tb >= tb.max(axis=1, keepdims=True) - eps)
+            assert idx.tobytes() == expected.tobytes()
+            assert pay.tobytes() == tb.ravel()[expected].tobytes()
+        for ta, sub in zip((tables.ta1, tables.ta2), (game.subgame_b1, game.subgame_b2)):
+            # A's tables are read by column.
+            assert ta.flags.f_contiguous
+            assert ta.tobytes("A") == two_player_tables(sub, gamma, grid24)[0].tobytes("A")
+
+    def test_shared_a_payoffs_share_one_table(self, grid24):
+        tables = bayesian_tables(builtin_bayesian(), 0.7, grid24)
+        assert tables.ta2 is tables.ta1
+        tables = bayesian_tables(custom_bayesian(), 0.7, grid24)
+        assert tables.ta2 is not tables.ta1
+        assert not np.array_equal(tables.ta1, tables.ta2)
+        # Equal as numbers, different as bytes: the tables are kept apart.
+        signed_zeros = BayesianGame(
+            TwoPlayerGame((11, 0.0, 10, 6), (9, 10, 1, 6)),
+            TwoPlayerGame((11, -0.0, 10, 6), (9, 6, 1, 0)),
+        )
+        tables = bayesian_tables(signed_zeros, 0.7, grid24)
+        assert tables.ta2 is not tables.ta1
+
+    def test_every_field_is_an_array(self, grid24):
+        # So a table set can be sized by summing its fields' sizes.
+        tables = bayesian_tables(builtin_bayesian(), 0.7, grid24, 1e-6)
+        assert all(isinstance(field, np.ndarray) for field in tables)
+        assert tables.eps_tie == 1e-6
+
+    def test_rejects_bad_eps_tie(self, grid8):
+        with pytest.raises(ValueError, match="non-negative"):
+            bayesian_tables(builtin_bayesian(), 0.7, grid8, -1e-9)
+
+    def test_row_holds_at_most_one_and_a_half_tables(self):
+        # Peak traced memory of one pi/8 row (gamma index 28, p step 0.2):
+        # one A table of n x n floats, plus one B table while it is reduced.
+        sset = enumerate_strategies(GridSteps(PI / 8, PI / 8, PI / 8))
+        n = len(sset)
+        job = (builtin_bayesian(), gamma_grid()[28], p_grid(0.2), sset, 1e-9)
+        tracemalloc.start()
+        try:
+            cells = _bayesian_row(job)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(len(c.classes) for c in cells) > 0
+        assert peak < 1.5 * n * n * 8
 
 
 class TestFindNeTwoPlayer:
@@ -218,7 +265,8 @@ class TestFourQubitWitness:
         tables = bayesian_circuit_tables(game, 0.9, grid24, p)
         n = len(grid24)
         assert tables.shape == (3, n, n, n)
-        ta1, tb1, ta2, tb2 = bayesian_tables(game, 0.9, grid24)
+        ta1, tb1 = two_player_tables(game.subgame_b1, 0.9, grid24)
+        ta2, tb2 = two_player_tables(game.subgame_b2, 0.9, grid24)
         mixture = (
             p * ta1[:, :, None] + (1.0 - p) * ta2[:, None, :],
             np.broadcast_to(tb1[:, :, None], (n, n, n)),
@@ -637,6 +685,39 @@ class TestRecheck:
         with pytest.raises(RuntimeError, match=re.escape(str(bad))):
             _recheck([tampered], tables, [0.0], 1e-9)
 
+    def test_tampered_record_sharing_a_good_pair_raises(self, grid24):
+        # A's best deviation is taken once per (b1, b2).  The bad record
+        # shares its pair with a good one and passes both B players' lists,
+        # so only A's check can name it.
+        game, n = builtin_bayesian(), len(grid24)
+        tables = bayesian_tables(game, 0.0, grid24)
+        records = find_ne_bayesian(game, 0.0, grid24, 0.3, tables=tables)
+        found = {r.profile for r in records}
+        bad = next(
+            (a, b1, b2)
+            for _, b1, b2 in sorted(found)
+            for a in range(n)
+            if (a, b1, b2) not in found
+            and a * n + b1 in tables.br1
+            and a * n + b2 in tables.br2
+        )
+        tampered = sorted(
+            records + [EquilibriumRecord(bad, records[0].payoffs)], key=lambda r: r.profile
+        )
+        with pytest.raises(RuntimeError, match=re.escape(str(bad))):
+            _recheck([tampered], tables, [0.3], 1e-9)
+
+    def test_tables_reduced_at_another_eps_tie_raise(self, grid24):
+        game = builtin_bayesian()
+        tables = bayesian_tables(game, 1.0, grid24, 1e-9)
+        records = find_ne_bayesian(game, 1.0, grid24, 0.0, 1e-9, tables)
+        with pytest.raises(ValueError, match="reduced at eps_tie"):
+            find_ne_bayesian(game, 1.0, grid24, 0.0, 1e-6, tables)
+        with pytest.raises(ValueError, match="reduced at eps_tie"):
+            find_ne_bayesian_row(game, 1.0, grid24, [0.0, 0.5], 0.0, tables)
+        with pytest.raises(ValueError, match="reduced at eps_tie"):
+            _recheck([records], tables, [0.0], 1e-6)
+
 
 class TestInvariants:
     def test_classical_anchor_at_gamma_zero(self, grid8):
@@ -666,7 +747,10 @@ class TestInvariants:
         points = [(0.9, 0.3), (0.1, 0.5), (0.5, 0.8), (0.1, 1.3), (0.5, 0.3)]
         for p, gamma in points:
             game = builtin_bayesian()
-            tables = bayesian_tables(game, gamma, grid8)
-            strict = {r.profile for r in find_ne_bayesian(game, gamma, grid8, p, 1e-9, tables)}
-            loose = {r.profile for r in find_ne_bayesian(game, gamma, grid8, p, 1e-6, tables)}
+            found = []
+            for eps in (1e-9, 1e-6):
+                # A table set serves only the tolerance it was reduced at.
+                tables = bayesian_tables(game, gamma, grid8, eps)
+                found.append({r.profile for r in find_ne_bayesian(game, gamma, grid8, p, eps, tables)})
+            strict, loose = found
             assert strict == loose
