@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -506,12 +507,41 @@ def verify_ne(
     return verify_records([record], game, gamma, sset, eps_tie, p)[0]
 
 
+_PROFILE = attrgetter("profile")
+
+
 def _offset(phase: float) -> float:
     return round(wrap_angle(phase), 9)
 
 
+def _class_facts(members: tuple[EquilibriumRecord, ...], sset: StrategySet) -> tuple:
+    """What a class's member profiles alone fix: its theta-profile, phase
+    sums and differences, and operator label."""
+    rep = members[0]
+    others = ("B",) if len(rep.profile) == 2 else ("B1", "B2")
+    free, names = sset.free_phases, sset.pauli_names
+    phase_sums: dict[str, tuple[float, ...]] = {}
+    phase_diffs: dict[str, tuple[float, ...]] = {}
+    for k, other in enumerate(others, start=1):
+        phases = {(free[rec.profile[0]], free[rec.profile[k]]) for rec in members}
+        if any(g_a is None or g_k is None for g_a, g_k in phases):
+            continue
+        pair = f"A-{other}"
+        phase_sums[pair] = tuple(sorted({_offset(g_a + g_k) for g_a, g_k in phases}))
+        phase_diffs[pair] = tuple(sorted({_offset(g_k - g_a) for g_a, g_k in phases}))
+
+    label = None
+    if all(names[i] is not None for rec in members for i in rec.profile):
+        label = "⊗".join(names[i] for i in rep.profile)
+
+    theta_profile = tuple(sset.params[i].theta for i in rep.profile)
+    return theta_profile, phase_sums, phase_diffs, label
+
+
 def classify(
-    records: list[EquilibriumRecord], sset: StrategySet
+    records: list[EquilibriumRecord],
+    sset: StrategySet,
+    facts: dict[tuple, tuple] | None = None,
 ) -> list[EquilibriumClass]:
     """Group NE records into classes by theta-profile and payoffs.
 
@@ -519,6 +549,12 @@ def classify(
     collected per pair; a pair is reported only when both players'
     theta values pin a single free phase.  The operator label comes
     from the first member in profile order.
+
+    These facts depend only on a class's member profiles and ``sset``.
+    A caller that classifies several cells over one ``sset`` may pass
+    one ``facts`` dict to all of them; it is keyed by the tuple of
+    member profiles, so a class that recurs across the cells is
+    described once.  Each returned class gets its own phase dicts.
     """
     # Keys round each strategy's theta once, and each distinct payoff tuple
     # once: a cell's records share far fewer payoffs than profiles.
@@ -531,35 +567,24 @@ def classify(
             pay9 = payoffs9[rec.payoffs] = tuple([round(x, 9) for x in rec.payoffs])
         groups.setdefault((tuple([theta9[i] for i in rec.profile]), pay9), []).append(rec)
 
-    free, names = sset.free_phases, sset.pauli_names
     classes = []
     for key in sorted(groups):
         members = tuple(groups[key])
-        rep = members[0]
-        others = ("B",) if len(rep.profile) == 2 else ("B1", "B2")
-
-        phase_sums: dict[str, tuple[float, ...]] = {}
-        phase_diffs: dict[str, tuple[float, ...]] = {}
-        for k, other in enumerate(others, start=1):
-            phases = {(free[rec.profile[0]], free[rec.profile[k]]) for rec in members}
-            if any(g_a is None or g_k is None for g_a, g_k in phases):
-                continue
-            pair = f"A-{other}"
-            phase_sums[pair] = tuple(sorted({_offset(g_a + g_k) for g_a, g_k in phases}))
-            phase_diffs[pair] = tuple(sorted({_offset(g_k - g_a) for g_a, g_k in phases}))
-
-        label = None
-        if all(names[i] is not None for rec in members for i in rec.profile):
-            label = "⊗".join(names[i] for i in rep.profile)
-
-        theta_profile = tuple(sset.params[i].theta for i in rep.profile)
+        if facts is None:
+            fact = _class_facts(members, sset)
+        else:
+            profiles = tuple(map(_PROFILE, members))
+            fact = facts.get(profiles)
+            if fact is None:
+                fact = facts[profiles] = _class_facts(members, sset)
+        theta_profile, phase_sums, phase_diffs, label = fact
         classes.append(
             EquilibriumClass(
                 theta_profile=theta_profile,
-                payoffs=rep.payoffs,
+                payoffs=members[0].payoffs,
                 members=members,
-                phase_sums=phase_sums,
-                phase_diffs=phase_diffs,
+                phase_sums=dict(phase_sums),
+                phase_diffs=dict(phase_diffs),
                 operator_label=label,
             )
         )

@@ -20,6 +20,9 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
+from typing import Iterable, Iterator
 
 from .equilibrium import EquilibriumClass, EquilibriumRecord
 from .games import BayesianGame, TwoPlayerGame, payoff_vector
@@ -41,15 +44,24 @@ def _require(mapping, key, path):
     return mapping[key]
 
 
+# The types ``json.load`` gives numbers; bool is neither.
+_NUMBER_TYPES = frozenset({int, float})
+
+
+def _number(value, path: str) -> float:
+    """A JSON number, booleans and strings refused."""
+    if type(value) not in _NUMBER_TYPES:
+        raise ConfigError(f"{path} must be a number, got {value!r}")
+    return float(value)
+
+
 def _numbers(values, path: str, count: int | None = None) -> tuple[float, ...]:
     """A JSON list of numbers, booleans excluded, of ``count`` items if given."""
-    if not isinstance(values, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-    ):
+    if not isinstance(values, list) or not set(map(type, values)) <= _NUMBER_TYPES:
         raise ConfigError(f"{path} must be a list of numbers, got {values!r}")
     if count is not None and len(values) != count:
         raise ConfigError(f"{path} must list {count} numbers, got {len(values)}")
-    return tuple(float(v) for v in values)
+    return tuple(map(float, values))
 
 
 def _payoff_pair(block, path) -> tuple[tuple, tuple]:
@@ -110,19 +122,8 @@ def class_id(cls: EquilibriumClass | RegionSummary) -> str:
     return f"{thetas}|{cls.operator_label or '-'}"
 
 
-def _class_to_dict(cls: EquilibriumClass) -> dict:
-    return {
-        "theta": [float(t) for t in cls.theta_profile],
-        "payoffs": [float(x) for x in cls.payoffs],
-        "operator_label": cls.operator_label,
-        "phase_sums": {k: list(v) for k, v in sorted(cls.phase_sums.items())},
-        "phase_diffs": {k: list(v) for k, v in sorted(cls.phase_diffs.items())},
-        "members": [list(rec.profile) for rec in cls.members],
-    }
-
-
-def _profile(prof, n_players: int, n_strategies: int, path: str) -> tuple[int, ...]:
-    """One stored profile: ``n_players`` integer indices in [0, n_strategies)."""
+def _profile(prof, n_players: int, n_strategies: int, path: str) -> None:
+    """Raise unless ``prof`` is ``n_players`` integer indices in [0, n_strategies)."""
     if not isinstance(prof, list) or len(prof) != n_players:
         raise ConfigError(f"{path} must list {n_players} strategy indices, got {prof!r}")
     for i in prof:
@@ -130,7 +131,25 @@ def _profile(prof, n_players: int, n_strategies: int, path: str) -> tuple[int, .
             raise ConfigError(
                 f"{path} holds index {i!r}, outside the grid's [0, {n_strategies})"
             )
-    return tuple(prof)
+
+
+def _members(value, n_players: int, n_strategies: int, path: str) -> list[tuple[int, ...]]:
+    """A class's stored profiles, each ``n_players`` integer indices in
+    [0, n_strategies), checked as one list.  Only a list that fails goes
+    through ``_profile`` member by member, to name the first bad one."""
+    if (
+        isinstance(value, list)
+        and set(map(type, value)) == {list}
+        and set(map(len, value)) == {n_players}
+    ):
+        flat = list(chain.from_iterable(value))
+        if set(map(type, flat)) == {int} and min(flat) >= 0 and max(flat) < n_strategies:
+            return list(map(tuple, value))
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}members must be a list of profiles, got {value!r}")
+    for k, prof in enumerate(value):
+        _profile(prof, n_players, n_strategies, f"{path}members[{k}]")
+    raise ConfigError(f"{path}members must list at least one profile")
 
 
 def _phase_map(data: dict, key: str, path: str) -> dict[str, tuple[float, ...]]:
@@ -145,26 +164,19 @@ def _class_from_dict(
     data: dict, n_players: int, n_strategies: int, path: str
 ) -> EquilibriumClass:
     payoffs = _numbers(_require(data, "payoffs", path), f"{path}payoffs", n_players)
-    members = tuple(
-        EquilibriumRecord(
-            _profile(prof, n_players, n_strategies, f"{path}members[{k}]"), payoffs
-        )
-        for k, prof in enumerate(_require(data, "members", path))
-    )
-    if not members:
-        raise ConfigError(f"{path}members must list at least one profile")
-    return EquilibriumClass(
-        theta_profile=_numbers(_require(data, "theta", path), f"{path}theta", n_players),
-        payoffs=payoffs,
-        members=members,
-        phase_sums=_phase_map(data, "phase_sums", path),
-        phase_diffs=_phase_map(data, "phase_diffs", path),
-        operator_label=data["operator_label"],
-    )
+    profiles = _members(_require(data, "members", path), n_players, n_strategies, path)
+    theta = _numbers(_require(data, "theta", path), f"{path}theta", n_players)
+    phase_sums = _phase_map(data, "phase_sums", path)
+    phase_diffs = _phase_map(data, "phase_diffs", path)
+    label = _require(data, "operator_label", path)
+    if label is not None and not isinstance(label, str):
+        raise ConfigError(f"{path}operator_label must be a string or null, got {label!r}")
+    members = tuple([EquilibriumRecord(prof, payoffs) for prof in profiles])
+    return EquilibriumClass(theta, payoffs, members, phase_sums, phase_diffs, label)
 
 
-def result_to_dict(result: SweepResult, kind: str = "sweep", circuit: str = "mixture") -> dict:
-    spec = result.spec
+def _header_dict(spec: SweepSpec, kind: str, circuit: str) -> dict:
+    """A result's JSON object without its cells."""
     bayesian = isinstance(spec.game, BayesianGame)
     out = {
         "kind": kind,
@@ -181,29 +193,20 @@ def result_to_dict(result: SweepResult, kind: str = "sweep", circuit: str = "mix
     }
     if bayesian:
         out["p_values"] = list(spec.p_values)
-    cells = []
-    for cell in result.cells:
-        entry = {}
-        if cell.p is not None:
-            entry["p"] = cell.p
-        entry["gamma"] = cell.gamma
-        entry["classes"] = [_class_to_dict(c) for c in cell.classes]
-        cells.append(entry)
-    out["cells"] = cells
     return out
 
 
 def _cell_coordinates(cell, path: str, bayesian: bool) -> tuple[float | None, float]:
     """A stored cell's (p, gamma): p in [0, 1] for Bayesian cells and absent
     otherwise, gamma in [0, pi/2]; NaN and infinities fail the range tests."""
-    gamma = float(_require(cell, "gamma", path))
+    gamma = _number(_require(cell, "gamma", path), f"{path}gamma")
     if not 0.0 <= gamma <= math.pi / 2.0:
         raise ConfigError(f"{path}gamma must lie in [0, pi/2], got {gamma}")
     if not bayesian:
         if "p" in cell:
             raise ConfigError(f"{path}p is set on a two-player cell")
         return None, gamma
-    p = float(_require(cell, "p", path))
+    p = _number(_require(cell, "p", path), f"{path}p")
     if not 0.0 <= p <= 1.0:
         raise ConfigError(f"{path}p must lie in [0, 1], got {p}")
     return p, gamma
@@ -212,9 +215,7 @@ def _cell_coordinates(cell, path: str, bayesian: bool) -> tuple[float | None, fl
 def _axis(values, name: str, hi: float) -> tuple[float, ...]:
     """A header axis: a list of values in [0, hi], ascending; NaN and
     infinities fail the range test."""
-    if not isinstance(values, list):
-        raise ConfigError(f"{name} must be a list, got {values!r}")
-    values = tuple(float(v) for v in values)
+    values = _numbers(values, name)
     for v in values:
         if not 0.0 <= v <= hi:
             raise ConfigError(f"{name} must lie in [0, {hi:.6g}], got {v}")
@@ -253,26 +254,26 @@ def load_result(path: str) -> LoadedResult:
         game = game_from_dict(_require(data, "game", ""))
         steps_raw = _require(data, "grid_steps", "")
         steps = GridSteps(
-            float(_require(steps_raw, "d_theta", "grid_steps.")),
-            float(_require(steps_raw, "d_phi", "grid_steps.")),
-            float(_require(steps_raw, "d_alpha", "grid_steps.")),
+            *(
+                _number(_require(steps_raw, name, "grid_steps."), f"grid_steps.{name}")
+                for name in ("d_theta", "d_phi", "d_alpha")
+            )
         )
         spec = SweepSpec(
             game=game,
             gamma_values=_axis(_require(data, "gamma_values", ""), "gamma_values", math.pi / 2),
             p_values=_axis(data.get("p_values", []), "p_values", 1.0),
             steps=steps,
-            eps_tie=float(_require(data, "eps_tie", "")),
+            eps_tie=_number(_require(data, "eps_tie", ""), "eps_tie"),
         )
         bayesian = isinstance(game, BayesianGame)
         n_players = 3 if bayesian else 2
+        n_strategies = steps.n_strategies
         cells = tuple(
             CellResult(
                 *_cell_coordinates(c, f"cells[{i}].", bayesian),
                 classes=tuple(
-                    _class_from_dict(
-                        cd, n_players, steps.n_strategies, f"cells[{i}].classes[{k}]."
-                    )
+                    _class_from_dict(cd, n_players, n_strategies, f"cells[{i}].classes[{k}].")
                     for k, cd in enumerate(c["classes"])
                 ),
             )
@@ -295,9 +296,10 @@ BAYESIAN_CSV_HEADER = (
 TWO_PLAYER_CSV_HEADER = "gamma,payoff_A,payoff_B,class_id"
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` in order as one UTF-8 file with LF line endings."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
 
 
 def _bayesian_csv(result: SweepResult) -> str:
@@ -338,11 +340,106 @@ def _csv_text(rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
+# The JSON writer's pieces.  In the indent-1 layout a line at depth d
+# starts with d spaces, ``_INDENT[d]``: cells sit at depth 2, classes at
+# 4, a class's fields at 5 and their items at 6.
+_INDENT = tuple(" " * depth for depth in range(8))
+_encode_str = json.encoder.encode_basestring
+_CLASS_TEMPLATE = """{
+     "theta": %s,
+     "payoffs": %s,
+     "operator_label": %s,
+     "phase_sums": %s,
+     "phase_diffs": %s,
+     "members": %s
+    }"""
+
+
+def _number_text(x) -> str:
+    """``x`` as ``json.dumps`` writes it: floats by ``float.__repr__``,
+    with NaN and the infinities spelled as ``json`` spells them."""
+    if not isinstance(x, float):
+        return json.dumps(x)
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _list_text(items: list[str], pad: str, brackets: str = "[]") -> str:
+    """A JSON array, or with ``brackets`` "{}" an object, of already-encoded
+    ``items`` at indent 1, the items' lines starting with ``pad``."""
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{pad}" + (",\n" + pad).join(items) + f"\n{pad[:-1]}{brackets[1]}"
+
+
+def _phase_map_text(phases: dict[str, tuple[float, ...]]) -> str:
+    items = [
+        f"{_encode_str(k)}: {_list_text([_number_text(x) for x in v], _INDENT[7])}"
+        for k, v in sorted(phases.items())
+    ]
+    return _list_text(items, _INDENT[6], "{}")
+
+
+def _members_text(members: tuple[EquilibriumRecord, ...]) -> str:
+    """A class's whole members list, one ``%``-format over the flat profiles."""
+    if not members:
+        return "[]"
+    member = _list_text(["%d"] * len(members[0].profile), _INDENT[7])
+    template = _list_text([member] * len(members), _INDENT[6])
+    return template % tuple(chain.from_iterable(map(attrgetter("profile"), members)))
+
+
+def _class_text(cls: EquilibriumClass) -> str:
+    label = cls.operator_label
+    return _CLASS_TEMPLATE % (
+        _list_text([_number_text(float(t)) for t in cls.theta_profile], _INDENT[6]),
+        _list_text([_number_text(float(x)) for x in cls.payoffs], _INDENT[6]),
+        "null" if label is None else _encode_str(label),
+        _phase_map_text(cls.phase_sums),
+        _phase_map_text(cls.phase_diffs),
+        _members_text(cls.members),
+    )
+
+
+def _cell_text(cell: CellResult) -> str:
+    p = "" if cell.p is None else f'{_INDENT[3]}"p": {_number_text(cell.p)},\n'
+    classes = _list_text([_class_text(c) for c in cell.classes], _INDENT[4])
+    return (
+        f'{{\n{p}{_INDENT[3]}"gamma": {_number_text(cell.gamma)},\n'
+        f'{_INDENT[3]}"classes": {classes}\n{_INDENT[2]}}}'
+    )
+
+
+def _json_chunks(result: SweepResult, kind: str, circuit: str) -> Iterator[str]:
+    """``result_to_json_text``'s text in pieces, one per cell.
+
+    The header goes through ``json.dumps``; the cells are written from
+    the result's objects by the templates above, which must give exactly
+    the bytes ``json.dumps(..., ensure_ascii=False, indent=1)`` would.
+    """
+    header = json.dumps(_header_dict(result.spec, kind, circuit), ensure_ascii=False, indent=1)
+    head = f'{header[:-2]},\n{_INDENT[1]}"cells": '
+    if not result.cells:
+        yield head + "[]\n}\n"
+        return
+    separator = head + "[\n" + _INDENT[2]
+    for cell in result.cells:
+        yield separator + _cell_text(cell)
+        separator = ",\n" + _INDENT[2]
+    yield f"\n{_INDENT[1]}]\n}}\n"
+
+
 def result_to_json_text(
     result: SweepResult, kind: str = "sweep", circuit: str = "mixture"
 ) -> str:
-    data = result_to_dict(result, kind=kind, circuit=circuit)
-    return json.dumps(data, ensure_ascii=False, indent=1) + "\n"
+    """The result as ``json.dumps(..., ensure_ascii=False, indent=1)`` writes
+    its object, plus a final newline."""
+    return "".join(_json_chunks(result, kind, circuit))
 
 
 def emit(
@@ -354,12 +451,13 @@ def emit(
 ) -> None:
     """Write a result to ``path`` as 'csv' or 'json'."""
     if fmt == "json":
-        _write_text(path, result_to_json_text(result, kind=kind, circuit=circuit))
+        # Written cell by cell, so the whole text is never held at once.
+        _write_text(path, _json_chunks(result, kind, circuit))
     elif fmt == "csv":
         if isinstance(result.spec.game, BayesianGame):
-            _write_text(path, _bayesian_csv(result))
+            _write_text(path, [_bayesian_csv(result)])
         else:
-            _write_text(path, _two_player_csv(result))
+            _write_text(path, [_two_player_csv(result)])
     else:
         raise ValueError(f"unknown output format {fmt!r}")
 
@@ -388,7 +486,7 @@ def regions_to_dicts(summaries: list[RegionSummary]) -> list[dict]:
 def emit_regions(summaries: list[RegionSummary], fmt: str, path: str) -> None:
     if fmt == "json":
         _write_text(
-            path, json.dumps(regions_to_dicts(summaries), ensure_ascii=False, indent=1) + "\n"
+            path, [json.dumps(regions_to_dicts(summaries), ensure_ascii=False, indent=1) + "\n"]
         )
         return
     if fmt != "csv":
@@ -409,4 +507,4 @@ def emit_regions(summaries: list[RegionSummary], fmt: str, path: str) -> None:
                 str(s.n_cells),
             ]
         )
-    _write_text(path, _csv_text(rows))
+    _write_text(path, [_csv_text(rows)])

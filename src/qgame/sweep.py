@@ -6,7 +6,8 @@ payoff tables and the B players' best-response lists) is built once,
 and one NE search (``find_ne_bayesian_row``) returns the records of
 every p in the row, because only A's payoff depends on p.  The row's
 records are then re-checked against that table set, and each cell is
-classified on its own.  With ``workers > 1`` rows are evaluated in a
+classified on its own, with the facts of classes that recur across the
+row's cells computed once.  With ``workers > 1`` rows are evaluated in a
 process pool, and the merged result is sorted so output is identical
 regardless of parallelism.  The worker count is capped by the row
 count and the CPU count.
@@ -181,8 +182,11 @@ def _bayesian_row(args) -> list[CellResult]:
     tables = bayesian_tables(game, gamma, sset, eps_tie)
     row = find_ne_bayesian_row(game, gamma, sset, p_values, eps_tie, tables)
     _recheck(row, tables, p_values, eps_tie)
+    # Classes recur across a row's p values, so the cells share one dict of
+    # class facts; a row with one occupied cell has nothing to share.
+    facts = {} if sum(map(bool, row)) > 1 else None
     return [
-        CellResult(p, gamma, tuple(classify(records, sset)))
+        CellResult(p, gamma, tuple(classify(records, sset, facts)))
         for p, records in zip(p_values, row)
     ]
 

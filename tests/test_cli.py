@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -505,10 +506,33 @@ class TestLoadResultErrors:
             load_result(path)
         assert main(["verify", "--in", path]) == 2
 
-    @pytest.mark.parametrize("member", [[4, 5], [4, 5, 0, 0], [4, 5.0, 0], [4, "5", 0]])
+    @pytest.mark.parametrize(
+        "member",
+        [
+            [4, 5],
+            [4, 5, 0, 0],
+            [4, 5.0, 0],
+            [4, "5", 0],
+            [4, True, 0],
+            [4, [5], 0],
+            [4, 5, None],
+        ],
+    )
     def test_malformed_profile_is_config_error(self, tmp_path, member):
         with pytest.raises(ConfigError, match=r"members\[1\]"):
             load_result(self._with_member(tmp_path, member))
+
+    def test_malformed_profile_in_a_later_class_is_named(self, tmp_path, capsys):
+        def edit(cell):
+            second = dict(cell["classes"][0], members=[[4, True, 0]])
+            cell["classes"].append(second)
+
+        path = self._with_cell(tmp_path, "bayesian", edit)
+        with pytest.raises(ConfigError, match=r"cells\[0\]\.classes\[1\]\.members\[0\].*True"):
+            load_result(path)
+        capsys.readouterr()
+        assert main(["verify", "--in", path]) == 2
+        assert "cells[0].classes[1].members[0]" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "edit,field",
@@ -521,6 +545,9 @@ class TestLoadResultErrors:
             (lambda cls: cls.update(payoffs=cls["payoffs"] + [0.0]), "payoffs"),
             (lambda cls: cls.update(payoffs="10"), "payoffs"),
             (lambda cls: cls.update(members=[]), "members"),
+            (lambda cls: cls.update(members="[[4, 5, 0]]"), "members must be a list"),
+            (lambda cls: cls.update(members={"0": [4, 5, 0]}), "members must be a list"),
+            (lambda cls: cls.update(operator_label=5), "operator_label"),
         ],
         ids=[
             "phase-sums-list",
@@ -531,6 +558,9 @@ class TestLoadResultErrors:
             "long-payoffs",
             "string-payoffs",
             "no-members",
+            "string-members",
+            "object-members",
+            "numeric-label",
         ],
     )
     def test_malformed_class_is_config_error(self, tmp_path, edit, field):
@@ -547,6 +577,40 @@ class TestLoadResultErrors:
         out.write_text(text, encoding="utf-8")
         with pytest.raises(ConfigError, match="eps_tie"):
             load_result(str(out))
+
+    @pytest.mark.parametrize(
+        "edit,field",
+        [
+            (lambda d: d.update(eps_tie=True), "eps_tie"),
+            (lambda d: d.update(eps_tie="1e-09"), "eps_tie"),
+            (lambda d: d["grid_steps"].update(d_theta=str(PI)), "grid_steps.d_theta"),
+            (lambda d: d["grid_steps"].update(d_phi=str(PI / 2)), "grid_steps.d_phi"),
+            (lambda d: d["grid_steps"].update(d_alpha=str(PI / 2)), "grid_steps.d_alpha"),
+            (lambda d: d["cells"][0].update(p="0.9"), "cells[0].p"),
+            (lambda d: d["cells"][0].update(gamma="0.3"), "cells[0].gamma"),
+            (lambda d: d.update(p_values=[0.9, True]), "p_values"),
+            (lambda d: d.update(gamma_values=[0.0, "0.3"]), "gamma_values"),
+        ],
+        ids=[
+            "boolean-eps-tie",
+            "string-eps-tie",
+            "string-d-theta",
+            "string-d-phi",
+            "string-d-alpha",
+            "string-p",
+            "string-gamma",
+            "boolean-p-value",
+            "string-gamma-value",
+        ],
+    )
+    def test_non_number_scalar_is_config_error(self, tmp_path, capsys, edit, field):
+        # Each edit is accepted by a bare float(); the file must still be refused.
+        path = self._with_header(tmp_path, edit)
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            load_result(path)
+        capsys.readouterr()
+        assert main(["verify", "--in", path]) == 2
+        assert field in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "game,edit,field",

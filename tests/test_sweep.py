@@ -3,8 +3,10 @@ import os
 
 import pytest
 
+from qgame.equilibrium import classify
 from qgame.games import builtin_bayesian, builtin_da, builtin_pd
 from qgame.serialize import result_to_json_text
+from qgame.strategies import GridSteps, enumerate_strategies
 from qgame.sweep import (
     SweepSpec,
     effective_workers,
@@ -242,3 +244,59 @@ def test_bayesian_sweep_searches_once_per_gamma(monkeypatch):
     spec = SweepSpec(builtin_bayesian(), (0.0, 0.8), (0.0, 0.3, 0.6, 1.0))
     assert len(run_sweep(spec).cells) == 8
     assert calls == [4, 4]
+
+
+class TestRowSharedClassFacts:
+    """A gamma row's cells share one dict of class facts (theta, phases, label)."""
+
+    @staticmethod
+    def _assert_fresh_classify_agrees(result):
+        sset = enumerate_strategies(result.spec.steps)
+        for cell in result.cells:
+            records = [rec for cls in cell.classes for rec in cls.members]
+            assert tuple(classify(records, sset)) == cell.classes, (cell.p, cell.gamma)
+
+    def test_default_sweep_matches_per_cell_classify(self, bayes_result):
+        self._assert_fresh_classify_agrees(bayes_result)
+
+    @pytest.mark.parametrize("gamma_index", [0, 14, 28])
+    def test_pi8_row_matches_per_cell_classify(self, gamma_index):
+        pi8 = GridSteps(PI / 8, PI / 8, PI / 8)
+        spec = SweepSpec(builtin_bayesian(), (gamma_grid()[gamma_index],), p_grid(), pi8)
+        self._assert_fresh_classify_agrees(run_sweep(spec))
+
+    def test_recurring_classes_are_described_once_per_row(self, monkeypatch):
+        from qgame import equilibrium
+
+        calls = []
+        describe = equilibrium._class_facts
+
+        def counted(members, sset):
+            calls.append(tuple(rec.profile for rec in members))
+            return describe(members, sset)
+
+        monkeypatch.setattr(equilibrium, "_class_facts", counted)
+        result = run_sweep(SweepSpec(builtin_bayesian(), (0.3, 1.2), p_grid()))
+        per_row = {
+            (cell.gamma, tuple(rec.profile for rec in cls.members))
+            for cell in result.cells
+            for cls in cell.classes
+        }
+        assert len(calls) == len(per_row) < sum(len(c.classes) for c in result.cells)
+
+    def test_cells_do_not_share_phase_maps(self):
+        result = run_sweep(SweepSpec(builtin_bayesian(), (0.3,), p_grid()))
+        first_seen = {}
+        pairs = []
+        for cell in result.cells:
+            for cls in cell.classes:
+                key = tuple(rec.profile for rec in cls.members)
+                if key in first_seen:
+                    pairs.append((first_seen[key], cls))
+                first_seen.setdefault(key, cls)
+        assert pairs
+        for first, later in pairs:
+            sums, diffs = dict(later.phase_sums), dict(later.phase_diffs)
+            first.phase_sums["A-B1"] = (9.0,)
+            first.phase_diffs.clear()
+            assert later.phase_sums == sums and later.phase_diffs == diffs
