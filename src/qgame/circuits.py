@@ -38,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .games import BayesianGame
+from .games import BayesianGame, check_probability
 
 TAU = 2.0 * math.pi
 
@@ -52,13 +52,6 @@ def _check_angle(value: float, lo: float, hi: float, name: str) -> float:
     if not math.isfinite(value) or not lo <= value <= hi:
         raise ValueError(f"{name} must lie in [{lo:.6g}, {hi:.6g}], got {value}")
     return value
-
-
-def _check_probability(p: float) -> float:
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    return p
 
 
 @dataclass(frozen=True)
@@ -296,7 +289,7 @@ def bayesian_payoffs_mixture(p: float, gamma: float, u_a, u_b1, u_b2, game: Baye
     not depend on p or on the other B player's strategy.  Strategies may
     be stacks; each payoff is then an array over all their batch axes.
     """
-    p = _check_probability(p)
+    p = check_probability(p)
     u_a, u_b1, u_b2 = (_as_unitary(u) for u in (u_a, u_b1, u_b2))
     full = np.broadcast_shapes(u_a.shape, u_b1.shape, u_b2.shape)
     # Both subgames in one stacked evolution: A against B1, then against B2.
@@ -341,7 +334,7 @@ def evolve_bayesian_circuit(p: float, gamma: float, u_a, u_b1, u_b2) -> np.ndarr
     control |c> = cos(x)|0> - sin(x)|1> and x = asin(sqrt(p)).  Strategies
     may be stacks; the states come back with the state index last.
     """
-    x = math.asin(math.sqrt(_check_probability(p)))
+    x = math.asin(math.sqrt(check_probability(p)))
     entangle, disentangle = _controlled_entanglers(float(gamma))
     psi = np.zeros(16, dtype=complex)
     psi[0] = math.cos(x)

@@ -51,6 +51,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+_BUILTIN_GAMES = {"pd": builtin_pd, "da": builtin_da, "bayesian": builtin_bayesian}
+
 _ANGLE_RE = re.compile(r"(?:(\d+(?:\.\d+)?)\*?)?pi(?:/(\d+(?:\.\d+)?))?")
 
 
@@ -139,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig = subs.add_parser(
         "emit-figure", help="write the data behind a payoff figure (a default sweep)"
     )
-    fig.add_argument("--fig", dest="game", choices=("pd", "da", "bayesian"), required=True)
+    fig.add_argument("--fig", dest="game", choices=tuple(_BUILTIN_GAMES), required=True)
     fig.add_argument("--out", required=True)
     fig.add_argument(
         "--format", choices=("csv", "json"), default=None, help="default csv"
@@ -159,13 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_game(selector: str):
-    if selector == "pd":
-        return builtin_pd()
-    if selector == "da":
-        return builtin_da()
-    if selector == "bayesian":
-        return builtin_bayesian()
-    return load_game(selector)
+    builtin = _BUILTIN_GAMES.get(selector)
+    return builtin() if builtin else load_game(selector)
 
 
 def _grid_steps(args) -> GridSteps:
@@ -228,19 +225,14 @@ def _cmd_solve(args) -> int:
     p = _bayesian_only(game, args.p, "--p", 0.5)
     if p is None and args.circuit == "full":
         raise UsageError("--circuit full needs a Bayesian game")
-    if p is not None and not 0.0 <= p <= 1.0:
-        raise UsageError(f"--p must lie in [0, 1], got {p}")
     steps = _grid_steps(args)
+    spec = SweepSpec(game, (gamma,), () if p is None else (p,), steps, args.eps_tie)
     if args.circuit == "full":
         sset = enumerate_strategies(steps)
         records = find_ne_bayesian_circuit(game, gamma, sset, p, args.eps_tie)
-        result = SweepResult(
-            SweepSpec(game, (gamma,), (p,), steps, args.eps_tie),
-            (CellResult(p, gamma, tuple(classify(records, sset))),),
-        )
+        result = SweepResult(spec, (CellResult(p, gamma, tuple(classify(records, sset))),))
     else:
-        p_values = () if p is None else (p,)
-        result = run_sweep(SweepSpec(game, (gamma,), p_values, steps, args.eps_tie))
+        result = run_sweep(spec)
     _print_classes(result.cells[0])
     if args.out:
         emit(result, _format_for(args, "json"), args.out, kind="solve", circuit=args.circuit)

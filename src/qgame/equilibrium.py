@@ -7,7 +7,8 @@ the Born payoff; best-response sets are read off with an absolute tie
 tolerance, and a profile is an equilibrium when every player's strategy
 is in its best-response set against the others.  A Bayesian row keeps
 A's dense tables, one per distinct payoff vector of A, and each B
-player's table only as its list of best responses.
+player's table only as its list of best responses, reduced at one tie
+tolerance; the row's search reads nothing else.
 
 ``verify_records`` is the independent oracle: it re-evaluates every
 unilateral deviation through the scalar circuit path, never consulting
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -36,7 +36,7 @@ from .circuits import (
     evolve_two_player,
     payoff_expectation,
 )
-from .games import BayesianGame, TwoPlayerGame
+from .games import BayesianGame, TwoPlayerGame, check_probability
 from .strategies import StrategySet, wrap_angle
 
 DEFAULT_EPS_TIE = 1e-9
@@ -49,7 +49,8 @@ PAYOFF_TOL = 2e-9
 
 # Working-array bounds of the vectorized Bayesian NE search: candidate
 # triples per block of a, and float64 entries per block of A's columns
-# (small enough to stay in cache), a bound ``verify_records`` shares.
+# (small enough to stay in cache), a bound ``verify_records`` and the
+# sweep's table re-check share.
 _TRIPLE_BLOCK = 1 << 20
 _COLUMN_BLOCK = 1 << 16
 
@@ -170,13 +171,6 @@ class BayesianTables(NamedTuple):
     pay2: np.ndarray
     eps_tie: np.ndarray
 
-    def check_reduced_at(self, eps_tie: float) -> None:
-        """Raise ValueError unless the lists were reduced at ``eps_tie``."""
-        if self.eps_tie != eps_tie:
-            raise ValueError(
-                f"tables were reduced at eps_tie {float(self.eps_tie)}, not {eps_tie}"
-            )
-
 
 def _best_responses(tb: np.ndarray, eps_tie: float) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices of a row-major table's entries within ``eps_tie`` of
@@ -280,33 +274,22 @@ def _row_blocks(sizes: np.ndarray, budget: int):
 
 
 def find_ne_bayesian_row(
-    game: BayesianGame,
-    gamma: float,
-    sset: StrategySet,
-    p_values: Sequence[float],
-    eps_tie: float = DEFAULT_EPS_TIE,
-    tables: BayesianTables | None = None,
+    tables: BayesianTables, p_values: Sequence[float]
 ) -> list[list[EquilibriumRecord]]:
-    """The records of ``find_ne_bayesian`` at each p of ``p_values``.
+    """The NE records of one gamma row's table set at each p of ``p_values``.
 
     Only A's payoff depends on p, so one search serves the whole row.
     B1's payoff does not depend on b2 nor B2's on b1, so the candidate
-    triples are read straight off the two best-response lists of
-    ``tables``, which must have been reduced at ``eps_tie``.  The
+    triples are read straight off the two best-response lists, and A's
+    ties are taken at the ``eps_tie`` they were reduced at.  The
     triples, their distinct (b1, b2) pairs and A's gathered columns are
     built once for the row; only A's mixture, its maximum and the tie
     test run per p, once per distinct pair.  Candidates, column blocks
     and the per-p best payoffs are processed in bounded chunks.  Records
     come back in profile order, one list per p.
     """
-    check_eps_tie(eps_tie)
-    for p in p_values:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {p}")
-    if tables is None:
-        tables = bayesian_tables(game, gamma, sset, eps_tie)
-    tables.check_reduced_at(eps_tie)
-    ta1, ta2 = tables.ta1, tables.ta2
+    p_values = [check_probability(p) for p in p_values]
+    ta1, ta2, eps_tie = tables.ta1, tables.ta2, float(tables.eps_tie)
     n = ta1.shape[0]
     a1, b1_of = np.divmod(tables.br1, n)
     a2, b2_of = np.divmod(tables.br2, n)
@@ -356,13 +339,12 @@ def find_ne_bayesian(
     sset: StrategySet,
     p: float,
     eps_tie: float = DEFAULT_EPS_TIE,
-    tables: BayesianTables | None = None,
 ) -> list[EquilibriumRecord]:
     """All profiles (a, b1, b2) stable under unilateral deviation at one p.
 
     A's payoff is the p-weighted mixture of its two subgame tables.
     """
-    return find_ne_bayesian_row(game, gamma, sset, (p,), eps_tie, tables)[0]
+    return find_ne_bayesian_row(bayesian_tables(game, gamma, sset, eps_tie), (p,))[0]
 
 
 def bayesian_circuit_tables(
@@ -434,8 +416,8 @@ def verify_records(
     bayesian = isinstance(game, BayesianGame)
     if bayesian and p is None:
         raise ValueError("verifying a Bayesian record needs p")
-    if bayesian and not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    if bayesian:
+        check_probability(p)
     us = sset.unitaries
     n, players = len(us), 3 if bayesian else 2
     for rec in records:
@@ -507,9 +489,6 @@ def verify_ne(
     return verify_records([record], game, gamma, sset, eps_tie, p)[0]
 
 
-_PROFILE = attrgetter("profile")
-
-
 def _offset(phase: float) -> float:
     return round(wrap_angle(phase), 9)
 
@@ -538,11 +517,7 @@ def _class_facts(members: tuple[EquilibriumRecord, ...], sset: StrategySet) -> t
     return theta_profile, phase_sums, phase_diffs, label
 
 
-def classify(
-    records: list[EquilibriumRecord],
-    sset: StrategySet,
-    facts: dict[tuple, tuple] | None = None,
-) -> list[EquilibriumClass]:
+def classify(records: list[EquilibriumRecord], sset: StrategySet) -> list[EquilibriumClass]:
     """Group NE records into classes by theta-profile and payoffs.
 
     Within a class, phase sum/difference offsets against player A are
@@ -550,15 +525,15 @@ def classify(
     theta values pin a single free phase.  The operator label comes
     from the first member in profile order.
 
-    These facts depend only on a class's member profiles and ``sset``.
-    A caller that classifies several cells over one ``sset`` may pass
-    one ``facts`` dict to all of them; it is keyed by the tuple of
-    member profiles, so a class that recurs across the cells is
-    described once.  Each returned class gets its own phase dicts.
+    These facts depend only on a class's member profiles and ``sset``,
+    which keeps them (``StrategySet.class_facts``), so a class that
+    recurs across the cells of a sweep is described once.  They live as
+    long as ``sset``, one entry per distinct set of member profiles.
+    Each returned class gets its own phase dicts.
     """
-    # Keys round each strategy's theta once, and each distinct payoff tuple
-    # once: a cell's records share far fewer payoffs than profiles.
-    theta9 = [round(s.theta, 9) for s in sset.params]
+    # Keys round each distinct payoff tuple once: a cell's records share far
+    # fewer payoffs than profiles.
+    theta9, facts = sset.thetas9, sset.class_facts
     payoffs9: dict[tuple, tuple] = {}
     groups: dict[tuple, list[EquilibriumRecord]] = {}
     for rec in sorted(records, key=lambda r: r.profile):
@@ -570,13 +545,10 @@ def classify(
     classes = []
     for key in sorted(groups):
         members = tuple(groups[key])
-        if facts is None:
-            fact = _class_facts(members, sset)
-        else:
-            profiles = tuple(map(_PROFILE, members))
-            fact = facts.get(profiles)
-            if fact is None:
-                fact = facts[profiles] = _class_facts(members, sset)
+        profiles = tuple(rec.profile for rec in members)
+        fact = facts.get(profiles)
+        if fact is None:
+            fact = facts[profiles] = _class_facts(members, sset)
         theta_profile, phase_sums, phase_diffs, label = fact
         classes.append(
             EquilibriumClass(

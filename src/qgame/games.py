@@ -14,6 +14,14 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
+
+def check_probability(p: float) -> float:
+    p = float(p)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    return p
+
+
 def payoff_vector(values, name: str = "payoff vector") -> tuple[float, float, float, float]:
     vec = tuple(float(v) for v in values)
     if len(vec) != 4:
@@ -89,8 +97,7 @@ def classical_bayesian_payoffs(
     players receive their conditional subgame payoff, not scaled by the
     probability of playing.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    check_probability(p)
     pa1, pb1 = classical_payoffs(game.subgame_b1, a, b1)
     pa2, pb2 = classical_payoffs(game.subgame_b2, a, b2)
     return p * pa1 + (1.0 - p) * pa2, pb1, pb2

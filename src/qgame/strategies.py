@@ -108,6 +108,16 @@ class StrategySet:
         )
 
     @cached_property
+    def thetas9(self) -> tuple[float, ...]:
+        """Per index, theta rounded to 9 places, as class keys compare it."""
+        return tuple(round(s.theta, 9) for s in self.params)
+
+    @cached_property
+    def class_facts(self) -> dict[tuple, tuple]:
+        """``equilibrium.classify``'s class facts, keyed by member profiles."""
+        return {}
+
+    @cached_property
     def pauli_names(self) -> tuple[str | None, ...]:
         """Per index, the Pauli matrix the unitary is a unimodular multiple of, else None.
 

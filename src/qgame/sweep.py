@@ -1,16 +1,18 @@
 """Parameter sweeps over entanglement gamma and type probability p.
 
 Bayesian sweeps cover the (p, gamma) plane; two-player games sweep
-gamma alone.  A gamma row is one unit of work: its table set (A's
-payoff tables and the B players' best-response lists) is built once,
-and one NE search (``find_ne_bayesian_row``) returns the records of
-every p in the row, because only A's payoff depends on p.  The row's
-records are then re-checked against that table set, and each cell is
-classified on its own, with the facts of classes that recur across the
-row's cells computed once.  With ``workers > 1`` rows are evaluated in a
-process pool, and the merged result is sorted so output is identical
-regardless of parallelism.  The worker count is capped by the row
-count and the CPU count.
+gamma alone.  A Bayesian gamma row is one unit of work, a pipeline over
+one table set (A's payoff tables and the B players' best-response
+lists, reduced at the sweep's tie tolerance): the set is built, one NE
+search (``find_ne_bayesian_row``) reads the records of every p in the
+row off it, because only A's payoff depends on p, the records are
+re-checked against it, and each cell is classified on its own.  The
+strategy set keeps the facts of every class it has seen, so a class
+that recurs across cells is described once.  With ``workers > 1`` rows
+are evaluated in a process pool, each on its own copy of the strategy
+set, and the merged result is sorted so output is identical regardless
+of parallelism.  The worker count is capped by the row count and the
+CPU count.
 Grids above ``MAX_GRID_POINTS`` points per axis are refused.
 """
 
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import (
+    _COLUMN_BLOCK,
     DEFAULT_EPS_TIE,
     EquilibriumClass,
     bayesian_tables,
@@ -33,7 +36,7 @@ from .equilibrium import (
     find_ne_bayesian_row,
     find_ne_two_player,
 )
-from .games import BayesianGame, TwoPlayerGame
+from .games import BayesianGame, TwoPlayerGame, check_probability
 from .strategies import DEFAULT_GRID, GridSteps
 
 DEFAULT_STEP = 0.05
@@ -41,9 +44,6 @@ DEFAULT_STEP = 0.05
 # Largest limit / step ratio ``value_grid`` accepts: a 1e-4 step still
 # fits on [0, pi/2] (15,709 points).
 MAX_GRID_POINTS = 20_000
-
-# float64 entries per block of A's columns in the record re-check.
-_RECHECK_ENTRIES = 1 << 16
 
 
 def value_grid(limit: float, step: float = DEFAULT_STEP) -> tuple[float, ...]:
@@ -94,6 +94,8 @@ class SweepSpec:
         if isinstance(self.game, BayesianGame):
             if not self.p_values or list(self.p_values) != sorted(self.p_values):
                 raise ValueError("p_values must be non-empty and ascending")
+            for p in self.p_values:
+                check_probability(p)
 
 
 @dataclass(frozen=True)
@@ -140,21 +142,20 @@ class RegionSummary:
         return len(self.cells)
 
 
-def _recheck(row, tables, p_values, eps_tie):
+def _recheck(row, tables, p_values):
     """Table-backed deviation re-check of every record of a gamma row.
 
     Recomputes each record's deviation payoffs from the tables alone and
     raises on the first record that is not stable.  A's best deviation
-    is taken once per distinct (b1, b2) of each cell, in blocks of pairs;
-    each B player is stable when its (a, b) is in its best-response list,
-    which ``tables`` must hold reduced at ``eps_tie``.  All cells of the
-    row are checked together.
+    is taken once per distinct (b1, b2) of each cell, in blocks of pairs,
+    and A's ties at the tables' ``eps_tie``; each B player is stable when
+    its (a, b) is in its best-response list.  All cells of the row are
+    checked together.
     """
-    tables.check_reduced_at(eps_tie)
     records = [rec for cell in row for rec in cell]
     if not records:
         return
-    ta1, ta2 = tables.ta1, tables.ta2
+    ta1, ta2, eps_tie = tables.ta1, tables.ta2, float(tables.eps_tie)
     n = ta1.shape[0]
     p_cell = np.asarray(p_values, dtype=float)
     cell = np.repeat(np.arange(len(row)), [len(recs) for recs in row])
@@ -162,7 +163,7 @@ def _recheck(row, tables, p_values, eps_tie):
     a, b1, b2 = np.array([rec.profile for rec in records]).T
     pairs, pair_of = np.unique((cell * n + b1) * n + b2, return_inverse=True)
     best = np.empty(len(pairs))
-    step = max(1, _RECHECK_ENTRIES // n)
+    step = max(1, _COLUMN_BLOCK // n)
     for start in range(0, len(pairs), step):
         c, c1, c2 = np.unravel_index(pairs[start : start + step], (len(row), n, n))
         pc = p_cell[c]
@@ -180,13 +181,10 @@ def _recheck(row, tables, p_values, eps_tie):
 def _bayesian_row(args) -> list[CellResult]:
     game, gamma, p_values, sset, eps_tie = args
     tables = bayesian_tables(game, gamma, sset, eps_tie)
-    row = find_ne_bayesian_row(game, gamma, sset, p_values, eps_tie, tables)
-    _recheck(row, tables, p_values, eps_tie)
-    # Classes recur across a row's p values, so the cells share one dict of
-    # class facts; a row with one occupied cell has nothing to share.
-    facts = {} if sum(map(bool, row)) > 1 else None
+    row = find_ne_bayesian_row(tables, p_values)
+    _recheck(row, tables, p_values)
     return [
-        CellResult(p, gamma, tuple(classify(records, sset, facts)))
+        CellResult(p, gamma, tuple(classify(records, sset)))
         for p, records in zip(p_values, row)
     ]
 

@@ -86,8 +86,10 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_p_out_of_range(self, capsys):
-        assert main(["solve", "--game", "bayesian", "--gamma", "0.5", "--p", "1.2"]) == 1
-        assert "must lie in [0, 1]" in capsys.readouterr().err
+        for circuit in ("mixture", "full"):
+            argv = ["solve", "--game", "bayesian", "--gamma", "0.5", "--p", "1.2"]
+            assert main(argv + ["--circuit", circuit]) == 1
+            assert "must lie in [0, 1]" in capsys.readouterr().err
 
     def test_gamma_out_of_range(self, capsys):
         assert main(["solve", "--game", "pd", "--gamma", "2.0"]) == 1

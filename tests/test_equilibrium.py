@@ -606,32 +606,27 @@ class TestOracleEquivalence:
 
     def test_block_boundaries_do_not_change_records(self, grid24, monkeypatch):
         game = custom_bayesian()
-        tables = bayesian_tables(game, 0.0, grid24)
-        whole = find_ne_bayesian(game, 0.0, grid24, 0.4, tables=tables)
+        whole = find_ne_bayesian(game, 0.0, grid24, 0.4)
         monkeypatch.setattr(equilibrium, "_TRIPLE_BLOCK", 5)
         monkeypatch.setattr(equilibrium, "_COLUMN_BLOCK", 30)
-        assert find_ne_bayesian(game, 0.0, grid24, 0.4, tables=tables) == whole
+        assert find_ne_bayesian(game, 0.0, grid24, 0.4) == whole
         assert whole == sorted(whole, key=lambda r: r.profile)
 
 
 class TestRowSearch:
-    """One search over a gamma row gives each p the records of a per-p call."""
+    """One search over a gamma row's table set gives each p the records of a per-p call."""
 
     @staticmethod
-    def per_p(game, gamma, sset, p_values, tables):
-        return [
-            find_ne_bayesian(game, gamma, sset, p, tables=tables)
-            for p in p_values
-        ]
+    def per_p(game, gamma, sset, p_values):
+        return [find_ne_bayesian(game, gamma, sset, p) for p in p_values]
 
     def test_matches_per_p_calls_at_random_points(self, grid24):
         rng = np.random.default_rng(161803)
         game = builtin_bayesian()
         for gamma in [0.0] + [float(g) for g in rng.uniform(0.0, PI / 2, size=3)]:
             p_values = [0.0] + rng.uniform(size=4).tolist() + [1.0]
-            tables = bayesian_tables(game, gamma, grid24)
-            row = find_ne_bayesian_row(game, gamma, grid24, p_values, tables=tables)
-            assert row == self.per_p(game, gamma, grid24, p_values, tables)
+            row = find_ne_bayesian_row(bayesian_tables(game, gamma, grid24), p_values)
+            assert row == self.per_p(game, gamma, grid24, p_values)
 
     def test_custom_game_with_distinct_a_payoffs(self, grid24):
         rng = np.random.default_rng(141421)
@@ -639,9 +634,8 @@ class TestRowSearch:
         counts = set()
         for gamma in (0.0, float(rng.uniform(0.0, PI / 2))):
             p_values = sorted(rng.uniform(size=6).tolist())
-            tables = bayesian_tables(game, gamma, grid24)
-            row = find_ne_bayesian_row(game, gamma, grid24, p_values, tables=tables)
-            assert row == self.per_p(game, gamma, grid24, p_values, tables)
+            row = find_ne_bayesian_row(bayesian_tables(game, gamma, grid24), p_values)
+            assert row == self.per_p(game, gamma, grid24, p_values)
             counts.update((gamma, len(records)) for records in row)
         # Some row's record count changes with p, and some cell is not empty.
         assert len(counts) > 2 and any(n for _, n in counts)
@@ -653,29 +647,29 @@ class TestRowSearch:
         game = custom_bayesian()
         p_values = [0.0, 0.2, 0.45, 0.7, 1.0]
         tables = bayesian_tables(game, 0.0, grid24)
-        whole = find_ne_bayesian_row(game, 0.0, grid24, p_values, tables=tables)
+        whole = find_ne_bayesian_row(tables, p_values)
         monkeypatch.setattr(equilibrium, "_TRIPLE_BLOCK", triple_block)
         monkeypatch.setattr(equilibrium, "_COLUMN_BLOCK", column_block)
-        assert find_ne_bayesian_row(game, 0.0, grid24, p_values, tables=tables) == whole
-        assert self.per_p(game, 0.0, grid24, p_values, tables) == whole
+        assert find_ne_bayesian_row(tables, p_values) == whole
+        assert self.per_p(game, 0.0, grid24, p_values) == whole
 
     def test_rejects_p_outside_unit_interval(self, grid8):
         with pytest.raises(ValueError, match="p must lie"):
-            find_ne_bayesian_row(builtin_bayesian(), 0.3, grid8, [0.5, 1.5])
+            find_ne_bayesian_row(bayesian_tables(builtin_bayesian(), 0.3, grid8), [0.5, 1.5])
 
 
 class TestRecheck:
     def test_found_records_pass(self, grid24):
         game = builtin_bayesian()
         tables = bayesian_tables(game, 1.0, grid24)
-        records = find_ne_bayesian(game, 1.0, grid24, 0.0, tables=tables)
+        (records,) = find_ne_bayesian_row(tables, [0.0])
         assert records
-        _recheck([records], tables, [0.0], 1e-9)
+        _recheck([records], tables, [0.0])
 
     def test_tampered_record_raises(self, grid24):
         game = builtin_bayesian()
         tables = bayesian_tables(game, 1.0, grid24)
-        records = find_ne_bayesian(game, 1.0, grid24, 0.0, tables=tables)
+        (records,) = find_ne_bayesian_row(tables, [0.0])
         bad = next(
             prof
             for prof in product(range(len(grid24)), repeat=3)
@@ -683,7 +677,7 @@ class TestRecheck:
         )
         tampered = records[:-1] + [EquilibriumRecord(bad, records[-1].payoffs)]
         with pytest.raises(RuntimeError, match=re.escape(str(bad))):
-            _recheck([tampered], tables, [0.0], 1e-9)
+            _recheck([tampered], tables, [0.0])
 
     def test_tampered_record_sharing_a_good_pair_raises(self, grid24):
         # A's best deviation is taken once per (b1, b2).  The bad record
@@ -691,7 +685,7 @@ class TestRecheck:
         # so only A's check can name it.
         game, n = builtin_bayesian(), len(grid24)
         tables = bayesian_tables(game, 0.0, grid24)
-        records = find_ne_bayesian(game, 0.0, grid24, 0.3, tables=tables)
+        (records,) = find_ne_bayesian_row(tables, [0.3])
         found = {r.profile for r in records}
         bad = next(
             (a, b1, b2)
@@ -705,18 +699,21 @@ class TestRecheck:
             records + [EquilibriumRecord(bad, records[0].payoffs)], key=lambda r: r.profile
         )
         with pytest.raises(RuntimeError, match=re.escape(str(bad))):
-            _recheck([tampered], tables, [0.3], 1e-9)
+            _recheck([tampered], tables, [0.3])
 
-    def test_tables_reduced_at_another_eps_tie_raise(self, grid24):
-        game = builtin_bayesian()
-        tables = bayesian_tables(game, 1.0, grid24, 1e-9)
-        records = find_ne_bayesian(game, 1.0, grid24, 0.0, 1e-9, tables)
-        with pytest.raises(ValueError, match="reduced at eps_tie"):
-            find_ne_bayesian(game, 1.0, grid24, 0.0, 1e-6, tables)
-        with pytest.raises(ValueError, match="reduced at eps_tie"):
-            find_ne_bayesian_row(game, 1.0, grid24, [0.0, 0.5], 0.0, tables)
-        with pytest.raises(ValueError, match="reduced at eps_tie"):
-            _recheck([records], tables, [0.0], 1e-6)
+    def test_search_and_recheck_work_at_the_tables_eps_tie(self, grid24):
+        # 1e-8 above the classical threshold p = 1/6, A's C and D differ by
+        # 6e-8 against (D, C): tied at 1e-6, not at 1e-9.
+        game, p_values = builtin_bayesian(), [1 / 6 + 1e-8, 0.5]
+        loose = bayesian_tables(game, 0.0, grid24, 1e-6)
+        row = find_ne_bayesian_row(loose, p_values)
+        assert row == [find_ne_bayesian(game, 0.0, grid24, p, 1e-6) for p in p_values]
+        strict_tables = bayesian_tables(game, 0.0, grid24, 1e-9)
+        strict = find_ne_bayesian_row(strict_tables, p_values)
+        assert len(row[0]) > len(strict[0]) and row[1] == strict[1]
+        _recheck(row, loose, p_values)
+        with pytest.raises(RuntimeError, match="failed deviation re-check"):
+            _recheck(row, strict_tables, p_values)
 
 
 class TestInvariants:
@@ -749,8 +746,6 @@ class TestInvariants:
             game = builtin_bayesian()
             found = []
             for eps in (1e-9, 1e-6):
-                # A table set serves only the tolerance it was reduced at.
-                tables = bayesian_tables(game, gamma, grid8, eps)
-                found.append({r.profile for r in find_ne_bayesian(game, gamma, grid8, p, eps, tables)})
+                found.append({r.profile for r in find_ne_bayesian(game, gamma, grid8, p, eps)})
             strict, loose = found
             assert strict == loose

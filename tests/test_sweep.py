@@ -195,6 +195,11 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="eps_tie"):
             SweepSpec(builtin_pd(), gamma_grid(), eps_tie=eps)
 
+    @pytest.mark.parametrize("p_values", [(0.5, 1.2), (-0.1, 0.5), (float("nan"),)])
+    def test_probability_outside_unit_interval_rejected(self, p_values):
+        with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+            SweepSpec(builtin_bayesian(), gamma_grid(), p_values)
+
 
 class TestSummarizeRegions:
     def test_defect_defect_defect_region(self, bayes_result):
@@ -236,9 +241,9 @@ def test_bayesian_sweep_searches_once_per_gamma(monkeypatch):
     calls = []
     search = sweep.find_ne_bayesian_row
 
-    def counted(game, gamma, sset, p_values, eps_tie, tables):
+    def counted(tables, p_values):
         calls.append(len(p_values))
-        return search(game, gamma, sset, p_values, eps_tie, tables)
+        return search(tables, p_values)
 
     monkeypatch.setattr(sweep, "find_ne_bayesian_row", counted)
     spec = SweepSpec(builtin_bayesian(), (0.0, 0.8), (0.0, 0.3, 0.6, 1.0))
@@ -247,14 +252,18 @@ def test_bayesian_sweep_searches_once_per_gamma(monkeypatch):
 
 
 class TestRowSharedClassFacts:
-    """A gamma row's cells share one dict of class facts (theta, phases, label)."""
+    """A sweep's cells share its strategy set's class facts (theta, phases, label)."""
 
     @staticmethod
     def _assert_fresh_classify_agrees(result):
         sset = enumerate_strategies(result.spec.steps)
         for cell in result.cells:
             records = [rec for cls in cell.classes for rec in cls.members]
+            # The reference describes each cell's classes afresh, not from
+            # facts kept while classifying earlier cells.
+            sset.class_facts.clear()
             assert tuple(classify(records, sset)) == cell.classes, (cell.p, cell.gamma)
+            assert len(sset.class_facts) == len(cell.classes)
 
     def test_default_sweep_matches_per_cell_classify(self, bayes_result):
         self._assert_fresh_classify_agrees(bayes_result)
@@ -265,7 +274,7 @@ class TestRowSharedClassFacts:
         spec = SweepSpec(builtin_bayesian(), (gamma_grid()[gamma_index],), p_grid(), pi8)
         self._assert_fresh_classify_agrees(run_sweep(spec))
 
-    def test_recurring_classes_are_described_once_per_row(self, monkeypatch):
+    def test_recurring_classes_are_described_once_per_sweep(self, monkeypatch):
         from qgame import equilibrium
 
         calls = []
@@ -282,7 +291,28 @@ class TestRowSharedClassFacts:
             for cell in result.cells
             for cls in cell.classes
         }
-        assert len(calls) == len(per_row) < sum(len(c.classes) for c in result.cells)
+        per_sweep = {profiles for _, profiles in per_row}
+        # A class recurs across the two rows, and is still described once.
+        assert len(calls) == len(per_sweep) < len(per_row)
+        assert len(per_row) < sum(len(c.classes) for c in result.cells)
+        assert sorted(calls) == sorted(per_sweep)
+
+    def test_warmed_strategy_set_classifies_like_a_fresh_one(self, bayes_result):
+        # Warm one strategy set on the default sweep, then classify the cells
+        # of another sweep with it; some of their classes are already known.
+        warm = enumerate_strategies(bayes_result.spec.steps)
+        for cell in bayes_result.cells:
+            classify([rec for cls in cell.classes for rec in cls.members], warm)
+        known = set(warm.class_facts)
+        result = run_sweep(SweepSpec(builtin_bayesian(), (0.33, 1.21), p_grid(0.1)))
+        reused = 0
+        for cell in result.cells:
+            records = [rec for cls in cell.classes for rec in cls.members]
+            fresh = enumerate_strategies(result.spec.steps)
+            warmed = classify(records, warm)
+            assert warmed == classify(records, fresh) == list(cell.classes)
+            reused += sum(tuple(r.profile for r in cls.members) in known for cls in warmed)
+        assert reused > 0
 
     def test_cells_do_not_share_phase_maps(self):
         result = run_sweep(SweepSpec(builtin_bayesian(), (0.3,), p_grid()))
