@@ -8,7 +8,12 @@ tolerance, and a profile is an equilibrium when every player's strategy
 is in its best-response set against the others.  A Bayesian row keeps
 A's dense tables, one per distinct payoff vector of A, and each B
 player's table only as its list of best responses, reduced at one tie
-tolerance; the row's search reads nothing else.
+tolerance; the row's search reads nothing else.  It takes A's best
+deviation, the maximum of A's p-mixture over a column pair, in full only
+where rounding bounds from column maxima, argmax rows and the
+candidates' own payoffs cannot decide the tie test: correctly rounded
+arithmetic is monotone, so the bounds hold for the computed payoffs and
+the records are those of the full maximum, bit for bit.
 
 ``verify_records`` is the independent oracle: it re-evaluates every
 unilateral deviation through the scalar circuit path, never consulting
@@ -282,11 +287,31 @@ def find_ne_bayesian_row(
     B1's payoff does not depend on b2 nor B2's on b1, so the candidate
     triples are read straight off the two best-response lists, and A's
     ties are taken at the ``eps_tie`` they were reduced at.  The
-    triples, their distinct (b1, b2) pairs and A's gathered columns are
-    built once for the row; only A's mixture, its maximum and the tie
-    test run per p, once per distinct pair.  Candidates, column blocks
-    and the per-p best payoffs are processed in bounded chunks.  Records
-    come back in profile order, one list per p.
+    triples and their distinct (b1, b2) pairs are built once for the row.
+
+    A candidate (a, b1, b2) is kept when its payoff ``pay_a`` is at least
+    ``best - eps_tie``, where ``best`` is A's best deviation
+    ``max_r p * T1[r, b1] + (1 - p) * T2[r, b2]``.  Every bound below is
+    formed with that same expression, and correctly rounded ``*`` by a
+    non-negative factor and ``+`` are monotone, so each bound holds for
+    the computed values, not only for the exact ones:
+
+    - upper: ``U`` with the column maxima ``max_r T1[r, b1]`` and
+      ``max_r T2[r, b2]`` in place of the entries is at least ``best``;
+    - lower: ``L``, the larger mixture at the argmax rows of columns b1
+      and b2, is a real entry, so at most ``best``.  When ``U == L``,
+      ``best`` is ``L`` (always so at p = 0 and p = 1);
+    - drop: ``H`` with the pair's largest candidate entries of each
+      table is at least every candidate's ``pay_a``.  When
+      ``H < L - eps_tie``, no candidate of the pair is kept, and ``L``
+      keeps none either.
+
+    So ``L`` stands in for ``best`` wherever a bound decides, and only
+    the other (p, pair) entries take A's full column maximum, which
+    keeps the records and their payoffs bit for bit those of the full
+    maximum everywhere.  Candidates, column blocks and the per-p bounds
+    are processed in bounded chunks.  Records come back in profile
+    order, one list per p.
     """
     p_values = [check_probability(p) for p in p_values]
     ta1, ta2, eps_tie = tables.ta1, tables.ta2, float(tables.eps_tie)
@@ -296,6 +321,7 @@ def find_ne_bayesian_row(
     count1, count2 = (np.bincount(rows, minlength=n) for rows in (a1, a2))
     end1 = np.cumsum(count1)
     start2 = np.cumsum(count2) - count2
+    top1, top2 = ta1.T.argmax(axis=1), ta2.T.argmax(axis=1)
     pair_block = max(1, _COLUMN_BLOCK // max(n, 1))
     records: list[list[EquilibriumRecord]] = [[] for _ in p_values]
     for rows in _row_blocks(count1 * count2, _TRIPLE_BLOCK):
@@ -305,18 +331,28 @@ def find_ne_bayesian_row(
         a, b1, b2 = a1[i1], b1_of[i1], b2_of[i2]
         pairs, pair_of = np.unique(b1 * n + b2, return_inverse=True)
         g1, g2 = ta1.T[b1, a], ta2.T[b2, a]
+        # Per pair: A's entries at the argmax rows r1 of column c1 and r2
+        # of column c2 (m1 and m2 are the column maxima), and the largest
+        # candidate entries h1 and h2.
+        c1, c2 = np.divmod(pairs, n)
+        r1, r2 = top1[c1], top2[c2]
+        m1, y1, x2, m2 = ta1[r1, c1], ta2[r1, c2], ta1[r2, c1], ta2[r2, c2]
+        h1, h2 = np.full(len(pairs), -np.inf), np.full(len(pairs), -np.inf)
+        np.maximum.at(h1, pair_of, g1)
+        np.maximum.at(h2, pair_of, g2)
         p_block = max(1, _TRIPLE_BLOCK // max(len(pairs), 1))
         for first in range(0, len(p_values), p_block):
             group = p_values[first : first + p_block]
-            best = np.empty((len(group), len(pairs)))
-            for start in range(0, len(pairs), pair_block):
-                c1, c2 = np.divmod(pairs[start : start + pair_block], n)
-                cols1, cols2 = ta1.T[c1], ta2.T[c2]
-                for best_p, p in zip(best, group):
-                    best_p[start : start + pair_block] = (
-                        p * cols1 + (1.0 - p) * cols2
-                    ).max(axis=1)
-            for best_p, p, out in zip(best, group, records[first:]):
+            pcol = np.array(group)[:, None]
+            qcol = 1.0 - pcol
+            pm1, qm2 = pcol * m1, qcol * m2
+            best = np.maximum(pm1 + qcol * y1, pcol * x2 + qm2)
+            undecided = (pm1 + qm2 != best) & (pcol * h1 + qcol * h2 >= best - eps_tie)
+            for best_p, p, need, out in zip(best, group, undecided, records[first:]):
+                exact = np.flatnonzero(need)
+                for start in range(0, len(exact), pair_block):
+                    sel = exact[start : start + pair_block]
+                    best_p[sel] = (p * ta1.T[c1[sel]] + (1.0 - p) * ta2.T[c2[sel]]).max(axis=1)
                 pay_a = p * g1 + (1.0 - p) * g2
                 keep = np.flatnonzero(pay_a >= best_p[pair_of] - eps_tie)
                 out.extend(

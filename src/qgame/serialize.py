@@ -197,19 +197,15 @@ def _header_dict(spec: SweepSpec, kind: str, circuit: str) -> dict:
 
 
 def _cell_coordinates(cell, path: str, bayesian: bool) -> tuple[float | None, float]:
-    """A stored cell's (p, gamma): p in [0, 1] for Bayesian cells and absent
-    otherwise, gamma in [0, pi/2]; NaN and infinities fail the range tests."""
+    """A stored cell's (p, gamma): p set on Bayesian cells and absent
+    otherwise.  Their ranges are not checked here: ``_check_cells_on_axes``
+    requires both among the header's checked axis values."""
     gamma = _number(_require(cell, "gamma", path), f"{path}gamma")
-    if not 0.0 <= gamma <= math.pi / 2.0:
-        raise ConfigError(f"{path}gamma must lie in [0, pi/2], got {gamma}")
     if not bayesian:
         if "p" in cell:
             raise ConfigError(f"{path}p is set on a two-player cell")
         return None, gamma
-    p = _number(_require(cell, "p", path), f"{path}p")
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError(f"{path}p must lie in [0, 1], got {p}")
-    return p, gamma
+    return _number(_require(cell, "p", path), f"{path}p"), gamma
 
 
 def _axis(values, name: str, hi: float) -> tuple[float, ...]:

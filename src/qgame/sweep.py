@@ -146,11 +146,17 @@ def _recheck(row, tables, p_values):
     """Table-backed deviation re-check of every record of a gamma row.
 
     Recomputes each record's deviation payoffs from the tables alone and
-    raises on the first record that is not stable.  A's best deviation
-    is taken once per distinct (b1, b2) of each cell, in blocks of pairs,
-    and A's ties at the tables' ``eps_tie``; each B player is stable when
-    its (a, b) is in its best-response list.  All cells of the row are
-    checked together.
+    raises on the first record that is not stable.  A is stable when its
+    payoff is at least ``best - eps_tie``, with ``best`` its best
+    deviation ``max_r p * T1[r, b1] + (1 - p) * T2[r, b2]`` and the
+    tables' ``eps_tie``.  The bound ``U`` of that expression at the
+    column maxima of both tables is at least ``best``, since correctly
+    rounded ``*`` by a non-negative factor and ``+`` are monotone, so a
+    record that reaches ``U - eps_tie`` is stable; only the others take
+    the full maximum, once per distinct (b1, b2) of each cell, in blocks
+    of pairs.  The column maxima are computed here, apart from the
+    search.  Each B player is stable when its (a, b) is in its
+    best-response list.  All cells of the row are checked together.
     """
     records = [rec for cell in row for rec in cell]
     if not records:
@@ -161,18 +167,18 @@ def _recheck(row, tables, p_values):
     cell = np.repeat(np.arange(len(row)), [len(recs) for recs in row])
     p = p_cell[cell]
     a, b1, b2 = np.array([rec.profile for rec in records]).T
-    pairs, pair_of = np.unique((cell * n + b1) * n + b2, return_inverse=True)
+    pay = p * ta1[a, b1] + (1.0 - p) * ta2[a, b2]
+    ok = pay >= p * ta1.max(axis=0)[b1] + (1.0 - p) * ta2.max(axis=0)[b2] - eps_tie
+    rest = np.flatnonzero(~ok)
+    pairs, pair_of = np.unique((cell[rest] * n + b1[rest]) * n + b2[rest], return_inverse=True)
     best = np.empty(len(pairs))
     step = max(1, _COLUMN_BLOCK // n)
     for start in range(0, len(pairs), step):
         c, c1, c2 = np.unravel_index(pairs[start : start + step], (len(row), n, n))
         pc = p_cell[c]
         best[start : start + step] = (pc * ta1[:, c1] + (1.0 - pc) * ta2[:, c2]).max(axis=0)
-    ok = (
-        (p * ta1[a, b1] + (1.0 - p) * ta2[a, b2] >= best[pair_of] - eps_tie)
-        & np.isin(a * n + b1, tables.br1)
-        & np.isin(a * n + b2, tables.br2)
-    )
+    ok[rest] = pay[rest] >= best[pair_of] - eps_tie
+    ok &= np.isin(a * n + b1, tables.br1) & np.isin(a * n + b2, tables.br2)
     if not ok.all():
         rec = records[int(np.argmin(ok))]
         raise RuntimeError(f"record {rec.profile} failed deviation re-check")

@@ -40,6 +40,8 @@ from qgame.serialize import load_result
 from qgame.strategies import DEFAULT_GRID, GridSteps, enumerate_strategies
 from qgame.sweep import _bayesian_row, _recheck, gamma_grid, p_grid
 
+from conftest import custom_bayesian
+
 PI = math.pi
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -57,15 +59,6 @@ def grid8():
 @pytest.fixture(scope="module")
 def grid24():
     return enumerate_strategies(GridSteps(PI / 2, PI / 2, PI / 2))
-
-
-def custom_bayesian():
-    """A Bayesian game whose subgames give A different payoff vectors:
-    chicken against B1, a stag hunt against B2."""
-    return BayesianGame(
-        TwoPlayerGame((3, 1, 4, 0), (3, 4, 1, 0)),
-        TwoPlayerGame((5, 0, 3, 3), (5, 3, 0, 3)),
-    )
 
 
 def scalar_two_player_tables(game, gamma, sset):
