@@ -306,12 +306,14 @@ def find_ne_bayesian_row(
       ``H < L - eps_tie``, no candidate of the pair is kept, and ``L``
       keeps none either.
 
-    So ``L`` stands in for ``best`` wherever a bound decides, and only
-    the other (p, pair) entries take A's full column maximum, which
-    keeps the records and their payoffs bit for bit those of the full
-    maximum everywhere.  Candidates, column blocks and the per-p bounds
-    are processed in bounded chunks.  Records come back in profile
-    order, one list per p.
+    So ``L`` stands in for ``best`` wherever a bound decides.  A's
+    columns are gathered once per group of p for the pairs that some p
+    of the group leaves open, and each p that leaves one of a block's
+    pairs open takes the full maximum over the block, with p a scalar.
+    The full maximum is right for every pair, so the records and their
+    payoffs are bit for bit those of the full maximum everywhere.
+    Candidates, column blocks and the per-p bounds are processed in
+    bounded chunks.  Records come back in profile order, one list per p.
     """
     p_values = [check_probability(p) for p in p_values]
     ta1, ta2, eps_tie = tables.ta1, tables.ta2, float(tables.eps_tie)
@@ -348,11 +350,14 @@ def find_ne_bayesian_row(
             pm1, qm2 = pcol * m1, qcol * m2
             best = np.maximum(pm1 + qcol * y1, pcol * x2 + qm2)
             undecided = (pm1 + qm2 != best) & (pcol * h1 + qcol * h2 >= best - eps_tie)
-            for best_p, p, need, out in zip(best, group, undecided, records[first:]):
-                exact = np.flatnonzero(need)
-                for start in range(0, len(exact), pair_block):
-                    sel = exact[start : start + pair_block]
-                    best_p[sel] = (p * ta1.T[c1[sel]] + (1.0 - p) * ta2.T[c2[sel]]).max(axis=1)
+            exact = np.flatnonzero(undecided.any(axis=0))
+            for start in range(0, len(exact), pair_block):
+                sel = exact[start : start + pair_block]
+                cols1, cols2 = ta1.T[c1[sel]], ta2.T[c2[sel]]
+                for best_p, p, need in zip(best, group, undecided[:, sel]):
+                    if need.any():
+                        best_p[sel] = (p * cols1 + (1.0 - p) * cols2).max(axis=1)
+            for best_p, p, out in zip(best, group, records[first:]):
                 pay_a = p * g1 + (1.0 - p) * g2
                 keep = np.flatnonzero(pay_a >= best_p[pair_of] - eps_tie)
                 out.extend(
