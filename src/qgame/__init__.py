@@ -22,6 +22,7 @@ from .equilibrium import (
     BayesianTables,
     EquilibriumClass,
     EquilibriumRecord,
+    RecordSet,
     bayesian_tables,
     classify,
     find_ne_bayesian,

@@ -14,8 +14,11 @@ import math
 import re
 import sys
 
+import numpy as np
+
 from .equilibrium import (
     DEFAULT_EPS_TIE,
+    RecordSet,
     check_eps_tie,
     classify,
     find_ne_bayesian_circuit,
@@ -230,7 +233,8 @@ def _cmd_solve(args) -> int:
     if args.circuit == "full":
         sset = enumerate_strategies(steps)
         records = find_ne_bayesian_circuit(game, gamma, sset, p, args.eps_tie)
-        result = SweepResult(spec, (CellResult(p, gamma, tuple(classify(records, sset))),))
+        (classes,) = classify(records, sset)
+        result = SweepResult(spec, (CellResult(p, gamma, classes),))
     else:
         result = run_sweep(spec)
     _print_classes(result.cells[0])
@@ -282,30 +286,49 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+def _stored_records(cells: tuple[CellResult, ...]) -> RecordSet:
+    """Every stored profile of ``cells`` with its class's payoffs, cell i
+    of the set being ``cells[i]``."""
+    classes = [(i, cls) for i, cell in enumerate(cells) for cls in cell.classes]
+    counts = [cls.n_profiles for _, cls in classes]
+    if not classes:
+        none = np.empty((0, 0), dtype=np.int64)
+        return RecordSet(none[:, 0], none, none.astype(float), len(cells))
+    return RecordSet(
+        np.repeat([i for i, _ in classes], counts),
+        np.concatenate([cls.profiles for _, cls in classes]),
+        np.repeat([cls.payoffs for _, cls in classes], counts, axis=0),
+        len(cells),
+    )
+
+
 def _cmd_verify(args) -> int:
     loaded = load_result(args.infile)
-    spec = loaded.result.spec
+    spec, cells = loaded.result.spec, loaded.result.cells
     eps = args.eps_tie if args.eps_tie is not None else spec.eps_tie
     sset = enumerate_strategies(spec.steps)
-    checked = 0
+    records = _stored_records(cells)
+    derived = classify(records, sset)
     failures = []
     bad_classes = []
-    for cell in loaded.result.cells:
-        records = [rec for cls in cell.classes for rec in cls.members]
-        checked += len(records)
-        verdicts = verify_records(records, spec.game, cell.gamma, sset, eps, cell.p)
+    for i, cell in enumerate(cells):
+        own = records.in_cell(i)
+        verdicts = verify_records(own, spec.game, cell.gamma, sset, eps, cell.p)
         failures.extend(
-            (cell.p, cell.gamma, rec.profile)
-            for rec, ok in zip(records, verdicts)
+            (cell.p, cell.gamma, tuple(profile))
+            for profile, ok in zip(own.profiles.tolist(), verdicts)
             if not ok
         )
         # Each stored class must be the class its members re-derive to.
-        derived = {rec.profile: cls for cls in classify(records, sset) for rec in cls.members}
+        class_of = {
+            profile: cls for cls in derived[i] for profile in map(tuple, cls.profiles.tolist())
+        }
         bad_classes.extend(
             (cell.p, cell.gamma, class_id(cls))
             for cls in cell.classes
-            if derived[cls.members[0].profile] != cls
+            if class_of[tuple(cls.profiles[0].tolist())] != cls
         )
+    checked = len(records)
     for p, gamma, profile in failures[:20]:
         print(f"FAIL p={p} gamma={gamma:.6g} profile={profile}", file=sys.stderr)
     if failures:

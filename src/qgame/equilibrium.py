@@ -30,8 +30,9 @@ strategy is proportional to a Pauli matrix.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,31 +80,93 @@ class EquilibriumRecord:
     payoffs: tuple[float, ...]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class RecordSet:
+    """NE records of one or more cells as arrays, in (cell, profile) order.
+
+    Record i is the profile ``profiles[i]``, one strategy index per
+    player, with its payoffs ``payoffs[i]``, found in cell ``cell[i]`` of
+    ``n_cells`` cells (a gamma row's cells are its p values, in order).
+    Every stage from the search to the JSON writer reads these arrays;
+    iterating, or indexing with an int, gives ``EquilibriumRecord``s.
+    """
+
+    cell: np.ndarray
+    profiles: np.ndarray
+    payoffs: np.ndarray
+    n_cells: int = 1
+
+    @classmethod
+    def of(cls, records: Sequence[EquilibriumRecord]) -> RecordSet:
+        """One cell's records, in the order given."""
+        profiles = np.array([rec.profile for rec in records], dtype=np.int64)
+        payoffs = np.array([rec.payoffs for rec in records], dtype=float)
+        return cls(np.zeros(len(records), dtype=np.int64), profiles, payoffs)
+
+    def in_cell(self, c: int) -> RecordSet:
+        """The records of cell ``c`` as a one-cell set."""
+        lo, hi = np.searchsorted(self.cell, [c, c + 1])
+        return RecordSet(self.cell[lo:hi] - c, self.profiles[lo:hi], self.payoffs[lo:hi])
+
+    def __len__(self) -> int:
+        return len(self.profiles)
+
+    def __getitem__(self, i: int) -> EquilibriumRecord:
+        i = operator.index(i)
+        return EquilibriumRecord(tuple(self.profiles[i].tolist()), tuple(self.payoffs[i].tolist()))
+
+    def __iter__(self) -> Iterator[EquilibriumRecord]:
+        for profile, payoffs in zip(self.profiles.tolist(), self.payoffs.tolist()):
+            yield EquilibriumRecord(tuple(profile), tuple(payoffs))
+
+
+@dataclass(eq=False)
 class EquilibriumClass:
     """A family of NE sharing a theta-profile and payoffs.
 
-    ``phase_sums[pair]`` and ``phase_diffs[pair]`` hold the observed
-    sets of (g_A + g_k) and (g_k - g_A) mod 2*pi over members, where g
-    is each player's free phase (phi at theta = 0, alpha at theta = pi).
-    Both are reported because sum and difference constraints coincide on
-    negation-symmetric offset sets.  The operator label is one
-    representative member's Pauli product and is not unique.
+    ``profiles`` holds the member profiles, one row each, in ascending
+    order.  ``phase_sums[pair]`` and ``phase_diffs[pair]`` hold the
+    observed sets of (g_A + g_k) and (g_k - g_A) mod 2*pi over members,
+    where g is each player's free phase (phi at theta = 0, alpha at
+    theta = pi).  Both are reported because sum and difference
+    constraints coincide on negation-symmetric offset sets.  The
+    operator label is one representative member's Pauli product and is
+    not unique.  Classes are equal when every field is, the member
+    arrays compared entry by entry.
     """
 
     theta_profile: tuple[float, ...]
     payoffs: tuple[float, ...]
-    members: tuple[EquilibriumRecord, ...]
+    profiles: np.ndarray
     phase_sums: dict[str, tuple[float, ...]]
     phase_diffs: dict[str, tuple[float, ...]]
     operator_label: str | None
 
     @property
+    def members(self) -> tuple[EquilibriumRecord, ...]:
+        """The members as records carrying the class's payoffs, built on each read."""
+        return tuple(
+            EquilibriumRecord(tuple(profile), self.payoffs) for profile in self.profiles.tolist()
+        )
+
+    @property
     def n_profiles(self) -> int:
-        return len(self.members)
+        return len(self.profiles)
 
     def signature(self) -> tuple:
         return (tuple(round(t, 9) for t in self.theta_profile), self.operator_label)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EquilibriumClass):
+            return NotImplemented
+        return (
+            self.theta_profile == other.theta_profile
+            and self.payoffs == other.payoffs
+            and self.phase_sums == other.phase_sums
+            and self.phase_diffs == other.phase_diffs
+            and self.operator_label == other.operator_label
+            and np.array_equal(self.profiles, other.profiles)
+        )
 
 
 def _born_factors(sset: StrategySet) -> tuple[np.ndarray, np.ndarray]:
@@ -221,22 +284,22 @@ def bayesian_tables(
     return BayesianTables(ta1, ta2, br1, pay1, br2, pay2, np.array(eps_tie))
 
 
-def _dense_ne(tables: Sequence[np.ndarray], eps_tie: float) -> list[EquilibriumRecord]:
+def _dense_ne(tables: Sequence[np.ndarray], eps_tie: float) -> RecordSet:
     """Profiles where each player is within ``eps_tie`` of its best deviation.
 
     ``tables[k]`` is player k's payoff over the whole profile grid, and
-    axis k is that player's strategy.  Records come back in profile order.
+    axis k is that player's strategy.  Records come back in profile order,
+    as one cell.
     """
     stable = np.ones(tables[0].shape, dtype=bool)
     for k, t in enumerate(tables):
         stable &= t >= t.max(axis=k, keepdims=True) - eps_tie
     found = np.nonzero(stable)
-    return [
-        EquilibriumRecord(profile, payoffs)
-        for profile, payoffs in zip(
-            zip(*(i.tolist() for i in found)), zip(*(t[found].tolist() for t in tables))
-        )
-    ]
+    return RecordSet(
+        np.zeros(len(found[0]), dtype=np.int64),
+        np.stack(found, axis=1).astype(np.int64),
+        np.stack([t[found] for t in tables], axis=1),
+    )
 
 
 def find_ne_two_player(
@@ -244,7 +307,7 @@ def find_ne_two_player(
     gamma: float,
     sset: StrategySet,
     eps_tie: float = DEFAULT_EPS_TIE,
-) -> list[EquilibriumRecord]:
+) -> RecordSet:
     """All profiles (a, b) where each strategy best-responds to the other."""
     check_eps_tie(eps_tie)
     return _dense_ne(two_player_tables(game, gamma, sset), eps_tie)
@@ -278,9 +341,7 @@ def _row_blocks(sizes: np.ndarray, budget: int):
         yield slice(start, len(sizes))
 
 
-def find_ne_bayesian_row(
-    tables: BayesianTables, p_values: Sequence[float]
-) -> list[list[EquilibriumRecord]]:
+def find_ne_bayesian_row(tables: BayesianTables, p_values: Sequence[float]) -> RecordSet:
     """The NE records of one gamma row's table set at each p of ``p_values``.
 
     Only A's payoff depends on p, so one search serves the whole row.
@@ -313,7 +374,10 @@ def find_ne_bayesian_row(
     The full maximum is right for every pair, so the records and their
     payoffs are bit for bit those of the full maximum everywhere.
     Candidates, column blocks and the per-p bounds are processed in
-    bounded chunks.  Records come back in profile order, one list per p.
+    bounded chunks, and the tie test is one 2-D test per group of p
+    whose candidates times p values stay within ``_TRIPLE_BLOCK``.
+    Records come back as one set for the row, cell i holding the
+    records of ``p_values[i]`` in profile order.
     """
     p_values = [check_probability(p) for p in p_values]
     ta1, ta2, eps_tie = tables.ta1, tables.ta2, float(tables.eps_tie)
@@ -323,9 +387,12 @@ def find_ne_bayesian_row(
     count1, count2 = (np.bincount(rows, minlength=n) for rows in (a1, a2))
     end1 = np.cumsum(count1)
     start2 = np.cumsum(count2) - count2
-    top1, top2 = ta1.T.argmax(axis=1), ta2.T.argmax(axis=1)
+    top1 = ta1.T.argmax(axis=1)
+    top2 = top1 if ta2 is ta1 else ta2.T.argmax(axis=1)
     pair_block = max(1, _COLUMN_BLOCK // max(n, 1))
-    records: list[list[EquilibriumRecord]] = [[] for _ in p_values]
+    cells = [np.empty(0, dtype=np.int64)]
+    profiles = [np.empty((0, 3), dtype=np.int64)]
+    payoffs = [np.empty((0, 3))]
     for rows in _row_blocks(count1 * count2, _TRIPLE_BLOCK):
         offset = end1[rows.start] - count1[rows.start]
         i1, i2 = _candidate_triples(a1[offset : end1[rows.stop - 1]], count2, start2)
@@ -343,6 +410,7 @@ def find_ne_bayesian_row(
         np.maximum.at(h1, pair_of, g1)
         np.maximum.at(h2, pair_of, g2)
         p_block = max(1, _TRIPLE_BLOCK // max(len(pairs), 1))
+        keep_block = max(1, _TRIPLE_BLOCK // max(len(i1), 1))
         for first in range(0, len(p_values), p_block):
             group = p_values[first : first + p_block]
             pcol = np.array(group)[:, None]
@@ -354,24 +422,29 @@ def find_ne_bayesian_row(
             for start in range(0, len(exact), pair_block):
                 sel = exact[start : start + pair_block]
                 cols1, cols2 = ta1.T[c1[sel]], ta2.T[c2[sel]]
-                for best_p, p, need in zip(best, group, undecided[:, sel]):
-                    if need.any():
+                for best_p, p, need in zip(best, group, undecided[:, sel].any(axis=1).tolist()):
+                    if need:
                         best_p[sel] = (p * cols1 + (1.0 - p) * cols2).max(axis=1)
-            for best_p, p, out in zip(best, group, records[first:]):
-                pay_a = p * g1 + (1.0 - p) * g2
-                keep = np.flatnonzero(pay_a >= best_p[pair_of] - eps_tie)
-                out.extend(
-                    EquilibriumRecord(profile, payoffs)
-                    for profile, payoffs in zip(
-                        zip(a[keep].tolist(), b1[keep].tolist(), b2[keep].tolist()),
-                        zip(
-                            pay_a[keep].tolist(),
-                            tables.pay1[i1[keep]].tolist(),
-                            tables.pay2[i2[keep]].tolist(),
-                        ),
-                    )
+            for sub in range(0, len(group), keep_block):
+                # Built in place, so a test holds three (p, candidate) arrays.
+                ps = slice(sub, sub + keep_block)
+                pay_a = pcol[ps] * g1
+                pay_a += qcol[ps] * g2
+                threshold = best[ps][:, pair_of]
+                threshold -= eps_tie
+                kp, kt = np.nonzero(pay_a >= threshold)
+                cells.append(kp + (first + sub))
+                profiles.append(np.stack([a[kt], b1[kt], b2[kt]], axis=1))
+                payoffs.append(
+                    np.stack([pay_a[kp, kt], tables.pay1[i1[kt]], tables.pay2[i2[kt]]], axis=1)
                 )
-    return records
+    cell = np.concatenate(cells)
+    # Each block of candidates adds records to every cell; a stable sort by
+    # cell puts them in (cell, profile) order.
+    order = np.argsort(cell, kind="stable")
+    return RecordSet(
+        cell[order], np.concatenate(profiles)[order], np.concatenate(payoffs)[order], len(p_values)
+    )
 
 
 def find_ne_bayesian(
@@ -380,12 +453,12 @@ def find_ne_bayesian(
     sset: StrategySet,
     p: float,
     eps_tie: float = DEFAULT_EPS_TIE,
-) -> list[EquilibriumRecord]:
+) -> RecordSet:
     """All profiles (a, b1, b2) stable under unilateral deviation at one p.
 
     A's payoff is the p-weighted mixture of its two subgame tables.
     """
-    return find_ne_bayesian_row(bayesian_tables(game, gamma, sset, eps_tie), (p,))[0]
+    return find_ne_bayesian_row(bayesian_tables(game, gamma, sset, eps_tie), (p,))
 
 
 def bayesian_circuit_tables(
@@ -416,7 +489,7 @@ def find_ne_bayesian_circuit(
     sset: StrategySet,
     p: float,
     eps_tie: float = DEFAULT_EPS_TIE,
-) -> list[EquilibriumRecord]:
+) -> RecordSet:
     """NE search with payoffs evaluated through the four-qubit circuit.
 
     A dense check of the whole profile cube: it shares no search code
@@ -427,7 +500,7 @@ def find_ne_bayesian_circuit(
 
 
 def verify_records(
-    records: Sequence[EquilibriumRecord],
+    records: RecordSet,
     game: TwoPlayerGame | BayesianGame,
     gamma: float,
     sset: StrategySet,
@@ -451,29 +524,28 @@ def verify_records(
     A player's deviation to its recorded strategy is the base payoff, and
     a record also fails when its stored payoffs are more than
     ``PAYOFF_TOL`` from the base ones.  Bayesian records need the ``p``
-    they were found at; two-player records take none.  Returns one
-    verdict per record, in order.
+    they were found at; two-player records take none.  ``records.cell``
+    is not read.  Returns one verdict per record, in order.
     """
     bayesian = isinstance(game, BayesianGame)
     if bayesian and p is None:
         raise ValueError("verifying a Bayesian record needs p")
     if bayesian:
         check_probability(p)
+    if not len(records):
+        return []
     us = sset.unitaries
     n, players = len(us), 3 if bayesian else 2
-    for rec in records:
-        if len(rec.profile) != players or not all(0 <= s < n for s in rec.profile):
-            raise ValueError(
-                f"profile {rec.profile} is not {players} strategy indices in [0, {n})"
-            )
-    if not records:
-        return []
-    a, *bs = np.array([rec.profile for rec in records]).T
+    profiles = records.profiles
+    bad = (profiles.shape[1] != players) | ((profiles < 0) | (profiles >= n)).any(axis=1)
+    if bad.any():
+        profile = tuple(profiles[np.argmax(bad)].tolist())
+        raise ValueError(f"profile {profile} is not {players} strategy indices in [0, {n})")
+    a, *bs = profiles.T
     # Stored payoffs of the wrong length become NaN, which fails the test.
-    stored = np.array(
-        [rec.payoffs if len(rec.payoffs) == players else (np.nan,) * players for rec in records],
-        dtype=float,
-    )
+    stored = records.payoffs
+    if stored.shape != profiles.shape:
+        stored = np.full(profiles.shape, np.nan)
     subgames = (game.subgame_b1, game.subgame_b2) if bayesian else (game,)
     weights = (float(p), 1.0 - float(p)) if bayesian else (1.0,)
 
@@ -527,23 +599,24 @@ def verify_ne(
     p: float | None = None,
 ) -> bool:
     """``verify_records`` of one record."""
-    return verify_records([record], game, gamma, sset, eps_tie, p)[0]
+    return verify_records(RecordSet.of([record]), game, gamma, sset, eps_tie, p)[0]
 
 
 def _offset(phase: float) -> float:
     return round(wrap_angle(phase), 9)
 
 
-def _class_facts(members: tuple[EquilibriumRecord, ...], sset: StrategySet) -> tuple:
+def _class_facts(members: np.ndarray, sset: StrategySet) -> tuple:
     """What a class's member profiles alone fix: its theta-profile, phase
     sums and differences, and operator label."""
-    rep = members[0]
-    others = ("B",) if len(rep.profile) == 2 else ("B1", "B2")
+    rows = members.tolist()
+    rep = rows[0]
+    others = ("B",) if len(rep) == 2 else ("B1", "B2")
     free, names = sset.free_phases, sset.pauli_names
     phase_sums: dict[str, tuple[float, ...]] = {}
     phase_diffs: dict[str, tuple[float, ...]] = {}
     for k, other in enumerate(others, start=1):
-        phases = {(free[rec.profile[0]], free[rec.profile[k]]) for rec in members}
+        phases = {(free[row[0]], free[row[k]]) for row in rows}
         if any(g_a is None or g_k is None for g_a, g_k in phases):
             continue
         pair = f"A-{other}"
@@ -551,54 +624,76 @@ def _class_facts(members: tuple[EquilibriumRecord, ...], sset: StrategySet) -> t
         phase_diffs[pair] = tuple(sorted({_offset(g_k - g_a) for g_a, g_k in phases}))
 
     label = None
-    if all(names[i] is not None for rec in members for i in rec.profile):
-        label = "⊗".join(names[i] for i in rep.profile)
+    if all(names[i] is not None for i in members.ravel().tolist()):
+        label = "⊗".join(names[i] for i in rep)
 
-    theta_profile = tuple(sset.params[i].theta for i in rep.profile)
+    theta_profile = tuple(sset.params[i].theta for i in rep)
     return theta_profile, phase_sums, phase_diffs, label
 
 
-def classify(records: list[EquilibriumRecord], sset: StrategySet) -> list[EquilibriumClass]:
-    """Group NE records into classes by theta-profile and payoffs.
+def classify(records: RecordSet, sset: StrategySet) -> list[tuple[EquilibriumClass, ...]]:
+    """Group each cell's NE records into classes by theta-profile and payoffs.
 
-    Within a class, phase sum/difference offsets against player A are
-    collected per pair; a pair is reported only when both players'
-    theta values pin a single free phase.  The operator label comes
-    from the first member in profile order.
+    Returns one tuple of classes per cell of ``records``, empty cells
+    included.  A class's key is its members' thetas and payoffs, each
+    rounded to 9 places; a cell's classes come in key order, and each
+    class's members in profile order.  One ``lexsort`` over every cell
+    puts the records in (cell, key, profile) order, so each class is a
+    run of it.  Payoffs are rounded with ``round(x, 9)`` once per
+    distinct payoff row, and ranked by the rounded values.  Within a
+    class, phase sum/difference offsets against player A are collected
+    per pair; a pair is reported only when both players' theta values
+    pin a single free phase.  The class's payoffs and operator label come
+    from its first member.
 
     These facts depend only on a class's member profiles and ``sset``,
-    which keeps them (``StrategySet.class_facts``), so a class that
-    recurs across the cells of a sweep is described once.  They live as
-    long as ``sset``, one entry per distinct set of member profiles.
-    Each returned class gets its own phase dicts.
+    which keeps them (``StrategySet.class_facts``, keyed by the player
+    count and the members array's bytes), so a class that recurs across
+    the cells of a sweep is described once.  They live as long as
+    ``sset``, one entry per distinct set of member profiles.  Each
+    returned class gets its own phase dicts.
     """
-    # Keys round each distinct payoff tuple once: a cell's records share far
-    # fewer payoffs than profiles.
-    theta9, facts = sset.thetas9, sset.class_facts
-    payoffs9: dict[tuple, tuple] = {}
-    groups: dict[tuple, list[EquilibriumRecord]] = {}
-    for rec in sorted(records, key=lambda r: r.profile):
-        pay9 = payoffs9.get(rec.payoffs)
-        if pay9 is None:
-            pay9 = payoffs9[rec.payoffs] = tuple([round(x, 9) for x in rec.payoffs])
-        groups.setdefault((tuple([theta9[i] for i in rec.profile]), pay9), []).append(rec)
-
-    classes = []
-    for key in sorted(groups):
-        members = tuple(groups[key])
-        profiles = tuple(rec.profile for rec in members)
-        fact = facts.get(profiles)
-        if fact is None:
-            fact = facts[profiles] = _class_facts(members, sset)
-        theta_profile, phase_sums, phase_diffs, label = fact
-        classes.append(
-            EquilibriumClass(
-                theta_profile=theta_profile,
-                payoffs=members[0].payoffs,
-                members=members,
-                phase_sums=dict(phase_sums),
-                phase_diffs=dict(phase_diffs),
-                operator_label=label,
-            )
+    cells: list[list[EquilibriumClass]] = [[] for _ in range(records.n_cells)]
+    if len(records):
+        profiles = np.asarray(records.profiles, dtype=np.int64)
+        thetas = sset.thetas9[profiles]
+        # Rank each record's rounded payoffs, rounding each distinct row once.
+        by_payoffs = np.lexsort(records.payoffs.T[::-1])
+        sorted_payoffs = records.payoffs[by_payoffs]
+        step = np.ones(len(records), dtype=bool)
+        step[1:] = (sorted_payoffs[1:] != sorted_payoffs[:-1]).any(axis=1)
+        rounded = [tuple([round(x, 9) for x in row]) for row in sorted_payoffs[step].tolist()]
+        rank = {key: r for r, key in enumerate(sorted(set(rounded)))}
+        pay_rank = np.empty(len(records), dtype=np.int64)
+        pay_rank[by_payoffs] = np.array([rank[key] for key in rounded])[np.cumsum(step) - 1]
+        order = np.lexsort((*profiles.T[::-1], pay_rank, *thetas.T[::-1], records.cell))
+        cell, thetas, pay_rank = records.cell[order], thetas[order], pay_rank[order]
+        profiles = profiles[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (
+            (cell[1:] != cell[:-1])
+            | (thetas[1:] != thetas[:-1]).any(axis=1)
+            | (pay_rank[1:] != pay_rank[:-1])
         )
-    return classes
+        starts = np.flatnonzero(new)
+        ends = np.append(starts[1:], len(order))
+        first = records.payoffs[order[starts]].tolist()
+        facts, players = sset.class_facts, profiles.shape[1]
+        for c, lo, hi, payoffs in zip(cell[starts].tolist(), starts.tolist(), ends.tolist(), first):
+            members = profiles[lo:hi]
+            key = (players, members.tobytes())
+            fact = facts.get(key)
+            if fact is None:
+                fact = facts[key] = _class_facts(members, sset)
+            theta_profile, phase_sums, phase_diffs, label = fact
+            cells[c].append(
+                EquilibriumClass(
+                    theta_profile=theta_profile,
+                    payoffs=tuple(payoffs),
+                    profiles=members,
+                    phase_sums=dict(phase_sums),
+                    phase_diffs=dict(phase_diffs),
+                    operator_label=label,
+                )
+            )
+    return [tuple(classes) for classes in cells]

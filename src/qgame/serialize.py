@@ -21,10 +21,11 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter
 from typing import Iterable, Iterator
 
-from .equilibrium import EquilibriumClass, EquilibriumRecord
+import numpy as np
+
+from .equilibrium import EquilibriumClass
 from .games import BayesianGame, TwoPlayerGame, payoff_vector
 from .strategies import GridSteps
 from .sweep import CellResult, RegionSummary, SweepResult, SweepSpec
@@ -133,10 +134,11 @@ def _profile(prof, n_players: int, n_strategies: int, path: str) -> None:
             )
 
 
-def _members(value, n_players: int, n_strategies: int, path: str) -> list[tuple[int, ...]]:
-    """A class's stored profiles, each ``n_players`` integer indices in
-    [0, n_strategies), checked as one list.  Only a list that fails goes
-    through ``_profile`` member by member, to name the first bad one."""
+def _members(value, n_players: int, n_strategies: int, path: str) -> np.ndarray:
+    """A class's stored profiles as an int array, one row of ``n_players``
+    indices in [0, n_strategies) each, checked as one list.  Only a list
+    that fails goes through ``_profile`` member by member, to name the
+    first bad one."""
     if (
         isinstance(value, list)
         and set(map(type, value)) == {list}
@@ -144,7 +146,7 @@ def _members(value, n_players: int, n_strategies: int, path: str) -> list[tuple[
     ):
         flat = list(chain.from_iterable(value))
         if set(map(type, flat)) == {int} and min(flat) >= 0 and max(flat) < n_strategies:
-            return list(map(tuple, value))
+            return np.array(flat, dtype=np.int64).reshape(len(value), n_players)
     if not isinstance(value, list):
         raise ConfigError(f"{path}members must be a list of profiles, got {value!r}")
     for k, prof in enumerate(value):
@@ -171,8 +173,7 @@ def _class_from_dict(
     label = _require(data, "operator_label", path)
     if label is not None and not isinstance(label, str):
         raise ConfigError(f"{path}operator_label must be a string or null, got {label!r}")
-    members = tuple([EquilibriumRecord(prof, payoffs) for prof in profiles])
-    return EquilibriumClass(theta, payoffs, members, phase_sums, phase_diffs, label)
+    return EquilibriumClass(theta, payoffs, profiles, phase_sums, phase_diffs, label)
 
 
 def _header_dict(spec: SweepSpec, kind: str, circuit: str) -> dict:
@@ -381,13 +382,13 @@ def _phase_map_text(phases: dict[str, tuple[float, ...]]) -> str:
     return _list_text(items, _INDENT[6], "{}")
 
 
-def _members_text(members: tuple[EquilibriumRecord, ...]) -> str:
+def _members_text(profiles: np.ndarray) -> str:
     """A class's whole members list, one ``%``-format over the flat profiles."""
-    if not members:
+    if not len(profiles):
         return "[]"
-    member = _list_text(["%d"] * len(members[0].profile), _INDENT[7])
-    template = _list_text([member] * len(members), _INDENT[6])
-    return template % tuple(chain.from_iterable(map(attrgetter("profile"), members)))
+    member = _list_text(["%d"] * profiles.shape[1], _INDENT[7])
+    template = _list_text([member] * len(profiles), _INDENT[6])
+    return template % tuple(profiles.ravel().tolist())
 
 
 def _class_text(cls: EquilibriumClass) -> str:
@@ -398,7 +399,7 @@ def _class_text(cls: EquilibriumClass) -> str:
         "null" if label is None else _encode_str(label),
         _phase_map_text(cls.phase_sums),
         _phase_map_text(cls.phase_diffs),
-        _members_text(cls.members),
+        _members_text(cls.profiles),
     )
 
 

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .circuits import TAU, StrategyParams, strategy_unitary
+from .circuits import TAU, StrategyParams
 
 _PAULIS = (
     ("I", np.eye(2, dtype=complex)),
@@ -108,13 +108,14 @@ class StrategySet:
         )
 
     @cached_property
-    def thetas9(self) -> tuple[float, ...]:
+    def thetas9(self) -> np.ndarray:
         """Per index, theta rounded to 9 places, as class keys compare it."""
-        return tuple(round(s.theta, 9) for s in self.params)
+        return np.array([round(s.theta, 9) for s in self.params])
 
     @cached_property
     def class_facts(self) -> dict[tuple, tuple]:
-        """``equilibrium.classify``'s class facts, keyed by member profiles."""
+        """``equilibrium.classify``'s class facts, keyed by the player count
+        and the member profiles' bytes."""
         return {}
 
     @cached_property
@@ -151,30 +152,58 @@ def _free_parameter(theta: float) -> str | None:
     return None
 
 
+def _canonical_angles(theta: float, phi: float, alpha: float) -> tuple[float, float, float]:
+    """Phases reduced mod 2*pi, and the parameter theta makes undefined zeroed."""
+    free = _free_parameter(theta)
+    phi = 0.0 if free == "alpha" else wrap_angle(phi)
+    alpha = 0.0 if free == "phi" else wrap_angle(alpha)
+    return theta, phi, alpha
+
+
 def canonicalize(s: StrategyParams) -> StrategyParams:
     """Reduce phases mod 2*pi and zero the parameter that theta makes undefined."""
-    free = _free_parameter(s.theta)
-    phi = 0.0 if free == "alpha" else wrap_angle(s.phi)
-    alpha = 0.0 if free == "phi" else wrap_angle(s.alpha)
-    return StrategyParams(s.theta, phi, alpha)
+    return StrategyParams(*_canonical_angles(s.theta, s.phi, s.alpha))
+
+
+def _unitaries(params: tuple[StrategyParams, ...]) -> np.ndarray:
+    """``strategy_unitary`` of every strategy, as one (n, 2, 2) array.
+
+    Each cosine, sine and phase factor is ``strategy_unitary``'s own
+    expression, evaluated once per distinct angle, and the entries are
+    its products, so every bit agrees with it.
+    """
+    thetas = {s.theta for s in params}
+    cos = {t: math.cos(t / 2.0) for t in thetas}
+    sin = {t: math.sin(t / 2.0) for t in thetas}
+    phases = {s.phi for s in params} | {s.alpha for s in params}
+    minus = {x: np.exp(-1j * x) for x in phases}
+    plus = {x: np.exp(1j * x) for x in phases}
+    c = np.array([cos[s.theta] for s in params])
+    sn = np.array([sin[s.theta] for s in params])
+    u = np.empty((len(params), 2, 2), dtype=complex)
+    u[:, 0, 0] = np.array([minus[s.phi] for s in params]) * c
+    u[:, 0, 1] = np.array([plus[s.alpha] for s in params]) * sn
+    u[:, 1, 0] = -np.array([minus[s.alpha] for s in params]) * sn
+    u[:, 1, 1] = np.array([plus[s.phi] for s in params]) * c
+    return u
 
 
 def enumerate_strategies(steps: GridSteps) -> StrategySet:
     """All canonical grid strategies with exact-duplicate matrices removed.
 
-    Order is deterministic: lexicographic by (theta, phi, alpha).
+    Order is deterministic: lexicographic by (theta, phi, alpha).  Grid
+    points are canonicalized as plain angles; only the kept ones become
+    ``StrategyParams``.
     """
-    seen: dict[tuple[float, float, float], StrategyParams] = {}
+    seen: dict[tuple[float, float, float], tuple[float, float, float]] = {}
     for i in range(steps.n_theta + 1):
         theta = math.pi if i == steps.n_theta else i * steps.d_theta
         for j in range(steps.n_phi):
             for k in range(steps.n_alpha):
-                s = canonicalize(StrategyParams(theta, j * steps.d_phi, k * steps.d_alpha))
-                key = (round(s.theta, 12), round(s.phi, 12), round(s.alpha, 12))
-                seen.setdefault(key, s)
-    params = tuple(seen[key] for key in sorted(seen))
-    unitaries = np.stack([strategy_unitary(s) for s in params])
-    return StrategySet(params, unitaries)
+                angles = _canonical_angles(theta, j * steps.d_phi, k * steps.d_alpha)
+                seen.setdefault(tuple([round(x, 12) for x in angles]), angles)
+    params = tuple(StrategyParams(*seen[key]) for key in sorted(seen))
+    return StrategySet(params, _unitaries(params))
 
 
 def pauli_label(u: np.ndarray, tol: float = 1e-10) -> tuple[str, complex] | None:

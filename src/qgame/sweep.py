@@ -6,8 +6,9 @@ one table set (A's payoff tables and the B players' best-response
 lists, reduced at the sweep's tie tolerance): the set is built, one NE
 search (``find_ne_bayesian_row``) reads the records of every p in the
 row off it, because only A's payoff depends on p, the records are
-re-checked against it, and each cell is classified on its own.  The
-strategy set keeps the facts of every class it has seen, so a class
+re-checked against it, and the row's cells are classified together.
+The records stay arrays (``RecordSet``) from the search to the classes.
+The strategy set keeps the facts of every class it has seen, so a class
 that recurs across cells is described once.  With ``workers > 1`` rows
 are evaluated in a process pool, each on its own copy of the strategy
 set, and the merged result is sorted so output is identical regardless
@@ -142,7 +143,7 @@ class RegionSummary:
         return len(self.cells)
 
 
-def _recheck(row, tables, p_values):
+def _recheck(records, tables, p_values):
     """Table-backed deviation re-check of every record of a gamma row.
 
     Recomputes each record's deviation payoffs from the tables alone and
@@ -155,50 +156,52 @@ def _recheck(row, tables, p_values):
     record that reaches ``U - eps_tie`` is stable; only the others take
     the full maximum, once per distinct (b1, b2) of each cell, in blocks
     of pairs.  The column maxima are computed here, apart from the
-    search.  Each B player is stable when its (a, b) is in its
-    best-response list.  All cells of the row are checked together.
+    search, once per distinct table.  Each B player is stable when its
+    (a, b) is in its best-response list.  All cells of the row are
+    checked together, read off the record arrays.
     """
-    records = [rec for cell in row for rec in cell]
-    if not records:
+    if not len(records):
         return
     ta1, ta2, eps_tie = tables.ta1, tables.ta2, float(tables.eps_tie)
     n = ta1.shape[0]
     p_cell = np.asarray(p_values, dtype=float)
-    cell = np.repeat(np.arange(len(row)), [len(recs) for recs in row])
+    cell = records.cell
     p = p_cell[cell]
-    a, b1, b2 = np.array([rec.profile for rec in records]).T
+    a, b1, b2 = records.profiles.T
+    top1 = ta1.max(axis=0)
+    top2 = top1 if ta2 is ta1 else ta2.max(axis=0)
     pay = p * ta1[a, b1] + (1.0 - p) * ta2[a, b2]
-    ok = pay >= p * ta1.max(axis=0)[b1] + (1.0 - p) * ta2.max(axis=0)[b2] - eps_tie
+    ok = pay >= p * top1[b1] + (1.0 - p) * top2[b2] - eps_tie
     rest = np.flatnonzero(~ok)
     pairs, pair_of = np.unique((cell[rest] * n + b1[rest]) * n + b2[rest], return_inverse=True)
     best = np.empty(len(pairs))
     step = max(1, _COLUMN_BLOCK // n)
     for start in range(0, len(pairs), step):
-        c, c1, c2 = np.unravel_index(pairs[start : start + step], (len(row), n, n))
+        c, c1, c2 = np.unravel_index(pairs[start : start + step], (records.n_cells, n, n))
         pc = p_cell[c]
         best[start : start + step] = (pc * ta1[:, c1] + (1.0 - pc) * ta2[:, c2]).max(axis=0)
     ok[rest] = pay[rest] >= best[pair_of] - eps_tie
     ok &= np.isin(a * n + b1, tables.br1) & np.isin(a * n + b2, tables.br2)
     if not ok.all():
-        rec = records[int(np.argmin(ok))]
-        raise RuntimeError(f"record {rec.profile} failed deviation re-check")
+        profile = tuple(records.profiles[np.argmin(ok)].tolist())
+        raise RuntimeError(f"record {profile} failed deviation re-check")
 
 
 def _bayesian_row(args) -> list[CellResult]:
     game, gamma, p_values, sset, eps_tie = args
     tables = bayesian_tables(game, gamma, sset, eps_tie)
-    row = find_ne_bayesian_row(tables, p_values)
-    _recheck(row, tables, p_values)
+    records = find_ne_bayesian_row(tables, p_values)
+    _recheck(records, tables, p_values)
     return [
-        CellResult(p, gamma, tuple(classify(records, sset)))
-        for p, records in zip(p_values, row)
+        CellResult(p, gamma, classes)
+        for p, classes in zip(p_values, classify(records, sset))
     ]
 
 
 def _two_player_row(args) -> list[CellResult]:
     game, gamma, sset, eps_tie = args
-    records = find_ne_two_player(game, gamma, sset, eps_tie)
-    return [CellResult(None, gamma, tuple(classify(records, sset)))]
+    (classes,) = classify(find_ne_two_player(game, gamma, sset, eps_tie), sset)
+    return [CellResult(None, gamma, classes)]
 
 
 def effective_workers(requested: int | None, rows: int | None = None) -> int:

@@ -18,6 +18,11 @@ def custom_bayesian() -> BayesianGame:
     )
 
 
+def cells_of(records) -> list[list]:
+    """A record set's records, one list of ``EquilibriumRecord``s per cell."""
+    return [list(records.in_cell(c)) for c in range(records.n_cells)]
+
+
 def pytest_runtest_logreport(report):
     """Print one pass/fail line per acceptance check as it completes."""
     if report.when != "call" or "test_acceptance" not in report.nodeid:

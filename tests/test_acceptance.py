@@ -348,7 +348,7 @@ def test_c10_performance(bayes_sweep):
     records = find_ne_two_player(builtin_pd(), 1.0, fine, EPS_TIE)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"1824-strategy solve took {elapsed:.1f}s"
-    classes = classify(records, fine)
+    (classes,) = classify(records, fine)
     assert len(classes) == 1
     assert classes[0].theta_profile == (PI, PI)
     assert classes[0].phase_sums["A-B"] == pytest.approx((PI / 2, 3 * PI / 2))

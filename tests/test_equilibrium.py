@@ -16,6 +16,7 @@ from qgame.circuits import (
 )
 from qgame.equilibrium import (
     EquilibriumRecord,
+    RecordSet,
     bayesian_circuit_tables,
     bayesian_tables,
     classify,
@@ -40,7 +41,7 @@ from qgame.serialize import load_result
 from qgame.strategies import DEFAULT_GRID, GridSteps, enumerate_strategies
 from qgame.sweep import _bayesian_row, _recheck, gamma_grid, p_grid
 
-from conftest import custom_bayesian
+from conftest import cells_of, custom_bayesian
 
 PI = math.pi
 GOLDEN = Path(__file__).parent / "golden"
@@ -169,16 +170,16 @@ class TestTables:
 
 class TestFindNeTwoPlayer:
     def test_pd_classical_limit(self, grid8):
-        classes = classify(find_ne_two_player(builtin_pd(), 0.0, grid8), grid8)
+        (classes,) = classify(find_ne_two_player(builtin_pd(), 0.0, grid8), grid8)
         assert len(classes) == 1
         assert classes[0].theta_profile == (PI, PI)
         assert classes[0].payoffs == pytest.approx((6.0, 6.0), abs=1e-12)
 
     def test_pd_above_threshold_empty(self, grid8):
-        assert find_ne_two_player(builtin_pd(), 1.3, grid8) == []
+        assert len(find_ne_two_player(builtin_pd(), 1.3, grid8)) == 0
 
     def test_da_two_classes_when_entangled(self, grid8):
-        classes = classify(find_ne_two_player(builtin_da(), 1.0, grid8), grid8)
+        (classes,) = classify(find_ne_two_player(builtin_da(), 1.0, grid8), grid8)
         assert [c.theta_profile for c in classes] == [(0.0, 0.0), (PI, PI)]
         assert classes[0].payoffs == pytest.approx((11.0, 9.0), abs=1e-9)
         assert classes[1].payoffs[0] < 11 and classes[1].payoffs[1] < 9
@@ -186,16 +187,16 @@ class TestFindNeTwoPlayer:
 
 class TestFindNeBayesian:
     def test_central_gap_has_no_ne(self, grid8):
-        assert find_ne_bayesian(builtin_bayesian(), 0.3, grid8, 0.5) == []
+        assert len(find_ne_bayesian(builtin_bayesian(), 0.3, grid8, 0.5)) == 0
 
     def test_classical_limit_low_p(self, grid8):
-        classes = classify(find_ne_bayesian(builtin_bayesian(), 0.0, grid8, 0.1), grid8)
+        (classes,) = classify(find_ne_bayesian(builtin_bayesian(), 0.0, grid8, 0.1), grid8)
         assert len(classes) == 1
         assert classes[0].theta_profile == (0.0, PI, 0.0)
         assert classes[0].payoffs == pytest.approx((10.0, 10.0, 9.0), abs=1e-9)
 
     def test_high_p_low_gamma_class(self, grid8):
-        classes = classify(find_ne_bayesian(builtin_bayesian(), 0.3, grid8, 0.9), grid8)
+        (classes,) = classify(find_ne_bayesian(builtin_bayesian(), 0.3, grid8, 0.9), grid8)
         assert len(classes) == 1
         assert classes[0].theta_profile == (PI, PI, 0.0)
         assert classes[0].operator_label == "Y⊗X⊗Z"
@@ -427,7 +428,7 @@ class TestVerifyRecords:
         found = [rec for cls in cell.classes for rec in cls.members]
         payoffs = one_at_a_time(spec.game, cell.gamma, sset, cell.p)
         records = with_decoys(found, len(sset), 3, np.random.default_rng(index), payoffs)
-        verdicts = verify_records(records, spec.game, cell.gamma, sset, p=cell.p)
+        verdicts = verify_records(RecordSet.of(records), spec.game, cell.gamma, sset, p=cell.p)
         assert verdicts == oracle_verdicts(records, spec.game, cell.gamma, sset, cell.p)
         assert verdicts[: len(found)] == [True] * len(found)
         assert not all(verdicts)
@@ -437,23 +438,25 @@ class TestVerifyRecords:
         found = find_ne_two_player(game, 0.7, grid24)
         payoffs = one_at_a_time(game, 0.7, grid24)
         records = with_decoys(found, len(grid24), 2, np.random.default_rng(5), payoffs)
-        verdicts = verify_records(records, game, 0.7, grid24)
+        verdicts = verify_records(RecordSet.of(records), game, 0.7, grid24)
         assert verdicts == oracle_verdicts(records, game, 0.7, grid24)
         assert verdicts[: len(found)] == [True] * len(found)
         assert not all(verdicts)
 
     def test_empty_record_list(self, grid8):
-        assert verify_records([], builtin_bayesian(), 0.3, grid8, p=0.9) == []
-        assert verify_records([], builtin_pd(), 0.3, grid8) == []
+        none = RecordSet.of([])
+        assert verify_records(none, builtin_bayesian(), 0.3, grid8, p=0.9) == []
+        assert verify_records(none, builtin_pd(), 0.3, grid8) == []
 
     @pytest.mark.parametrize("block", [1, 24, 7])
     def test_block_edges_do_not_change_verdicts(self, grid24, monkeypatch, block):
         # Blocks of 1 and 7 states split keys of 24 alternatives; blocks of
         # 24 fall exactly between keys.
         game = custom_bayesian()
-        found = find_ne_bayesian(game, 0.9, grid24, 0.3)[:40]
+        found = list(find_ne_bayesian(game, 0.9, grid24, 0.3))[:40]
         payoffs = one_at_a_time(game, 0.9, grid24, 0.3)
         records = with_decoys(found, len(grid24), 3, np.random.default_rng(block), payoffs)
+        records = RecordSet.of(records)
         whole = verify_records(records, game, 0.9, grid24, p=0.3)
         monkeypatch.setattr(equilibrium, "_VERIFY_BLOCK", block)
         assert verify_records(records, game, 0.9, grid24, p=0.3) == whole
@@ -475,7 +478,7 @@ class TestVerifyRecords:
             return psi
 
         monkeypatch.setattr(equilibrium, "evolve_two_player", counting)
-        verdicts = verify_records(records, game, 0.9, grid24, p=0.3)
+        verdicts = verify_records(RecordSet.of(records), game, 0.9, grid24, p=0.3)
         a, b1, b2 = np.array([rec.profile for rec in records]).T
         keys = len(np.unique(a)) + len(np.union1d(b1, b2))
         assert sum(states) == keys * len(grid24)
@@ -485,12 +488,12 @@ class TestVerifyRecords:
     def test_wrong_profile_length_raises(self, grid8):
         rec = EquilibriumRecord((0, 0), (0.0, 0.0))
         with pytest.raises(ValueError, match="strategy indices"):
-            verify_records([rec], builtin_bayesian(), 0.3, grid8, p=0.5)
+            verify_records(RecordSet.of([rec]), builtin_bayesian(), 0.3, grid8, p=0.5)
 
 
 class TestClassify:
     def test_pd_phase_class(self, grid8):
-        classes = classify(find_ne_two_player(builtin_pd(), 0.5, grid8), grid8)
+        (classes,) = classify(find_ne_two_player(builtin_pd(), 0.5, grid8), grid8)
         assert len(classes) == 1
         cls = classes[0]
         assert cls.theta_profile == (PI, PI)
@@ -500,7 +503,7 @@ class TestClassify:
         assert cls.n_profiles == 8
 
     def test_bayesian_cooperate_class(self, grid8):
-        classes = classify(find_ne_bayesian(builtin_bayesian(), 0.5, grid8, 0.1), grid8)
+        (classes,) = classify(find_ne_bayesian(builtin_bayesian(), 0.5, grid8, 0.1), grid8)
         assert len(classes) == 1
         cls = classes[0]
         assert cls.theta_profile == (0.0, PI, 0.0)
@@ -510,7 +513,7 @@ class TestClassify:
 
     def test_singleton_degenerate_class(self, grid8):
         rec = EquilibriumRecord((IDENTITY, IDENTITY), (11.0, 9.0))
-        (cls,) = classify([rec], grid8)
+        ((cls,),) = classify(RecordSet.of([rec]), grid8)
         assert cls.theta_profile == (0.0, 0.0)
         assert cls.members == (rec,)
         # both players sit at a single phase value
@@ -518,9 +521,8 @@ class TestClassify:
 
     def test_payoff_spread_within_class(self, grid8):
         for gamma in (0.35, 0.8):
-            for cls in classify(
-                find_ne_bayesian(builtin_bayesian(), gamma, grid8, 0.8), grid8
-            ):
+            (classes,) = classify(find_ne_bayesian(builtin_bayesian(), gamma, grid8, 0.8), grid8)
+            for cls in classes:
                 for rec in cls.members:
                     assert np.max(np.abs(np.array(rec.payoffs) - cls.payoffs)) < 1e-9
 
@@ -528,7 +530,7 @@ class TestClassify:
         # Every grid profile consistent with the class theta-profile and its
         # reported phase-sum sets must itself be a member: no missing siblings.
         records = find_ne_bayesian(builtin_bayesian(), 0.3, grid8, 0.9)
-        for cls in classify(records, grid8):
+        for cls in classify(records, grid8)[0]:
             members = {rec.profile for rec in cls.members}
             thetas = [round(t, 9) for t in cls.theta_profile]
             candidates = [
@@ -593,7 +595,7 @@ class TestOracleEquivalence:
             assert {r.profile for r in records} == naive_bayesian_ne(
                 game, gamma, grid24, p, 1e-9
             )
-            assert all(verify_ne(rec, game, gamma, grid24, p=p) for rec in records[:5])
+            assert all(verify_ne(rec, game, gamma, grid24, p=p) for rec in list(records)[:5])
             found += len(records)
         assert found > 0
 
@@ -602,8 +604,8 @@ class TestOracleEquivalence:
         whole = find_ne_bayesian(game, 0.0, grid24, 0.4)
         monkeypatch.setattr(equilibrium, "_TRIPLE_BLOCK", 5)
         monkeypatch.setattr(equilibrium, "_COLUMN_BLOCK", 30)
-        assert find_ne_bayesian(game, 0.0, grid24, 0.4) == whole
-        assert whole == sorted(whole, key=lambda r: r.profile)
+        assert list(find_ne_bayesian(game, 0.0, grid24, 0.4)) == list(whole)
+        assert list(whole) == sorted(whole, key=lambda r: r.profile)
 
 
 class TestRowSearch:
@@ -611,7 +613,7 @@ class TestRowSearch:
 
     @staticmethod
     def per_p(game, gamma, sset, p_values):
-        return [find_ne_bayesian(game, gamma, sset, p) for p in p_values]
+        return [list(find_ne_bayesian(game, gamma, sset, p)) for p in p_values]
 
     def test_matches_per_p_calls_at_random_points(self, grid24):
         rng = np.random.default_rng(161803)
@@ -619,7 +621,7 @@ class TestRowSearch:
         for gamma in [0.0] + [float(g) for g in rng.uniform(0.0, PI / 2, size=3)]:
             p_values = [0.0] + rng.uniform(size=4).tolist() + [1.0]
             row = find_ne_bayesian_row(bayesian_tables(game, gamma, grid24), p_values)
-            assert row == self.per_p(game, gamma, grid24, p_values)
+            assert cells_of(row) == self.per_p(game, gamma, grid24, p_values)
 
     def test_custom_game_with_distinct_a_payoffs(self, grid24):
         rng = np.random.default_rng(141421)
@@ -628,8 +630,8 @@ class TestRowSearch:
         for gamma in (0.0, float(rng.uniform(0.0, PI / 2))):
             p_values = sorted(rng.uniform(size=6).tolist())
             row = find_ne_bayesian_row(bayesian_tables(game, gamma, grid24), p_values)
-            assert row == self.per_p(game, gamma, grid24, p_values)
-            counts.update((gamma, len(records)) for records in row)
+            assert cells_of(row) == self.per_p(game, gamma, grid24, p_values)
+            counts.update((gamma, len(records)) for records in cells_of(row))
         # Some row's record count changes with p, and some cell is not empty.
         assert len(counts) > 2 and any(n for _, n in counts)
 
@@ -640,10 +642,10 @@ class TestRowSearch:
         game = custom_bayesian()
         p_values = [0.0, 0.2, 0.45, 0.7, 1.0]
         tables = bayesian_tables(game, 0.0, grid24)
-        whole = find_ne_bayesian_row(tables, p_values)
+        whole = cells_of(find_ne_bayesian_row(tables, p_values))
         monkeypatch.setattr(equilibrium, "_TRIPLE_BLOCK", triple_block)
         monkeypatch.setattr(equilibrium, "_COLUMN_BLOCK", column_block)
-        assert find_ne_bayesian_row(tables, p_values) == whole
+        assert cells_of(find_ne_bayesian_row(tables, p_values)) == whole
         assert self.per_p(game, 0.0, grid24, p_values) == whole
 
     def test_rejects_p_outside_unit_interval(self, grid8):
@@ -655,14 +657,14 @@ class TestRecheck:
     def test_found_records_pass(self, grid24):
         game = builtin_bayesian()
         tables = bayesian_tables(game, 1.0, grid24)
-        (records,) = find_ne_bayesian_row(tables, [0.0])
-        assert records
-        _recheck([records], tables, [0.0])
+        records = find_ne_bayesian_row(tables, [0.0])
+        assert len(records)
+        _recheck(records, tables, [0.0])
 
     def test_tampered_record_raises(self, grid24):
         game = builtin_bayesian()
         tables = bayesian_tables(game, 1.0, grid24)
-        (records,) = find_ne_bayesian_row(tables, [0.0])
+        records = list(find_ne_bayesian_row(tables, [0.0]))
         bad = next(
             prof
             for prof in product(range(len(grid24)), repeat=3)
@@ -670,7 +672,7 @@ class TestRecheck:
         )
         tampered = records[:-1] + [EquilibriumRecord(bad, records[-1].payoffs)]
         with pytest.raises(RuntimeError, match=re.escape(str(bad))):
-            _recheck([tampered], tables, [0.0])
+            _recheck(RecordSet.of(tampered), tables, [0.0])
 
     def test_tampered_record_sharing_a_good_pair_raises(self, grid24):
         # A's best deviation is taken once per (b1, b2).  The bad record
@@ -678,7 +680,7 @@ class TestRecheck:
         # so only A's check can name it.
         game, n = builtin_bayesian(), len(grid24)
         tables = bayesian_tables(game, 0.0, grid24)
-        (records,) = find_ne_bayesian_row(tables, [0.3])
+        records = list(find_ne_bayesian_row(tables, [0.3]))
         found = {r.profile for r in records}
         bad = next(
             (a, b1, b2)
@@ -692,7 +694,7 @@ class TestRecheck:
             records + [EquilibriumRecord(bad, records[0].payoffs)], key=lambda r: r.profile
         )
         with pytest.raises(RuntimeError, match=re.escape(str(bad))):
-            _recheck([tampered], tables, [0.3])
+            _recheck(RecordSet.of(tampered), tables, [0.3])
 
     def test_search_and_recheck_work_at_the_tables_eps_tie(self, grid24):
         # 1e-8 above the classical threshold p = 1/6, A's C and D differ by
@@ -700,10 +702,11 @@ class TestRecheck:
         game, p_values = builtin_bayesian(), [1 / 6 + 1e-8, 0.5]
         loose = bayesian_tables(game, 0.0, grid24, 1e-6)
         row = find_ne_bayesian_row(loose, p_values)
-        assert row == [find_ne_bayesian(game, 0.0, grid24, p, 1e-6) for p in p_values]
+        cells = cells_of(row)
+        assert cells == [list(find_ne_bayesian(game, 0.0, grid24, p, 1e-6)) for p in p_values]
         strict_tables = bayesian_tables(game, 0.0, grid24, 1e-9)
-        strict = find_ne_bayesian_row(strict_tables, p_values)
-        assert len(row[0]) > len(strict[0]) and row[1] == strict[1]
+        strict = cells_of(find_ne_bayesian_row(strict_tables, p_values))
+        assert len(cells[0]) > len(strict[0]) and cells[1] == strict[1]
         _recheck(row, loose, p_values)
         with pytest.raises(RuntimeError, match="failed deviation re-check"):
             _recheck(row, strict_tables, p_values)
@@ -717,7 +720,7 @@ class TestInvariants:
             p = 0.05 * i
             if abs(p - 1 / 6) <= 0.05:
                 continue
-            classes = classify(find_ne_bayesian(builtin_bayesian(), 0.0, grid8, p), grid8)
+            (classes,) = classify(find_ne_bayesian(builtin_bayesian(), 0.0, grid8, p), grid8)
             classical = classical_bayesian_ne(p)
             assert len(classes) == len(classical) == 1
             assert classes[0].payoffs == pytest.approx(classical[0][1], abs=1e-9)
@@ -727,7 +730,7 @@ class TestInvariants:
         prev = (-np.inf, -np.inf)
         for i in range(24):  # gamma = 0 .. 1.15, below the disappearance point
             gamma = 0.05 * i
-            classes = classify(find_ne_two_player(game, gamma, grid8), grid8)
+            (classes,) = classify(find_ne_two_player(game, gamma, grid8), grid8)
             assert len(classes) == 1
             pa, pb = classes[0].payoffs
             assert pa >= prev[0] - 1e-12 and pb >= prev[1] - 1e-12

@@ -2,9 +2,11 @@
 
 ``find_ne_bayesian_row`` and ``sweep._recheck`` take A's best deviation
 ``max_a p * T1[a, b1] + (1 - p) * T2[a, b2]`` in full only where rounding
-bounds cannot decide it.  ``reference_row_search`` below is the search
-without bounds, which takes that maximum for every candidate; every case
-here must give its records and payoffs bit for bit.
+bounds cannot decide it, and the search keeps a row's candidates with one
+2-D test per group of p.  ``reference_row_search`` below is the search
+without bounds, one p at a time, which takes that maximum for every
+candidate's (b1, b2); every case here must give its records and payoffs
+bit for bit, read straight off the search's arrays.
 """
 
 import math
@@ -16,9 +18,11 @@ import pytest
 from qgame.equilibrium import (
     BayesianTables,
     EquilibriumRecord,
+    RecordSet,
     bayesian_tables,
     find_ne_bayesian_row,
 )
+from qgame import equilibrium
 from qgame.games import builtin_bayesian
 from qgame.strategies import DEFAULT_GRID, GridSteps, enumerate_strategies
 from qgame.sweep import _recheck, gamma_grid, p_grid
@@ -30,18 +34,24 @@ PI = math.pi
 
 def reference_row_search(tables: BayesianTables, p_values) -> list[list[tuple]]:
     """Each p's records as (profile, payoffs in ``float.hex``), A's best
-    deviation taken as the full maximum of its mixture per candidate."""
+    deviation taken as the full maximum of its mixture per candidate,
+    formed once per distinct (b1, b2)."""
     ta1, ta2, eps_tie = tables.ta1, tables.ta2, float(tables.eps_tie)
     n = ta1.shape[0]
     a1, b1_of = np.divmod(tables.br1, n)
     a2, b2_of = np.divmod(tables.br2, n)
-    i1, i2 = np.nonzero(a1[:, None] == a2[None, :])
+    # Entry i1 of B1's list meets the entries lo..hi of B2's with the same a.
+    lo, hi = np.searchsorted(a2, a1, "left"), np.searchsorted(a2, a1, "right")
+    i1 = np.repeat(np.arange(len(a1)), hi - lo)
+    i2 = np.concatenate([np.arange(x, y) for x, y in zip(lo, hi)] + [np.arange(0)])
     a, b1, b2 = a1[i1], b1_of[i1], b2_of[i2]
+    pairs, pair_of = np.unique(b1 * n + b2, return_inverse=True)
+    c1, c2 = np.divmod(pairs, n)
     row = []
     for p in p_values:
         pay_a = p * ta1[a, b1] + (1.0 - p) * ta2[a, b2]
-        best = (p * ta1.T[b1] + (1.0 - p) * ta2.T[b2]).max(axis=1)
-        keep = np.flatnonzero(pay_a >= best - eps_tie)
+        best = np.array([(p * ta1.T[x] + (1.0 - p) * ta2.T[y]).max() for x, y in zip(c1, c2)])
+        keep = np.flatnonzero(pay_a >= best[pair_of] - eps_tie)
         row.append(
             [
                 ((int(a[k]), int(b1[k]), int(b2[k])), (pay_a[k].hex(), pay1.hex(), pay2.hex()))
@@ -53,11 +63,18 @@ def reference_row_search(tables: BayesianTables, p_values) -> list[list[tuple]]:
     return row
 
 
-def hex_row(row: list[list[EquilibriumRecord]]) -> list[list[tuple]]:
-    return [
-        [(rec.profile, tuple(float.hex(x) for x in rec.payoffs)) for rec in records]
-        for records in row
-    ]
+def hex_row(row: RecordSet) -> list[list[tuple]]:
+    """Each cell's records as (profile, payoffs in ``float.hex``), read off
+    the arrays, which must be in (cell, profile) order."""
+    assert row.profiles.dtype == np.int64 and row.payoffs.dtype == np.float64
+    assert len(row.cell) == len(row.profiles) == len(row.payoffs)
+    assert np.all(np.diff(row.cell) >= 0)
+    cells = [[] for _ in range(row.n_cells)]
+    for c, profile, payoffs in zip(row.cell.tolist(), row.profiles.tolist(), row.payoffs.tolist()):
+        cells[c].append((tuple(profile), tuple(map(float.hex, payoffs))))
+    for records in cells:
+        assert [profile for profile, _ in records] == sorted({profile for profile, _ in records})
+    return cells
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +105,27 @@ class TestAgainstFullMaximum:
     def test_custom_game_with_distinct_a_payoffs(self, grid24, gamma):
         tables = bayesian_tables(custom_bayesian(), gamma, grid24)
         assert tables.ta2 is not tables.ta1
+        row = find_ne_bayesian_row(tables, p_grid())
+        assert hex_row(row) == reference_row_search(tables, p_grid())
+
+    def test_pi8_gamma_zero_row_at_a_coarse_p_step(self):
+        # 466,944 candidates, so only a few p values fit one 2-D test.
+        pi8 = enumerate_strategies(GridSteps(PI / 8, PI / 8, PI / 8))
+        tables = bayesian_tables(builtin_bayesian(), 0.0, pi8)
+        p_values = p_grid(0.25)
+        row = find_ne_bayesian_row(tables, p_values)
+        assert len(row) > 0 and row.n_cells == len(p_values)
+        assert hex_row(row) == reference_row_search(tables, p_values)
+
+    @pytest.mark.parametrize("share", [3, 0.4])
+    def test_small_triple_block_splits_the_keep_test(self, grid24, monkeypatch, share):
+        # A budget of 3 rows' candidates gives groups of 3 p values; one of
+        # 0.4 of them also splits the candidates into blocks of rows of a.
+        tables = bayesian_tables(custom_bayesian(), 0.0, grid24)
+        n = len(grid24)
+        counts = [np.bincount(br // n, minlength=n) for br in (tables.br1, tables.br2)]
+        triples = int((counts[0] * counts[1]).sum())
+        monkeypatch.setattr(equilibrium, "_TRIPLE_BLOCK", int(share * triples))
         row = find_ne_bayesian_row(tables, p_grid())
         assert hex_row(row) == reference_row_search(tables, p_grid())
 
@@ -147,7 +185,7 @@ class TestBoundBranches:
         tables, p_values = bound_tables(), [0.0, 0.25, 0.5, 0.75, 1.0]
         row = find_ne_bayesian_row(tables, p_values)
         assert hex_row(row) == reference_row_search(tables, p_values)
-        assert [rec.profile for rec in row[2]] == [(0, 0, 0), (2, 3, 3)]
+        assert [rec.profile for rec in row.in_cell(2)] == [(0, 0, 0), (2, 3, 3)]
 
 
 class TestRecheckBounds:
@@ -155,11 +193,34 @@ class TestRecheckBounds:
         # A pays 1.25 at (2, 3, 3): below U - eps_tie = 1.75, within
         # eps_tie of the maximum 1.25.
         record = EquilibriumRecord((2, 3, 3), (1.25, 5.5, 2.75))
-        _recheck([[record]], bound_tables(), [0.5])
+        _recheck(RecordSet.of([record]), bound_tables(), [0.5])
+
+    @pytest.mark.parametrize("gamma", [0.45, 1.2])
+    def test_every_other_candidate_fails_with_distinct_a_tables(self, grid24, gamma):
+        # Each table's own column maxima bound A's best deviation; a
+        # candidate in both B lists that the search drops fails on A alone.
+        tables = bayesian_tables(custom_bayesian(), gamma, grid24)
+        assert tables.ta2 is not tables.ta1
+        found = {rec.profile for rec in find_ne_bayesian_row(tables, [0.5])}
+        n = len(grid24)
+        dropped = [
+            (a, b1 % n, b2 % n)
+            for b1 in tables.br1.tolist()
+            for b2 in tables.br2.tolist()
+            if (a := b1 // n) == b2 // n and (a, b1 % n, b2 % n) not in found
+        ]
+        assert dropped
+        for bad in dropped:
+            record = RecordSet.of([EquilibriumRecord(bad, (0.0, 0.0, 0.0))])
+            with pytest.raises(RuntimeError, match=re.escape(f"record {bad} failed")):
+                _recheck(record, tables, [0.5])
 
     def test_record_below_the_upper_bound_and_the_maximum_raises(self):
         # A pays 0.75 at (3, 2, 2), in both B lists, but the maximum is 1.25.
         good = EquilibriumRecord((2, 3, 3), (1.25, 5.5, 2.75))
         bad = EquilibriumRecord((3, 2, 2), (0.75, 7.0, 3.5))
+        one = RecordSet.of([good, bad])
+        # Cell 0 (p = 0) is empty; both records lie in cell 1 (p = 0.5).
+        records = RecordSet(one.cell + 1, one.profiles, one.payoffs, n_cells=2)
         with pytest.raises(RuntimeError, match=re.escape(f"record {bad.profile} failed")):
-            _recheck([[], [good, bad]], bound_tables(), [0.0, 0.5])
+            _recheck(records, bound_tables(), [0.0, 0.5])

@@ -10,9 +10,10 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qgame.equilibrium import EquilibriumClass, EquilibriumRecord
+from qgame.equilibrium import EquilibriumClass
 from qgame.games import BayesianGame, builtin_bayesian, builtin_da, builtin_pd
 from qgame.serialize import emit, game_to_dict, load_result, result_to_json_text
 from qgame.sweep import CellResult, SweepResult, SweepSpec, gamma_grid, run_sweep
@@ -100,7 +101,7 @@ def _class(label, phase_sums, phase_diffs, members):
     return EquilibriumClass(
         theta_profile=(0.0, math.pi, 0.0),
         payoffs=(11.0, 10.0, 9.0),
-        members=tuple(EquilibriumRecord(m, (11.0, 10.0, 9.0)) for m in members),
+        profiles=np.array(members, dtype=np.int64).reshape(len(members), 3),
         phase_sums=phase_sums,
         phase_diffs=phase_diffs,
         operator_label=label,

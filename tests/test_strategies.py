@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qgame.circuits import StrategyParams
+from qgame.circuits import StrategyParams, strategy_unitary
 from qgame.strategies import (
     DEFAULT_GRID,
     GridSteps,
@@ -125,6 +125,41 @@ class TestEnumerate:
             c = np.vdot(us[1], us[0]) / 2.0
             assert abs(abs(c) - 1.0) < 1e-12
             assert np.max(np.abs(us[0] - c * us[1])) < 1e-12
+
+
+def reference_enumeration(steps: GridSteps):
+    """The grid built one validated ``StrategyParams`` and one
+    ``strategy_unitary`` call per strategy."""
+    seen = {}
+    for i in range(steps.n_theta + 1):
+        theta = PI if i == steps.n_theta else i * steps.d_theta
+        for j in range(steps.n_phi):
+            for k in range(steps.n_alpha):
+                s = canonicalize(StrategyParams(theta, j * steps.d_phi, k * steps.d_alpha))
+                key = (round(s.theta, 12), round(s.phi, 12), round(s.alpha, 12))
+                seen.setdefault(key, s)
+    params = tuple(seen[key] for key in sorted(seen))
+    return params, np.stack([strategy_unitary(s) for s in params])
+
+
+class TestEnumerateBitForBit:
+    @pytest.mark.parametrize(
+        "steps,count",
+        [
+            (DEFAULT_GRID, 8),
+            (GridSteps(PI / 4, PI / 2, PI / 2), 56),
+            (GridSteps(PI / 8, PI / 8, PI / 8), 1824),
+            (GridSteps(PI / 16, PI / 16, PI / 16), 15424),
+        ],
+        ids=["8", "56", "1824", "15424"],
+    )
+    def test_matches_one_unitary_per_strategy(self, steps, count):
+        sset = enumerate_strategies(steps)
+        params, unitaries = reference_enumeration(steps)
+        assert len(sset) == count
+        assert sset.params == params
+        assert sset.unitaries.dtype == unitaries.dtype
+        assert sset.unitaries.tobytes() == unitaries.tobytes()
 
 
 class TestPauliLabel:

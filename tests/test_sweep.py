@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from qgame.equilibrium import classify
+from qgame.equilibrium import RecordSet, classify
 from qgame.games import builtin_bayesian, builtin_da, builtin_pd
 from qgame.serialize import result_to_json_text
 from qgame.strategies import GridSteps, enumerate_strategies
@@ -258,11 +258,11 @@ class TestRowSharedClassFacts:
     def _assert_fresh_classify_agrees(result):
         sset = enumerate_strategies(result.spec.steps)
         for cell in result.cells:
-            records = [rec for cls in cell.classes for rec in cls.members]
+            records = RecordSet.of([rec for cls in cell.classes for rec in cls.members])
             # The reference describes each cell's classes afresh, not from
             # facts kept while classifying earlier cells.
             sset.class_facts.clear()
-            assert tuple(classify(records, sset)) == cell.classes, (cell.p, cell.gamma)
+            assert classify(records, sset) == [cell.classes], (cell.p, cell.gamma)
             assert len(sset.class_facts) == len(cell.classes)
 
     def test_default_sweep_matches_per_cell_classify(self, bayes_result):
@@ -281,7 +281,7 @@ class TestRowSharedClassFacts:
         describe = equilibrium._class_facts
 
         def counted(members, sset):
-            calls.append(tuple(rec.profile for rec in members))
+            calls.append(tuple(map(tuple, members.tolist())))
             return describe(members, sset)
 
         monkeypatch.setattr(equilibrium, "_class_facts", counted)
@@ -302,16 +302,16 @@ class TestRowSharedClassFacts:
         # of another sweep with it; some of their classes are already known.
         warm = enumerate_strategies(bayes_result.spec.steps)
         for cell in bayes_result.cells:
-            classify([rec for cls in cell.classes for rec in cls.members], warm)
+            classify(RecordSet.of([rec for cls in cell.classes for rec in cls.members]), warm)
         known = set(warm.class_facts)
         result = run_sweep(SweepSpec(builtin_bayesian(), (0.33, 1.21), p_grid(0.1)))
         reused = 0
         for cell in result.cells:
-            records = [rec for cls in cell.classes for rec in cls.members]
+            records = RecordSet.of([rec for cls in cell.classes for rec in cls.members])
             fresh = enumerate_strategies(result.spec.steps)
-            warmed = classify(records, warm)
-            assert warmed == classify(records, fresh) == list(cell.classes)
-            reused += sum(tuple(r.profile for r in cls.members) in known for cls in warmed)
+            (warmed,) = classify(records, warm)
+            assert [warmed] == classify(records, fresh) == [cell.classes]
+            reused += sum((3, cls.profiles.tobytes()) in known for cls in warmed)
         assert reused > 0
 
     def test_cells_do_not_share_phase_maps(self):
