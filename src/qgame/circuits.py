@@ -73,15 +73,31 @@ class StrategyParams:
         _check_angle(self.alpha, 0.0, TAU, "alpha")
 
 
+def strategy_unitaries(params: tuple[StrategyParams, ...]) -> np.ndarray:
+    """U(theta, phi, alpha) of every strategy, as one (n, 2, 2) array:
+    [[e^{-i phi} cos(theta/2), e^{i alpha} sin(theta/2)],
+     [-e^{-i alpha} sin(theta/2), e^{i phi} cos(theta/2)]].
+
+    Each cosine, sine and phase factor is evaluated once per distinct angle.
+    """
+    thetas = {s.theta for s in params}
+    cos = {t: math.cos(t / 2.0) for t in thetas}
+    sin = {t: math.sin(t / 2.0) for t in thetas}
+    phases = {s.phi for s in params} | {s.alpha for s in params}
+    minus = {x: np.exp(-1j * x) for x in phases}
+    plus = {x: np.exp(1j * x) for x in phases}
+    c = np.array([cos[s.theta] for s in params])
+    sn = np.array([sin[s.theta] for s in params])
+    u = np.empty((len(params), 2, 2), dtype=complex)
+    u[:, 0, 0] = np.array([minus[s.phi] for s in params]) * c
+    u[:, 0, 1] = np.array([plus[s.alpha] for s in params]) * sn
+    u[:, 1, 0] = -np.array([minus[s.alpha] for s in params]) * sn
+    u[:, 1, 1] = np.array([plus[s.phi] for s in params]) * c
+    return u
+
+
 def strategy_unitary(s: StrategyParams) -> np.ndarray:
-    c = math.cos(s.theta / 2.0)
-    sn = math.sin(s.theta / 2.0)
-    return np.array(
-        [
-            [np.exp(-1j * s.phi) * c, np.exp(1j * s.alpha) * sn],
-            [-np.exp(-1j * s.alpha) * sn, np.exp(1j * s.phi) * c],
-        ]
-    )
+    return strategy_unitaries((s,))[0]
 
 
 def entangler(gamma: float) -> np.ndarray:

@@ -286,18 +286,17 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _stored_records(cells: tuple[CellResult, ...]) -> RecordSet:
+def _stored_records(cells: tuple[CellResult, ...], n_players: int) -> RecordSet:
     """Every stored profile of ``cells`` with its class's payoffs, cell i
     of the set being ``cells[i]``."""
     classes = [(i, cls) for i, cell in enumerate(cells) for cls in cell.classes]
     counts = [cls.n_profiles for _, cls in classes]
-    if not classes:
-        none = np.empty((0, 0), dtype=np.int64)
-        return RecordSet(none[:, 0], none, none.astype(float), len(cells))
     return RecordSet(
-        np.repeat([i for i, _ in classes], counts),
-        np.concatenate([cls.profiles for _, cls in classes]),
-        np.repeat([cls.payoffs for _, cls in classes], counts, axis=0),
+        np.repeat(np.array([i for i, _ in classes], dtype=np.int64), counts),
+        np.concatenate(
+            [np.empty((0, n_players), dtype=np.int64)] + [cls.profiles for _, cls in classes]
+        ),
+        np.array([cls.payoffs for _, cls in classes]).reshape(-1, n_players).repeat(counts, axis=0),
         len(cells),
     )
 
@@ -307,7 +306,7 @@ def _cmd_verify(args) -> int:
     spec, cells = loaded.result.spec, loaded.result.cells
     eps = args.eps_tie if args.eps_tie is not None else spec.eps_tie
     sset = enumerate_strategies(spec.steps)
-    records = _stored_records(cells)
+    records = _stored_records(cells, 3 if isinstance(spec.game, BayesianGame) else 2)
     derived = classify(records, sset)
     failures = []
     bad_classes = []

@@ -30,9 +30,8 @@ strategy is proportional to a Pauli matrix.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -87,8 +86,7 @@ class RecordSet:
     Record i is the profile ``profiles[i]``, one strategy index per
     player, with its payoffs ``payoffs[i]``, found in cell ``cell[i]`` of
     ``n_cells`` cells (a gamma row's cells are its p values, in order).
-    Every stage from the search to the JSON writer reads these arrays;
-    iterating, or indexing with an int, gives ``EquilibriumRecord``s.
+    Every stage from the search to the JSON writer reads these arrays.
     """
 
     cell: np.ndarray
@@ -110,14 +108,6 @@ class RecordSet:
 
     def __len__(self) -> int:
         return len(self.profiles)
-
-    def __getitem__(self, i: int) -> EquilibriumRecord:
-        i = operator.index(i)
-        return EquilibriumRecord(tuple(self.profiles[i].tolist()), tuple(self.payoffs[i].tolist()))
-
-    def __iter__(self) -> Iterator[EquilibriumRecord]:
-        for profile, payoffs in zip(self.profiles.tolist(), self.payoffs.tolist()):
-            yield EquilibriumRecord(tuple(profile), tuple(payoffs))
 
 
 @dataclass(eq=False)

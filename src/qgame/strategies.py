@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .circuits import TAU, StrategyParams
+from .circuits import TAU, StrategyParams, strategy_unitaries
 
 _PAULIS = (
     ("I", np.eye(2, dtype=complex)),
@@ -165,29 +165,6 @@ def canonicalize(s: StrategyParams) -> StrategyParams:
     return StrategyParams(*_canonical_angles(s.theta, s.phi, s.alpha))
 
 
-def _unitaries(params: tuple[StrategyParams, ...]) -> np.ndarray:
-    """``strategy_unitary`` of every strategy, as one (n, 2, 2) array.
-
-    Each cosine, sine and phase factor is ``strategy_unitary``'s own
-    expression, evaluated once per distinct angle, and the entries are
-    its products, so every bit agrees with it.
-    """
-    thetas = {s.theta for s in params}
-    cos = {t: math.cos(t / 2.0) for t in thetas}
-    sin = {t: math.sin(t / 2.0) for t in thetas}
-    phases = {s.phi for s in params} | {s.alpha for s in params}
-    minus = {x: np.exp(-1j * x) for x in phases}
-    plus = {x: np.exp(1j * x) for x in phases}
-    c = np.array([cos[s.theta] for s in params])
-    sn = np.array([sin[s.theta] for s in params])
-    u = np.empty((len(params), 2, 2), dtype=complex)
-    u[:, 0, 0] = np.array([minus[s.phi] for s in params]) * c
-    u[:, 0, 1] = np.array([plus[s.alpha] for s in params]) * sn
-    u[:, 1, 0] = -np.array([minus[s.alpha] for s in params]) * sn
-    u[:, 1, 1] = np.array([plus[s.phi] for s in params]) * c
-    return u
-
-
 def enumerate_strategies(steps: GridSteps) -> StrategySet:
     """All canonical grid strategies with exact-duplicate matrices removed.
 
@@ -203,7 +180,7 @@ def enumerate_strategies(steps: GridSteps) -> StrategySet:
                 angles = _canonical_angles(theta, j * steps.d_phi, k * steps.d_alpha)
                 seen.setdefault(tuple([round(x, 12) for x in angles]), angles)
     params = tuple(StrategyParams(*seen[key]) for key in sorted(seen))
-    return StrategySet(params, _unitaries(params))
+    return StrategySet(params, strategy_unitaries(params))
 
 
 def pauli_label(u: np.ndarray, tol: float = 1e-10) -> tuple[str, complex] | None:

@@ -1,5 +1,6 @@
 import numpy as np
 
+from qgame.equilibrium import EquilibriumRecord
 from qgame.games import BayesianGame, TwoPlayerGame
 
 
@@ -18,9 +19,17 @@ def custom_bayesian() -> BayesianGame:
     )
 
 
-def cells_of(records) -> list[list]:
+def records_of(records) -> list[EquilibriumRecord]:
+    """A record set's records as ``EquilibriumRecord``s, in order."""
+    return [
+        EquilibriumRecord(tuple(profile), tuple(payoffs))
+        for profile, payoffs in zip(records.profiles.tolist(), records.payoffs.tolist())
+    ]
+
+
+def cells_of(records) -> list[list[EquilibriumRecord]]:
     """A record set's records, one list of ``EquilibriumRecord``s per cell."""
-    return [list(records.in_cell(c)) for c in range(records.n_cells)]
+    return [records_of(records.in_cell(c)) for c in range(records.n_cells)]
 
 
 def pytest_runtest_logreport(report):

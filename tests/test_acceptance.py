@@ -31,7 +31,7 @@ from qgame.games import builtin_bayesian, builtin_da, builtin_pd, classical_baye
 from qgame.strategies import DEFAULT_GRID, GridSteps, enumerate_strategies
 from qgame.sweep import SweepSpec, gamma_grid, p_grid, run_sweep
 
-from conftest import is_unitary
+from conftest import is_unitary, records_of
 
 PI = math.pi
 EPS_TIE = 1e-9
@@ -288,7 +288,7 @@ def test_c09a_oracle_equivalence(grid8):
         p = float(rng.uniform())
         gamma = float(rng.uniform(0.0, PI / 2))
         game = builtin_bayesian()
-        fast = {r.profile for r in find_ne_bayesian(game, gamma, grid8, p, EPS_TIE)}
+        fast = {r.profile for r in records_of(find_ne_bayesian(game, gamma, grid8, p, EPS_TIE))}
         assert fast == naive_bayesian_ne(game, gamma, grid8, p, EPS_TIE)
 
 
@@ -338,7 +338,7 @@ def test_c09e_found_equilibria_pass_independent_verification(grid8):
         game = builtin_bayesian()
         records = find_ne_bayesian(game, gamma, grid8, p, EPS_TIE)
         assert records
-        assert all(verify_ne(rec, game, gamma, grid8, EPS_TIE, p) for rec in records)
+        assert all(verify_ne(rec, game, gamma, grid8, EPS_TIE, p) for rec in records_of(records))
 
 
 def test_c10_performance(bayes_sweep):

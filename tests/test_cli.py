@@ -236,6 +236,15 @@ class TestResultFiles:
         assert main(["verify", "--in", out]) == 0
         assert "all pass" in capsys.readouterr().out
 
+    def test_verify_command_passes_on_result_without_ne(self, tmp_path, capsys):
+        # The central gap holds no NE class, so the file stores no profile.
+        out = str(tmp_path / "gap.json")
+        main(["solve", "--game", "bayesian", "--p", "0.5", "--gamma", "0.3", "--out", out])
+        assert load_result(out).result.cells[0].classes == ()
+        capsys.readouterr()
+        assert main(["verify", "--in", out]) == 0
+        assert "verified 0 recorded NE profiles" in capsys.readouterr().out
+
     def test_verify_command_flags_tampered_result(self, tmp_path, capsys):
         out = tmp_path / "solve.json"
         main(["solve", "--game", "bayesian", "--p", "0.9", "--gamma", "0.3", "--out", str(out)])

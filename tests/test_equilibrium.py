@@ -41,7 +41,7 @@ from qgame.serialize import load_result
 from qgame.strategies import DEFAULT_GRID, GridSteps, enumerate_strategies
 from qgame.sweep import _bayesian_row, _recheck, gamma_grid, p_grid
 
-from conftest import cells_of, custom_bayesian
+from conftest import cells_of, custom_bayesian, records_of
 
 PI = math.pi
 GOLDEN = Path(__file__).parent / "golden"
@@ -212,8 +212,8 @@ class TestFindNeBayesian:
 
     def test_matches_four_qubit_circuit_search(self, grid8):
         game = builtin_bayesian()
-        mixture = {r.profile for r in find_ne_bayesian(game, 0.4, grid8, 0.85)}
-        circuit = {r.profile for r in find_ne_bayesian_circuit(game, 0.4, grid8, 0.85)}
+        mixture = {r.profile for r in records_of(find_ne_bayesian(game, 0.4, grid8, 0.85))}
+        circuit = {r.profile for r in records_of(find_ne_bayesian_circuit(game, 0.4, grid8, 0.85))}
         assert mixture == circuit
 
 
@@ -228,7 +228,7 @@ class TestFourQubitWitness:
         monkeypatch.setattr(equilibrium, "_candidate_triples", refuse)
         monkeypatch.setattr(equilibrium, "_row_blocks", refuse)
         records = find_ne_bayesian_circuit(game, 0.4, grid8, 0.85)
-        assert [r.profile for r in records] == [r.profile for r in mixture]
+        assert records.profiles.tolist() == mixture.profiles.tolist()
 
     @pytest.mark.parametrize("gamma", [0.0, 0.9, PI / 2])
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
@@ -238,7 +238,7 @@ class TestFourQubitWitness:
         game = builtin_bayesian()
         mixture = find_ne_bayesian(game, gamma, grid24, p)
         circuit = find_ne_bayesian_circuit(game, gamma, grid24, p)
-        assert [r.profile for r in circuit] == [r.profile for r in mixture]
+        assert circuit.profiles.tolist() == mixture.profiles.tolist()
 
     def test_tables_match_scalar_circuit_at_sampled_profiles(self, grid24):
         game = custom_bayesian()
@@ -297,7 +297,7 @@ class TestDenseNe:
         rng = np.random.default_rng(len(shape))
         for _ in range(20):
             tables = [rng.integers(0, 3, size=shape).astype(float) for _ in shape]
-            records = equilibrium._dense_ne(tables, 0.5)
+            records = records_of(equilibrium._dense_ne(tables, 0.5))
             assert [r.profile for r in records] == self.naive(tables, 0.5)
             for r in records:
                 assert r.payoffs == tuple(float(t[r.profile]) for t in tables)
@@ -308,11 +308,11 @@ class TestVerifyNe:
         game = builtin_bayesian()
         records = find_ne_bayesian(game, 0.3, grid8, 0.9)
         assert records
-        assert all(verify_ne(rec, game, 0.3, grid8, p=0.9) for rec in records)
+        assert all(verify_ne(rec, game, 0.3, grid8, p=0.9) for rec in records_of(records))
 
     def test_perturbed_profile_fails(self, grid8):
         game = builtin_bayesian()
-        rec = find_ne_bayesian(game, 0.3, grid8, 0.9)[0]
+        rec = records_of(find_ne_bayesian(game, 0.3, grid8, 0.9))[0]
         broken = EquilibriumRecord((IDENTITY,) + rec.profile[1:], rec.payoffs)
         assert not verify_ne(broken, game, 0.3, grid8, p=0.9)
 
@@ -323,35 +323,35 @@ class TestVerifyNe:
     @pytest.mark.parametrize("shift", [1e-9, -1e-9])
     def test_stored_payoffs_within_tolerance_pass(self, grid8, shift):
         game = builtin_bayesian()
-        rec = find_ne_bayesian(game, 0.3, grid8, 0.9)[0]
+        rec = records_of(find_ne_bayesian(game, 0.3, grid8, 0.9))[0]
         moved = tuple(x + shift for x in rec.payoffs)
         assert verify_ne(EquilibriumRecord(rec.profile, moved), game, 0.3, grid8, p=0.9)
 
     @pytest.mark.parametrize("player", [0, 1, 2])
     def test_wrong_stored_payoff_fails(self, grid8, player):
         game = builtin_bayesian()
-        rec = find_ne_bayesian(game, 0.3, grid8, 0.9)[0]
+        rec = records_of(find_ne_bayesian(game, 0.3, grid8, 0.9))[0]
         payoffs = list(rec.payoffs)
         payoffs[player] += 1e-6
         wrong = EquilibriumRecord(rec.profile, tuple(payoffs))
         assert not verify_ne(wrong, game, 0.3, grid8, p=0.9)
 
     def test_zeroed_two_player_payoffs_fail(self, grid8):
-        rec = find_ne_two_player(builtin_pd(), 0.5, grid8)[0]
+        rec = records_of(find_ne_two_player(builtin_pd(), 0.5, grid8))[0]
         zeroed = EquilibriumRecord(rec.profile, (0.0, 0.0))
         assert verify_ne(rec, builtin_pd(), 0.5, grid8)
         assert not verify_ne(zeroed, builtin_pd(), 0.5, grid8)
 
     def test_bayesian_record_without_p_raises(self, grid8):
         game = builtin_bayesian()
-        rec = find_ne_bayesian(game, 0.3, grid8, 0.9)[0]
+        rec = records_of(find_ne_bayesian(game, 0.3, grid8, 0.9))[0]
         with pytest.raises(ValueError, match="needs p"):
             verify_ne(rec, game, 0.3, grid8)
 
     @pytest.mark.parametrize("p", [-0.1, 1.2, math.nan])
     def test_bayesian_record_with_p_out_of_range_raises(self, grid8, p):
         game = builtin_bayesian()
-        rec = find_ne_bayesian(game, 0.3, grid8, 0.9)[0]
+        rec = records_of(find_ne_bayesian(game, 0.3, grid8, 0.9))[0]
         with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
             verify_ne(rec, game, 0.3, grid8, p=p)
 
@@ -435,7 +435,7 @@ class TestVerifyRecords:
 
     def test_pd_cell_matches_one_at_a_time_oracle(self, grid24):
         game = builtin_pd()
-        found = find_ne_two_player(game, 0.7, grid24)
+        found = records_of(find_ne_two_player(game, 0.7, grid24))
         payoffs = one_at_a_time(game, 0.7, grid24)
         records = with_decoys(found, len(grid24), 2, np.random.default_rng(5), payoffs)
         verdicts = verify_records(RecordSet.of(records), game, 0.7, grid24)
@@ -453,7 +453,7 @@ class TestVerifyRecords:
         # Blocks of 1 and 7 states split keys of 24 alternatives; blocks of
         # 24 fall exactly between keys.
         game = custom_bayesian()
-        found = list(find_ne_bayesian(game, 0.9, grid24, 0.3))[:40]
+        found = records_of(find_ne_bayesian(game, 0.9, grid24, 0.3))[:40]
         payoffs = one_at_a_time(game, 0.9, grid24, 0.3)
         records = with_decoys(found, len(grid24), 3, np.random.default_rng(block), payoffs)
         records = RecordSet.of(records)
@@ -467,7 +467,7 @@ class TestVerifyRecords:
         # One row of n states per distinct a serves both B players, and one
         # per distinct B strategy in b1 or b2 serves A in both subgames.
         game = custom_bayesian()
-        found = find_ne_bayesian(game, 0.9, grid24, 0.3)
+        found = records_of(find_ne_bayesian(game, 0.9, grid24, 0.3))
         payoffs = one_at_a_time(game, 0.9, grid24, 0.3)
         records = with_decoys(found, len(grid24), 3, np.random.default_rng(13), payoffs)
         evolve, states = equilibrium.evolve_two_player, []
@@ -521,10 +521,13 @@ class TestClassify:
 
     def test_payoff_spread_within_class(self, grid8):
         for gamma in (0.35, 0.8):
-            (classes,) = classify(find_ne_bayesian(builtin_bayesian(), gamma, grid8, 0.8), grid8)
+            records = find_ne_bayesian(builtin_bayesian(), gamma, grid8, 0.8)
+            (classes,) = classify(records, grid8)
+            found = dict(zip(map(tuple, records.profiles.tolist()), records.payoffs))
+            assert sum(cls.n_profiles for cls in classes) == len(found) > 0
             for cls in classes:
-                for rec in cls.members:
-                    assert np.max(np.abs(np.array(rec.payoffs) - cls.payoffs)) < 1e-9
+                for profile in map(tuple, cls.profiles.tolist()):
+                    assert np.max(np.abs(found.pop(profile) - cls.payoffs)) < 1e-9
 
     def test_phase_class_closure(self, grid8):
         # Every grid profile consistent with the class theta-profile and its
@@ -561,7 +564,7 @@ class TestOracleEquivalence:
             p = float(rng.uniform())
             gamma = float(rng.uniform(0.0, PI / 2))
             game = builtin_bayesian()
-            fast = {r.profile for r in find_ne_bayesian(game, gamma, grid8, p)}
+            fast = {r.profile for r in records_of(find_ne_bayesian(game, gamma, grid8, p))}
             assert fast == naive_bayesian_ne(game, gamma, grid8, p, 1e-9)
 
 
@@ -572,7 +575,7 @@ class TestOracleEquivalence:
         game = builtin_bayesian()
         fast = find_ne_bayesian(game, 0.0, grid24, p)
         assert len(fast) == 64
-        assert {r.profile for r in fast} == naive_bayesian_ne(game, 0.0, grid24, p, 1e-9)
+        assert {r.profile for r in records_of(fast)} == naive_bayesian_ne(game, 0.0, grid24, p, 1e-9)
 
     def test_matches_naive_enumeration_on_24_grid_at_random_points(self, grid24):
         rng = np.random.default_rng(314159)
@@ -580,7 +583,7 @@ class TestOracleEquivalence:
             p = float(rng.uniform())
             gamma = float(rng.uniform(0.0, PI / 2))
             game = builtin_bayesian()
-            fast = {r.profile for r in find_ne_bayesian(game, gamma, grid24, p)}
+            fast = {r.profile for r in records_of(find_ne_bayesian(game, gamma, grid24, p))}
             assert fast == naive_bayesian_ne(game, gamma, grid24, p, 1e-9)
 
     def test_custom_game_with_distinct_a_payoffs_matches_naive(self, grid24):
@@ -592,10 +595,10 @@ class TestOracleEquivalence:
         game = custom_bayesian()
         for p, gamma in points:
             records = find_ne_bayesian(game, gamma, grid24, p)
-            assert {r.profile for r in records} == naive_bayesian_ne(
+            assert {r.profile for r in records_of(records)} == naive_bayesian_ne(
                 game, gamma, grid24, p, 1e-9
             )
-            assert all(verify_ne(rec, game, gamma, grid24, p=p) for rec in list(records)[:5])
+            assert all(verify_ne(rec, game, gamma, grid24, p=p) for rec in records_of(records)[:5])
             found += len(records)
         assert found > 0
 
@@ -604,8 +607,8 @@ class TestOracleEquivalence:
         whole = find_ne_bayesian(game, 0.0, grid24, 0.4)
         monkeypatch.setattr(equilibrium, "_TRIPLE_BLOCK", 5)
         monkeypatch.setattr(equilibrium, "_COLUMN_BLOCK", 30)
-        assert list(find_ne_bayesian(game, 0.0, grid24, 0.4)) == list(whole)
-        assert list(whole) == sorted(whole, key=lambda r: r.profile)
+        assert records_of(find_ne_bayesian(game, 0.0, grid24, 0.4)) == records_of(whole)
+        assert records_of(whole) == sorted(records_of(whole), key=lambda r: r.profile)
 
 
 class TestRowSearch:
@@ -613,7 +616,7 @@ class TestRowSearch:
 
     @staticmethod
     def per_p(game, gamma, sset, p_values):
-        return [list(find_ne_bayesian(game, gamma, sset, p)) for p in p_values]
+        return [records_of(find_ne_bayesian(game, gamma, sset, p)) for p in p_values]
 
     def test_matches_per_p_calls_at_random_points(self, grid24):
         rng = np.random.default_rng(161803)
@@ -664,7 +667,7 @@ class TestRecheck:
     def test_tampered_record_raises(self, grid24):
         game = builtin_bayesian()
         tables = bayesian_tables(game, 1.0, grid24)
-        records = list(find_ne_bayesian_row(tables, [0.0]))
+        records = records_of(find_ne_bayesian_row(tables, [0.0]))
         bad = next(
             prof
             for prof in product(range(len(grid24)), repeat=3)
@@ -680,7 +683,7 @@ class TestRecheck:
         # so only A's check can name it.
         game, n = builtin_bayesian(), len(grid24)
         tables = bayesian_tables(game, 0.0, grid24)
-        records = list(find_ne_bayesian_row(tables, [0.3]))
+        records = records_of(find_ne_bayesian_row(tables, [0.3]))
         found = {r.profile for r in records}
         bad = next(
             (a, b1, b2)
@@ -703,7 +706,7 @@ class TestRecheck:
         loose = bayesian_tables(game, 0.0, grid24, 1e-6)
         row = find_ne_bayesian_row(loose, p_values)
         cells = cells_of(row)
-        assert cells == [list(find_ne_bayesian(game, 0.0, grid24, p, 1e-6)) for p in p_values]
+        assert cells == [records_of(find_ne_bayesian(game, 0.0, grid24, p, 1e-6)) for p in p_values]
         strict_tables = bayesian_tables(game, 0.0, grid24, 1e-9)
         strict = cells_of(find_ne_bayesian_row(strict_tables, p_values))
         assert len(cells[0]) > len(strict[0]) and cells[1] == strict[1]
@@ -742,6 +745,6 @@ class TestInvariants:
             game = builtin_bayesian()
             found = []
             for eps in (1e-9, 1e-6):
-                found.append({r.profile for r in find_ne_bayesian(game, gamma, grid8, p, eps)})
+                found.append({r.profile for r in records_of(find_ne_bayesian(game, gamma, grid8, p, eps))})
             strict, loose = found
             assert strict == loose

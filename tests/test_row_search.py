@@ -27,7 +27,7 @@ from qgame.games import builtin_bayesian
 from qgame.strategies import DEFAULT_GRID, GridSteps, enumerate_strategies
 from qgame.sweep import _recheck, gamma_grid, p_grid
 
-from conftest import custom_bayesian
+from conftest import custom_bayesian, records_of
 
 PI = math.pi
 
@@ -185,7 +185,7 @@ class TestBoundBranches:
         tables, p_values = bound_tables(), [0.0, 0.25, 0.5, 0.75, 1.0]
         row = find_ne_bayesian_row(tables, p_values)
         assert hex_row(row) == reference_row_search(tables, p_values)
-        assert [rec.profile for rec in row.in_cell(2)] == [(0, 0, 0), (2, 3, 3)]
+        assert row.in_cell(2).profiles.tolist() == [[0, 0, 0], [2, 3, 3]]
 
 
 class TestRecheckBounds:
@@ -201,7 +201,7 @@ class TestRecheckBounds:
         # candidate in both B lists that the search drops fails on A alone.
         tables = bayesian_tables(custom_bayesian(), gamma, grid24)
         assert tables.ta2 is not tables.ta1
-        found = {rec.profile for rec in find_ne_bayesian_row(tables, [0.5])}
+        found = {rec.profile for rec in records_of(find_ne_bayesian_row(tables, [0.5]))}
         n = len(grid24)
         dropped = [
             (a, b1 % n, b2 % n)

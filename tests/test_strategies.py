@@ -127,9 +127,21 @@ class TestEnumerate:
             assert np.max(np.abs(us[0] - c * us[1])) < 1e-12
 
 
+def reference_unitary(s: StrategyParams) -> np.ndarray:
+    """One strategy's unitary built entry by entry from its angles."""
+    c = math.cos(s.theta / 2.0)
+    sn = math.sin(s.theta / 2.0)
+    return np.array(
+        [
+            [np.exp(-1j * s.phi) * c, np.exp(1j * s.alpha) * sn],
+            [-np.exp(-1j * s.alpha) * sn, np.exp(1j * s.phi) * c],
+        ]
+    )
+
+
 def reference_enumeration(steps: GridSteps):
     """The grid built one validated ``StrategyParams`` and one
-    ``strategy_unitary`` call per strategy."""
+    ``reference_unitary`` call per strategy."""
     seen = {}
     for i in range(steps.n_theta + 1):
         theta = PI if i == steps.n_theta else i * steps.d_theta
@@ -139,7 +151,7 @@ def reference_enumeration(steps: GridSteps):
                 key = (round(s.theta, 12), round(s.phi, 12), round(s.alpha, 12))
                 seen.setdefault(key, s)
     params = tuple(seen[key] for key in sorted(seen))
-    return params, np.stack([strategy_unitary(s) for s in params])
+    return params, np.stack([reference_unitary(s) for s in params])
 
 
 class TestEnumerateBitForBit:
@@ -161,6 +173,12 @@ class TestEnumerateBitForBit:
         assert sset.unitaries.dtype == unitaries.dtype
         assert sset.unitaries.tobytes() == unitaries.tobytes()
 
+    def test_one_strategy_matches_reference_off_grid(self):
+        rng = np.random.default_rng(7)
+        for theta, phi, alpha in rng.uniform(0.0, 1.0, size=(50, 3)) * (PI, 2 * PI, 2 * PI):
+            s = StrategyParams(float(theta), float(phi), float(alpha))
+            assert strategy_unitary(s).tobytes() == reference_unitary(s).tobytes()
+
 
 class TestPauliLabel:
     def test_x_variant(self):
@@ -174,8 +192,6 @@ class TestPauliLabel:
         assert phase == pytest.approx(-1j, abs=1e-12)
 
     def test_generic_rotation_has_no_label(self):
-        from qgame.circuits import strategy_unitary
-
         assert pauli_label(strategy_unitary(StrategyParams(PI / 2, 0.0, 0.0))) is None
 
 

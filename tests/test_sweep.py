@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from qgame.equilibrium import RecordSet, classify
+from qgame.equilibrium import bayesian_tables, classify, find_ne_bayesian_row
 from qgame.games import builtin_bayesian, builtin_da, builtin_pd
 from qgame.serialize import result_to_json_text
 from qgame.strategies import GridSteps, enumerate_strategies
@@ -251,14 +251,26 @@ def test_bayesian_sweep_searches_once_per_gamma(monkeypatch):
     assert calls == [4, 4]
 
 
+def searched_cells(result):
+    """Each cell of a Bayesian sweep with the records, and their payoffs,
+    that its gamma row's search found, in the row's order."""
+    spec = result.spec
+    sset = enumerate_strategies(spec.steps)
+    by_point = {(cell.p, cell.gamma): cell for cell in result.cells}
+    for gamma in spec.gamma_values:
+        tables = bayesian_tables(spec.game, gamma, sset, spec.eps_tie)
+        row = find_ne_bayesian_row(tables, spec.p_values)
+        for i, p in enumerate(spec.p_values):
+            yield by_point[p, gamma], row.in_cell(i)
+
+
 class TestRowSharedClassFacts:
     """A sweep's cells share its strategy set's class facts (theta, phases, label)."""
 
     @staticmethod
     def _assert_fresh_classify_agrees(result):
         sset = enumerate_strategies(result.spec.steps)
-        for cell in result.cells:
-            records = RecordSet.of([rec for cls in cell.classes for rec in cls.members])
+        for cell, records in searched_cells(result):
             # The reference describes each cell's classes afresh, not from
             # facts kept while classifying earlier cells.
             sset.class_facts.clear()
@@ -301,13 +313,12 @@ class TestRowSharedClassFacts:
         # Warm one strategy set on the default sweep, then classify the cells
         # of another sweep with it; some of their classes are already known.
         warm = enumerate_strategies(bayes_result.spec.steps)
-        for cell in bayes_result.cells:
-            classify(RecordSet.of([rec for cls in cell.classes for rec in cls.members]), warm)
+        for _, records in searched_cells(bayes_result):
+            classify(records, warm)
         known = set(warm.class_facts)
         result = run_sweep(SweepSpec(builtin_bayesian(), (0.33, 1.21), p_grid(0.1)))
         reused = 0
-        for cell in result.cells:
-            records = RecordSet.of([rec for cls in cell.classes for rec in cls.members])
+        for cell, records in searched_cells(result):
             fresh = enumerate_strategies(result.spec.steps)
             (warmed,) = classify(records, warm)
             assert [warmed] == classify(records, fresh) == [cell.classes]
