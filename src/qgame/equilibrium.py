@@ -10,10 +10,11 @@ A's dense tables, one per distinct payoff vector of A, and each B
 player's table only as its list of best responses, reduced at one tie
 tolerance; the row's search reads nothing else.  It takes A's best
 deviation, the maximum of A's p-mixture over a column pair, in full only
-where rounding bounds from column maxima, argmax rows and the
-candidates' own payoffs cannot decide the tie test: correctly rounded
-arithmetic is monotone, so the bounds hold for the computed payoffs and
-the records are those of the full maximum, bit for bit.
+where rounding bounds from column maxima, argmax rows (also those of a
+gauge-turned pair) and the candidates' own payoffs cannot decide the tie
+test: correctly rounded arithmetic is monotone, so the bounds hold for
+the computed payoffs and the records are those of the full maximum, bit
+for bit.
 
 ``verify_records`` is the independent oracle: it re-evaluates every
 unilateral deviation through the scalar circuit path, never consulting
@@ -218,7 +219,9 @@ class BayesianTables(NamedTuple):
     ``a * n + b1`` of B1's table, the entries within ``eps_tie`` of row
     a's maximum, and ``pay1`` B1's payoffs there; ``br2`` and ``pay2``
     likewise for B2.  ``eps_tie`` is a 0-d array, so every field is an
-    array.
+    array.  ``shift`` is the grid's gauge map ``StrategySet.gauge_shift``;
+    the search takes only lower bounds from it, so any map of valid
+    indices gives the same records.
     """
 
     ta1: np.ndarray
@@ -228,6 +231,7 @@ class BayesianTables(NamedTuple):
     br2: np.ndarray
     pay2: np.ndarray
     eps_tie: np.ndarray
+    shift: np.ndarray
 
 
 def _best_responses(tb: np.ndarray, eps_tie: float) -> tuple[np.ndarray, np.ndarray]:
@@ -271,7 +275,7 @@ def bayesian_tables(
         if vec1.tobytes() == vec2.tobytes()
         else _payoff_table(factors, _born_core(j, vec2), columns=True)
     )
-    return BayesianTables(ta1, ta2, br1, pay1, br2, pay2, np.array(eps_tie))
+    return BayesianTables(ta1, ta2, br1, pay1, br2, pay2, np.array(eps_tie), sset.gauge_shift)
 
 
 def _dense_ne(tables: Sequence[np.ndarray], eps_tie: float) -> RecordSet:
@@ -331,6 +335,52 @@ def _row_blocks(sizes: np.ndarray, budget: int):
         yield slice(start, len(sizes))
 
 
+def _gauge_hints(tables, per_pair, exact, group, best, undecided, pair_block) -> None:
+    """Raise the lower bounds of the pairs ``exact`` from one full maximum per gauge orbit.
+
+    ``per_pair`` holds each pair's columns c1 and c2, column maxima m1
+    and m2 and largest candidate entries h1 and h2; ``best`` and
+    ``undecided`` are a group's (p, pair) lower bounds and open entries,
+    updated in place.  The B players' turns ``shift[k]`` of a pair
+    (b1, b2) form its orbit, keyed by the smallest code ``b1' * n + b2'``
+    over k.  At each p, the first open pair of an orbit takes the full
+    maximum with its row r*.  Another open pair, reached from it by the B
+    players' turn by -s, takes the mixture at A's row ``shift[s, r*]``,
+    which the gauge makes the same payoff up to rounding.  That row is a
+    real row of the pair's own columns, so its mixture is at most the
+    pair's ``best``: a lower bound like ``L``, whatever the map.  The
+    upper-bound and drop tests then run again at the raised bound.
+    """
+    ta1, ta2, shift, eps_tie = tables.ta1, tables.ta2, tables.shift, float(tables.eps_tie)
+    n, turns = ta1.shape[0], len(shift)
+    c1, c2, m1, m2, h1, h2 = (x[exact] for x in per_pair)
+    key = (c1 * n + c2).astype(np.int32)
+    turn = np.zeros(len(exact), dtype=np.intp)
+    for k in range(1, turns):
+        code = shift[k, c1] * np.int32(n) + shift[k, c2]
+        lower = code < key
+        key[lower], turn[lower] = code[lower], k
+    for best_p, open_p, p in zip(best, undecided, group):
+        sub = np.flatnonzero(open_p[exact])
+        _, first, orbit_of = np.unique(key[sub], return_index=True, return_inverse=True)
+        reps = sub[first]
+        top, top_value = np.empty(len(reps), dtype=np.intp), np.empty(len(reps))
+        for start in range(0, len(reps), pair_block):
+            block, sel = slice(start, start + pair_block), reps[start : start + pair_block]
+            mix = p * ta1.T[c1[sel]] + (1.0 - p) * ta2.T[c2[sel]]
+            top[block] = mix.argmax(axis=1)
+            top_value[block] = mix[np.arange(len(sel)), top[block]]
+        rows = shift[(turn[sub] - turn[reps][orbit_of]) % turns, top[orbit_of]]
+        hint = p * ta1[rows, c1[sub]] + (1.0 - p) * ta2[rows, c2[sub]]
+        lower = np.maximum(best_p[exact[sub]], hint)
+        lower[first] = top_value
+        still = (p * m1[sub] + (1.0 - p) * m2[sub] != lower) & (
+            p * h1[sub] + (1.0 - p) * h2[sub] >= lower - eps_tie
+        )
+        still[first] = False
+        best_p[exact[sub]], open_p[exact[sub]] = lower, still
+
+
 def find_ne_bayesian_row(tables: BayesianTables, p_values: Sequence[float]) -> RecordSet:
     """The NE records of one gamma row's table set at each p of ``p_values``.
 
@@ -357,9 +407,13 @@ def find_ne_bayesian_row(tables: BayesianTables, p_values: Sequence[float]) -> R
       ``H < L - eps_tie``, no candidate of the pair is kept, and ``L``
       keeps none either.
 
-    So ``L`` stands in for ``best`` wherever a bound decides.  A's
-    columns are gathered once per group of p for the pairs that some p
-    of the group leaves open, and each p that leaves one of a block's
+    So ``L`` stands in for ``best`` wherever a bound decides.  Where the
+    pairs that some p of a group leaves open fill more than one block of
+    ``_COLUMN_BLOCK`` entries, ``_gauge_hints`` first takes the full
+    maximum once per gauge orbit of them and raises the others' ``L`` to
+    the mixture at A's turned argmax row, again a real entry, and the
+    tests run again.  A's columns are gathered once per group of p for
+    the pairs still open, and each p that leaves one of a block's
     pairs open takes the full maximum over the block, with p a scalar.
     The full maximum is right for every pair, so the records and their
     payoffs are bit for bit those of the full maximum everywhere.
@@ -409,6 +463,11 @@ def find_ne_bayesian_row(tables: BayesianTables, p_values: Sequence[float]) -> R
             best = np.maximum(pm1 + qcol * y1, pcol * x2 + qm2)
             undecided = (pm1 + qm2 != best) & (pcol * h1 + qcol * h2 >= best - eps_tie)
             exact = np.flatnonzero(undecided.any(axis=0))
+            if len(exact) > pair_block:
+                _gauge_hints(
+                    tables, (c1, c2, m1, m2, h1, h2), exact, group, best, undecided, pair_block
+                )
+                exact = np.flatnonzero(undecided.any(axis=0))
             for start in range(0, len(exact), pair_block):
                 sel = exact[start : start + pair_block]
                 cols1, cols2 = ta1.T[c1[sel]], ta2.T[c2[sel]]

@@ -88,10 +88,12 @@ DEFAULT_GRID = GridSteps(math.pi, math.pi / 2.0, math.pi / 2.0)
 
 @dataclass(frozen=True, eq=False)
 class StrategySet:
-    """Deduplicated, canonically ordered strategies with precomputed unitaries."""
+    """Deduplicated, canonically ordered strategies of the grid ``steps``,
+    with precomputed unitaries."""
 
     params: tuple[StrategyParams, ...]
     unitaries: np.ndarray
+    steps: GridSteps
 
     def __post_init__(self):
         self.unitaries.setflags(write=False)
@@ -111,6 +113,31 @@ class StrategySet:
     def thetas9(self) -> np.ndarray:
         """Per index, theta rounded to 9 places, as class keys compare it."""
         return np.array([round(s.theta, 9) for s in self.params])
+
+    @cached_property
+    def gauge_shift(self) -> np.ndarray:
+        """``shift[k, i]``, the index of ``U_i diag(e^{-ik chi}, e^{ik chi})``.
+
+        With K = gcd(n_phi, n_alpha) rows and chi = 2*pi / K, the turn adds
+        k chi to phi and to alpha, whole grid steps of each (at theta = 0
+        and pi only the free phase moves), so each row permutes the grid.
+        A B player turns by ``shift[(K - k) % K]`` against A's ``shift[k]``
+        (README, "The gauge symmetry").  Looked up by integer angle codes;
+        int32, so its K * n entries take at most a quarter of the bytes of
+        an n x n payoff table.
+        """
+        steps = self.steps
+        n_phi, n_alpha = steps.n_phi, steps.n_alpha
+        angles = np.array([(s.theta, s.phi, s.alpha) for s in self.params])
+        codes = np.rint(angles / (steps.d_theta, steps.d_phi, steps.d_alpha)).astype(np.int64)
+        theta, phi, alpha = (codes % (steps.n_theta + 1, n_phi, n_alpha)).T
+        k = np.arange(math.gcd(n_phi, n_alpha))[:, None]
+        phi_turned = (phi + k * (n_phi // len(k)) * (theta != steps.n_theta)) % n_phi
+        alpha_turned = (alpha + k * (n_alpha // len(k)) * (theta != 0)) % n_alpha
+        code = (theta * n_phi + phi) * n_alpha + alpha
+        order = np.argsort(code)
+        turned = (theta * n_phi + phi_turned) * n_alpha + alpha_turned
+        return order[np.searchsorted(code, turned, sorter=order)].astype(np.int32)
 
     @cached_property
     def class_facts(self) -> dict[tuple, tuple]:
@@ -180,7 +207,7 @@ def enumerate_strategies(steps: GridSteps) -> StrategySet:
                 angles = _canonical_angles(theta, j * steps.d_phi, k * steps.d_alpha)
                 seen.setdefault(tuple([round(x, 12) for x in angles]), angles)
     params = tuple(StrategyParams(*seen[key]) for key in sorted(seen))
-    return StrategySet(params, strategy_unitaries(params))
+    return StrategySet(params, strategy_unitaries(params), steps)
 
 
 def pauli_label(u: np.ndarray, tol: float = 1e-10) -> tuple[str, complex] | None:

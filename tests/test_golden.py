@@ -17,12 +17,13 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qgame.cli import main
 from qgame.games import builtin_bayesian
-from qgame.serialize import result_to_json_text
-from qgame.strategies import GridSteps
+from qgame.serialize import load_result, result_to_json_text
+from qgame.strategies import GridSteps, enumerate_strategies
 from qgame.sweep import SweepSpec, gamma_grid, p_grid, run_sweep
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -95,3 +96,30 @@ def test_fine_row_matches_golden():
     # so a search that mixes up cells of one row shows here.
     actual = json.loads(result_to_json_text(run_sweep(fine_row_spec())))
     _assert_same_json(actual, json.loads(_golden_bytes("fine_row_pi8_g14.json")))
+
+
+@pytest.mark.parametrize("name", ["sweep.json", "fine_row_pi8_g14.json", "solve_pi8.json"])
+def test_bayesian_golden_classes_are_gauge_orbit_closed(tmp_path, name):
+    # A turning by shift[k] and both B players by shift[-k] changes no
+    # payoff (README, "The gauge symmetry"), and nor does one player's
+    # sign flip U -> -U, its turn by pi, shift[K / 2]; so each maps every
+    # class's member set onto itself.  Read off the recorded files, not
+    # the search.
+    path = tmp_path / name
+    path.write_bytes(_golden_bytes(name))
+    result = load_result(str(path)).result
+    shift = enumerate_strategies(result.spec.steps).gauge_shift
+    turns, images = len(shift), 0
+    assert turns % 2 == 0
+    same, flip = shift[0], shift[turns // 2]
+    maps = [(shift[k], shift[-k], shift[-k]) for k in range(turns)]
+    maps += [(flip, same, same), (same, flip, same), (same, same, flip)]
+    for cell in result.cells:
+        for cls in cell.classes:
+            a, b1, b2 = cls.profiles.T
+            for to_a, to_b1, to_b2 in maps:
+                image = np.stack([to_a[a], to_b1[b1], to_b2[b2]], axis=1)
+                assert np.array_equal(np.unique(image, axis=0), cls.profiles), cell.p
+                images += 1
+            assert len(cls.profiles) % (4 * turns) == 0
+    assert images > 0

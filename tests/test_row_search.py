@@ -87,6 +87,11 @@ def grid24():
     return enumerate_strategies(GridSteps(PI / 2, PI / 2, PI / 2))
 
 
+@pytest.fixture(scope="module")
+def pi8():
+    return enumerate_strategies(GridSteps(PI / 8, PI / 8, PI / 8))
+
+
 class TestAgainstFullMaximum:
     def test_every_default_row_at_every_p(self, grid8):
         for gamma in gamma_grid():
@@ -108,9 +113,8 @@ class TestAgainstFullMaximum:
         row = find_ne_bayesian_row(tables, p_grid())
         assert hex_row(row) == reference_row_search(tables, p_grid())
 
-    def test_pi8_gamma_zero_row_at_a_coarse_p_step(self):
+    def test_pi8_gamma_zero_row_at_a_coarse_p_step(self, pi8):
         # 466,944 candidates, so only a few p values fit one 2-D test.
-        pi8 = enumerate_strategies(GridSteps(PI / 8, PI / 8, PI / 8))
         tables = bayesian_tables(builtin_bayesian(), 0.0, pi8)
         p_values = p_grid(0.25)
         row = find_ne_bayesian_row(tables, p_values)
@@ -156,7 +160,82 @@ def bound_tables() -> BayesianTables:
     ta1 = np.asfortranarray(np.array([BOUND_COLUMNS[j][0] for j in range(n)]).T)
     ta2 = np.asfortranarray(np.array([BOUND_COLUMNS[j][1] for j in range(n)]).T)
     br = np.array([a * n + b for a in range(n) for b in BOUND_LISTS[a]])
-    return BayesianTables(ta1, ta2, br, br * 0.5, br, br * 0.25, np.array(BOUND_EPS))
+    identity = np.arange(n)[None, :]
+    return BayesianTables(ta1, ta2, br, br * 0.5, br, br * 0.25, np.array(BOUND_EPS), identity)
+
+
+def count_hints(monkeypatch) -> list[int]:
+    """Record how many pairs each call of the search's gauge-hint stage takes."""
+    calls, hints = [], equilibrium._gauge_hints
+
+    def counted(tables, per_pair, exact, *rest):
+        calls.append(len(exact))
+        hints(tables, per_pair, exact, *rest)
+
+    monkeypatch.setattr(equilibrium, "_gauge_hints", counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def fine_row(pi8):
+    """The pi/8 row at gamma index 28, whose pairs stay open at p = 0.2 and 0.4."""
+    return bayesian_tables(builtin_bayesian(), gamma_grid()[28], pi8)
+
+
+def other_maps(shift: np.ndarray) -> list[np.ndarray]:
+    """Maps of the same shape that are not the gauge: a random permutation
+    per turn, and the identity for every turn."""
+    rng = np.random.default_rng(7)
+    identity = np.tile(np.arange(shift.shape[1], dtype=shift.dtype), (len(shift), 1))
+    return [rng.permuted(identity, axis=1), identity]
+
+
+class TestGaugeHints:
+    def test_pi8_fine_row_matches_full_maximum(self, fine_row, monkeypatch):
+        calls = count_hints(monkeypatch)
+        row = find_ne_bayesian_row(fine_row, p_grid(0.2))
+        assert calls and max(calls) > 1000
+        assert hex_row(row) == reference_row_search(fine_row, p_grid(0.2))
+
+    @pytest.mark.parametrize("grid", ["grid8", "grid24"])
+    def test_every_row_with_small_column_blocks(self, grid, request, monkeypatch):
+        # A block of 16 entries holds 2 columns of the 8 grid, 1 of the 24
+        # grid, so the hints run on these small rows.
+        sset = request.getfixturevalue(grid)
+        monkeypatch.setattr(equilibrium, "_COLUMN_BLOCK", 16)
+        calls = count_hints(monkeypatch)
+        entered = 0
+        for gamma in gamma_grid():
+            before = len(calls)
+            tables = bayesian_tables(builtin_bayesian(), gamma, sset)
+            row = find_ne_bayesian_row(tables, p_grid())
+            assert hex_row(row) == reference_row_search(tables, p_grid())
+            entered += len(calls) > before
+        assert entered == len(gamma_grid()) if grid == "grid8" else entered > 0
+
+    def test_records_do_not_depend_on_the_map_on_a_pi8_row(self, pi8, monkeypatch):
+        # The golden fine row's gamma: records at every p, and pairs that
+        # the hints leave open at p = 0.2, 0.4 and 0.6.
+        tables = bayesian_tables(builtin_bayesian(), gamma_grid()[14], pi8)
+        calls = count_hints(monkeypatch)
+        gauge = hex_row(find_ne_bayesian_row(tables, p_grid(0.2)))
+        assert gauge == reference_row_search(tables, p_grid(0.2))
+        per_search = len(calls)
+        for shift in other_maps(tables.shift):
+            row = find_ne_bayesian_row(tables._replace(shift=shift), p_grid(0.2))
+            assert hex_row(row) == gauge
+        assert per_search > 0 and len(calls) == 3 * per_search
+
+    def test_records_do_not_depend_on_the_map_on_small_blocks(self, grid24, monkeypatch):
+        monkeypatch.setattr(equilibrium, "_COLUMN_BLOCK", 16)
+        calls = count_hints(monkeypatch)
+        for gamma in gamma_grid()[::4]:
+            tables = bayesian_tables(custom_bayesian(), gamma, grid24)
+            gauge = hex_row(find_ne_bayesian_row(tables, p_grid()))
+            for shift in other_maps(tables.shift):
+                row = find_ne_bayesian_row(tables._replace(shift=shift), p_grid())
+                assert hex_row(row) == gauge
+        assert calls
 
 
 class TestBoundBranches:

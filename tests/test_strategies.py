@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from qgame.circuits import StrategyParams, strategy_unitary
+from qgame.equilibrium import two_player_tables
+from qgame.games import builtin_pd
 from qgame.strategies import (
     DEFAULT_GRID,
     GridSteps,
@@ -209,3 +211,39 @@ class TestPerIndexFacts:
                 assert phase == s.alpha
             else:
                 assert phase is None and name is None
+
+
+# Grids for the gauge map: the default 8, 24 and 1824 strategies, and one
+# with d_phi != d_alpha (8 and 12 steps), whose map has gcd(8, 12) = 4 rows.
+GAUGE_GRIDS = [
+    DEFAULT_GRID,
+    GridSteps(PI / 2, PI / 2, PI / 2),
+    GridSteps(PI / 8, PI / 8, PI / 8),
+    GridSteps(PI / 4, PI / 4, PI / 6),
+]
+
+
+class TestGaugeShift:
+    @pytest.mark.parametrize("steps", GAUGE_GRIDS, ids=["8", "24", "1824", "phi8-alpha12"])
+    def test_each_row_turns_every_strategy_by_the_gauge(self, steps):
+        sset = enumerate_strategies(steps)
+        shift, turns = sset.gauge_shift, math.gcd(steps.n_phi, steps.n_alpha)
+        assert shift.shape == (turns, len(sset))
+        chi = 2 * PI / turns
+        for k, row in enumerate(shift):
+            assert sorted(row.tolist()) == list(range(len(sset)))
+            turn = np.diag([np.exp(-1j * k * chi), np.exp(1j * k * chi)])
+            # Both sides carry the rounding of e^{i phi} at angles up to
+            # 2*pi, which reaches 1.2e-15 on the 1824 grid.
+            assert np.abs(sset.unitaries[row] - sset.unitaries @ turn).max() <= 2e-15
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.7, PI / 2])
+    def test_opposite_turns_leave_payoff_tables_unchanged(self, gamma):
+        # J(gamma)|00> lies in span{|00>, |11>}, where e^{-i chi Z} (x) e^{i chi Z}
+        # is the identity, so A turning by k and B by -k changes no payoff.
+        sset = enumerate_strategies(GridSteps(PI / 4, PI / 4, PI / 6))
+        shift, turns = sset.gauge_shift, len(sset.gauge_shift)
+        for table in two_player_tables(builtin_pd(), gamma, sset):
+            for k in range(turns):
+                turned = table[np.ix_(shift[k], shift[(turns - k) % turns])]
+                assert np.abs(turned - table).max() < 1e-12
