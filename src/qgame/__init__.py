@@ -47,7 +47,6 @@ from .strategies import (
     DEFAULT_GRID,
     GridSteps,
     StrategySet,
-    canonicalize,
     enumerate_strategies,
     pauli_label,
 )

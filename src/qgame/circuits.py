@@ -59,8 +59,7 @@ class StrategyParams:
     """The (theta, phi, alpha) triple parametrizing one player's strategy.
 
     theta in [0, pi]; phi and alpha in [0, 2*pi].  At theta = 0 alpha is
-    undefined and at theta = pi phi is undefined; ``canonicalize`` in
-    the strategy-grid module zeroes the undefined parameter.
+    undefined and at theta = pi phi is undefined.
     """
 
     theta: float
@@ -73,31 +72,33 @@ class StrategyParams:
         _check_angle(self.alpha, 0.0, TAU, "alpha")
 
 
-def strategy_unitaries(params: tuple[StrategyParams, ...]) -> np.ndarray:
-    """U(theta, phi, alpha) of every strategy, as one (n, 2, 2) array:
+def strategy_unitaries(theta, phi, alpha) -> np.ndarray:
+    """U(theta, phi, alpha) of every strategy, from three angle columns, as
+    one (n, 2, 2) array:
     [[e^{-i phi} cos(theta/2), e^{i alpha} sin(theta/2)],
      [-e^{-i alpha} sin(theta/2), e^{i phi} cos(theta/2)]].
 
-    Each cosine, sine and phase factor is evaluated once per distinct angle.
+    Each cosine, sine and phase factor is evaluated once per distinct angle,
+    as a Python float, so the bits do not depend on numpy's vector kernels.
     """
-    thetas = {s.theta for s in params}
-    cos = {t: math.cos(t / 2.0) for t in thetas}
-    sin = {t: math.sin(t / 2.0) for t in thetas}
-    phases = {s.phi for s in params} | {s.alpha for s in params}
-    minus = {x: np.exp(-1j * x) for x in phases}
-    plus = {x: np.exp(1j * x) for x in phases}
-    c = np.array([cos[s.theta] for s in params])
-    sn = np.array([sin[s.theta] for s in params])
-    u = np.empty((len(params), 2, 2), dtype=complex)
-    u[:, 0, 0] = np.array([minus[s.phi] for s in params]) * c
-    u[:, 0, 1] = np.array([plus[s.alpha] for s in params]) * sn
-    u[:, 1, 0] = -np.array([minus[s.alpha] for s in params]) * sn
-    u[:, 1, 1] = np.array([plus[s.phi] for s in params]) * c
+    thetas, t = np.unique(theta, return_inverse=True)
+    phases, at = np.unique(np.concatenate([phi, alpha]), return_inverse=True)
+    f, a = np.split(at, 2)
+    half = [x / 2.0 for x in thetas.tolist()]
+    c = np.array([math.cos(x) for x in half])[t]
+    sn = np.array([math.sin(x) for x in half])[t]
+    minus = np.array([np.exp(-1j * x) for x in phases.tolist()])
+    plus = np.array([np.exp(1j * x) for x in phases.tolist()])
+    u = np.empty((len(t), 2, 2), dtype=complex)
+    u[:, 0, 0] = minus[f] * c
+    u[:, 0, 1] = plus[a] * sn
+    u[:, 1, 0] = -minus[a] * sn
+    u[:, 1, 1] = plus[f] * c
     return u
 
 
 def strategy_unitary(s: StrategyParams) -> np.ndarray:
-    return strategy_unitaries((s,))[0]
+    return strategy_unitaries([s.theta], [s.phi], [s.alpha])[0]
 
 
 def entangler(gamma: float) -> np.ndarray:

@@ -149,8 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument(
         "--format", choices=("csv", "json"), default=None, help="default csv"
     )
-    fig.add_argument("--jobs", type=int, default=1)
-    preset = ("p_step", "gamma_step", "grid_theta", "grid_phi", "grid_alpha", "eps_tie")
+    preset = ("p_step", "gamma_step", "jobs", "grid_theta", "grid_phi", "grid_alpha", "eps_tie")
     fig.set_defaults(func=_cmd_sweep, **{name: sweep.get_default(name) for name in preset})
 
     ver = subs.add_parser("verify", help="re-check every NE and class in a result file")

@@ -676,7 +676,7 @@ def _class_facts(members: np.ndarray, sset: StrategySet) -> tuple:
     if all(names[i] is not None for i in members.ravel().tolist()):
         label = "⊗".join(names[i] for i in rep)
 
-    theta_profile = tuple(sset.params[i].theta for i in rep)
+    theta_profile = tuple(sset.angles[rep, 0].tolist())
     return theta_profile, phase_sums, phase_diffs, label
 
 

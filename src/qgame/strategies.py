@@ -1,13 +1,14 @@
-"""Discretized strategy spaces with redundancy removal and Pauli labeling.
+"""Discretized strategy spaces and Pauli labeling.
 
 A grid is defined by step sizes (d_theta, d_phi, d_alpha) that divide
 their ranges exactly: theta runs over [0, pi] inclusive, phi and alpha
-over [0, 2*pi) periodically.  Grid points are canonicalized (the
-undefined phase parameter is zeroed at theta = 0 and theta = pi) and
-exact duplicate matrices are removed, NOT duplicates up to global
-phase: strategies differing only by a global phase are payoff
-equivalent but count as distinct grid points, which is what makes the
-coarse grid have 8 members and the pi/8 grid 1824.
+over [0, 2*pi) periodically.  A grid point is its integer code (t, f, a),
+whole steps of each angle.  At the poles one phase is undefined, so
+t = 0 keeps only a = 0 and t = n_theta only f = 0; every other code is
+its own matrix.  Exact duplicate matrices are thereby removed, NOT
+duplicates up to global phase: strategies differing only by a global
+phase are payoff equivalent but count as distinct grid points, which is
+what makes the coarse grid have 8 members and the pi/8 grid 1824.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .circuits import TAU, StrategyParams, strategy_unitaries
+from .circuits import TAU, strategy_unitaries
 
 _PAULIS = (
     ("I", np.eye(2, dtype=complex)),
@@ -77,10 +78,17 @@ class GridSteps:
         return _step_count(self.d_alpha, TAU, "d_alpha")
 
     @property
+    def code_blocks(self) -> tuple[tuple[int, tuple[int, int, int]], ...]:
+        """The grid's codes (t, f, a) as blocks in code order, each its first
+        t and its (t, f, a) extents: t = 0 keeps a = 0 and t = n_theta keeps
+        f = 0, where the other phase is undefined."""
+        n_theta, n_phi, n_alpha = self.n_theta, self.n_phi, self.n_alpha
+        return ((0, (1, n_phi, 1)), (1, (n_theta - 1, n_phi, n_alpha)), (n_theta, (1, 1, n_alpha)))
+
+    @property
     def n_strategies(self) -> int:
-        """Size of the enumerated set, without allocating it: theta = 0
-        keeps phi only, theta = pi alpha only."""
-        return self.n_phi + self.n_alpha + (self.n_theta - 1) * self.n_phi * self.n_alpha
+        """Size of the enumerated set, without allocating it."""
+        return sum(math.prod(shape) for _, shape in self.code_blocks)
 
 
 DEFAULT_GRID = GridSteps(math.pi, math.pi / 2.0, math.pi / 2.0)
@@ -88,31 +96,35 @@ DEFAULT_GRID = GridSteps(math.pi, math.pi / 2.0, math.pi / 2.0)
 
 @dataclass(frozen=True, eq=False)
 class StrategySet:
-    """Deduplicated, canonically ordered strategies of the grid ``steps``,
-    with precomputed unitaries."""
+    """The strategies of the grid ``steps`` in code order: ``codes`` (n, 3)
+    int grid points (t, f, a), ``angles`` their (theta, phi, alpha) and
+    ``unitaries`` their matrices."""
 
-    params: tuple[StrategyParams, ...]
-    unitaries: np.ndarray
     steps: GridSteps
+    codes: np.ndarray
+    angles: np.ndarray
+    unitaries: np.ndarray
 
     def __post_init__(self):
-        self.unitaries.setflags(write=False)
+        for array in (self.codes, self.angles, self.unitaries):
+            array.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.params)
+        return len(self.codes)
 
     @cached_property
     def free_phases(self) -> tuple[float | None, ...]:
         """Per index, the free phase (phi at theta = 0, alpha at pi), else None."""
+        n_theta = self.steps.n_theta
         return tuple(
-            None if (free := _free_parameter(s.theta)) is None else getattr(s, free)
-            for s in self.params
+            phi if t == 0 else alpha if t == n_theta else None
+            for t, (_, phi, alpha) in zip(self.codes[:, 0].tolist(), self.angles.tolist())
         )
 
     @cached_property
     def thetas9(self) -> np.ndarray:
         """Per index, theta rounded to 9 places, as class keys compare it."""
-        return np.array([round(s.theta, 9) for s in self.params])
+        return np.array([round(theta, 9) for theta in self.angles[:, 0].tolist()])
 
     @cached_property
     def gauge_shift(self) -> np.ndarray:
@@ -122,22 +134,19 @@ class StrategySet:
         k chi to phi and to alpha, whole grid steps of each (at theta = 0
         and pi only the free phase moves), so each row permutes the grid.
         A B player turns by ``shift[(K - k) % K]`` against A's ``shift[k]``
-        (README, "The gauge symmetry").  Looked up by integer angle codes;
-        int32, so its K * n entries take at most a quarter of the bytes of
-        an n x n payoff table.
+        (README, "The gauge symmetry").  Looked up in a dense index of
+        every code; int32, so the index and the K * n entries each take
+        at most a quarter of the bytes of an n x n payoff table.
         """
         steps = self.steps
         n_phi, n_alpha = steps.n_phi, steps.n_alpha
-        angles = np.array([(s.theta, s.phi, s.alpha) for s in self.params])
-        codes = np.rint(angles / (steps.d_theta, steps.d_phi, steps.d_alpha)).astype(np.int64)
-        theta, phi, alpha = (codes % (steps.n_theta + 1, n_phi, n_alpha)).T
+        index = np.empty((steps.n_theta + 1, n_phi, n_alpha), dtype=np.int32)
+        index[tuple(self.codes.T)] = np.arange(len(self))
+        theta, phi, alpha = self.codes.T
         k = np.arange(math.gcd(n_phi, n_alpha))[:, None]
         phi_turned = (phi + k * (n_phi // len(k)) * (theta != steps.n_theta)) % n_phi
         alpha_turned = (alpha + k * (n_alpha // len(k)) * (theta != 0)) % n_alpha
-        code = (theta * n_phi + phi) * n_alpha + alpha
-        order = np.argsort(code)
-        turned = (theta * n_phi + phi_turned) * n_alpha + alpha_turned
-        return order[np.searchsorted(code, turned, sorter=order)].astype(np.int32)
+        return index[theta, phi_turned, alpha_turned]
 
     @cached_property
     def class_facts(self) -> dict[tuple, tuple]:
@@ -169,45 +178,18 @@ def wrap_angle(value: float) -> float:
     return w
 
 
-def _free_parameter(theta: float) -> str | None:
-    """The phase parameter theta leaves free, "phi" at 0 and "alpha" at pi (the
-    other is undefined there); None in between, where both matter."""
-    if theta < _ANGLE_SNAP:
-        return "phi"
-    if math.pi - theta < _ANGLE_SNAP:
-        return "alpha"
-    return None
-
-
-def _canonical_angles(theta: float, phi: float, alpha: float) -> tuple[float, float, float]:
-    """Phases reduced mod 2*pi, and the parameter theta makes undefined zeroed."""
-    free = _free_parameter(theta)
-    phi = 0.0 if free == "alpha" else wrap_angle(phi)
-    alpha = 0.0 if free == "phi" else wrap_angle(alpha)
-    return theta, phi, alpha
-
-
-def canonicalize(s: StrategyParams) -> StrategyParams:
-    """Reduce phases mod 2*pi and zero the parameter that theta makes undefined."""
-    return StrategyParams(*_canonical_angles(s.theta, s.phi, s.alpha))
-
-
 def enumerate_strategies(steps: GridSteps) -> StrategySet:
-    """All canonical grid strategies with exact-duplicate matrices removed.
+    """Every grid strategy, in lexicographic (t, f, a) code order.
 
-    Order is deterministic: lexicographic by (theta, phi, alpha).  Grid
-    points are canonicalized as plain angles; only the kept ones become
-    ``StrategyParams``.
+    Each of ``steps.code_blocks`` (the two poles and the interior) is built
+    on its own, so the work is linear in the strategy count.
     """
-    seen: dict[tuple[float, float, float], tuple[float, float, float]] = {}
-    for i in range(steps.n_theta + 1):
-        theta = math.pi if i == steps.n_theta else i * steps.d_theta
-        for j in range(steps.n_phi):
-            for k in range(steps.n_alpha):
-                angles = _canonical_angles(theta, j * steps.d_phi, k * steps.d_alpha)
-                seen.setdefault(tuple([round(x, 12) for x in angles]), angles)
-    params = tuple(StrategyParams(*seen[key]) for key in sorted(seen))
-    return StrategySet(params, strategy_unitaries(params), steps)
+    codes = np.concatenate(
+        [np.indices(shape).reshape(3, -1).T + (t, 0, 0) for t, shape in steps.code_blocks]
+    )
+    angles = codes * (steps.d_theta, steps.d_phi, steps.d_alpha)
+    angles[codes[:, 0] == steps.n_theta, 0] = math.pi
+    return StrategySet(steps, codes, angles, strategy_unitaries(*angles.T))
 
 
 def pauli_label(u: np.ndarray, tol: float = 1e-10) -> tuple[str, complex] | None:

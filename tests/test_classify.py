@@ -48,15 +48,16 @@ def reference_facts(members: list[EquilibriumRecord], sset) -> tuple:
 def reference_classify(records: list[EquilibriumRecord], sset) -> list[tuple]:
     """One cell's classes as (thetas, payoffs in ``float.hex``, member
     profiles, phase sums, phase differences, label), grouped in dicts."""
+    theta = sset.angles[:, 0].tolist()
     groups = {}
     for rec in sorted(records, key=lambda r: r.profile):
-        thetas = tuple(round(sset.params[i].theta, 9) for i in rec.profile)
+        thetas = tuple(round(theta[i], 9) for i in rec.profile)
         payoffs = tuple(round(x, 9) for x in rec.payoffs)
         groups.setdefault((thetas, payoffs), []).append(rec)
     classes = []
     for key in sorted(groups):
         members = groups[key]
-        theta_profile = tuple(sset.params[i].theta for i in members[0].profile)
+        theta_profile = tuple(theta[i] for i in members[0].profile)
         payoffs = tuple(map(float.hex, members[0].payoffs))
         profiles = [rec.profile for rec in members]
         classes.append((theta_profile, payoffs, profiles) + reference_facts(members, sset))

@@ -168,13 +168,7 @@ class TestToleranceAndWorkerFlags:
         assert main(["sweep"] + flags) == 1
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "command",
-        [
-            ["sweep", "--p-step", "0.5", "--gamma-step", "0.8"],
-            ["emit-figure", "--fig", "pd", "--out", "unused.csv"],
-        ],
-    )
+    @pytest.mark.parametrize("command", [["sweep", "--p-step", "0.5", "--gamma-step", "0.8"]])
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_non_positive_jobs_is_argument_error(self, command, jobs, capsys):
         assert main(command + ["--jobs", jobs]) == 1

@@ -536,10 +536,11 @@ class TestClassify:
         for cls in classify(records, grid8)[0]:
             members = {rec.profile for rec in cls.members}
             thetas = [round(t, 9) for t in cls.theta_profile]
+            angles = grid8.angles.tolist()
             candidates = [
                 prof
                 for prof in product(range(8), repeat=3)
-                if [round(grid8.params[i].theta, 9) for i in prof] == thetas
+                if [round(angles[i][0], 9) for i in prof] == thetas
             ]
             sums = {
                 "A-B1": set(cls.phase_sums["A-B1"]),
@@ -547,8 +548,8 @@ class TestClassify:
             }
 
             def free(i):
-                s = grid8.params[i]
-                return s.phi if s.theta < 1e-9 else s.alpha
+                theta, phi, alpha = angles[i]
+                return phi if theta < 1e-9 else alpha
 
             for prof in candidates:
                 s1 = round((free(prof[0]) + free(prof[1])) % (2 * PI), 9)

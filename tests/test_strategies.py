@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from qgame.games import builtin_pd
 from qgame.strategies import (
     DEFAULT_GRID,
     GridSteps,
-    canonicalize,
     enumerate_strategies,
     pauli_label,
+    wrap_angle,
 )
 
 from conftest import is_unitary
@@ -46,20 +47,6 @@ class TestGridSteps:
             GridSteps(5e-324, PI / 2, PI / 2)
 
 
-class TestCanonicalize:
-    def test_alpha_undefined_at_theta_zero(self):
-        s = canonicalize(StrategyParams(0.0, PI / 2, 3 * PI / 2))
-        assert (s.theta, s.phi, s.alpha) == (0.0, PI / 2, 0.0)
-
-    def test_phi_undefined_at_theta_pi(self):
-        s = canonicalize(StrategyParams(PI, PI / 2, PI / 4))
-        assert (s.theta, s.phi, s.alpha) == (PI, 0.0, PI / 4)
-
-    def test_mod_two_pi_reduction(self):
-        s = canonicalize(StrategyParams(PI / 2, 2 * PI, 2 * PI))
-        assert (s.theta, s.phi, s.alpha) == (PI / 2, 0.0, 0.0)
-
-
 class TestEnumerate:
     def test_coarse_count(self):
         assert len(enumerate_strategies(DEFAULT_GRID)) == 8
@@ -92,10 +79,6 @@ class TestEnumerate:
         assert np.allclose(sset.unitaries[0], np.eye(2))
         assert np.allclose(sset.unitaries[1], [[0, 1], [-1, 0]])
 
-    def test_idempotent_under_canonicalize(self):
-        sset = enumerate_strategies(DEFAULT_GRID)
-        assert [canonicalize(s) for s in sset.params] == list(sset.params)
-
     def test_matrices_pairwise_distinct(self):
         for steps in (DEFAULT_GRID, GridSteps(PI / 8, PI / 8, PI / 8)):
             us = enumerate_strategies(steps).unitaries
@@ -111,7 +94,8 @@ class TestEnumerate:
     def test_deterministic_order(self):
         a = enumerate_strategies(DEFAULT_GRID)
         b = enumerate_strategies(DEFAULT_GRID)
-        assert a.params == b.params
+        assert a.codes.tobytes() == b.codes.tobytes()
+        assert a.angles.tobytes() == b.angles.tobytes()
 
     def test_coarse_set_is_two_phase_variants_per_pauli(self):
         sset = enumerate_strategies(DEFAULT_GRID)
@@ -141,19 +125,38 @@ def reference_unitary(s: StrategyParams) -> np.ndarray:
     )
 
 
+def reference_canonical(theta: float, phi: float, alpha: float) -> StrategyParams:
+    """A grid point from its float angles alone: phases reduced mod 2*pi,
+    and the one theta leaves undefined (alpha at 0, phi at pi) zeroed."""
+    if theta < 1e-9:
+        return StrategyParams(theta, wrap_angle(phi), 0.0)
+    if PI - theta < 1e-9:
+        return StrategyParams(theta, 0.0, wrap_angle(alpha))
+    return StrategyParams(theta, wrap_angle(phi), wrap_angle(alpha))
+
+
 def reference_enumeration(steps: GridSteps):
-    """The grid built one validated ``StrategyParams`` and one
-    ``reference_unitary`` call per strategy."""
+    """The grid built from float angles, deduplicated on their values
+    rounded to 12 places: its angles, one ``reference_unitary`` per
+    strategy, free phases and thetas rounded to 9 places."""
     seen = {}
     for i in range(steps.n_theta + 1):
         theta = PI if i == steps.n_theta else i * steps.d_theta
         for j in range(steps.n_phi):
             for k in range(steps.n_alpha):
-                s = canonicalize(StrategyParams(theta, j * steps.d_phi, k * steps.d_alpha))
+                s = reference_canonical(theta, j * steps.d_phi, k * steps.d_alpha)
                 key = (round(s.theta, 12), round(s.phi, 12), round(s.alpha, 12))
                 seen.setdefault(key, s)
-    params = tuple(seen[key] for key in sorted(seen))
-    return params, np.stack([reference_unitary(s) for s in params])
+    params = [seen[key] for key in sorted(seen)]
+    free = tuple(
+        s.phi if s.theta == 0.0 else s.alpha if s.theta == PI else None for s in params
+    )
+    return (
+        np.array([(s.theta, s.phi, s.alpha) for s in params]),
+        np.stack([reference_unitary(s) for s in params]),
+        free,
+        np.array([round(s.theta, 9) for s in params]),
+    )
 
 
 class TestEnumerateBitForBit:
@@ -164,22 +167,51 @@ class TestEnumerateBitForBit:
             (GridSteps(PI / 4, PI / 2, PI / 2), 56),
             (GridSteps(PI / 8, PI / 8, PI / 8), 1824),
             (GridSteps(PI / 16, PI / 16, PI / 16), 15424),
+            (GridSteps(PI / 4, PI / 4, PI / 6), 308),
         ],
-        ids=["8", "56", "1824", "15424"],
+        ids=["8", "56", "1824", "15424", "phi8-alpha12"],
     )
     def test_matches_one_unitary_per_strategy(self, steps, count):
         sset = enumerate_strategies(steps)
-        params, unitaries = reference_enumeration(steps)
+        angles, unitaries, free, thetas9 = reference_enumeration(steps)
         assert len(sset) == count
-        assert sset.params == params
+        assert sset.codes.shape == (count, 3)
+        assert sset.angles.dtype == angles.dtype
+        assert sset.angles.tobytes() == angles.tobytes()
         assert sset.unitaries.dtype == unitaries.dtype
         assert sset.unitaries.tobytes() == unitaries.tobytes()
+        assert sset.free_phases == free
+        assert sset.thetas9.tobytes() == thetas9.tobytes()
 
     def test_one_strategy_matches_reference_off_grid(self):
         rng = np.random.default_rng(7)
         for theta, phi, alpha in rng.uniform(0.0, 1.0, size=(50, 3)) * (PI, 2 * PI, 2 * PI):
             s = StrategyParams(float(theta), float(phi), float(alpha))
             assert strategy_unitary(s).tobytes() == reference_unitary(s).tobytes()
+
+    def test_pole_heavy_grid_is_built_from_its_poles(self):
+        # theta is 0 or pi alone, so every strategy sits on a pole: 4096 phi
+        # values at theta = 0 and 4096 alpha values at pi.  The full code
+        # product would hold 2 x 4096 x 4096 points.
+        steps = GridSteps(PI, 2 * PI / 4096, 2 * PI / 4096)
+        tracemalloc.start()
+        try:
+            sset = enumerate_strategies(steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        j, zero = np.arange(4096), np.zeros(4096, dtype=int)
+        codes = np.concatenate(
+            [np.column_stack([zero, j, zero]), np.column_stack([zero + 1, zero, j])]
+        )
+        angles = np.array(
+            [(0.0, f * steps.d_phi, 0.0) for f in range(4096)]
+            + [(PI, 0.0, a * steps.d_alpha) for a in range(4096)]
+        )
+        assert len(sset) == steps.n_strategies == 8192
+        assert np.array_equal(sset.codes, codes)
+        assert sset.angles.tobytes() == angles.tobytes()
 
 
 class TestPauliLabel:
@@ -200,15 +232,15 @@ class TestPauliLabel:
 class TestPerIndexFacts:
     def test_match_direct_computation_on_24_grid(self):
         sset = enumerate_strategies(GridSteps(PI / 2, PI / 2, PI / 2))
-        for s, u, phase, name in zip(
-            sset.params, sset.unitaries, sset.free_phases, sset.pauli_names
+        for (theta, phi, alpha), u, phase, name in zip(
+            sset.angles.tolist(), sset.unitaries, sset.free_phases, sset.pauli_names
         ):
             label = pauli_label(u)
             assert name == (label[0] if label else None)
-            if s.theta == 0.0:
-                assert phase == s.phi
-            elif s.theta == PI:
-                assert phase == s.alpha
+            if theta == 0.0:
+                assert phase == phi
+            elif theta == PI:
+                assert phase == alpha
             else:
                 assert phase is None and name is None
 
