@@ -43,13 +43,7 @@ from .games import (
     classical_pure_ne,
 )
 from .serialize import ConfigError, emit, load_game, load_result
-from .strategies import (
-    DEFAULT_GRID,
-    GridSteps,
-    StrategySet,
-    enumerate_strategies,
-    pauli_label,
-)
+from .strategies import DEFAULT_GRID, GridSteps, StrategySet, enumerate_strategies
 from .sweep import (
     CellResult,
     RegionSummary,

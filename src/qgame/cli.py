@@ -307,13 +307,13 @@ def _cmd_verify(args) -> int:
     sset = enumerate_strategies(spec.steps)
     records = _stored_records(cells, 3 if isinstance(spec.game, BayesianGame) else 2)
     derived = classify(records, sset)
-    failures = []
-    bad_classes = []
+    failures, bad_classes = [], []
     for i, cell in enumerate(cells):
+        where = f"FAIL p={cell.p} gamma={cell.gamma:.6g}"
         own = records.in_cell(i)
         verdicts = verify_records(own, spec.game, cell.gamma, sset, eps, cell.p)
         failures.extend(
-            (cell.p, cell.gamma, tuple(profile))
+            f"{where} profile={tuple(profile)}"
             for profile, ok in zip(own.profiles.tolist(), verdicts)
             if not ok
         )
@@ -322,28 +322,31 @@ def _cmd_verify(args) -> int:
             profile: cls for cls in derived[i] for profile in map(tuple, cls.profiles.tolist())
         }
         bad_classes.extend(
-            (cell.p, cell.gamma, class_id(cls))
+            f"{where} class={class_id(cls)}"
             for cls in cell.classes
             if class_of[tuple(cls.profiles[0].tolist())] != cls
         )
+    # A profile stored twice in one cell, in one class or in two.
+    cell_profiles = np.column_stack([records.cell, records.profiles])
+    _, first, count = np.unique(cell_profiles, axis=0, return_index=True, return_counts=True)
+    classes = [(cell, cls) for cell in cells for cls in cell.classes]
+    ends = np.cumsum([cls.n_profiles for _, cls in classes])
+    repeats = []
+    for r in sorted(first[count > 1].tolist()):
+        cell, cls = classes[np.searchsorted(ends, r, side="right")]
+        profile = tuple(records.profiles[r].tolist())
+        where = f"FAIL p={cell.p} gamma={cell.gamma:.6g}"
+        repeats.append(f"{where} class={class_id(cls)} repeats profile={profile}")
     checked = len(records)
-    for p, gamma, profile in failures[:20]:
-        print(f"FAIL p={p} gamma={gamma:.6g} profile={profile}", file=sys.stderr)
-    if failures:
-        print(
-            f"{len(failures)} of {checked} recorded profiles are not equilibria"
-            " with their stored payoffs",
-            file=sys.stderr,
-        )
-    for p, gamma, cid in bad_classes[:20]:
-        print(f"FAIL p={p} gamma={gamma:.6g} class={cid}", file=sys.stderr)
-    if bad_classes:
-        print(
-            f"{len(bad_classes)} stored classes differ from the classes"
-            " their members re-derive to",
-            file=sys.stderr,
-        )
-    if failures or bad_classes:
+    reports = (
+        (failures, f"of {checked} recorded profiles are not equilibria with their stored payoffs"),
+        (bad_classes, "stored classes differ from the classes their members re-derive to"),
+        (repeats, "stored profiles repeat within their cell"),
+    )
+    for lines, summary in reports:
+        if lines:
+            print("\n".join(lines[:20] + [f"{len(lines)} {summary}"]), file=sys.stderr)
+    if failures or bad_classes or repeats:
         return 3
     print(f"verified {checked} recorded NE profiles and their classes: all pass")
     return 0

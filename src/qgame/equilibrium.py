@@ -25,7 +25,11 @@ Equilibria group into classes sharing a theta-profile and payoffs whose
 members differ only by correlated phase shifts.  For each class the
 observed sets of pairwise phase sums and differences (against player A)
 are both reported, along with a Pauli operator label when every member
-strategy is proportional to a Pauli matrix.
+strategy is proportional to a Pauli matrix.  Every fact is read off the
+members' integer grid codes: the free phase is phi at t = 0 and alpha at
+t = n_theta, and a pole code is a Pauli matrix up to a unimodular factor
+exactly when its free phase is a whole number of quarter turns, an even
+number naming I at theta = 0 and Y at pi, an odd number Z and X.
 """
 
 from __future__ import annotations
@@ -656,44 +660,45 @@ def _offset(phase: float) -> float:
 
 
 def _class_facts(members: np.ndarray, sset: StrategySet) -> tuple:
-    """What a class's member profiles alone fix: its theta-profile, phase
-    sums and differences, and operator label."""
-    rows = members.tolist()
-    rep = rows[0]
-    others = ("B",) if len(rep) == 2 else ("B1", "B2")
-    free, names = sset.free_phases, sset.pauli_names
+    """A class's theta-profile, phase sums and differences, and operator
+    label, read off its member profiles' codes (module docstring)."""
+    steps = sset.steps
+    t, f, a = np.moveaxis(sset.codes[members], 2, 0)
+    top = t == steps.n_theta
+    pole = top | (t == 0)
+    turns4, size = 4 * np.where(top, a, f), np.where(top, steps.n_alpha, steps.n_phi)
+    free = np.where(top, sset.angles[members, 2], sset.angles[members, 1]).tolist()
+    rep = members[0].tolist()
     phase_sums: dict[str, tuple[float, ...]] = {}
     phase_diffs: dict[str, tuple[float, ...]] = {}
-    for k, other in enumerate(others, start=1):
-        phases = {(free[row[0]], free[row[k]]) for row in rows}
-        if any(g_a is None or g_k is None for g_a, g_k in phases):
-            continue
-        pair = f"A-{other}"
-        phase_sums[pair] = tuple(sorted({_offset(g_a + g_k) for g_a, g_k in phases}))
-        phase_diffs[pair] = tuple(sorted({_offset(g_k - g_a) for g_a, g_k in phases}))
+    for k, other in enumerate(("B",) if len(rep) == 2 else ("B1", "B2"), start=1):
+        if pole[:, [0, k]].all():
+            phases = {(row[0], row[k]) for row in free}
+            phase_sums[f"A-{other}"] = tuple(sorted({_offset(g + h) for g, h in phases}))
+            phase_diffs[f"A-{other}"] = tuple(sorted({_offset(h - g) for g, h in phases}))
 
     label = None
-    if all(names[i] is not None for i in members.ravel().tolist()):
-        label = "⊗".join(names[i] for i in rep)
-
-    theta_profile = tuple(sset.angles[rep, 0].tolist())
-    return theta_profile, phase_sums, phase_diffs, label
+    if (pole & (turns4 % size == 0)).all():
+        # Pole, then quarter-turn parity: theta = 0 gives +-I or +-iZ, pi +-iY or +-iX.
+        label = "⊗".join("IZYX"[i] for i in (2 * top + turns4 // size % 2)[0].tolist())
+    return tuple(sset.angles[rep, 0].tolist()), phase_sums, phase_diffs, label
 
 
 def classify(records: RecordSet, sset: StrategySet) -> list[tuple[EquilibriumClass, ...]]:
     """Group each cell's NE records into classes by theta-profile and payoffs.
 
     Returns one tuple of classes per cell of ``records``, empty cells
-    included.  A class's key is its members' thetas and payoffs, each
-    rounded to 9 places; a cell's classes come in key order, and each
-    class's members in profile order.  One ``lexsort`` over every cell
-    puts the records in (cell, key, profile) order, so each class is a
-    run of it.  Payoffs are rounded with ``round(x, 9)`` once per
-    distinct payoff row, and ranked by the rounded values.  Within a
-    class, phase sum/difference offsets against player A are collected
-    per pair; a pair is reported only when both players' theta values
-    pin a single free phase.  The class's payoffs and operator label come
-    from its first member.
+    included.  A class's key is its members' theta codes and payoffs, the
+    payoffs rounded to 9 places (theta steps are at least pi/16384, so
+    the codes sort and tie as thetas rounded to 9 places would); a cell's
+    classes come in key order, and each class's members in profile order.
+    One ``lexsort`` over every cell puts the records in (cell, key,
+    profile) order, so each class is a run of it.  Payoffs are rounded
+    with ``round(x, 9)`` once per distinct payoff row, and ranked by the
+    rounded values.  Within a class, phase sum/difference offsets against
+    player A are collected per pair; a pair is reported only when both
+    players' theta values pin a single free phase.  The class's payoffs
+    and operator label come from its first member.
 
     These facts depend only on a class's member profiles and ``sset``,
     which keeps them (``StrategySet.class_facts``, keyed by the player
@@ -705,7 +710,7 @@ def classify(records: RecordSet, sset: StrategySet) -> list[tuple[EquilibriumCla
     cells: list[list[EquilibriumClass]] = [[] for _ in range(records.n_cells)]
     if len(records):
         profiles = np.asarray(records.profiles, dtype=np.int64)
-        thetas = sset.thetas9[profiles]
+        thetas = sset.codes[profiles, 0]
         # Rank each record's rounded payoffs, rounding each distinct row once.
         by_payoffs = np.lexsort(records.payoffs.T[::-1])
         sorted_payoffs = records.payoffs[by_payoffs]

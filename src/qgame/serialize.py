@@ -28,7 +28,7 @@ import numpy as np
 from .equilibrium import EquilibriumClass
 from .games import BayesianGame, TwoPlayerGame, payoff_vector
 from .strategies import GridSteps
-from .sweep import CellResult, RegionSummary, SweepResult, SweepSpec
+from .sweep import CellResult, RegionSummary, SweepResult, SweepSpec, ascending
 
 
 class ConfigError(Exception):
@@ -210,28 +210,33 @@ def _cell_coordinates(cell, path: str, bayesian: bool) -> tuple[float | None, fl
 
 
 def _axis(values, name: str, hi: float) -> tuple[float, ...]:
-    """A header axis: a list of values in [0, hi], ascending; NaN and
-    infinities fail the range test."""
+    """A header axis: a list of values in [0, hi], strictly ascending; NaN
+    and infinities fail the range test."""
     values = _numbers(values, name)
     for v in values:
         if not 0.0 <= v <= hi:
             raise ConfigError(f"{name} must lie in [0, {hi:.6g}], got {v}")
-    if list(values) != sorted(values):
+    if not ascending(values):
         raise ConfigError(f"{name} must be ascending")
     return values
 
 
 def _check_cells_on_axes(cells, spec: SweepSpec) -> None:
-    """Every cell's p and gamma must be among the header's values.
+    """Every cell's p and gamma must be among the header's values, and no
+    two cells may share them.
 
     Containment, not equality: a file may hold a subset of its sweep's cells.
     """
     gammas, ps = set(spec.gamma_values), set(spec.p_values)
+    seen: dict[tuple[float | None, float], int] = {}
     for i, cell in enumerate(cells):
         if cell.gamma not in gammas:
             raise ConfigError(f"cells[{i}].gamma {cell.gamma} is not among gamma_values")
         if cell.p is not None and cell.p not in ps:
             raise ConfigError(f"cells[{i}].p {cell.p} is not among p_values")
+        first = seen.setdefault((cell.p, cell.gamma), i)
+        if first != i:
+            raise ConfigError(f"cells[{i}] repeats the (p, gamma) of cells[{first}]")
 
 
 @dataclass(frozen=True)

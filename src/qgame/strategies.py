@@ -1,4 +1,4 @@
-"""Discretized strategy spaces and Pauli labeling.
+"""Discretized strategy spaces.
 
 A grid is defined by step sizes (d_theta, d_phi, d_alpha) that divide
 their ranges exactly: theta runs over [0, pi] inclusive, phi and alpha
@@ -9,6 +9,9 @@ its own matrix.  Exact duplicate matrices are thereby removed, NOT
 duplicates up to global phase: strategies differing only by a global
 phase are payoff equivalent but count as distinct grid points, which is
 what makes the coarse grid have 8 members and the pi/8 grid 1824.
+
+A pole code is a Pauli matrix up to a unimodular factor exactly when its
+free phase is a whole number of quarter turns (``equilibrium``).
 """
 
 from __future__ import annotations
@@ -20,13 +23,6 @@ from functools import cached_property
 import numpy as np
 
 from .circuits import TAU, strategy_unitaries
-
-_PAULIS = (
-    ("I", np.eye(2, dtype=complex)),
-    ("X", np.array([[0, 1], [1, 0]], dtype=complex)),
-    ("Y", np.array([[0, -1j], [1j, 0]], dtype=complex)),
-    ("Z", np.array([[1, 0], [0, -1]], dtype=complex)),
-)
 
 _DIVIDES_TOL = 1e-12
 _ANGLE_SNAP = 1e-9
@@ -113,20 +109,6 @@ class StrategySet:
         return len(self.codes)
 
     @cached_property
-    def free_phases(self) -> tuple[float | None, ...]:
-        """Per index, the free phase (phi at theta = 0, alpha at pi), else None."""
-        n_theta = self.steps.n_theta
-        return tuple(
-            phi if t == 0 else alpha if t == n_theta else None
-            for t, (_, phi, alpha) in zip(self.codes[:, 0].tolist(), self.angles.tolist())
-        )
-
-    @cached_property
-    def thetas9(self) -> np.ndarray:
-        """Per index, theta rounded to 9 places, as class keys compare it."""
-        return np.array([round(theta, 9) for theta in self.angles[:, 0].tolist()])
-
-    @cached_property
     def gauge_shift(self) -> np.ndarray:
         """``shift[k, i]``, the index of ``U_i diag(e^{-ik chi}, e^{ik chi})``.
 
@@ -154,19 +136,6 @@ class StrategySet:
         and the member profiles' bytes."""
         return {}
 
-    @cached_property
-    def pauli_names(self) -> tuple[str | None, ...]:
-        """Per index, the Pauli matrix the unitary is a unimodular multiple of, else None.
-
-        Only theta = 0 or pi can give one: in between, all four entries
-        of the unitary are nonzero.
-        """
-        labels = (
-            None if g is None else pauli_label(u)
-            for u, g in zip(self.unitaries, self.free_phases)
-        )
-        return tuple(None if label is None else label[0] for label in labels)
-
 
 def wrap_angle(value: float) -> float:
     """Reduce an angle to [0, 2*pi), snapping values within 1e-9 of 2*pi to 0."""
@@ -190,16 +159,3 @@ def enumerate_strategies(steps: GridSteps) -> StrategySet:
     angles = codes * (steps.d_theta, steps.d_phi, steps.d_alpha)
     angles[codes[:, 0] == steps.n_theta, 0] = math.pi
     return StrategySet(steps, codes, angles, strategy_unitaries(*angles.T))
-
-
-def pauli_label(u: np.ndarray, tol: float = 1e-10) -> tuple[str, complex] | None:
-    """Express ``u`` as c * P for a Pauli matrix P and unimodular c, if possible."""
-    u = np.asarray(u, dtype=complex)
-    for name, pauli in _PAULIS:
-        idx = np.unravel_index(np.argmax(np.abs(pauli)), pauli.shape)
-        c = u[idx] / pauli[idx]
-        if abs(abs(c) - 1.0) > tol:
-            continue
-        if np.max(np.abs(u - c * pauli)) <= tol:
-            return name, complex(c)
-    return None

@@ -80,6 +80,11 @@ def gamma_grid(step: float = DEFAULT_STEP) -> tuple[float, ...]:
     return value_grid(math.pi / 2.0, step)
 
 
+def ascending(values: tuple[float, ...]) -> bool:
+    """Whether ``values`` strictly ascend, so no value repeats."""
+    return all(a < b for a, b in zip(values, values[1:]))
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     game: BayesianGame | TwoPlayerGame
@@ -90,13 +95,13 @@ class SweepSpec:
 
     def __post_init__(self):
         check_eps_tie(self.eps_tie)
-        if not self.gamma_values or list(self.gamma_values) != sorted(self.gamma_values):
+        if not self.gamma_values or not ascending(self.gamma_values):
             raise ValueError("gamma_values must be non-empty and ascending")
         if isinstance(self.game, BayesianGame):
-            if not self.p_values or list(self.p_values) != sorted(self.p_values):
-                raise ValueError("p_values must be non-empty and ascending")
             for p in self.p_values:
                 check_probability(p)
+            if not self.p_values or not ascending(self.p_values):
+                raise ValueError("p_values must be non-empty and ascending")
 
 
 @dataclass(frozen=True)

@@ -23,15 +23,27 @@ from qgame.strategies import DEFAULT_GRID, GridSteps, enumerate_strategies, wrap
 from qgame.sweep import gamma_grid, p_grid
 
 from conftest import cells_of
+from test_strategies import reference_pauli_label
 
 PI = math.pi
 
 
-def reference_facts(members: list[EquilibriumRecord], sset) -> tuple:
+def reference_strategy_facts(sset) -> tuple[list, list]:
+    """Each strategy's free phase and Pauli name from its angles and
+    unitary alone: the free phase is phi at theta = 0 and alpha at
+    theta = pi, and the name comes from matching the matrix."""
+    free = [
+        phi if theta == 0.0 else alpha if theta == PI else None
+        for theta, phi, alpha in sset.angles.tolist()
+    ]
+    labels = map(reference_pauli_label, sset.unitaries)
+    return free, [None if label is None else label[0] for label in labels]
+
+
+def reference_facts(members: list[EquilibriumRecord], free, names) -> tuple:
     """Phase sums and differences against A, and the operator label."""
     rep = members[0]
     others = ("B",) if len(rep.profile) == 2 else ("B1", "B2")
-    free, names = sset.free_phases, sset.pauli_names
     sums, diffs = {}, {}
     for k, other in enumerate(others, start=1):
         phases = {(free[rec.profile[0]], free[rec.profile[k]]) for rec in members}
@@ -49,6 +61,7 @@ def reference_classify(records: list[EquilibriumRecord], sset) -> list[tuple]:
     """One cell's classes as (thetas, payoffs in ``float.hex``, member
     profiles, phase sums, phase differences, label), grouped in dicts."""
     theta = sset.angles[:, 0].tolist()
+    free, names = reference_strategy_facts(sset)
     groups = {}
     for rec in sorted(records, key=lambda r: r.profile):
         thetas = tuple(round(theta[i], 9) for i in rec.profile)
@@ -60,7 +73,7 @@ def reference_classify(records: list[EquilibriumRecord], sset) -> list[tuple]:
         theta_profile = tuple(theta[i] for i in members[0].profile)
         payoffs = tuple(map(float.hex, members[0].payoffs))
         profiles = [rec.profile for rec in members]
-        classes.append((theta_profile, payoffs, profiles) + reference_facts(members, sset))
+        classes.append((theta_profile, payoffs, profiles) + reference_facts(members, free, names))
     return classes
 
 
@@ -106,6 +119,19 @@ class TestAgainstPerCellClassify:
         records = find_ne_bayesian_row(tables, p_grid())
         assert len(records) > 0
         assert sum(assert_row_matches_reference(records, pi8)) > 0
+
+    @pytest.mark.parametrize(
+        "steps",
+        [GridSteps(PI / 2, PI / 3, PI / 4), GridSteps(PI, 2 * PI / 12, 2 * PI / 8)],
+        ids=["phi6-alpha8", "phi12-alpha8"],
+    )
+    def test_rows_of_grids_with_unequal_phase_steps(self, steps):
+        sset = enumerate_strategies(steps)
+        counts = []
+        for gamma in gamma_grid(0.25):
+            tables = bayesian_tables(builtin_bayesian(), gamma, sset)
+            counts += assert_row_matches_reference(find_ne_bayesian_row(tables, p_grid(0.1)), sset)
+        assert sum(counts) > 0
 
     def test_members_are_records_of_python_ints(self, grid8):
         tables = bayesian_tables(builtin_bayesian(), 0.3, grid8)

@@ -290,6 +290,24 @@ class TestResultFiles:
         assert main(["verify", "--in", str(out)]) == 3
         assert "2 stored classes differ" in capsys.readouterr().err
 
+    def test_verify_command_flags_a_repeated_member(self, tmp_path, capsys):
+        # Every copy passes on its own and the class re-derives with both.
+        out = tmp_path / "solve.json"
+        main(["solve", "--game", "bayesian", "--p", "0.9", "--gamma", "0.3", "--out", str(out)])
+        data = json.loads(out.read_text(encoding="utf-8"))
+        members = data["cells"][0]["classes"][0]["members"]
+        assert len(members) == 16
+        members.insert(1, members[0])
+        out.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["verify", "--in", str(out)]) == 3
+        err = capsys.readouterr().err
+        cls = load_result(str(out)).result.cells[0].classes[0]
+        assert err.splitlines() == [
+            f"FAIL p=0.9 gamma=0.3 class={class_id(cls)} repeats profile={tuple(members[0])}",
+            "1 stored profiles repeat within their cell",
+        ]
+
     def test_verify_command_flags_zeroed_payoffs(self, tmp_path, capsys):
         out = tmp_path / "solve.json"
         main(["solve", "--game", "bayesian", "--p", "0.9", "--gamma", "0.3", "--out", str(out)])
@@ -668,9 +686,11 @@ class TestLoadResultErrors:
             (lambda d: d.update(gamma_values=[-0.1, 0.3]), "gamma_values must lie"),
             (lambda d: d.update(gamma_values=[float("inf")]), "gamma_values must lie"),
             (lambda d: d.update(p_values=[0.9, 0.5]), "p_values must be ascending"),
+            (lambda d: d.update(p_values=[0.9, 0.9]), "p_values must be ascending"),
             (lambda d: d.update(p_values=0.9), "p_values must be a list"),
             (lambda d: d.update(p_values=[0.5]), r"cells\[0\]\.p 0\.9 is not among p_values"),
             (lambda d: d.update(gamma_values=[0.2]), r"cells\[0\]\.gamma 0\.3 is not among"),
+            (lambda d: d.update(cells=d["cells"] * 2), r"cells\[1\] repeats .* of cells\[0\]"),
         ],
         ids=[
             "both-out-of-range",
@@ -679,9 +699,11 @@ class TestLoadResultErrors:
             "negative-gamma",
             "infinite-gamma",
             "descending-p",
+            "repeated-p",
             "p-not-a-list",
             "cell-p-missing-from-header",
             "cell-gamma-missing-from-header",
+            "repeated-cell",
         ],
     )
     def test_bad_header_axis_is_config_error(self, tmp_path, capsys, edit, message):

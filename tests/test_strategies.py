@@ -5,19 +5,39 @@ import numpy as np
 import pytest
 
 from qgame.circuits import StrategyParams, strategy_unitary
-from qgame.equilibrium import two_player_tables
+from qgame.equilibrium import _class_facts, two_player_tables
 from qgame.games import builtin_pd
 from qgame.strategies import (
     DEFAULT_GRID,
     GridSteps,
     enumerate_strategies,
-    pauli_label,
     wrap_angle,
 )
 
 from conftest import is_unitary
 
 PI = math.pi
+
+PAULIS = (
+    ("I", np.eye(2, dtype=complex)),
+    ("X", np.array([[0, 1], [1, 0]], dtype=complex)),
+    ("Y", np.array([[0, -1j], [1j, 0]], dtype=complex)),
+    ("Z", np.array([[1, 0], [0, -1]], dtype=complex)),
+)
+
+
+def reference_pauli_label(u: np.ndarray, tol: float = 1e-10) -> tuple[str, complex] | None:
+    """Express ``u`` as c * P for a Pauli matrix P and unimodular c, if
+    possible, by matching the matrix entries within ``tol``."""
+    u = np.asarray(u, dtype=complex)
+    for name, pauli in PAULIS:
+        idx = np.unravel_index(np.argmax(np.abs(pauli)), pauli.shape)
+        c = u[idx] / pauli[idx]
+        if abs(abs(c) - 1.0) > tol:
+            continue
+        if np.max(np.abs(u - c * pauli)) <= tol:
+            return name, complex(c)
+    return None
 
 
 class TestGridSteps:
@@ -101,7 +121,7 @@ class TestEnumerate:
         sset = enumerate_strategies(DEFAULT_GRID)
         by_symbol = {}
         for u in sset.unitaries:
-            label = pauli_label(u)
+            label = reference_pauli_label(u)
             assert label is not None
             by_symbol.setdefault(label[0], []).append(u)
         assert sorted(by_symbol) == ["I", "X", "Y", "Z"]
@@ -137,8 +157,8 @@ def reference_canonical(theta: float, phi: float, alpha: float) -> StrategyParam
 
 def reference_enumeration(steps: GridSteps):
     """The grid built from float angles, deduplicated on their values
-    rounded to 12 places: its angles, one ``reference_unitary`` per
-    strategy, free phases and thetas rounded to 9 places."""
+    rounded to 12 places: its angles and one ``reference_unitary`` per
+    strategy."""
     seen = {}
     for i in range(steps.n_theta + 1):
         theta = PI if i == steps.n_theta else i * steps.d_theta
@@ -148,14 +168,9 @@ def reference_enumeration(steps: GridSteps):
                 key = (round(s.theta, 12), round(s.phi, 12), round(s.alpha, 12))
                 seen.setdefault(key, s)
     params = [seen[key] for key in sorted(seen)]
-    free = tuple(
-        s.phi if s.theta == 0.0 else s.alpha if s.theta == PI else None for s in params
-    )
     return (
         np.array([(s.theta, s.phi, s.alpha) for s in params]),
         np.stack([reference_unitary(s) for s in params]),
-        free,
-        np.array([round(s.theta, 9) for s in params]),
     )
 
 
@@ -173,15 +188,13 @@ class TestEnumerateBitForBit:
     )
     def test_matches_one_unitary_per_strategy(self, steps, count):
         sset = enumerate_strategies(steps)
-        angles, unitaries, free, thetas9 = reference_enumeration(steps)
+        angles, unitaries = reference_enumeration(steps)
         assert len(sset) == count
         assert sset.codes.shape == (count, 3)
         assert sset.angles.dtype == angles.dtype
         assert sset.angles.tobytes() == angles.tobytes()
         assert sset.unitaries.dtype == unitaries.dtype
         assert sset.unitaries.tobytes() == unitaries.tobytes()
-        assert sset.free_phases == free
-        assert sset.thetas9.tobytes() == thetas9.tobytes()
 
     def test_one_strategy_matches_reference_off_grid(self):
         rng = np.random.default_rng(7)
@@ -216,33 +229,50 @@ class TestEnumerateBitForBit:
 
 class TestPauliLabel:
     def test_x_variant(self):
-        sym, phase = pauli_label(np.array([[0, 1j], [1j, 0]]))
+        sym, phase = reference_pauli_label(np.array([[0, 1j], [1j, 0]]))
         assert sym == "X"
         assert phase == pytest.approx(1j, abs=1e-12)
 
     def test_z_variant(self):
-        sym, phase = pauli_label(np.diag([-1j, 1j]))
+        sym, phase = reference_pauli_label(np.diag([-1j, 1j]))
         assert sym == "Z"
         assert phase == pytest.approx(-1j, abs=1e-12)
 
     def test_generic_rotation_has_no_label(self):
-        assert pauli_label(strategy_unitary(StrategyParams(PI / 2, 0.0, 0.0))) is None
+        assert reference_pauli_label(strategy_unitary(StrategyParams(PI / 2, 0.0, 0.0))) is None
+
+
+def code_rule_names(sset) -> list[str | None]:
+    """Each strategy's Pauli name by the code rule, read off the operator
+    label that ``_class_facts`` gives the one-member class (i, i)."""
+    labels = (_class_facts(np.array([[i, i]]), sset)[3] for i in range(len(sset)))
+    return [None if label is None else label.split("⊗")[0] for label in labels]
+
+
+def oracle_names(sset) -> list[str | None]:
+    labels = map(reference_pauli_label, sset.unitaries)
+    return [None if label is None else label[0] for label in labels]
+
+
+PHASE_COUNTS = (1, 2, 3, 4, 6, 7, 8, 12, 16)
 
 
 class TestPerIndexFacts:
     def test_match_direct_computation_on_24_grid(self):
         sset = enumerate_strategies(GridSteps(PI / 2, PI / 2, PI / 2))
-        for (theta, phi, alpha), u, phase, name in zip(
-            sset.angles.tolist(), sset.unitaries, sset.free_phases, sset.pauli_names
-        ):
-            label = pauli_label(u)
-            assert name == (label[0] if label else None)
-            if theta == 0.0:
-                assert phase == phi
-            elif theta == PI:
-                assert phase == alpha
-            else:
-                assert phase is None and name is None
+        names = code_rule_names(sset)
+        assert names == oracle_names(sset)
+        for (theta, _, _), name in zip(sset.angles.tolist(), names):
+            assert (name is None) == (theta not in (0.0, PI))
+
+    @pytest.mark.parametrize("n_phi", PHASE_COUNTS)
+    def test_quarter_turn_rule_matches_matrix_matching(self, n_phi):
+        # Every strategy of the grids with n_phi phi steps and each alpha
+        # step count: a pole code is named exactly when the float matcher
+        # finds a Pauli matrix, and by the same name.
+        for n_alpha in PHASE_COUNTS:
+            sset = enumerate_strategies(GridSteps(PI / 2, 2 * PI / n_phi, 2 * PI / n_alpha))
+            assert code_rule_names(sset) == oracle_names(sset), (n_phi, n_alpha)
 
 
 # Grids for the gauge map: the default 8, 24 and 1824 strategies, and one

@@ -195,10 +195,22 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="eps_tie"):
             SweepSpec(builtin_pd(), gamma_grid(), eps_tie=eps)
 
-    @pytest.mark.parametrize("p_values", [(0.5, 1.2), (-0.1, 0.5), (float("nan"),)])
+    @pytest.mark.parametrize(
+        "p_values", [(0.5, 1.2), (-0.1, 0.5), (float("nan"),), (0.5, float("nan"))]
+    )
     def test_probability_outside_unit_interval_rejected(self, p_values):
         with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
             SweepSpec(builtin_bayesian(), gamma_grid(), p_values)
+
+    @pytest.mark.parametrize(
+        "gamma_values,p_values,axis",
+        [((0.3, 0.3), (0.5,), "gamma_values"), ((0.3,), (0.5, 0.5), "p_values")],
+        ids=["gamma", "p"],
+    )
+    def test_repeated_value_rejected(self, gamma_values, p_values, axis):
+        # A repeated value would sweep one (p, gamma) point as two cells.
+        with pytest.raises(ValueError, match=f"{axis} must be non-empty and ascending"):
+            SweepSpec(builtin_bayesian(), gamma_values, p_values)
 
 
 class TestSummarizeRegions:
