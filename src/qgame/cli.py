@@ -10,6 +10,7 @@ like ``pi/8`` or ``3pi/2``.  Exit codes: 0 success, 1 argument error,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -101,7 +102,10 @@ def _add_out_flags(sub, default_format=None):
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args``
+    fills a fresh namespace on every call, so calls share no values."""
     parser = _Parser(prog="qgame", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 

@@ -47,7 +47,7 @@ from .circuits import (
     payoff_expectation,
 )
 from .games import BayesianGame, TwoPlayerGame, check_probability
-from .strategies import StrategySet, wrap_angle
+from .strategies import StrategySet, wrap_angles
 
 DEFAULT_EPS_TIE = 1e-9
 
@@ -655,33 +655,104 @@ def verify_ne(
     return verify_records(RecordSet.of([record]), game, gamma, sset, eps_tie, p)[0]
 
 
-def _offset(phase: float) -> float:
-    return round(wrap_angle(phase), 9)
+# ``_round9`` scales by 1e9 and rounds to a whole number in float64.
+# Below ``_ROUND9_LIMIT`` the product is off the exact scaled value by at
+# most 2**-14, half its spacing there, so a product farther than
+# ``_ROUND9_TIE`` from a half-way point rounds as the exact value does.
+_ROUND9_LIMIT = 2.0**40
+_ROUND9_TIE = 2.0**-12
 
 
-def _class_facts(members: np.ndarray, sset: StrategySet) -> tuple:
-    """A class's theta-profile, phase sums and differences, and operator
-    label, read off its member profiles' codes (module docstring)."""
-    steps = sset.steps
-    t, f, a = np.moveaxis(sset.codes[members], 2, 0)
+def _round9(x: np.ndarray) -> np.ndarray:
+    """``round(v, 9)`` of every entry of a float array, bit for bit.
+
+    Python rounds the exact decimal value v * 10**9 to a whole number,
+    half to even, and returns the double nearest that number over 10**9.
+    ``rint(v * 1e9) / 1e9`` does the same wherever the product is below
+    ``_ROUND9_LIMIT`` and farther than ``_ROUND9_TIE`` from a half-way
+    point: the whole number is then Python's, and the division is
+    correctly rounded.  The other entries (near-ties, large values, NaN
+    and the infinities) take ``round`` itself.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # huge or infinite: not clear
+        y = x * 1e9
+        r = np.rint(y)
+        clear = np.abs(y - r) < 0.5 - _ROUND9_TIE
+    out = r / 1e9
+    clear &= np.abs(y) < _ROUND9_LIMIT
+    rest = np.flatnonzero(~clear)
+    if len(rest):
+        out.flat[rest] = [round(v, 9) for v in x.flat[rest].tolist()]
+    return out
+
+
+def _facts_of_classes(members: np.ndarray, starts: np.ndarray, sset: StrategySet) -> list:
+    """The facts of the classes whose members are the runs of ``members``
+    beginning at ``starts``, each run one class whose members share their
+    theta codes: per class its theta-profile, phase sums and differences,
+    and operator label, read off the codes (module docstring).
+
+    One array pass serves every class.  The offsets of all classes and
+    pairs come from their distinct (class, pair, A's strategy, k's
+    strategy) codes, each ``round(wrap_angle(g_A +- g_k), 9)`` in array
+    form, and are deduplicated and sorted per class and pair by one
+    ``lexsort``.
+    """
+    steps, n, n_classes = sset.steps, len(sset), len(starts)
+    others = ("B",) if members.shape[1] == 2 else ("B1", "B2")
+    # Per strategy: on a pole, free phase a whole number of quarter turns,
+    # its Pauli index (pole, then quarter-turn parity: theta = 0 gives +-I
+    # or +-iZ, pi +-iY or +-iX) and its free phase.
+    t, f, a = sset.codes.T
     top = t == steps.n_theta
-    pole = top | (t == 0)
     turns4, size = 4 * np.where(top, a, f), np.where(top, steps.n_alpha, steps.n_phi)
-    free = np.where(top, sset.angles[members, 2], sset.angles[members, 1]).tolist()
-    rep = members[0].tolist()
-    phase_sums: dict[str, tuple[float, ...]] = {}
-    phase_diffs: dict[str, tuple[float, ...]] = {}
-    for k, other in enumerate(("B",) if len(rep) == 2 else ("B1", "B2"), start=1):
-        if pole[:, [0, k]].all():
-            phases = {(row[0], row[k]) for row in free}
-            phase_sums[f"A-{other}"] = tuple(sorted({_offset(g + h) for g, h in phases}))
-            phase_diffs[f"A-{other}"] = tuple(sorted({_offset(h - g) for g, h in phases}))
-
-    label = None
-    if (pole & (turns4 % size == 0)).all():
-        # Pole, then quarter-turn parity: theta = 0 gives +-I or +-iZ, pi +-iY or +-iX.
-        label = "⊗".join("IZYX"[i] for i in (2 * top + turns4 // size % 2)[0].tolist())
-    return tuple(sset.angles[rep, 0].tolist()), phase_sums, phase_diffs, label
+    on_pole, quarter, pauli = top | (t == 0), turns4 % size == 0, 2 * top + turns4 // size % 2
+    free = np.where(top, sset.angles[:, 2], sset.angles[:, 1])
+    reps = members[starts]
+    pole = on_pole[reps]
+    owner = np.repeat(np.arange(n_classes), np.append(starts[1:], len(members)) - starts)
+    named = pole.all(axis=1)
+    rows = np.flatnonzero(named[owner])
+    named[owner[rows[~quarter[members[rows]].all(axis=1)]]] = False
+    labels = [
+        "⊗".join("IZYX"[i] for i in row) if ok else None
+        for ok, row in zip(named.tolist(), pauli[reps].tolist())
+    ]
+    maps: tuple[list[dict], list[dict]] = ([{} for _ in starts], [{} for _ in starts])
+    # Rows of the (class, pair) runs whose two players both sit on a pole.
+    both = pole[:, :1] & pole[:, 1:]
+    rows = np.flatnonzero(both.any(axis=1)[owner])
+    row, pair = np.nonzero(both[owner[rows]])
+    row = rows[row]
+    if len(row):
+        slot = pair * n_classes + owner[row]
+        # Distinct codes by the stable sort lexsort uses too: numpy's default
+        # sort and a bare np.unique each add 0.25-1.5 MB of resident memory
+        # (their own code and tables) on first call.
+        codes = (slot * n + members[row, 0]) * n + members[row, 1 + pair]
+        codes = codes[np.argsort(codes, kind="stable")]
+        codes = codes[np.concatenate([[True], codes[1:] != codes[:-1]])]
+        slot, code = np.divmod(codes, n * n)
+        g, h = free[np.stack(np.divmod(code, n))]
+        # One int per (kind, pair, class), kind 0 the sums and 1 the differences.
+        group = np.concatenate([slot, slot + len(others) * n_classes])
+        offsets = _round9(wrap_angles(np.concatenate([g + h, h - g])))
+        order = np.lexsort((offsets, group))
+        group, offsets = group[order], offsets[order]
+        fresh = np.ones(len(order), dtype=bool)
+        fresh[1:] = (group[1:] != group[:-1]) | (offsets[1:] != offsets[:-1])
+        group, offsets = group[fresh], offsets[fresh].tolist()
+        runs = np.flatnonzero(np.concatenate([[True], group[1:] != group[:-1]]))
+        bounds = runs.tolist() + [len(group)]
+        for key, lo, hi in zip(group[runs].tolist(), bounds, bounds[1:]):
+            kind, key = divmod(key, len(others) * n_classes)
+            k, c = divmod(key, n_classes)
+            maps[kind][c][f"A-{others[k]}"] = tuple(offsets[lo:hi])
+    thetas = sset.angles[members[starts], 0].tolist()
+    return [
+        (tuple(theta), sums, diffs, label)
+        for theta, sums, diffs, label in zip(thetas, *maps, labels)
+    ]
 
 
 def classify(records: RecordSet, sset: StrategySet) -> list[tuple[EquilibriumClass, ...]]:
@@ -692,59 +763,67 @@ def classify(records: RecordSet, sset: StrategySet) -> list[tuple[EquilibriumCla
     payoffs rounded to 9 places (theta steps are at least pi/16384, so
     the codes sort and tie as thetas rounded to 9 places would); a cell's
     classes come in key order, and each class's members in profile order.
-    One ``lexsort`` over every cell puts the records in (cell, key,
-    profile) order, so each class is a run of it.  Payoffs are rounded
-    with ``round(x, 9)`` once per distinct payoff row, and ranked by the
-    rounded values.  Within a class, phase sum/difference offsets against
-    player A are collected per pair; a pair is reported only when both
-    players' theta values pin a single free phase.  The class's payoffs
-    and operator label come from its first member.
+    Every payoff is rounded at once by ``_round9``, bit for bit as
+    ``round(x, 9)``, and one ``lexsort`` over every cell on the cell, the
+    theta codes, the rounded payoffs and the profile puts the records in
+    (cell, key, profile) order, so each class is a run of it.  Within a
+    class, phase sum/difference offsets against player A are collected
+    per pair; a pair is reported only when both players' theta values pin
+    a single free phase.  The class's payoffs and operator label come
+    from its first member.
 
     These facts depend only on a class's member profiles and ``sset``,
     which keeps them (``StrategySet.class_facts``, keyed by the player
     count and the members array's bytes), so a class that recurs across
-    the cells of a sweep is described once.  They live as long as
-    ``sset``, one entry per distinct set of member profiles.  Each
-    returned class gets its own phase dicts.
+    the cells of a sweep is described once.  The facts of the member sets
+    it does not yet hold are computed together, in one array pass
+    (``_facts_of_classes``).  They live as long as ``sset``, one entry
+    per distinct set of member profiles.  Each returned class gets its
+    own phase dicts.
     """
     cells: list[list[EquilibriumClass]] = [[] for _ in range(records.n_cells)]
     if len(records):
         profiles = np.asarray(records.profiles, dtype=np.int64)
+        # Profiles and their theta codes as one int each, in the same order;
+        # n and n_theta + 1 are at most MAX_STRATEGIES = 2**14, so both fit.
         thetas = sset.codes[profiles, 0]
-        # Rank each record's rounded payoffs, rounding each distinct row once.
-        by_payoffs = np.lexsort(records.payoffs.T[::-1])
-        sorted_payoffs = records.payoffs[by_payoffs]
-        step = np.ones(len(records), dtype=bool)
-        step[1:] = (sorted_payoffs[1:] != sorted_payoffs[:-1]).any(axis=1)
-        rounded = [tuple([round(x, 9) for x in row]) for row in sorted_payoffs[step].tolist()]
-        rank = {key: r for r, key in enumerate(sorted(set(rounded)))}
-        pay_rank = np.empty(len(records), dtype=np.int64)
-        pay_rank[by_payoffs] = np.array([rank[key] for key in rounded])[np.cumsum(step) - 1]
-        order = np.lexsort((*profiles.T[::-1], pay_rank, *thetas.T[::-1], records.cell))
-        cell, thetas, pay_rank = records.cell[order], thetas[order], pay_rank[order]
+        theta_key, profile_key = thetas[:, 0], profiles[:, 0]
+        n, rungs = len(sset), sset.steps.n_theta + 1
+        for k in range(1, profiles.shape[1]):
+            theta_key = theta_key * rungs + thetas[:, k]
+            profile_key = profile_key * n + profiles[:, k]
+        payoffs = _round9(records.payoffs)
+        order = np.lexsort((profile_key, *payoffs.T[::-1], theta_key, records.cell))
+        cell, theta_key, payoffs = records.cell[order], theta_key[order], payoffs[order]
         profiles = profiles[order]
         new = np.ones(len(order), dtype=bool)
         new[1:] = (
             (cell[1:] != cell[:-1])
-            | (thetas[1:] != thetas[:-1]).any(axis=1)
-            | (pay_rank[1:] != pay_rank[:-1])
+            | (theta_key[1:] != theta_key[:-1])
+            | (payoffs[1:] != payoffs[:-1]).any(axis=1)
         )
         starts = np.flatnonzero(new)
         ends = np.append(starts[1:], len(order))
-        first = records.payoffs[order[starts]].tolist()
+        bounds = list(zip(starts.tolist(), ends.tolist()))
         facts, players = sset.class_facts, profiles.shape[1]
-        for c, lo, hi, payoffs in zip(cell[starts].tolist(), starts.tolist(), ends.tolist(), first):
-            members = profiles[lo:hi]
-            key = (players, members.tobytes())
-            fact = facts.get(key)
-            if fact is None:
-                fact = facts[key] = _class_facts(members, sset)
-            theta_profile, phase_sums, phase_diffs, label = fact
+        keys = [(players, profiles[lo:hi].tobytes()) for lo, hi in bounds]
+        unknown: dict[tuple, int] = {}
+        for i, key in enumerate(keys):
+            if key not in facts:
+                unknown.setdefault(key, i)
+        if unknown:
+            runs = [bounds[i] for i in unknown.values()]
+            rows = np.concatenate([np.arange(lo, hi) for lo, hi in runs])
+            firsts = np.cumsum([0] + [hi - lo for lo, hi in runs[:-1]])
+            facts.update(zip(unknown, _facts_of_classes(profiles[rows], firsts, sset)))
+        first = records.payoffs[order[starts]].tolist()
+        for c, (lo, hi), key, row in zip(cell[starts].tolist(), bounds, keys, first):
+            theta_profile, phase_sums, phase_diffs, label = facts[key]
             cells[c].append(
                 EquilibriumClass(
                     theta_profile=theta_profile,
-                    payoffs=tuple(payoffs),
-                    profiles=members,
+                    payoffs=tuple(row),
+                    profiles=profiles[lo:hi],
                     phase_sums=dict(phase_sums),
                     phase_diffs=dict(phase_diffs),
                     operator_label=label,

@@ -344,17 +344,19 @@ def _csv_text(rows: list[list[str]]) -> str:
 
 # The JSON writer's pieces.  In the indent-1 layout a line at depth d
 # starts with d spaces, ``_INDENT[d]``: cells sit at depth 2, classes at
-# 4, a class's fields at 5 and their items at 6.
+# 4, a class's fields at 5 and their items at 6.  A class is written as
+# its facts' head, its payoffs, its facts' tail and its members.
 _INDENT = tuple(" " * depth for depth in range(8))
 _encode_str = json.encoder.encode_basestring
-_CLASS_TEMPLATE = """{
+_CLASS_HEAD = """{
      "theta": %s,
-     "payoffs": %s,
+     "payoffs": """
+_CLASS_TAIL = """,
      "operator_label": %s,
      "phase_sums": %s,
      "phase_diffs": %s,
-     "members": %s
-    }"""
+     "members": """
+_CLASS_END = "\n    }"
 
 
 def _number_text(x) -> str:
@@ -396,21 +398,44 @@ def _members_text(profiles: np.ndarray) -> str:
     return template % tuple(profiles.ravel().tolist())
 
 
-def _class_text(cls: EquilibriumClass) -> str:
+def _facts_text(cls: EquilibriumClass) -> tuple[str, str]:
+    """A class's head (its theta-profile) and tail (label and phase maps)."""
     label = cls.operator_label
-    return _CLASS_TEMPLATE % (
-        _list_text([_number_text(float(t)) for t in cls.theta_profile], _INDENT[6]),
-        _list_text([_number_text(float(x)) for x in cls.payoffs], _INDENT[6]),
-        "null" if label is None else _encode_str(label),
-        _phase_map_text(cls.phase_sums),
-        _phase_map_text(cls.phase_diffs),
-        _members_text(cls.profiles),
+    return (
+        _CLASS_HEAD % _list_text([_number_text(float(t)) for t in cls.theta_profile], _INDENT[6]),
+        _CLASS_TAIL
+        % (
+            "null" if label is None else _encode_str(label),
+            _phase_map_text(cls.phase_sums),
+            _phase_map_text(cls.phase_diffs),
+        ),
     )
 
 
-def _cell_text(cell: CellResult) -> str:
+def _class_text(cls: EquilibriumClass, memo: dict) -> str:
+    """A class's block, its payoffs rendered here and the rest through
+    ``memo``, which holds what this writer call has rendered so far.
+
+    A fact block is keyed by the ``repr`` of its values as they are
+    written: the thetas as floats and each phase list as a tuple of its
+    items (an array's repr would round and elide).  The ``repr`` tells
+    apart values that compare equal but are written apart (0.0 and -0.0,
+    1 and 1.0).  A members list is keyed by its array's dtype, shape and
+    bytes.  A str key never equals a tuple key.
+    """
+    phases = [[(k, tuple(v)) for k, v in m.items()] for m in (cls.phase_sums, cls.phase_diffs)]
+    key = repr((tuple(map(float, cls.theta_profile)), cls.operator_label, phases))
+    head, tail = memo.get(key) or memo.setdefault(key, _facts_text(cls))
+    profiles = cls.profiles
+    key = (profiles.dtype, profiles.shape, profiles.tobytes())
+    members = memo.get(key) or memo.setdefault(key, _members_text(profiles))
+    payoffs = _list_text([_number_text(float(x)) for x in cls.payoffs], _INDENT[6])
+    return f"{head}{payoffs}{tail}{members}{_CLASS_END}"
+
+
+def _cell_text(cell: CellResult, memo: dict) -> str:
     p = "" if cell.p is None else f'{_INDENT[3]}"p": {_number_text(cell.p)},\n'
-    classes = _list_text([_class_text(c) for c in cell.classes], _INDENT[4])
+    classes = _list_text([_class_text(c, memo) for c in cell.classes], _INDENT[4])
     return (
         f'{{\n{p}{_INDENT[3]}"gamma": {_number_text(cell.gamma)},\n'
         f'{_INDENT[3]}"classes": {classes}\n{_INDENT[2]}}}'
@@ -423,15 +448,20 @@ def _json_chunks(result: SweepResult, kind: str, circuit: str) -> Iterator[str]:
     The header goes through ``json.dumps``; the cells are written from
     the result's objects by the templates above, which must give exactly
     the bytes ``json.dumps(..., ensure_ascii=False, indent=1)`` would.
+    One memo serves the call, so each distinct fact block and members
+    list is rendered once however often its classes recur across cells;
+    each class's payoffs and each cell's p and gamma are rendered where
+    they stand.
     """
     header = json.dumps(_header_dict(result.spec, kind, circuit), ensure_ascii=False, indent=1)
     head = f'{header[:-2]},\n{_INDENT[1]}"cells": '
     if not result.cells:
         yield head + "[]\n}\n"
         return
+    memo: dict = {}
     separator = head + "[\n" + _INDENT[2]
     for cell in result.cells:
-        yield separator + _cell_text(cell)
+        yield separator + _cell_text(cell, memo)
         separator = ",\n" + _INDENT[2]
     yield f"\n{_INDENT[1]}]\n}}\n"
 

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from qgame import cli
 from qgame.cli import main, parse_angle
+from qgame.equilibrium import DEFAULT_EPS_TIE
 from qgame.games import builtin_bayesian, builtin_pd
 from qgame.serialize import (
     BAYESIAN_CSV_HEADER,
@@ -19,6 +21,8 @@ from qgame.serialize import (
     load_game,
     load_result,
 )
+from qgame.strategies import GridSteps
+from qgame.sweep import CellResult, SweepResult, gamma_grid, p_grid
 
 PI = math.pi
 
@@ -173,6 +177,50 @@ class TestToleranceAndWorkerFlags:
     def test_non_positive_jobs_is_argument_error(self, command, jobs, capsys):
         assert main(command + ["--jobs", jobs]) == 1
         assert "worker count must be at least 1" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    def test_calls_in_sequence_share_no_parsed_values(self, monkeypatch, capsys):
+        # One parser serves every main() call of the process; each call
+        # must still see only its own flags and the defaults.
+        runs = []
+
+        def recorded(spec, workers=None):
+            runs.append((spec, workers))
+            p = spec.p_values[0] if spec.p_values else None
+            return SweepResult(spec, (CellResult(p, spec.gamma_values[0], ()),))
+
+        monkeypatch.setattr(cli, "run_sweep", recorded)
+        assert cli.build_parser() is cli.build_parser()
+        commands = [
+            ["sweep", "--jobs", "2", "--gamma-step", "0.5", "--eps-tie", "1e-6"],
+            ["sweep"],
+            ["sweep", "--game", "pd", "--grid-phi", "pi/4"],
+            ["solve", "--game", "bayesian", "--gamma", "0.3", "--p", "0.9"],
+            ["solve", "--gamma", "0.3"],
+            ["sweep", "--p-step", "0.5"],
+        ]
+        for command in commands:
+            assert main(command) == 0, command
+        capsys.readouterr()
+        default_steps = GridSteps(PI, PI / 2, PI / 2)
+        want = [
+            (gamma_grid(0.5), p_grid(), default_steps, 1e-6, 2),
+            (gamma_grid(), p_grid(), default_steps, DEFAULT_EPS_TIE, 1),
+            (gamma_grid(), (), GridSteps(PI, PI / 4, PI / 2), DEFAULT_EPS_TIE, 1),
+            ((0.3,), (0.9,), default_steps, DEFAULT_EPS_TIE, None),
+            ((0.3,), (), default_steps, DEFAULT_EPS_TIE, None),
+            (gamma_grid(), p_grid(0.5), default_steps, DEFAULT_EPS_TIE, 1),
+        ]
+        got = [
+            (spec.gamma_values, spec.p_values, spec.steps, spec.eps_tie, workers)
+            for spec, workers in runs
+        ]
+        assert got == want
+        games = [type(spec.game).__name__ for spec, _ in runs]
+        assert games == ["BayesianGame", "BayesianGame", "TwoPlayerGame"] + [
+            "BayesianGame", "TwoPlayerGame", "BayesianGame"
+        ]
 
 
 class TestGameLoading:

@@ -97,10 +97,12 @@ def test_two_player_sweep_matches_json_dumps(game):
     assert result_to_json_text(result) == reference_json_text(result)
 
 
-def _class(label, phase_sums, phase_diffs, members):
+def _class(
+    label, phase_sums, phase_diffs, members, theta=(0.0, math.pi, 0.0), payoffs=(11.0, 10.0, 9.0)
+):
     return EquilibriumClass(
-        theta_profile=(0.0, math.pi, 0.0),
-        payoffs=(11.0, 10.0, 9.0),
+        theta_profile=theta,
+        payoffs=payoffs,
         profiles=np.array(members, dtype=np.int64).reshape(len(members), 3),
         phase_sums=phase_sums,
         phase_diffs=phase_diffs,
@@ -128,8 +130,86 @@ def _class(label, phase_sums, phase_diffs, members):
         ],
         [CellResult(0.5, 0.3, (_class("I", {"A-B1": (math.nan, math.inf, -math.inf)}, {}, []),))],
         [],
+        # Each pair below differs only where values compare equal but are
+        # written apart, so the writer's memo must not serve one for the other.
+        [
+            CellResult(0.0, 0.3, (_class(None, {}, {}, [(0, 5, 1)], theta=(0.0, 0.0, 0.0)),)),
+            CellResult(0.5, 0.3, (_class(None, {}, {}, [(0, 5, 1)], theta=(-0.0, 0.0, 0.0)),)),
+        ],
+        [
+            CellResult(
+                0.5,
+                0.3,
+                (
+                    _class(None, {"A-B1": (0.0, 1.5)}, {"A-B2": (0.0,)}, [(0, 5, 1)]),
+                    _class(None, {"A-B1": (-0.0, 1.5)}, {"A-B2": (0.0,)}, [(0, 5, 1)]),
+                    _class(None, {"A-B1": (0.0, 1.5)}, {"A-B2": (-0.0,)}, [(0, 5, 1)]),
+                    _class(None, {"A-B1": (0, 1.5)}, {"A-B2": (0.0,)}, [(0, 5, 1)]),
+                ),
+            )
+        ],
+        [
+            CellResult(
+                0.5,
+                0.3,
+                (
+                    _class("I", {}, {}, [(0, 5, 1)], payoffs=(0.0, 1.0, 2.0)),
+                    _class("I", {}, {}, [(0, 5, 1)], payoffs=(-0.0, 1.0, 2.0)),
+                ),
+            )
+        ],
+        [CellResult(0.0, 0.3, ()), CellResult(-0.0, 0.3, ())],
+        # Members arrays of one byte string but two shapes.
+        [
+            CellResult(
+                0.5,
+                0.3,
+                (
+                    _class(None, {}, {}, [(0, 5, 1), (2, 7, 3)]),
+                    EquilibriumClass(
+                        (0.0, math.pi, 0.0),
+                        (11.0, 10.0, 9.0),
+                        np.array([0, 5, 1, 2, 7, 3], dtype=np.int64).reshape(3, 2),
+                        {},
+                        {},
+                        None,
+                    ),
+                ),
+            )
+        ],
+        # Fact blocks held in arrays whose reprs would round alike.
+        [
+            CellResult(
+                0.5,
+                0.3,
+                (
+                    _class(None, {"A-B1": np.array([0.1234567891])}, {}, [(0, 5, 1)]),
+                    _class(None, {"A-B1": np.array([0.1234567892])}, {}, [(0, 5, 1)]),
+                    _class(None, {}, {}, [(0, 5, 1)], theta=np.array([0.1234567891, 0.0, 0.0])),
+                    _class(None, {}, {}, [(0, 5, 1)], theta=np.array([0.1234567892, 0.0, 0.0])),
+                ),
+            )
+        ],
+        # One members list and one fact block recurring across cells.
+        [
+            CellResult(p, 0.3, (_class("Z⊗X⊗Y", {"A-B1": (1.5,)}, {}, [(0, 4, 0), (1, 4, 1)]),))
+            for p in (0.0, 0.5)
+        ],
     ],
-    ids=["no-classes", "no-label-no-phases", "non-ascii-labels", "non-finite-phases", "no-cells"],
+    ids=[
+        "no-classes",
+        "no-label-no-phases",
+        "non-ascii-labels",
+        "non-finite-phases",
+        "no-cells",
+        "signed-zero-theta",
+        "signed-zero-or-int-phases",
+        "signed-zero-payoffs",
+        "signed-zero-p",
+        "same-bytes-other-shape",
+        "array-values",
+        "recurring-class",
+    ],
 )
 def test_hand_made_cells_match_json_dumps(cells):
     spec = SweepSpec(builtin_bayesian(), (0.0, 0.3), (0.0, 0.5))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qgame.circuits import StrategyParams, strategy_unitary
-from qgame.equilibrium import _class_facts, two_player_tables
+from qgame.equilibrium import _facts_of_classes, two_player_tables
 from qgame.games import builtin_pd
 from qgame.strategies import (
     DEFAULT_GRID,
@@ -244,8 +244,10 @@ class TestPauliLabel:
 
 def code_rule_names(sset) -> list[str | None]:
     """Each strategy's Pauli name by the code rule, read off the operator
-    label that ``_class_facts`` gives the one-member class (i, i)."""
-    labels = (_class_facts(np.array([[i, i]]), sset)[3] for i in range(len(sset)))
+    label that ``_facts_of_classes`` gives the one-member class (i, i), all
+    classes described in one batch."""
+    each = np.arange(len(sset))
+    labels = (fact[3] for fact in _facts_of_classes(np.stack([each, each], axis=1), each, sset))
     return [None if label is None else label.split("⊗")[0] for label in labels]
 
 

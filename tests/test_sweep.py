@@ -1,6 +1,7 @@
 import math
 import os
 
+import numpy as np
 import pytest
 
 from qgame.equilibrium import bayesian_tables, classify, find_ne_bayesian_row
@@ -302,13 +303,14 @@ class TestRowSharedClassFacts:
         from qgame import equilibrium
 
         calls = []
-        describe = equilibrium._class_facts
+        describe = equilibrium._facts_of_classes
 
-        def counted(members, sset):
-            calls.append(tuple(map(tuple, members.tolist())))
-            return describe(members, sset)
+        def counted(members, starts, sset):
+            for run in np.split(members, starts[1:]):
+                calls.append(tuple(map(tuple, run.tolist())))
+            return describe(members, starts, sset)
 
-        monkeypatch.setattr(equilibrium, "_class_facts", counted)
+        monkeypatch.setattr(equilibrium, "_facts_of_classes", counted)
         result = run_sweep(SweepSpec(builtin_bayesian(), (0.3, 1.2), p_grid()))
         per_row = {
             (cell.gamma, tuple(rec.profile for rec in cls.members))
