@@ -60,7 +60,7 @@ PAYOFF_TOL = 2e-9
 # Working-array bounds of the vectorized Bayesian NE search: candidate
 # triples per block of a, and float64 entries per block of A's columns
 # (small enough to stay in cache), a bound ``verify_records`` and the
-# sweep's table re-check share.
+# row's table re-check share.
 _TRIPLE_BLOCK = 1 << 20
 _COLUMN_BLOCK = 1 << 16
 
@@ -426,8 +426,19 @@ def find_ne_bayesian_row(tables: BayesianTables, p_values: Sequence[float]) -> R
     whose candidates times p values stay within ``_TRIPLE_BLOCK``.
     Records come back as one set for the row, cell i holding the
     records of ``p_values[i]`` in profile order.
+
+    The records are then re-checked against the tables (``_recheck``),
+    after the search's working arrays are freed; a record that is not
+    stable raises RuntimeError.
     """
     p_values = [check_probability(p) for p in p_values]
+    records = _search_row(tables, p_values)
+    _recheck(records, tables, p_values)
+    return records
+
+
+def _search_row(tables: BayesianTables, p_values: list[float]) -> RecordSet:
+    """``find_ne_bayesian_row``'s search, before its re-check."""
     ta1, ta2, eps_tie = tables.ta1, tables.ta2, float(tables.eps_tie)
     n = ta1.shape[0]
     a1, b1_of = np.divmod(tables.br1, n)
@@ -500,6 +511,50 @@ def find_ne_bayesian_row(tables: BayesianTables, p_values: Sequence[float]) -> R
     )
 
 
+def _recheck(records: RecordSet, tables: BayesianTables, p_values: Sequence[float]) -> None:
+    """Table-backed deviation re-check of every record of a gamma row.
+
+    Recomputes each record's deviation payoffs from the tables alone and
+    raises RuntimeError on the first record that is not stable.  A is
+    stable when its payoff is at least ``best - eps_tie``, with ``best``
+    its best deviation ``max_r p * T1[r, b1] + (1 - p) * T2[r, b2]`` and
+    the tables' ``eps_tie``.  The bound ``U`` of that expression at the
+    column maxima of both tables is at least ``best``, since correctly
+    rounded ``*`` by a non-negative factor and ``+`` are monotone, so a
+    record that reaches ``U - eps_tie`` is stable; only the others take
+    the full maximum, once per distinct (b1, b2) of each cell, in blocks
+    of pairs.  The column maxima are computed here, apart from the
+    search, once per distinct table.  Each B player is stable when its
+    (a, b) is in its best-response list.  All cells of the row are
+    checked together, read off the record arrays.
+    """
+    if not len(records):
+        return
+    ta1, ta2, eps_tie = tables.ta1, tables.ta2, float(tables.eps_tie)
+    n = ta1.shape[0]
+    p_cell = np.asarray(p_values, dtype=float)
+    cell = records.cell
+    p = p_cell[cell]
+    a, b1, b2 = records.profiles.T
+    top1 = ta1.max(axis=0)
+    top2 = top1 if ta2 is ta1 else ta2.max(axis=0)
+    pay = p * ta1[a, b1] + (1.0 - p) * ta2[a, b2]
+    ok = pay >= p * top1[b1] + (1.0 - p) * top2[b2] - eps_tie
+    rest = np.flatnonzero(~ok)
+    pairs, pair_of = np.unique((cell[rest] * n + b1[rest]) * n + b2[rest], return_inverse=True)
+    best = np.empty(len(pairs))
+    step = max(1, _COLUMN_BLOCK // n)
+    for start in range(0, len(pairs), step):
+        c, c1, c2 = np.unravel_index(pairs[start : start + step], (records.n_cells, n, n))
+        pc = p_cell[c]
+        best[start : start + step] = (pc * ta1[:, c1] + (1.0 - pc) * ta2[:, c2]).max(axis=0)
+    ok[rest] = pay[rest] >= best[pair_of] - eps_tie
+    ok &= np.isin(a * n + b1, tables.br1) & np.isin(a * n + b2, tables.br2)
+    if not ok.all():
+        profile = tuple(records.profiles[np.argmin(ok)].tolist())
+        raise RuntimeError(f"record {profile} failed deviation re-check")
+
+
 def find_ne_bayesian(
     game: BayesianGame,
     gamma: float,
@@ -509,7 +564,8 @@ def find_ne_bayesian(
 ) -> RecordSet:
     """All profiles (a, b1, b2) stable under unilateral deviation at one p.
 
-    A's payoff is the p-weighted mixture of its two subgame tables.
+    A's payoff is the p-weighted mixture of its two subgame tables; the
+    search is ``find_ne_bayesian_row``'s, re-check included.
     """
     return find_ne_bayesian_row(bayesian_tables(game, gamma, sset, eps_tie), (p,))
 
@@ -694,9 +750,9 @@ def _facts_of_classes(members: np.ndarray, starts: np.ndarray, sset: StrategySet
 
     One array pass serves every class.  The offsets of all classes and
     pairs come from their distinct (class, pair, A's strategy, k's
-    strategy) codes, each ``round(wrap_angle(g_A +- g_k), 9)`` in array
-    form, and are deduplicated and sorted per class and pair by one
-    ``lexsort``.
+    strategy) codes, each ``round(g_A +- g_k, 9)`` of the angle wrapped
+    by ``wrap_angles``, and are deduplicated and sorted per class and
+    pair by one ``lexsort``.
     """
     steps, n, n_classes = sset.steps, len(sset), len(starts)
     others = ("B",) if members.shape[1] == 2 else ("B1", "B2")
@@ -763,61 +819,58 @@ def classify(records: RecordSet, sset: StrategySet) -> list[tuple[EquilibriumCla
     payoffs rounded to 9 places (theta steps are at least pi/16384, so
     the codes sort and tie as thetas rounded to 9 places would); a cell's
     classes come in key order, and each class's members in profile order.
-    Every payoff is rounded at once by ``_round9``, bit for bit as
-    ``round(x, 9)``, and one ``lexsort`` over every cell on the cell, the
-    theta codes, the rounded payoffs and the profile puts the records in
-    (cell, key, profile) order, so each class is a run of it.  Within a
-    class, phase sum/difference offsets against player A are collected
-    per pair; a pair is reported only when both players' theta values pin
-    a single free phase.  The class's payoffs and operator label come
-    from its first member.
+    The payoffs are rounded by ``_round9``, bit for bit as ``round(x, 9)``,
+    and the packed theta key is built, one player's column at a time, so
+    the temporaries of a whole sweep stay small; one ``lexsort`` over
+    every cell on the cell, the theta key, the rounded payoffs and the
+    profile puts the records in (cell, key, profile) order, so each class
+    is a run of it.  Within a class, phase sum/difference offsets against
+    player A are collected per pair; a pair is reported only when both
+    players' theta values pin a single free phase.  The class's payoffs
+    and operator label come from its first member.
 
-    These facts depend only on a class's member profiles and ``sset``,
-    which keeps them (``StrategySet.class_facts``, keyed by the player
-    count and the members array's bytes), so a class that recurs across
-    the cells of a sweep is described once.  The facts of the member sets
-    it does not yet hold are computed together, in one array pass
-    (``_facts_of_classes``).  They live as long as ``sset``, one entry
-    per distinct set of member profiles.  Each returned class gets its
-    own phase dicts.
+    A class's facts depend only on its member profiles and ``sset``, so
+    each distinct member set is described once per call, all of them in
+    one array pass (``_facts_of_classes``); ``run_sweep`` classifies a
+    whole sweep in one call, so a class that recurs across its cells is
+    described once.  Nothing is kept between calls and ``sset`` is not
+    changed; each returned class gets its own phase dicts.
     """
     cells: list[list[EquilibriumClass]] = [[] for _ in range(records.n_cells)]
     if len(records):
         profiles = np.asarray(records.profiles, dtype=np.int64)
         # Profiles and their theta codes as one int each, in the same order;
         # n and n_theta + 1 are at most MAX_STRATEGIES = 2**14, so both fit.
-        thetas = sset.codes[profiles, 0]
-        theta_key, profile_key = thetas[:, 0], profiles[:, 0]
         n, rungs = len(sset), sset.steps.n_theta + 1
-        for k in range(1, profiles.shape[1]):
-            theta_key = theta_key * rungs + thetas[:, k]
-            profile_key = profile_key * n + profiles[:, k]
-        payoffs = _round9(records.payoffs)
-        order = np.lexsort((profile_key, *payoffs.T[::-1], theta_key, records.cell))
-        cell, theta_key, payoffs = records.cell[order], theta_key[order], payoffs[order]
-        profiles = profiles[order]
+        theta_key = profile_key = 0
+        for column in profiles.T:
+            theta_key = theta_key * rungs + sset.codes[column, 0]
+            profile_key = profile_key * n + column
+        payoffs = [_round9(column) for column in records.payoffs.T]
+        order = np.lexsort((profile_key, *payoffs[::-1], theta_key, records.cell))
+        cell = records.cell[order]
         new = np.ones(len(order), dtype=bool)
-        new[1:] = (
-            (cell[1:] != cell[:-1])
-            | (theta_key[1:] != theta_key[:-1])
-            | (payoffs[1:] != payoffs[:-1]).any(axis=1)
-        )
+        new[1:] = cell[1:] != cell[:-1]
+        for key in (theta_key, *payoffs):
+            ranked = key[order]
+            new[1:] |= ranked[1:] != ranked[:-1]
+        # Freed before the classes are described: on the full pi/8 diagram
+        # this cuts classify's traced peak from 55 to 34 MB.
+        del theta_key, profile_key, payoffs, ranked
+        profiles = profiles[order]
         starts = np.flatnonzero(new)
         ends = np.append(starts[1:], len(order))
         bounds = list(zip(starts.tolist(), ends.tolist()))
-        facts, players = sset.class_facts, profiles.shape[1]
-        keys = [(players, profiles[lo:hi].tobytes()) for lo, hi in bounds]
-        unknown: dict[tuple, int] = {}
+        keys = [profiles[lo:hi].tobytes() for lo, hi in bounds]
+        first: dict[bytes, int] = {}
         for i, key in enumerate(keys):
-            if key not in facts:
-                unknown.setdefault(key, i)
-        if unknown:
-            runs = [bounds[i] for i in unknown.values()]
-            rows = np.concatenate([np.arange(lo, hi) for lo, hi in runs])
-            firsts = np.cumsum([0] + [hi - lo for lo, hi in runs[:-1]])
-            facts.update(zip(unknown, _facts_of_classes(profiles[rows], firsts, sset)))
-        first = records.payoffs[order[starts]].tolist()
-        for c, (lo, hi), key, row in zip(cell[starts].tolist(), bounds, keys, first):
+            first.setdefault(key, i)
+        runs = [bounds[i] for i in first.values()]
+        rows = np.concatenate([np.arange(lo, hi) for lo, hi in runs])
+        firsts = np.cumsum([0] + [hi - lo for lo, hi in runs[:-1]])
+        facts = dict(zip(first, _facts_of_classes(profiles[rows], firsts, sset)))
+        first_payoffs = records.payoffs[order[starts]].tolist()
+        for c, (lo, hi), key, row in zip(cell[starts].tolist(), bounds, keys, first_payoffs):
             theta_profile, phase_sums, phase_diffs, label = facts[key]
             cells[c].append(
                 EquilibriumClass(

@@ -130,26 +130,10 @@ class StrategySet:
         alpha_turned = (alpha + k * (n_alpha // len(k)) * (theta != 0)) % n_alpha
         return index[theta, phi_turned, alpha_turned]
 
-    @cached_property
-    def class_facts(self) -> dict[tuple, tuple]:
-        """``equilibrium.classify``'s class facts, keyed by the player count
-        and the member profiles' bytes."""
-        return {}
-
-
-def wrap_angle(value: float) -> float:
-    """Reduce an angle to [0, 2*pi), snapping values within 1e-9 of 2*pi to 0."""
-    w = math.fmod(value, TAU)
-    if w < 0.0:
-        w += TAU
-    if TAU - w < _ANGLE_SNAP:
-        w = 0.0
-    return w
-
 
 def wrap_angles(values: np.ndarray) -> np.ndarray:
-    """``wrap_angle`` of every entry, bit for bit: the same C ``fmod`` and
-    the same steps, in array form."""
+    """Every entry reduced to [0, 2*pi) by C ``fmod`` and, when negative,
+    a turn added; a result within 1e-9 of 2*pi snaps to 0."""
     w = np.fmod(values, TAU)
     w[w < 0.0] += TAU
     w[TAU - w < _ANGLE_SNAP] = 0.0

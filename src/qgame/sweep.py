@@ -1,19 +1,19 @@
 """Parameter sweeps over entanglement gamma and type probability p.
 
 Bayesian sweeps cover the (p, gamma) plane; two-player games sweep
-gamma alone.  A Bayesian gamma row is one unit of work, a pipeline over
-one table set (A's payoff tables and the B players' best-response
-lists, reduced at the sweep's tie tolerance): the set is built, one NE
-search (``find_ne_bayesian_row``) reads the records of every p in the
-row off it, because only A's payoff depends on p, the records are
-re-checked against it, and the row's cells are classified together.
-The records stay arrays (``RecordSet``) from the search to the classes.
-The strategy set keeps the facts of every class it has seen, so a class
-that recurs across cells is described once.  With ``workers > 1`` rows
-are evaluated in a process pool, each on its own copy of the strategy
-set, and the merged result is sorted so output is identical regardless
-of parallelism.  The worker count is capped by the row count and the
-CPU count.
+gamma alone.  A gamma row is one unit of work and returns its NE
+records as one ``RecordSet``.  A Bayesian row builds one table set (A's
+payoff tables and the B players' best-response lists, reduced at the
+sweep's tie tolerance) and one search (``find_ne_bayesian_row``) reads
+the re-checked records of every p in the row off it, because only A's
+payoff depends on p; a two-player row is ``find_ne_two_player``.  The
+rows' records are joined into one set, and one ``classify`` call
+groups every cell of the sweep, so a class that recurs across cells is
+described once.  The records stay arrays from the search to the
+classes.  With ``workers > 1`` rows are evaluated in a process pool,
+each on its own copy of the strategy set; the rows are joined in gamma
+order either way, so output is identical regardless of parallelism.
+The worker count is capped by the row count and the CPU count.
 Grids above ``MAX_GRID_POINTS`` points per axis are refused.
 """
 
@@ -28,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import (
-    _COLUMN_BLOCK,
     DEFAULT_EPS_TIE,
     EquilibriumClass,
+    RecordSet,
     bayesian_tables,
     check_eps_tie,
     classify,
@@ -102,6 +102,8 @@ class SweepSpec:
                 check_probability(p)
             if not self.p_values or not ascending(self.p_values):
                 raise ValueError("p_values must be non-empty and ascending")
+        elif self.p_values:
+            raise ValueError("a two-player game takes no p_values")
 
 
 @dataclass(frozen=True)
@@ -148,65 +150,13 @@ class RegionSummary:
         return len(self.cells)
 
 
-def _recheck(records, tables, p_values):
-    """Table-backed deviation re-check of every record of a gamma row.
-
-    Recomputes each record's deviation payoffs from the tables alone and
-    raises on the first record that is not stable.  A is stable when its
-    payoff is at least ``best - eps_tie``, with ``best`` its best
-    deviation ``max_r p * T1[r, b1] + (1 - p) * T2[r, b2]`` and the
-    tables' ``eps_tie``.  The bound ``U`` of that expression at the
-    column maxima of both tables is at least ``best``, since correctly
-    rounded ``*`` by a non-negative factor and ``+`` are monotone, so a
-    record that reaches ``U - eps_tie`` is stable; only the others take
-    the full maximum, once per distinct (b1, b2) of each cell, in blocks
-    of pairs.  The column maxima are computed here, apart from the
-    search, once per distinct table.  Each B player is stable when its
-    (a, b) is in its best-response list.  All cells of the row are
-    checked together, read off the record arrays.
-    """
-    if not len(records):
-        return
-    ta1, ta2, eps_tie = tables.ta1, tables.ta2, float(tables.eps_tie)
-    n = ta1.shape[0]
-    p_cell = np.asarray(p_values, dtype=float)
-    cell = records.cell
-    p = p_cell[cell]
-    a, b1, b2 = records.profiles.T
-    top1 = ta1.max(axis=0)
-    top2 = top1 if ta2 is ta1 else ta2.max(axis=0)
-    pay = p * ta1[a, b1] + (1.0 - p) * ta2[a, b2]
-    ok = pay >= p * top1[b1] + (1.0 - p) * top2[b2] - eps_tie
-    rest = np.flatnonzero(~ok)
-    pairs, pair_of = np.unique((cell[rest] * n + b1[rest]) * n + b2[rest], return_inverse=True)
-    best = np.empty(len(pairs))
-    step = max(1, _COLUMN_BLOCK // n)
-    for start in range(0, len(pairs), step):
-        c, c1, c2 = np.unravel_index(pairs[start : start + step], (records.n_cells, n, n))
-        pc = p_cell[c]
-        best[start : start + step] = (pc * ta1[:, c1] + (1.0 - pc) * ta2[:, c2]).max(axis=0)
-    ok[rest] = pay[rest] >= best[pair_of] - eps_tie
-    ok &= np.isin(a * n + b1, tables.br1) & np.isin(a * n + b2, tables.br2)
-    if not ok.all():
-        profile = tuple(records.profiles[np.argmin(ok)].tolist())
-        raise RuntimeError(f"record {profile} failed deviation re-check")
-
-
-def _bayesian_row(args) -> list[CellResult]:
+def _row(args) -> RecordSet:
+    """One gamma row's NE records, cell i at ``p_values[i]``; a two-player
+    row is one cell."""
     game, gamma, p_values, sset, eps_tie = args
-    tables = bayesian_tables(game, gamma, sset, eps_tie)
-    records = find_ne_bayesian_row(tables, p_values)
-    _recheck(records, tables, p_values)
-    return [
-        CellResult(p, gamma, classes)
-        for p, classes in zip(p_values, classify(records, sset))
-    ]
-
-
-def _two_player_row(args) -> list[CellResult]:
-    game, gamma, sset, eps_tie = args
-    (classes,) = classify(find_ne_two_player(game, gamma, sset, eps_tie), sset)
-    return [CellResult(None, gamma, classes)]
+    if isinstance(game, BayesianGame):
+        return find_ne_bayesian_row(bayesian_tables(game, gamma, sset, eps_tie), p_values)
+    return find_ne_two_player(game, gamma, sset, eps_tie)
 
 
 def effective_workers(requested: int | None, rows: int | None = None) -> int:
@@ -227,7 +177,9 @@ def effective_workers(requested: int | None, rows: int | None = None) -> int:
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     """Evaluate every grid cell; deterministic regardless of parallelism.
 
-    The strategy grid is enumerated once and shared by every row.
+    The strategy grid is enumerated once and shared by every row, and the
+    records of all rows are classified in one call.  Cells come in
+    (p, gamma) order.
     """
     # Looked up at call time, so a patch on the strategies module's
     # enumerate_strategies (as bench's tracer makes) sees the call.
@@ -235,23 +187,32 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
 
     start = time.perf_counter()
     sset = enumerate_strategies(spec.steps)
-    if isinstance(spec.game, BayesianGame):
-        jobs = [(spec.game, g, spec.p_values, sset, spec.eps_tie) for g in spec.gamma_values]
-        row_fn = _bayesian_row
-    else:
-        jobs = [(spec.game, g, sset, spec.eps_tie) for g in spec.gamma_values]
-        row_fn = _two_player_row
-
+    jobs = [(spec.game, g, spec.p_values, sset, spec.eps_tie) for g in spec.gamma_values]
     workers = effective_workers(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row_fn, jobs))
+            rows = list(pool.map(_row, jobs))
     else:
-        rows = [row_fn(job) for job in jobs]
+        rows = [_row(job) for job in jobs]
 
-    cells = [cell for row in rows for cell in row]
-    cells.sort(key=lambda c: (c.p if c.p is not None else -1.0, c.gamma))
-    return SweepResult(spec, tuple(cells), time.perf_counter() - start)
+    # Cell g * len(p_values) + i of the joined set is (p_values[i], gamma_values[g]),
+    # so the rows joined in gamma order are in (cell, profile) order.  A
+    # two-player spec has no p values, and its rows one cell each.
+    p_values = spec.p_values or (None,)
+    records = RecordSet(
+        np.concatenate([row.cell + g * len(p_values) for g, row in enumerate(rows)]),
+        np.concatenate([row.profiles for row in rows]),
+        np.concatenate([row.payoffs for row in rows]),
+        len(rows) * len(p_values),
+    )
+    del rows  # kept through classify, they add 19 MB to the pi/8 diagram's peak
+    classes = classify(records, sset)
+    cells = tuple(
+        CellResult(p, gamma, classes[g * len(p_values) + i])
+        for i, p in enumerate(p_values)
+        for g, gamma in enumerate(spec.gamma_values)
+    )
+    return SweepResult(spec, cells, time.perf_counter() - start)
 
 
 def summarize_regions(result: SweepResult) -> list[RegionSummary]:

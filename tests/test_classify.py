@@ -19,11 +19,11 @@ from qgame.equilibrium import (
     find_ne_bayesian_row,
 )
 from qgame.games import builtin_bayesian
-from qgame.strategies import DEFAULT_GRID, GridSteps, enumerate_strategies, wrap_angle
+from qgame.strategies import DEFAULT_GRID, GridSteps, enumerate_strategies
 from qgame.sweep import gamma_grid, p_grid
 
 from conftest import cells_of
-from test_strategies import reference_pauli_label
+from test_strategies import reference_pauli_label, reference_wrap_angle
 
 PI = math.pi
 
@@ -49,8 +49,9 @@ def reference_facts(members: list[EquilibriumRecord], free, names) -> tuple:
         phases = {(free[rec.profile[0]], free[rec.profile[k]]) for rec in members}
         if any(g_a is None or g_k is None for g_a, g_k in phases):
             continue
-        sums[f"A-{other}"] = tuple(sorted({round(wrap_angle(a + b), 9) for a, b in phases}))
-        diffs[f"A-{other}"] = tuple(sorted({round(wrap_angle(b - a), 9) for a, b in phases}))
+        wrap = reference_wrap_angle
+        sums[f"A-{other}"] = tuple(sorted({round(wrap(a + b), 9) for a, b in phases}))
+        diffs[f"A-{other}"] = tuple(sorted({round(wrap(b - a), 9) for a, b in phases}))
     label = None
     if all(names[i] is not None for rec in members for i in rec.profile):
         label = "⊗".join(names[i] for i in rep.profile)

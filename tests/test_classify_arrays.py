@@ -28,8 +28,10 @@ from qgame.equilibrium import (
 )
 from qgame.games import BayesianGame, builtin_bayesian, builtin_da, builtin_pd
 from qgame.serialize import load_result
-from qgame.strategies import GridSteps, enumerate_strategies, wrap_angle
+from qgame.strategies import GridSteps, enumerate_strategies
 from qgame.sweep import gamma_grid, p_grid
+
+from test_strategies import reference_wrap_angle
 
 PI = math.pi
 GOLDEN = Path(__file__).parent / "golden"
@@ -37,7 +39,7 @@ PI8 = GridSteps(PI / 8, PI / 8, PI / 8)
 
 
 def _offset(phase: float) -> float:
-    return round(wrap_angle(phase), 9)
+    return round(reference_wrap_angle(phase), 9)
 
 
 def reference_class_facts(members: np.ndarray, sset) -> tuple:

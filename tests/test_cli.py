@@ -511,16 +511,16 @@ class TestFullCircuitMode:
         assert not out.exists()
 
     def test_solve_rechecks_its_records_once(self, monkeypatch, capsys):
-        from qgame import sweep
+        from qgame import equilibrium
 
         calls = []
-        recheck = sweep._recheck
+        recheck = equilibrium._recheck
 
         def counted(*args):
             calls.append(args)
             return recheck(*args)
 
-        monkeypatch.setattr(sweep, "_recheck", counted)
+        monkeypatch.setattr(equilibrium, "_recheck", counted)
         assert main(["solve", "--game", "bayesian", "--p", "0.9", "--gamma", "0.3"]) == 0
         assert len(calls) == 1
 
@@ -761,6 +761,18 @@ class TestLoadResultErrors:
         capsys.readouterr()
         assert main(["verify", "--in", path]) == 2
         assert main(["classify", "--in", path]) == 2
+
+    def test_two_player_header_with_p_values_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "pd.json"
+        main(["solve", "--game", "pd", "--gamma", "0.3", "--out", str(out)])
+        data = json.loads(out.read_text(encoding="utf-8"))
+        data["p_values"] = [0.5]
+        out.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ConfigError, match="two-player game takes no p_values"):
+            load_result(str(out))
+        capsys.readouterr()
+        assert main(["verify", "--in", str(out)]) == 2
+        assert main(["classify", "--in", str(out)]) == 2
 
     def test_header_may_hold_more_values_than_its_cells(self, tmp_path, capsys):
         # A sampled file keeps its sweep's full axes over a subset of cells.

@@ -17,6 +17,7 @@ from qgame.circuits import (
 from qgame.equilibrium import (
     EquilibriumRecord,
     RecordSet,
+    _recheck,
     bayesian_circuit_tables,
     bayesian_tables,
     classify,
@@ -39,7 +40,7 @@ from qgame.games import (
 )
 from qgame.serialize import load_result
 from qgame.strategies import DEFAULT_GRID, GridSteps, enumerate_strategies
-from qgame.sweep import _bayesian_row, _recheck, gamma_grid, p_grid
+from qgame.sweep import _row, gamma_grid, p_grid
 
 from conftest import cells_of, custom_bayesian, records_of
 
@@ -160,11 +161,11 @@ class TestTables:
         job = (builtin_bayesian(), gamma_grid()[28], p_grid(0.2), sset, 1e-9)
         tracemalloc.start()
         try:
-            cells = _bayesian_row(job)
+            records = _row(job)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(len(c.classes) for c in cells) > 0
+        assert len(records) > 0
         assert peak < 1.5 * n * n * 8
 
 
@@ -677,6 +678,19 @@ class TestRecheck:
         tampered = records[:-1] + [EquilibriumRecord(bad, records[-1].payoffs)]
         with pytest.raises(RuntimeError, match=re.escape(str(bad))):
             _recheck(RecordSet.of(tampered), tables, [0.0])
+
+    def test_row_search_rechecks_what_it_returns(self, monkeypatch, grid24):
+        # An unstable record from the search is caught by the re-check, in
+        # find_ne_bayesian_row and so in find_ne_bayesian.
+        game = builtin_bayesian()
+        found = records_of(find_ne_bayesian(game, 1.0, grid24, 0.0))
+        bad = EquilibriumRecord((0, 0, 0), found[0].payoffs)
+        assert bad not in found
+        monkeypatch.setattr(equilibrium, "_search_row", lambda tables, p: RecordSet.of([bad]))
+        with pytest.raises(RuntimeError, match="failed deviation re-check"):
+            find_ne_bayesian_row(bayesian_tables(game, 1.0, grid24), [0.0])
+        with pytest.raises(RuntimeError, match="failed deviation re-check"):
+            find_ne_bayesian(game, 1.0, grid24, 0.0)
 
     def test_tampered_record_sharing_a_good_pair_raises(self, grid24):
         # A's best deviation is taken once per (b1, b2).  The bad record

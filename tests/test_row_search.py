@@ -1,6 +1,6 @@
 """The Bayesian row search and its re-check against A's full column maximum.
 
-``find_ne_bayesian_row`` and ``sweep._recheck`` take A's best deviation
+``find_ne_bayesian_row`` and its re-check ``_recheck`` take A's best deviation
 ``max_a p * T1[a, b1] + (1 - p) * T2[a, b2]`` in full only where rounding
 bounds cannot decide it, and the search keeps a row's candidates with one
 2-D test per group of p.  ``reference_row_search`` below is the search
@@ -19,13 +19,14 @@ from qgame.equilibrium import (
     BayesianTables,
     EquilibriumRecord,
     RecordSet,
+    _recheck,
     bayesian_tables,
     find_ne_bayesian_row,
 )
 from qgame import equilibrium
 from qgame.games import builtin_bayesian
 from qgame.strategies import DEFAULT_GRID, GridSteps, enumerate_strategies
-from qgame.sweep import _recheck, gamma_grid, p_grid
+from qgame.sweep import gamma_grid, p_grid
 
 from conftest import custom_bayesian, records_of
 

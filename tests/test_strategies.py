@@ -11,7 +11,7 @@ from qgame.strategies import (
     DEFAULT_GRID,
     GridSteps,
     enumerate_strategies,
-    wrap_angle,
+    wrap_angles,
 )
 
 from conftest import is_unitary
@@ -38,6 +38,16 @@ def reference_pauli_label(u: np.ndarray, tol: float = 1e-10) -> tuple[str, compl
         if np.max(np.abs(u - c * pauli)) <= tol:
             return name, complex(c)
     return None
+
+
+def reference_wrap_angle(value: float) -> float:
+    """Reduce an angle to [0, 2*pi), snapping values within 1e-9 of 2*pi to 0."""
+    w = math.fmod(value, 2.0 * PI)
+    if w < 0.0:
+        w += 2.0 * PI
+    if 2.0 * PI - w < 1e-9:
+        w = 0.0
+    return w
 
 
 class TestGridSteps:
@@ -149,10 +159,10 @@ def reference_canonical(theta: float, phi: float, alpha: float) -> StrategyParam
     """A grid point from its float angles alone: phases reduced mod 2*pi,
     and the one theta leaves undefined (alpha at 0, phi at pi) zeroed."""
     if theta < 1e-9:
-        return StrategyParams(theta, wrap_angle(phi), 0.0)
+        return StrategyParams(theta, reference_wrap_angle(phi), 0.0)
     if PI - theta < 1e-9:
-        return StrategyParams(theta, 0.0, wrap_angle(alpha))
-    return StrategyParams(theta, wrap_angle(phi), wrap_angle(alpha))
+        return StrategyParams(theta, 0.0, reference_wrap_angle(alpha))
+    return StrategyParams(theta, reference_wrap_angle(phi), reference_wrap_angle(alpha))
 
 
 def reference_enumeration(steps: GridSteps):
@@ -240,6 +250,16 @@ class TestPauliLabel:
 
     def test_generic_rotation_has_no_label(self):
         assert reference_pauli_label(strategy_unitary(StrategyParams(PI / 2, 0.0, 0.0))) is None
+
+
+def test_wrap_angles_matches_the_scalar_reference_bit_for_bit():
+    tau = 2.0 * PI
+    edges = [0.0, -0.0, tau, -tau, 3 * tau, tau - 1e-9, tau - 2e-9, -1e-10, -5e-10, 1e-300]
+    rng = np.random.default_rng(7)
+    values = np.array(edges + list(rng.uniform(-4 * tau, 4 * tau, 2000)))
+    values = np.concatenate([values, np.nextafter(values, np.inf), np.nextafter(values, -np.inf)])
+    expected = [reference_wrap_angle(v).hex() for v in values.tolist()]
+    assert [v.hex() for v in wrap_angles(values).tolist()] == expected
 
 
 def code_rule_names(sset) -> list[str | None]:

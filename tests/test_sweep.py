@@ -213,6 +213,12 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match=f"{axis} must be non-empty and ascending"):
             SweepSpec(builtin_bayesian(), gamma_values, p_values)
 
+    @pytest.mark.parametrize("p_values", [(0.5,), (0.5, 7.0)])
+    def test_two_player_game_takes_no_p_values(self, p_values):
+        # A two-player sweep has no p axis; p values would be dropped unread.
+        with pytest.raises(ValueError, match="two-player game takes no p_values"):
+            SweepSpec(builtin_pd(), (0.0, 1.0), p_values)
+
 
 class TestSummarizeRegions:
     def test_defect_defect_defect_region(self, bayes_result):
@@ -278,17 +284,14 @@ def searched_cells(result):
 
 
 class TestRowSharedClassFacts:
-    """A sweep's cells share its strategy set's class facts (theta, phases, label)."""
+    """A sweep's cells share one classify call's class facts (theta, phases, label)."""
 
     @staticmethod
     def _assert_fresh_classify_agrees(result):
         sset = enumerate_strategies(result.spec.steps)
         for cell, records in searched_cells(result):
-            # The reference describes each cell's classes afresh, not from
-            # facts kept while classifying earlier cells.
-            sset.class_facts.clear()
+            # The reference describes each cell's classes in a call of its own.
             assert classify(records, sset) == [cell.classes], (cell.p, cell.gamma)
-            assert len(sset.class_facts) == len(cell.classes)
 
     def test_default_sweep_matches_per_cell_classify(self, bayes_result):
         self._assert_fresh_classify_agrees(bayes_result)
@@ -323,21 +326,32 @@ class TestRowSharedClassFacts:
         assert len(per_row) < sum(len(c.classes) for c in result.cells)
         assert sorted(calls) == sorted(per_sweep)
 
-    def test_warmed_strategy_set_classifies_like_a_fresh_one(self, bayes_result):
-        # Warm one strategy set on the default sweep, then classify the cells
-        # of another sweep with it; some of their classes are already known.
-        warm = enumerate_strategies(bayes_result.spec.steps)
+    def test_classify_leaves_the_strategy_set_unchanged(self, bayes_result):
+        grid = enumerate_strategies(bayes_result.spec.steps)
+        before = dict(vars(grid))
         for _, records in searched_cells(bayes_result):
-            classify(records, warm)
-        known = set(warm.class_facts)
-        result = run_sweep(SweepSpec(builtin_bayesian(), (0.33, 1.21), p_grid(0.1)))
-        reused = 0
-        for cell, records in searched_cells(result):
-            fresh = enumerate_strategies(result.spec.steps)
-            (warmed,) = classify(records, warm)
-            assert [warmed] == classify(records, fresh) == [cell.classes]
-            reused += sum((3, cls.profiles.tobytes()) in known for cls in warmed)
-        assert reused > 0
+            classify(records, grid)
+        assert vars(grid).keys() == before.keys()
+        assert all(vars(grid)[name] is value for name, value in before.items())
+
+    @pytest.mark.parametrize(
+        "game,p_values",
+        [(builtin_bayesian(), (0.0, 0.5, 1.0)), (builtin_pd(), ())],
+        ids=["bayesian", "pd"],
+    )
+    def test_sweep_classifies_once(self, monkeypatch, game, p_values):
+        from qgame import sweep
+
+        calls = []
+        whole = sweep.classify
+
+        def counted(records, sset):
+            calls.append(records.n_cells)
+            return whole(records, sset)
+
+        monkeypatch.setattr(sweep, "classify", counted)
+        result = run_sweep(SweepSpec(game, (0.0, 0.8, 1.2), p_values))
+        assert calls == [len(result.cells)]
 
     def test_cells_do_not_share_phase_maps(self):
         result = run_sweep(SweepSpec(builtin_bayesian(), (0.3,), p_grid()))
