@@ -3,9 +3,10 @@
 NE search is brute force over a finite strategy set: payoff tables are
 precomputed per gamma (they do not depend on p, so p-sweeps reuse
 them), each as one real matrix product over a rank-16 factorization of
-the Born payoff; best-response sets are read off with an absolute tie
-tolerance, and a profile is an equilibrium when every player's strategy
-is in its best-response set against the others.  A Bayesian row keeps
+the Born payoff, built in cache-sized blocks; best-response sets are
+read off with an absolute tie tolerance, and a profile is an
+equilibrium when every player's strategy is in its best-response set
+against the others.  A Bayesian row keeps
 A's dense tables, one per distinct payoff vector of A, and each B
 player's table only as its list of best responses, reduced at one tie
 tolerance; the row's search reads nothing else.  It takes A's best
@@ -59,8 +60,8 @@ PAYOFF_TOL = 2e-9
 
 # Working-array bounds of the vectorized Bayesian NE search: candidate
 # triples per block of a, and float64 entries per block of A's columns
-# (small enough to stay in cache), a bound ``verify_records`` and the
-# row's table re-check share.
+# (small enough to stay in cache), a bound that the payoff tables' build,
+# ``verify_records`` and the row's table re-check share.
 _TRIPLE_BLOCK = 1 << 20
 _COLUMN_BLOCK = 1 << 16
 
@@ -187,16 +188,53 @@ def _born_core(j: np.ndarray, payoff) -> np.ndarray:
     return np.einsum("cgdh,bfae->abcdefgh", rho, m).reshape(16, 16)
 
 
-def _payoff_table(factors, core: np.ndarray, columns: bool) -> np.ndarray:
-    """T = Re(X C X^T) as one real GEMM [Re XC, -Im XC] @ [Re X, Im X]^T.
+def _table_blocks(factors, core: np.ndarray, columns: bool, out: np.ndarray | None = None):
+    """Blocks of T = Re(X C X^T), each one real GEMM [Re XC, -Im XC] @ [Re X, Im X]^T.
 
-    With ``columns`` the table comes back in column-major order, so
-    columns T[:, j] are contiguous.
+    Yields ``(rows, block)``: ``block`` holds the rows ``rows`` of T, or
+    with ``columns`` of T^T (the columns of T), about ``_COLUMN_BLOCK``
+    entries, so it stays in cache while it is read.  Each block is
+    written into the same rows of ``out`` when one is given, else into
+    one buffer that the next block overwrites.  Every entry is bit for
+    bit that of the whole product.
+
+    The blocks are equal up to one row, none shorter than the ``fill``
+    rows that hold ``_COLUMN_BLOCK`` entries: BLAS may round a product
+    of few rows with another kernel (OpenBLAS 0.3.31 does for one row of
+    any grid, up to 15 rows of the 80-strategy grid), so a short last
+    block could differ from the whole product.
     """
     real, x = factors
     xc = x @ core
     left = np.hstack([xc.real, -xc.imag])
-    return (real @ left.T).T if columns else left @ real.T
+    first, second = (real, left.T) if columns else (left, real.T)
+    n = len(real)
+    fill = max(1, _COLUMN_BLOCK // max(n, 1))
+    count = max(1, n // fill)
+    bounds = [k * n // count for k in range(count + 1)]
+    reuse = out is None
+    if reuse:
+        out = np.empty((-(-n // count), n))
+    for start, stop in zip(bounds, bounds[1:]):
+        rows = slice(start, stop)
+        block = out[: stop - start] if reuse else out[rows]
+        np.matmul(first[rows], second, out=block)
+        yield rows, block
+
+
+def _payoff_table(factors, core: np.ndarray, columns: bool) -> tuple[np.ndarray, np.ndarray]:
+    """T = Re(X C X^T), every block of ``_table_blocks`` written into one
+    array, and the argmax of each block row, taken while it is in cache.
+
+    With ``columns`` the table comes back in column-major order, so
+    columns T[:, j] are contiguous, and the argmax rows are those of T's
+    columns; without, they are the argmax columns of T's rows.
+    """
+    n = len(factors[0])
+    table, top = np.empty((n, n)), np.empty(n, dtype=np.intp)
+    for rows, block in _table_blocks(factors, core, columns, table):
+        top[rows] = block.argmax(axis=1)
+    return (table.T if columns else table), top
 
 
 def two_player_tables(
@@ -208,8 +246,8 @@ def two_player_tables(
     """
     j, factors = entangler(gamma), _born_factors(sset)
     return (
-        _payoff_table(factors, _born_core(j, game.payoff_a), columns=True),
-        _payoff_table(factors, _born_core(j, game.payoff_b), columns=False),
+        _payoff_table(factors, _born_core(j, game.payoff_a), columns=True)[0],
+        _payoff_table(factors, _born_core(j, game.payoff_b), columns=False)[0],
     )
 
 
@@ -219,6 +257,9 @@ class BayesianTables(NamedTuple):
     ``ta1[i, j]`` and ``ta2[i, j]`` are A's payoffs for playing i against
     B1 and against B2 playing j, column-major; when both subgames give A
     the same payoff vector they are one array (``ta2 is ta1``).
+    ``top1[j]`` is the row of column j's maximum in ``ta1``, the first
+    one as ``ta1[:, j].argmax()`` gives it, and ``top2`` likewise for
+    ``ta2`` (``top2 is top1`` when ``ta2 is ta1``).
     ``br1`` holds B1's best responses as ascending row-major flat indices
     ``a * n + b1`` of B1's table, the entries within ``eps_tie`` of row
     a's maximum, and ``pay1`` B1's payoffs there; ``br2`` and ``pay2``
@@ -230,6 +271,8 @@ class BayesianTables(NamedTuple):
 
     ta1: np.ndarray
     ta2: np.ndarray
+    top1: np.ndarray
+    top2: np.ndarray
     br1: np.ndarray
     pay1: np.ndarray
     br2: np.ndarray
@@ -238,11 +281,17 @@ class BayesianTables(NamedTuple):
     shift: np.ndarray
 
 
-def _best_responses(tb: np.ndarray, eps_tie: float) -> tuple[np.ndarray, np.ndarray]:
+def _best_responses(factors, core: np.ndarray, eps_tie: float) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices of a row-major table's entries within ``eps_tie`` of
-    their row's maximum, and the entries there."""
-    idx = np.flatnonzero(tb >= tb.max(axis=1, keepdims=True) - eps_tie)
-    return idx, tb.ravel()[idx]
+    their row's maximum, and the entries there, each block of rows
+    reduced as soon as it is built, so the table is never held whole."""
+    n = len(factors[0])
+    idx, pay = [], []
+    for rows, block in _table_blocks(factors, core, columns=False):
+        flat = np.flatnonzero(block >= block.max(axis=1, keepdims=True) - eps_tie)
+        pay.append(block.ravel()[flat])
+        idx.append(flat + rows.start * n)
+    return np.concatenate(idx), np.concatenate(pay)
 
 
 def bayesian_tables(
@@ -255,31 +304,31 @@ def bayesian_tables(
 
     Independent of p: A's Bayesian payoff against (b1, b2) is
     p * T_A1[b1] + (1 - p) * T_A2[b2] by columns, so sweeps over p share
-    these tables.  Each B table is built whole, reduced to its best
-    responses and dropped before the next table is built; A's tables
-    come last, and A's second table is the first when the two payoff
-    vectors agree byte for byte (so -0.0 never stands in for 0.0).  The
-    row therefore holds at most one n x n table per distinct payoff
-    vector of A, plus one B table while it is reduced.
+    these tables.  Every table is built in blocks of ``_COLUMN_BLOCK``
+    entries (``_table_blocks``).  Each block of a B table is reduced to
+    its best responses as soon as it is built, so no B table is ever
+    held whole.  A's blocks are written into its column-major table and
+    give each column's argmax row on the way; A's second table is the
+    first when the two payoff vectors agree byte for byte (so -0.0 never
+    stands in for 0.0).  The row therefore holds one n x n table per
+    distinct payoff vector of A and one block besides.
     """
     check_eps_tie(eps_tie)
     j, factors = entangler(gamma), _born_factors(sset)
     subgames = (game.subgame_b1, game.subgame_b2)
-    # Each B table is a temporary of one list item, freed before the next.
-    (br1, pay1), (br2, pay2) = [
-        _best_responses(
-            _payoff_table(factors, _born_core(j, sub.payoff_b), columns=False), eps_tie
-        )
-        for sub in subgames
-    ]
+    (br1, pay1), (br2, pay2) = (
+        _best_responses(factors, _born_core(j, sub.payoff_b), eps_tie) for sub in subgames
+    )
     vec1, vec2 = (np.asarray(sub.payoff_a, dtype=float) for sub in subgames)
-    ta1 = _payoff_table(factors, _born_core(j, vec1), columns=True)
-    ta2 = (
-        ta1
+    ta1, top1 = _payoff_table(factors, _born_core(j, vec1), columns=True)
+    ta2, top2 = (
+        (ta1, top1)
         if vec1.tobytes() == vec2.tobytes()
         else _payoff_table(factors, _born_core(j, vec2), columns=True)
     )
-    return BayesianTables(ta1, ta2, br1, pay1, br2, pay2, np.array(eps_tie), sset.gauge_shift)
+    return BayesianTables(
+        ta1, ta2, top1, top2, br1, pay1, br2, pay2, np.array(eps_tie), sset.gauge_shift
+    )
 
 
 def _dense_ne(tables: Sequence[np.ndarray], eps_tie: float) -> RecordSet:
@@ -438,7 +487,12 @@ def find_ne_bayesian_row(tables: BayesianTables, p_values: Sequence[float]) -> R
 
 
 def _search_row(tables: BayesianTables, p_values: list[float]) -> RecordSet:
-    """``find_ne_bayesian_row``'s search, before its re-check."""
+    """``find_ne_bayesian_row``'s search, before its re-check.
+
+    The argmax rows of A's columns come with the tables (``top1`` and
+    ``top2``, taken while the tables were built); the search does not
+    scan A's tables for them.
+    """
     ta1, ta2, eps_tie = tables.ta1, tables.ta2, float(tables.eps_tie)
     n = ta1.shape[0]
     a1, b1_of = np.divmod(tables.br1, n)
@@ -446,8 +500,7 @@ def _search_row(tables: BayesianTables, p_values: list[float]) -> RecordSet:
     count1, count2 = (np.bincount(rows, minlength=n) for rows in (a1, a2))
     end1 = np.cumsum(count1)
     start2 = np.cumsum(count2) - count2
-    top1 = ta1.T.argmax(axis=1)
-    top2 = top1 if ta2 is ta1 else ta2.T.argmax(axis=1)
+    top1, top2 = tables.top1, tables.top2
     pair_block = max(1, _COLUMN_BLOCK // max(n, 1))
     cells = [np.empty(0, dtype=np.int64)]
     profiles = [np.empty((0, 3), dtype=np.int64)]
@@ -511,6 +564,14 @@ def _search_row(tables: BayesianTables, p_values: list[float]) -> RecordSet:
     )
 
 
+def _in_sorted(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Whether each key is an entry of the ascending array ``values``."""
+    pos = np.searchsorted(values, keys)
+    found = pos < len(values)
+    found[found] = values[pos[found]] == keys[found]
+    return found
+
+
 def _recheck(records: RecordSet, tables: BayesianTables, p_values: Sequence[float]) -> None:
     """Table-backed deviation re-check of every record of a gamma row.
 
@@ -525,8 +586,8 @@ def _recheck(records: RecordSet, tables: BayesianTables, p_values: Sequence[floa
     the full maximum, once per distinct (b1, b2) of each cell, in blocks
     of pairs.  The column maxima are computed here, apart from the
     search, once per distinct table.  Each B player is stable when its
-    (a, b) is in its best-response list.  All cells of the row are
-    checked together, read off the record arrays.
+    (a, b) is in its best-response list, found by binary search.  All
+    cells of the row are checked together, read off the record arrays.
     """
     if not len(records):
         return
@@ -549,7 +610,7 @@ def _recheck(records: RecordSet, tables: BayesianTables, p_values: Sequence[floa
         pc = p_cell[c]
         best[start : start + step] = (pc * ta1[:, c1] + (1.0 - pc) * ta2[:, c2]).max(axis=0)
     ok[rest] = pay[rest] >= best[pair_of] - eps_tie
-    ok &= np.isin(a * n + b1, tables.br1) & np.isin(a * n + b2, tables.br2)
+    ok &= _in_sorted(a * n + b1, tables.br1) & _in_sorted(a * n + b2, tables.br2)
     if not ok.all():
         profile = tuple(records.profiles[np.argmin(ok)].tolist())
         raise RuntimeError(f"record {profile} failed deviation re-check")

@@ -161,8 +161,11 @@ def bound_tables() -> BayesianTables:
     ta1 = np.asfortranarray(np.array([BOUND_COLUMNS[j][0] for j in range(n)]).T)
     ta2 = np.asfortranarray(np.array([BOUND_COLUMNS[j][1] for j in range(n)]).T)
     br = np.array([a * n + b for a in range(n) for b in BOUND_LISTS[a]])
+    top1, top2 = ta1.argmax(axis=0), ta2.argmax(axis=0)
     identity = np.arange(n)[None, :]
-    return BayesianTables(ta1, ta2, br, br * 0.5, br, br * 0.25, np.array(BOUND_EPS), identity)
+    return BayesianTables(
+        ta1, ta2, top1, top2, br, br * 0.5, br, br * 0.25, np.array(BOUND_EPS), identity
+    )
 
 
 def count_hints(monkeypatch) -> list[int]:

@@ -1,0 +1,150 @@
+"""Payoff tables built in blocks against the whole matrix product.
+
+Every table is built from row blocks of one real GEMM
+(``equilibrium._table_blocks``); ``whole_gemm_table`` below is the whole
+product in one call.  A block's entries are the same dot products as the
+whole product's, so the tables, A's argmax rows and the B players'
+best-response lists must equal the whole product's byte for byte, in
+both orientations, at the default block size and at others.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from qgame import equilibrium
+from qgame.circuits import entangler
+from qgame.equilibrium import (
+    _born_core,
+    _born_factors,
+    _in_sorted,
+    _payoff_table,
+    bayesian_tables,
+)
+from qgame.games import builtin_bayesian
+from qgame.strategies import DEFAULT_GRID, GridSteps, enumerate_strategies
+from qgame.sweep import gamma_grid
+
+from conftest import custom_bayesian
+
+PI = math.pi
+GAMMAS = [0.0, 0.7, 1.15, PI / 2]
+GRIDS = {
+    8: DEFAULT_GRID,
+    24: GridSteps(PI / 2, PI / 2, PI / 2),
+    208: GridSteps(PI / 4, PI / 4, PI / 4),
+    1824: GridSteps(PI / 8, PI / 8, PI / 8),
+}
+
+
+def whole_gemm_table(factors, core, columns: bool) -> np.ndarray:
+    """T = Re(X C X^T) as one whole real GEMM, column-major with ``columns``."""
+    real, x = factors
+    xc = x @ core
+    left = np.hstack([xc.real, -xc.imag])
+    return (real @ left.T).T if columns else left @ real.T
+
+
+def reference_best_responses(tb: np.ndarray, eps_tie: float):
+    idx = np.flatnonzero(tb >= tb.max(axis=1, keepdims=True) - eps_tie)
+    return idx, tb.ravel()[idx]
+
+
+@pytest.fixture(scope="module", params=sorted(GRIDS), ids=lambda n: f"grid{n}")
+def sset(request):
+    grid = enumerate_strategies(GRIDS[request.param])
+    assert len(grid) == request.param
+    return grid
+
+
+def payoff_vectors():
+    """Every distinct payoff vector of the built-in and the custom game."""
+    vectors = {}
+    for game in (builtin_bayesian(), custom_bayesian()):
+        for sub in (game.subgame_b1, game.subgame_b2):
+            for vec in (sub.payoff_a, sub.payoff_b):
+                vectors[tuple(vec)] = np.asarray(vec, dtype=float)
+    return list(vectors.values())
+
+
+def assert_tables_match_whole_gemm(tables, game, gamma, sset):
+    factors, j = _born_factors(sset), entangler(gamma)
+    subgames = (game.subgame_b1, game.subgame_b2)
+    for ta, top, sub in zip((tables.ta1, tables.ta2), (tables.top1, tables.top2), subgames):
+        expected = whole_gemm_table(factors, _born_core(j, sub.payoff_a), columns=True)
+        assert ta.flags.f_contiguous
+        assert ta.tobytes("A") == expected.tobytes("A")
+        assert top.tobytes() == expected.T.argmax(axis=1).tobytes()
+    lists = ((tables.br1, tables.pay1), (tables.br2, tables.pay2))
+    for (idx, pay), sub in zip(lists, subgames):
+        tb = whole_gemm_table(factors, _born_core(j, sub.payoff_b), columns=False)
+        expected_idx, expected_pay = reference_best_responses(tb, float(tables.eps_tie))
+        assert idx.tobytes() == expected_idx.tobytes()
+        assert pay.tobytes() == expected_pay.tobytes()
+
+
+class TestBlockBuiltTables:
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_payoff_tables_equal_the_whole_product(self, sset, gamma):
+        factors, j = _born_factors(sset), entangler(gamma)
+        for vec in payoff_vectors():
+            core = _born_core(j, vec)
+            for columns in (True, False):
+                table, top = _payoff_table(factors, core, columns)
+                expected = whole_gemm_table(factors, core, columns)
+                assert table.flags.f_contiguous if columns else table.flags.c_contiguous
+                assert table.tobytes("A") == expected.tobytes("A")
+                # Argmax rows of the columns, or argmax columns of the rows.
+                lines = expected.T if columns else expected
+                assert top.tobytes() == lines.argmax(axis=1).tobytes()
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    @pytest.mark.parametrize("game", [builtin_bayesian, custom_bayesian])
+    def test_bayesian_tables_equal_the_whole_product(self, sset, gamma, game):
+        tables = bayesian_tables(game(), gamma, sset)
+        assert (tables.ta2 is tables.ta1) == (game is builtin_bayesian)
+        assert (tables.top2 is tables.top1) == (tables.ta2 is tables.ta1)
+        assert_tables_match_whole_gemm(tables, game(), gamma, sset)
+
+    @pytest.mark.parametrize("block", [1 << 13, 14_000, 1 << 14, 1 << 20])
+    def test_other_block_sizes_give_the_same_bytes(self, block, monkeypatch):
+        # Five blocks of 41 or 42 rows, three of 69 or 70, two of 104, and
+        # one block for the whole table, on the 208 grid.
+        grid = enumerate_strategies(GRIDS[208])
+        monkeypatch.setattr(equilibrium, "_COLUMN_BLOCK", block)
+        for gamma in GAMMAS:
+            tables = bayesian_tables(custom_bayesian(), gamma, grid, 1e-6)
+            assert_tables_match_whole_gemm(tables, custom_bayesian(), gamma, grid)
+
+    def test_table_build_holds_one_table_and_a_block(self):
+        # bayesian_tables of one pi/8 row (gamma index 28): A's one table of
+        # n x n floats, never a whole B table.
+        grid = enumerate_strategies(GRIDS[1824])
+        n = len(grid)
+        tracemalloc.start()
+        try:
+            tables = bayesian_tables(builtin_bayesian(), gamma_grid()[28], grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tables.ta2 is tables.ta1
+        assert peak < 1.125 * n * n * 8
+
+
+class TestInSorted:
+    def test_matches_isin_on_random_lists(self):
+        rng = np.random.default_rng(3)
+        for size in [0, 1, 2, 5, 100, 3000]:
+            values = np.unique(rng.integers(0, 4 * size + 1, size))
+            # Keys below, inside and past the last entry of the list.
+            keys = rng.integers(-3, 4 * size + 8, 500)
+            keys[:3] = [-1, 4 * size + 7, values[-1] if size else 0]
+            got = _in_sorted(keys, values)
+            assert got.dtype == bool
+            assert got.tolist() == np.isin(keys, values).tolist()
+
+    def test_empty_list_and_no_keys(self):
+        assert _in_sorted(np.array([0, 5]), np.empty(0, dtype=np.int64)).tolist() == [False] * 2
+        assert _in_sorted(np.empty(0, dtype=np.int64), np.array([1, 2])).tolist() == []
