@@ -311,22 +311,39 @@ def _cmd_verify(args) -> int:
     sset = enumerate_strategies(spec.steps)
     records = _stored_records(cells, 3 if isinstance(spec.game, BayesianGame) else 2)
     derived = classify(records, sset)
-    failures, bad_classes = [], []
-    for i, cell in enumerate(cells):
-        where = f"FAIL p={cell.p} gamma={cell.gamma:.6g}"
-        own = records.in_cell(i)
-        verdicts = verify_records(own, spec.game, cell.gamma, sset, eps, cell.p)
-        failures.extend(
-            f"{where} profile={tuple(profile)}"
-            for profile, ok in zip(own.profiles.tolist(), verdicts)
-            if not ok
+    # One oracle call per distinct gamma checks the records of all its
+    # cells; the file's cells may come in any order.
+    ok = np.empty(len(records), dtype=bool)
+    gammas, row_of = np.unique([cell.gamma for cell in cells], return_inverse=True)
+    record_row = row_of[records.cell]
+    for row, gamma in enumerate(gammas.tolist()):
+        row_cells = np.flatnonzero(row_of == row)
+        own = np.flatnonzero(record_row == row)
+        row_records = RecordSet(
+            np.searchsorted(row_cells, records.cell[own]),
+            records.profiles[own],
+            records.payoffs[own],
+            len(row_cells),
         )
+        p_values = [cells[i].p for i in row_cells.tolist()]
+        ok[own] = verify_records(row_records, spec.game, gamma, sset, eps, p_values)
+
+    def where(cell: CellResult) -> str:
+        return f"FAIL p={cell.p} gamma={cell.gamma:.6g}"
+
+    # Records run in file cell order, so their failures do too.
+    failures = [
+        f"{where(cells[records.cell[r]])} profile={tuple(records.profiles[r].tolist())}"
+        for r in np.flatnonzero(~ok).tolist()
+    ]
+    bad_classes = []
+    for i, cell in enumerate(cells):
         # Each stored class must be the class its members re-derive to.
         class_of = {
             profile: cls for cls in derived[i] for profile in map(tuple, cls.profiles.tolist())
         }
         bad_classes.extend(
-            f"{where} class={class_id(cls)}"
+            f"{where(cell)} class={class_id(cls)}"
             for cls in cell.classes
             if class_of[tuple(cls.profiles[0].tolist())] != cls
         )
@@ -339,8 +356,7 @@ def _cmd_verify(args) -> int:
     for r in sorted(first[count > 1].tolist()):
         cell, cls = classes[np.searchsorted(ends, r, side="right")]
         profile = tuple(records.profiles[r].tolist())
-        where = f"FAIL p={cell.p} gamma={cell.gamma:.6g}"
-        repeats.append(f"{where} class={class_id(cls)} repeats profile={profile}")
+        repeats.append(f"{where(cell)} class={class_id(cls)} repeats profile={profile}")
     checked = len(records)
     reports = (
         (failures, f"of {checked} recorded profiles are not equilibria with their stored payoffs"),

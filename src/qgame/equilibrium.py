@@ -19,8 +19,11 @@ for bit.
 
 ``verify_records`` is the independent oracle: it re-evaluates every
 unilateral deviation through the scalar circuit path, never consulting
-the vectorized tables or best-response structure; ``verify_ne`` is its
-one-record case.
+the vectorized tables or best-response structure.  Its deviation states
+do not depend on p, so one call checks a whole gamma row's cells;
+``verify_ne`` is its one-record case.  ``bayesian_circuit_tables`` is
+the four-qubit witness: it fills the profile cube through the scalar
+four-qubit circuit, in slabs of a bounded number of states.
 
 Equilibria group into classes sharing a theta-profile and payoffs whose
 members differ only by correlated phase shifts.  For each class the
@@ -65,8 +68,8 @@ PAYOFF_TOL = 2e-9
 _TRIPLE_BLOCK = 1 << 20
 _COLUMN_BLOCK = 1 << 16
 
-# Deviation states per stacked circuit call in ``verify_records``, which
-# bounds the temporaries of one call.
+# States per stacked circuit call in ``verify_records`` and in
+# ``bayesian_circuit_tables``, which bounds the temporaries of one call.
 _VERIFY_BLOCK = 1 << 12
 
 
@@ -284,13 +287,24 @@ class BayesianTables(NamedTuple):
 def _best_responses(factors, core: np.ndarray, eps_tie: float) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices of a row-major table's entries within ``eps_tie`` of
     their row's maximum, and the entries there, each block of rows
-    reduced as soon as it is built, so the table is never held whole."""
+    reduced as soon as it is built, so the table is never held whole.
+
+    A block is first tested against the least of its rows' thresholds
+    ``max - eps_tie``, one scalar compare, and only the entries that pass
+    are tested against their own row's.  Every entry at or above its
+    row's threshold is at or above the least one, so the kept set is
+    exactly that of the per-row test.  The payoff vectors are checked to
+    be finite, so no entry or threshold is NaN.
+    """
     n = len(factors[0])
     idx, pay = [], []
     for rows, block in _table_blocks(factors, core, columns=False):
-        flat = np.flatnonzero(block >= block.max(axis=1, keepdims=True) - eps_tie)
-        pay.append(block.ravel()[flat])
-        idx.append(flat + rows.start * n)
+        threshold = block.max(axis=1) - eps_tie
+        candidates = np.flatnonzero(block >= threshold.min())
+        values = block.ravel()[candidates]
+        kept = values >= threshold[candidates // n]
+        pay.append(values[kept])
+        idx.append(candidates[kept] + rows.start * n)
     return np.concatenate(idx), np.concatenate(pay)
 
 
@@ -640,15 +654,19 @@ def bayesian_circuit_tables(
     """Payoff tables evaluated through the four-qubit circuit.
 
     Returns one (3, n, n, n) array: A's, B1's and B2's payoffs at every
-    profile (a, b1, b2), one stacked circuit call per strategy of A.
-    Cubic in the strategy count; intended for coarse grids.
+    profile (a, b1, b2).  The cube is filled in slabs of consecutive a,
+    one stacked circuit call per slab of at most ``_VERIFY_BLOCK``
+    profiles (one a per call from 65 strategies up); the circuit rounds
+    each profile of a stack as it would alone, so the slabs do not change
+    the tables.  Cubic in the strategy count; intended for coarse grids.
     """
     n = len(sset)
     us = sset.unitaries
     tables = np.empty((3, n, n, n))
-    for a in range(n):
-        tables[:, a] = bayesian_payoffs_full_circuit(
-            p, gamma, us[a], us[:, None], us[None, :], game
+    slab = max(1, _VERIFY_BLOCK // max(n * n, 1))
+    for start in range(0, n, slab):
+        tables[:, start : start + slab] = bayesian_payoffs_full_circuit(
+            p, gamma, us[start : start + slab, None, None], us[:, None], us[None, :], game
         )
     return tables
 
@@ -675,33 +693,36 @@ def verify_records(
     gamma: float,
     sset: StrategySet,
     eps_tie: float = DEFAULT_EPS_TIE,
-    p: float | None = None,
+    p_values: Sequence[float] | None = None,
 ) -> list[bool]:
-    """Independent NE check of one cell's records: every unilateral
-    deviation, re-evaluated.
+    """Independent NE check of the records of one gamma row's cells: every
+    unilateral deviation, re-evaluated.
 
     Payoffs are recomputed through the scalar circuit path, so the check
     shares nothing with the vectorized tables or best-response masks.
     Every deviation is keyed by the deviator's subgame opponent.  Each B
     player's payoff for every alternative is tabled against each distinct
-    a, one state serving both B players; A's payoff in each subgame is
-    tabled against each distinct B strategy, one state serving both
-    subgames.  The states are evaluated in blocks of ``_VERIFY_BLOCK``,
-    and each table holds at most n x n floats.  A's Bayesian payoff
-    against (b1, b2) is ``p * E1[b1] + (1.0 - p) * E2[b2]``, the
-    mixture's own expression, maximized once per distinct pair in blocks
-    of ``_COLUMN_BLOCK`` entries; a two-player A reads its one table.
-    A player's deviation to its recorded strategy is the base payoff, and
-    a record also fails when its stored payoffs are more than
-    ``PAYOFF_TOL`` from the base ones.  Bayesian records need the ``p``
-    they were found at; two-player records take none.  ``records.cell``
-    is not read.  Returns one verdict per record, in order.
+    a of the row, one state serving both B players; A's payoff in each
+    subgame is tabled against each distinct B strategy of the row, one
+    state serving both subgames.  None of these depends on p, so the
+    row's cells share them.  The states are evaluated in blocks of
+    ``_VERIFY_BLOCK``, and each table holds at most n x n floats.  A's
+    Bayesian payoff against (b1, b2) is ``p * E1[b1] + (1.0 - p) *
+    E2[b2]``, the mixture's own expression with the cell's p, maximized
+    once per distinct (cell, b1, b2) in blocks of ``_COLUMN_BLOCK``
+    entries; a two-player A reads its one table.  A player's deviation to
+    its recorded strategy is the base payoff, and a record also fails
+    when its stored payoffs are more than ``PAYOFF_TOL`` from the base
+    ones.  Bayesian record i was found at ``p_values[records.cell[i]]``,
+    and a Bayesian check needs ``p_values``; two-player records take no
+    p, and their check does not read ``p_values`` or ``records.cell``.
+    Returns one verdict per record, in order.
     """
     bayesian = isinstance(game, BayesianGame)
-    if bayesian and p is None:
+    if bayesian and p_values is None:
         raise ValueError("verifying a Bayesian record needs p")
     if bayesian:
-        check_probability(p)
+        p_cell = np.array([check_probability(p) for p in p_values], dtype=float)
     if not len(records):
         return []
     us = sset.unitaries
@@ -711,13 +732,14 @@ def verify_records(
     if bad.any():
         profile = tuple(profiles[np.argmax(bad)].tolist())
         raise ValueError(f"profile {profile} is not {players} strategy indices in [0, {n})")
+    if bayesian and not ((records.cell >= 0) & (records.cell < len(p_cell))).all():
+        raise ValueError(f"record cells must index the {len(p_cell)} p values")
     a, *bs = profiles.T
     # Stored payoffs of the wrong length become NaN, which fails the test.
     stored = records.payoffs
     if stored.shape != profiles.shape:
         stored = np.full(profiles.shape, np.nan)
     subgames = (game.subgame_b1, game.subgame_b2) if bayesian else (game,)
-    weights = (float(p), 1.0 - float(p)) if bayesian else (1.0,)
 
     def table(keys, vectors, deviator_first):
         """Payoffs ``vectors[k]`` of the deviator playing each alternative
@@ -741,17 +763,29 @@ def verify_records(
     others, other_of = np.unique(np.concatenate(bs), return_inverse=True)
     table_a = table(others, [sub.payoff_a for sub in subgames], deviator_first=True)
     keys = other_of.reshape(len(bs), len(records))
-    shape = (len(others),) * len(bs)
-    pairs, pair_of = np.unique(np.ravel_multi_index(keys, shape), return_inverse=True)
-    pair_keys = np.unravel_index(pairs, shape)
+
+    def payoff_a(cell, key, alt):
+        """A's payoff for ``alt`` against the B strategies ``others[key]``:
+        the mixture's own expression at the p of ``cell`` (a column of
+        it broadcasts over a row of alternatives), or the one table of a
+        two-player A."""
+        if not bayesian:
+            return table_a[0][key[0], alt]
+        p = p_cell[cell]
+        return p * table_a[0][key[0], alt] + (1.0 - p) * table_a[1][key[1], alt]
+
+    # A's best deviation depends on the cell only through p.
+    cells = records.cell if bayesian else np.zeros(len(records), dtype=np.int64)
+    shape = (len(p_cell) if bayesian else 1,) + (len(others),) * len(bs)
+    pairs, pair_of = np.unique(np.ravel_multi_index((cells, *keys), shape), return_inverse=True)
+    pair_cell, *pair_keys = np.unravel_index(pairs, shape)
     best_a = np.empty(len(pairs))
     step = max(1, _COLUMN_BLOCK // n)
     for start in range(0, len(pairs), step):
         block = slice(start, start + step)
-        best_a[block] = sum(
-            w * t[k[block]] for w, t, k in zip(weights, table_a, pair_keys)
-        ).max(axis=1)
-    base_a = sum(w * t[k, a] for w, t, k in zip(weights, table_a, keys))
+        key = [k[block] for k in pair_keys]
+        best_a[block] = payoff_a(pair_cell[block, None], key, slice(None)).max(axis=1)
+    base_a = payoff_a(records.cell, keys, a)
     best = np.stack([best_a[pair_of]] + best_b, axis=1)
     base = np.stack([base_a] + base_b, axis=1)
     return (
@@ -768,8 +802,9 @@ def verify_ne(
     eps_tie: float = DEFAULT_EPS_TIE,
     p: float | None = None,
 ) -> bool:
-    """``verify_records`` of one record."""
-    return verify_records(RecordSet.of([record]), game, gamma, sset, eps_tie, p)[0]
+    """``verify_records`` of one record, found at ``p`` (Bayesian games only)."""
+    p_values = None if p is None else (p,)
+    return verify_records(RecordSet.of([record]), game, gamma, sset, eps_tie, p_values)[0]
 
 
 # ``_round9`` scales by 1e9 and rounds to a whole number in float64.

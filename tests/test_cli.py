@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -382,6 +383,38 @@ class TestResultFiles:
             ]
         checked = sum(len(cls["members"]) for _, cls in classes)
         assert len({line.split(" profile")[0] for line in expected[:20]}) > 1
+        out.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["verify", "--in", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == expected[:20] + [
+            f"{len(expected)} of {checked} recorded profiles are not equilibria"
+            " with their stored payoffs"
+        ]
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_verify_reports_failures_in_the_order_of_reordered_cells(
+        self, tmp_path, capsys, order
+    ):
+        # Each gamma's cells are checked together, wherever they sit in
+        # the file; the report follows the file.
+        out = tmp_path / "sweep.json"
+        argv = ["sweep", "--p-step", "0.5", "--gamma-step", "0.4", "--format", "json"]
+        assert main(argv + ["--out", str(out)]) == 0
+        data = json.loads(out.read_text(encoding="utf-8"))
+        data["cells"].reverse()
+        if order == "shuffled":
+            random.Random(5).shuffle(data["cells"])
+        classes = [(cell, cls) for cell in data["cells"] for cls in cell["classes"]]
+        expected = []
+        for cell, cls in classes[::2]:
+            cls["payoffs"] = [x + 1e-6 for x in cls["payoffs"]]
+            expected += [
+                f"FAIL p={cell['p']} gamma={cell['gamma']:.6g} profile={tuple(m)}"
+                for m in cls["members"]
+            ]
+        checked = sum(len(cls["members"]) for _, cls in classes)
+        gammas = [line.split(" profile")[0].split()[2] for line in expected[:20]]
+        assert gammas != sorted(gammas)
         out.write_text(json.dumps(data), encoding="utf-8")
         capsys.readouterr()
         assert main(["verify", "--in", str(out)]) == 3

@@ -40,7 +40,7 @@ from qgame.games import (
 )
 from qgame.serialize import load_result
 from qgame.strategies import DEFAULT_GRID, GridSteps, enumerate_strategies
-from qgame.sweep import _row, gamma_grid, p_grid
+from qgame.sweep import SweepSpec, _row, gamma_grid, p_grid, run_sweep
 
 from conftest import cells_of, custom_bayesian, records_of
 
@@ -278,6 +278,40 @@ class TestFourQubitWitness:
         with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
             find_ne_bayesian_circuit(game, 0.8, grid8, p)
 
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("grid, calls", [("grid8", 1), ("grid24", 4)])
+    def test_slabs_equal_one_call_per_a(self, request, grid, calls, p, monkeypatch):
+        # 8 strategies fill the cube in one call; 24 in slabs of 7, 7, 7
+        # and 3 values of a.  At p = 0 and p = 1 one branch is empty and
+        # its B player takes the two-player fallback.
+        sset = request.getfixturevalue(grid)
+        game = custom_bayesian()
+        full, states = equilibrium.bayesian_payoffs_full_circuit, []
+
+        def counting(p, gamma, u_a, u_b1, u_b2, game):
+            batch = np.broadcast_shapes(*(u.shape[:-2] for u in (u_a, u_b1, u_b2)))
+            states.append(math.prod(batch))
+            return full(p, gamma, u_a, u_b1, u_b2, game)
+
+        monkeypatch.setattr(equilibrium, "bayesian_payoffs_full_circuit", counting)
+        tables = bayesian_circuit_tables(game, 0.9, sset, p)
+        n, us = len(sset), sset.unitaries
+        expected = np.empty((3, n, n, n))
+        for a in range(n):
+            expected[:, a] = full(p, 0.9, us[a], us[:, None], us[None, :], game)
+        assert tables.tobytes() == expected.tobytes()
+        assert len(states) == calls
+        assert sum(states) == n**3
+        assert max(states) <= equilibrium._VERIFY_BLOCK
+
+    @pytest.mark.parametrize("block", [1, 64, 200])
+    def test_slabs_of_other_sizes_give_the_same_bytes(self, grid8, block, monkeypatch):
+        # One a per call below 64 states, and slabs of 3, 3 and 2 at 200.
+        game = custom_bayesian()
+        whole = bayesian_circuit_tables(game, 0.9, grid8, 0.3)
+        monkeypatch.setattr(equilibrium, "_VERIFY_BLOCK", block)
+        assert bayesian_circuit_tables(game, 0.9, grid8, 0.3).tobytes() == whole.tobytes()
+
 
 class TestDenseNe:
     @staticmethod
@@ -429,7 +463,9 @@ class TestVerifyRecords:
         found = [rec for cls in cell.classes for rec in cls.members]
         payoffs = one_at_a_time(spec.game, cell.gamma, sset, cell.p)
         records = with_decoys(found, len(sset), 3, np.random.default_rng(index), payoffs)
-        verdicts = verify_records(RecordSet.of(records), spec.game, cell.gamma, sset, p=cell.p)
+        verdicts = verify_records(
+            RecordSet.of(records), spec.game, cell.gamma, sset, p_values=(cell.p,)
+        )
         assert verdicts == oracle_verdicts(records, spec.game, cell.gamma, sset, cell.p)
         assert verdicts[: len(found)] == [True] * len(found)
         assert not all(verdicts)
@@ -446,7 +482,7 @@ class TestVerifyRecords:
 
     def test_empty_record_list(self, grid8):
         none = RecordSet.of([])
-        assert verify_records(none, builtin_bayesian(), 0.3, grid8, p=0.9) == []
+        assert verify_records(none, builtin_bayesian(), 0.3, grid8, p_values=(0.9,)) == []
         assert verify_records(none, builtin_pd(), 0.3, grid8) == []
 
     @pytest.mark.parametrize("block", [1, 24, 7])
@@ -458,9 +494,9 @@ class TestVerifyRecords:
         payoffs = one_at_a_time(game, 0.9, grid24, 0.3)
         records = with_decoys(found, len(grid24), 3, np.random.default_rng(block), payoffs)
         records = RecordSet.of(records)
-        whole = verify_records(records, game, 0.9, grid24, p=0.3)
+        whole = verify_records(records, game, 0.9, grid24, p_values=(0.3,))
         monkeypatch.setattr(equilibrium, "_VERIFY_BLOCK", block)
-        assert verify_records(records, game, 0.9, grid24, p=0.3) == whole
+        assert verify_records(records, game, 0.9, grid24, p_values=(0.3,)) == whole
         assert whole[: len(found)] == [True] * len(found)
         assert not all(whole)
 
@@ -479,7 +515,7 @@ class TestVerifyRecords:
             return psi
 
         monkeypatch.setattr(equilibrium, "evolve_two_player", counting)
-        verdicts = verify_records(RecordSet.of(records), game, 0.9, grid24, p=0.3)
+        verdicts = verify_records(RecordSet.of(records), game, 0.9, grid24, p_values=(0.3,))
         a, b1, b2 = np.array([rec.profile for rec in records]).T
         keys = len(np.unique(a)) + len(np.union1d(b1, b2))
         assert sum(states) == keys * len(grid24)
@@ -489,7 +525,109 @@ class TestVerifyRecords:
     def test_wrong_profile_length_raises(self, grid8):
         rec = EquilibriumRecord((0, 0), (0.0, 0.0))
         with pytest.raises(ValueError, match="strategy indices"):
-            verify_records(RecordSet.of([rec]), builtin_bayesian(), 0.3, grid8, p=0.5)
+            verify_records(RecordSet.of([rec]), builtin_bayesian(), 0.3, grid8, p_values=(0.5,))
+
+
+def per_cell_verdicts(records, game, gamma, sset, p_values=None):
+    """The reference for a row: one ``verify_records`` call per cell."""
+    verdicts = []
+    for c in range(records.n_cells):
+        p = None if p_values is None else (p_values[c],)
+        verdicts += verify_records(records.in_cell(c), game, gamma, sset, p_values=p)
+    return verdicts
+
+
+def stored_with_faults(cells, n):
+    """The stored records of ``cells`` as one set, cell i being ``cells[i]``,
+    with faults planted: every third class's payoffs shifted by 1e-6, and
+    per cell a copy of its first member with B1 moved off it.  Returns
+    the set and the kinds of its records (0 stored, 1 shifted, 2 moved)."""
+    cell, profiles, payoffs, kinds = [], [], [], []
+    for i, c in enumerate(cells):
+        for k, cls in enumerate(c.classes):
+            shift = 1e-6 if (i + k) % 3 == 0 else 0.0
+            for profile in cls.profiles.tolist():
+                cell.append(i)
+                profiles.append(profile)
+                payoffs.append([x + shift for x in cls.payoffs])
+                kinds.append(1 if shift else 0)
+        if c.classes:
+            a, b1, b2 = c.classes[0].profiles[0].tolist()
+            cell.append(i)
+            profiles.append([a, (b1 + n // 2) % n, b2])
+            payoffs.append(list(c.classes[0].payoffs))
+            kinds.append(2)
+    records = RecordSet(
+        np.array(cell, dtype=np.int64),
+        np.array(profiles, dtype=np.int64).reshape(-1, 3),
+        np.array(payoffs).reshape(-1, 3),
+        len(cells),
+    )
+    return records, np.array(kinds)
+
+
+class TestRowVerification:
+    def test_golden_rows_match_one_call_per_cell(self, golden_sweep):
+        spec = golden_sweep.spec
+        sset = enumerate_strategies(spec.steps)
+        rows = {}
+        for cell in golden_sweep.cells:
+            rows.setdefault(cell.gamma, []).append(cell)
+        assert len(rows) == 32
+        assert {0.0, 1.0} <= {cell.p for cell in golden_sweep.cells}
+        all_kinds, all_verdicts = [], []
+        for gamma, cells in rows.items():
+            records, kinds = stored_with_faults(cells, len(sset))
+            p_values = [cell.p for cell in cells]
+            verdicts = verify_records(records, spec.game, gamma, sset, p_values=p_values)
+            assert verdicts == per_cell_verdicts(records, spec.game, gamma, sset, p_values)
+            all_kinds.append(kinds)
+            all_verdicts += verdicts
+        kinds, verdicts = np.concatenate(all_kinds), np.array(all_verdicts)
+        assert verdicts[kinds == 0].all()
+        assert not verdicts[kinds == 1].any()
+        assert not verdicts[kinds == 2].all()
+
+    @pytest.mark.parametrize("p_values", [[0.0, 1.0], [1.0, 0.3, 0.0]])
+    def test_row_cells_at_the_ends_of_p(self, grid24, p_values):
+        # The same candidates in every cell, found at different p: at p = 0
+        # and p = 1 one of A's subgames has weight 0.
+        game = custom_bayesian()
+        found = [records_of(find_ne_bayesian(game, 0.9, grid24, p)) for p in p_values]
+        payoffs = [one_at_a_time(game, 0.9, grid24, p) for p in p_values]
+        rng = np.random.default_rng(len(p_values))
+        cells = [with_decoys(sum(found, []), len(grid24), 3, rng, pay) for pay in payoffs]
+        records = RecordSet(
+            np.repeat(np.arange(len(cells)), [len(c) for c in cells]),
+            np.array([rec.profile for c in cells for rec in c]),
+            np.array([rec.payoffs for c in cells for rec in c]),
+            len(cells),
+        )
+        verdicts = verify_records(records, game, 0.9, grid24, p_values=p_values)
+        assert verdicts == per_cell_verdicts(records, game, 0.9, grid24, p_values)
+        for c, p in enumerate(p_values):
+            own = [v for v, cell in zip(verdicts, records.cell) if cell == c]
+            assert own == oracle_verdicts(cells[c], game, 0.9, grid24, p)
+            assert all(v for v, rec in zip(own, cells[c]) if rec in found[c])
+            assert not all(own)
+
+    def test_pd_sweep_rows_match_one_call_per_cell(self, grid24):
+        game = builtin_pd()
+        result = run_sweep(SweepSpec(game, gamma_grid(0.2), (), grid24.steps))
+        rng = np.random.default_rng(11)
+        for cell in result.cells:
+            found = [rec for cls in cell.classes for rec in cls.members]
+            payoffs = one_at_a_time(game, cell.gamma, grid24)
+            records = RecordSet.of(with_decoys(found, len(grid24), 2, rng, payoffs))
+            verdicts = verify_records(records, game, cell.gamma, grid24, p_values=[cell.p])
+            assert verdicts == per_cell_verdicts(records, game, cell.gamma, grid24)
+            assert verdicts[: len(found)] == [True] * len(found)
+
+    def test_cell_outside_the_p_values_raises(self, grid8):
+        one = RecordSet.of([EquilibriumRecord((0, 0, 0), (0.0, 0.0, 0.0))])
+        second = RecordSet(one.cell + 1, one.profiles, one.payoffs, 2)
+        with pytest.raises(ValueError, match="index the 1 p values"):
+            verify_records(second, builtin_bayesian(), 0.3, grid8, p_values=(0.5,))
 
 
 class TestClassify:

@@ -21,6 +21,7 @@ from qgame.equilibrium import (
     _born_factors,
     _in_sorted,
     _payoff_table,
+    _best_responses,
     bayesian_tables,
 )
 from qgame.games import builtin_bayesian
@@ -131,6 +132,56 @@ class TestBlockBuiltTables:
             tracemalloc.stop()
         assert tables.ta2 is tables.ta1
         assert peak < 1.125 * n * n * 8
+
+
+def reduce_hand_built(table: np.ndarray, rows_per_block: int, eps_tie: float, monkeypatch):
+    """``_best_responses`` of ``table``, fed to it in blocks of rows."""
+
+    def blocks(factors, core, columns, out=None):
+        for start in range(0, len(table), rows_per_block):
+            rows = slice(start, start + rows_per_block)
+            yield rows, table[rows]
+
+    monkeypatch.setattr(equilibrium, "_table_blocks", blocks)
+    return _best_responses((np.empty((len(table), 32)), None), None, eps_tie)
+
+
+class TestBestResponseReduction:
+    # Hand-built square tables with whole-number entries, so entries land
+    # exactly on the threshold max - eps_tie.
+    @pytest.mark.parametrize("rows_per_block", [1, 3, 7, 20])
+    def test_row_maxima_far_apart(self, rows_per_block, monkeypatch):
+        # Row r lies near 10 r: the least threshold of a block passes most
+        # of its other rows, which only their own thresholds then cut.
+        rng = np.random.default_rng(rows_per_block)
+        n = 20
+        table = rng.integers(-9, 1, size=(n, n)).astype(float) + 10.0 * np.arange(n)[:, None]
+        least = table.max(axis=1) - 1.0
+        passed = sum(
+            int((table[k : k + rows_per_block] >= least[k : k + rows_per_block].min()).sum())
+            for k in range(0, n, rows_per_block)
+        )
+        idx, pay = reduce_hand_built(table, rows_per_block, 1.0, monkeypatch)
+        expected_idx, expected_pay = reference_best_responses(table, 1.0)
+        assert idx.tobytes() == expected_idx.tobytes()
+        assert pay.tobytes() == expected_pay.tobytes()
+        if rows_per_block > 1:
+            assert passed > 2 * len(idx)
+
+    @pytest.mark.parametrize("rows_per_block", [1, 4, 9])
+    def test_every_row_ties(self, rows_per_block, monkeypatch):
+        # Every row has the same maximum, so the least threshold is every
+        # row's; the last rows are wholly tied and keep every entry.
+        rng = np.random.default_rng(rows_per_block)
+        n = 9
+        table = rng.integers(0, 4, size=(n, n)).astype(float)
+        table[:, 0] = 5.0
+        table[-2:] = 5.0
+        idx, pay = reduce_hand_built(table, rows_per_block, 1.0, monkeypatch)
+        expected_idx, expected_pay = reference_best_responses(table, 1.0)
+        assert idx.tobytes() == expected_idx.tobytes()
+        assert pay.tobytes() == expected_pay.tobytes()
+        assert set(range((n - 2) * n, n * n)) <= set(idx.tolist())
 
 
 class TestInSorted:
