@@ -10,11 +10,9 @@ sweeps.
 from .circuits import (
     StrategyParams,
     bayesian_payoffs_full_circuit,
-    bayesian_payoffs_mixture,
     entangler,
     evolve_bayesian_circuit,
     evolve_two_player,
-    no_signaling_check,
     payoff_expectation,
     strategy_unitary,
 )
@@ -25,12 +23,10 @@ from .equilibrium import (
     RecordSet,
     bayesian_tables,
     classify,
-    find_ne_bayesian,
     find_ne_bayesian_row,
     find_ne_bayesian_circuit,
     find_ne_two_player,
     two_player_tables,
-    verify_ne,
     verify_records,
 )
 from .games import (

@@ -298,29 +298,6 @@ def payoff_expectation(psi: np.ndarray, payoff):
     return _value(_sum_first(probs * vec.reshape(vec.shape + (1,) * (psi.ndim - 1))))
 
 
-def bayesian_payoffs_mixture(p: float, gamma: float, u_a, u_b1, u_b2, game: BayesianGame):
-    """Payoffs from the statistical mixture of the two subgame circuits.
-
-    A's payoff is p-weighted across the subgames at the same gamma; each
-    B player receives its conditional subgame expectation, which does
-    not depend on p or on the other B player's strategy.  Strategies may
-    be stacks; each payoff is then an array over all their batch axes.
-    """
-    p = check_probability(p)
-    u_a, u_b1, u_b2 = (_as_unitary(u) for u in (u_a, u_b1, u_b2))
-    full = np.broadcast_shapes(u_a.shape, u_b1.shape, u_b2.shape)
-    # Both subgames in one stacked evolution: A against B1, then against B2.
-    psi1, psi2 = _two_player_states(
-        gamma, u_a, np.array([np.broadcast_to(u_b1, full), np.broadcast_to(u_b2, full)])
-    )
-    pay_a = p * payoff_expectation(psi1, game.subgame_b1.payoff_a) + (
-        1.0 - p
-    ) * payoff_expectation(psi2, game.subgame_b2.payoff_a)
-    pay_b1 = payoff_expectation(psi1, game.subgame_b1.payoff_b)
-    pay_b2 = payoff_expectation(psi2, game.subgame_b2.payoff_b)
-    return pay_a, pay_b1, pay_b2
-
-
 @lru_cache(maxsize=64)
 def _controlled_entanglers(gamma: float):
     """The 16x16 product J2 J1 of the controlled entanglers, and its dagger
@@ -401,26 +378,3 @@ def bayesian_payoffs_full_circuit(p: float, gamma: float, u_a, u_b1, u_b2, game:
             )
     return tuple(_value(x) for x in pays)
 
-
-def no_signaling_check(dist: np.ndarray, tol: float = 1e-9) -> bool:
-    """Check that outcome marginals are independent of the other side's type.
-
-    ``dist[a, b, x, y]`` holds P(a, b | x, y) for binary outcomes and
-    arbitrary type counts.  Each (x, y) slice must be normalized within
-    1e-9.  Returns True iff A's marginal is independent of y and B's
-    marginal is independent of x, within ``tol``.
-    """
-    dist = np.asarray(dist, dtype=float)
-    if dist.ndim != 4 or dist.shape[0] != 2 or dist.shape[1] != 2:
-        raise ValueError(f"distribution must have shape (2, 2, nx, ny), got {dist.shape}")
-    if np.any(dist < -1e-12) or np.any(dist > 1.0 + 1e-12):
-        raise ValueError("probabilities must lie in [0, 1]")
-    sums = dist.sum(axis=(0, 1))
-    if np.max(np.abs(sums - 1.0)) > 1e-9:
-        raise ValueError("each (x, y) slice must be normalized to 1 within 1e-9")
-
-    marg_a = dist.sum(axis=1)  # (a, x, y)
-    marg_b = dist.sum(axis=0)  # (b, x, y)
-    spread_a = marg_a.max(axis=2) - marg_a.min(axis=2)
-    spread_b = marg_b.max(axis=1) - marg_b.min(axis=1)
-    return bool(spread_a.max() <= tol and spread_b.max() <= tol)

@@ -20,10 +20,10 @@ for bit.
 ``verify_records`` is the independent oracle: it re-evaluates every
 unilateral deviation through the scalar circuit path, never consulting
 the vectorized tables or best-response structure.  Its deviation states
-do not depend on p, so one call checks a whole gamma row's cells;
-``verify_ne`` is its one-record case.  ``bayesian_circuit_tables`` is
-the four-qubit witness: it fills the profile cube through the scalar
-four-qubit circuit, in slabs of a bounded number of states.
+do not depend on p, so one call checks a whole gamma row's cells.
+``bayesian_circuit_tables`` is the four-qubit witness: it fills the
+profile cube through the scalar four-qubit circuit, in slabs of a
+bounded number of states.
 
 Equilibria group into classes sharing a theta-profile and payoffs whose
 members differ only by correlated phase shifts.  For each class the
@@ -102,18 +102,6 @@ class RecordSet:
     profiles: np.ndarray
     payoffs: np.ndarray
     n_cells: int = 1
-
-    @classmethod
-    def of(cls, records: Sequence[EquilibriumRecord]) -> RecordSet:
-        """One cell's records, in the order given."""
-        profiles = np.array([rec.profile for rec in records], dtype=np.int64)
-        payoffs = np.array([rec.payoffs for rec in records], dtype=float)
-        return cls(np.zeros(len(records), dtype=np.int64), profiles, payoffs)
-
-    def in_cell(self, c: int) -> RecordSet:
-        """The records of cell ``c`` as a one-cell set."""
-        lo, hi = np.searchsorted(self.cell, [c, c + 1])
-        return RecordSet(self.cell[lo:hi] - c, self.profiles[lo:hi], self.payoffs[lo:hi])
 
     def __len__(self) -> int:
         return len(self.profiles)
@@ -630,21 +618,6 @@ def _recheck(records: RecordSet, tables: BayesianTables, p_values: Sequence[floa
         raise RuntimeError(f"record {profile} failed deviation re-check")
 
 
-def find_ne_bayesian(
-    game: BayesianGame,
-    gamma: float,
-    sset: StrategySet,
-    p: float,
-    eps_tie: float = DEFAULT_EPS_TIE,
-) -> RecordSet:
-    """All profiles (a, b1, b2) stable under unilateral deviation at one p.
-
-    A's payoff is the p-weighted mixture of its two subgame tables; the
-    search is ``find_ne_bayesian_row``'s, re-check included.
-    """
-    return find_ne_bayesian_row(bayesian_tables(game, gamma, sset, eps_tie), (p,))
-
-
 def bayesian_circuit_tables(
     game: BayesianGame,
     gamma: float,
@@ -792,19 +765,6 @@ def verify_records(
         (np.abs(stored - base) <= PAYOFF_TOL).all(axis=1)
         & (best <= base + eps_tie).all(axis=1)
     ).tolist()
-
-
-def verify_ne(
-    record: EquilibriumRecord,
-    game: TwoPlayerGame | BayesianGame,
-    gamma: float,
-    sset: StrategySet,
-    eps_tie: float = DEFAULT_EPS_TIE,
-    p: float | None = None,
-) -> bool:
-    """``verify_records`` of one record, found at ``p`` (Bayesian games only)."""
-    p_values = None if p is None else (p,)
-    return verify_records(RecordSet.of([record]), game, gamma, sset, eps_tie, p_values)[0]
 
 
 # ``_round9`` scales by 1e9 and rounds to a whole number in float64.

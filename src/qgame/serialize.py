@@ -53,16 +53,21 @@ def _number(value, path: str) -> float:
     """A JSON number, booleans and strings refused."""
     if type(value) not in _NUMBER_TYPES:
         raise ConfigError(f"{path} must be a number, got {value!r}")
-    return float(value)
+    return _numbers([value], path)[0]
 
 
 def _numbers(values, path: str, count: int | None = None) -> tuple[float, ...]:
-    """A JSON list of numbers, booleans excluded, of ``count`` items if given."""
+    """A JSON list of numbers, booleans excluded, of ``count`` items if given.
+
+    An integer too large for a float is refused, naming ``path``."""
     if not isinstance(values, list) or not set(map(type, values)) <= _NUMBER_TYPES:
         raise ConfigError(f"{path} must be a list of numbers, got {values!r}")
     if count is not None and len(values) != count:
         raise ConfigError(f"{path} must list {count} numbers, got {len(values)}")
-    return tuple(map(float, values))
+    try:
+        return tuple(map(float, values))
+    except OverflowError:
+        raise ConfigError(f"{path} holds an integer too large for a float") from None
 
 
 def _payoff_pair(block, path) -> tuple[tuple, tuple]:
@@ -88,13 +93,19 @@ def game_from_dict(data: dict) -> TwoPlayerGame | BayesianGame:
     raise ConfigError(f"field 'game' must be 'two-player' or 'bayesian', got {kind!r}")
 
 
-def load_game(path: str) -> TwoPlayerGame | BayesianGame:
+def _read_json(path: str):
+    """The JSON value a file holds.  A file that is not UTF-8 JSON, or
+    holds an integer past Python's digit limit, raises ConfigError naming
+    the file: each of these is a ValueError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
+            return json.load(fh)
+    except ValueError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    return game_from_dict(data)
+
+
+def load_game(path: str) -> TwoPlayerGame | BayesianGame:
+    return game_from_dict(_read_json(path))
 
 
 def game_to_dict(game: TwoPlayerGame | BayesianGame) -> dict:
@@ -247,11 +258,7 @@ class LoadedResult:
 
 
 def load_result(path: str) -> LoadedResult:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    data = _read_json(path)
     try:
         game = game_from_dict(_require(data, "game", ""))
         steps_raw = _require(data, "grid_steps", "")

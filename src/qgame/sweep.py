@@ -121,15 +121,6 @@ class SweepResult:
     cells: tuple[CellResult, ...]
     elapsed: float = 0.0
 
-    def cell(self, p: float | None, gamma: float, tol: float = 1e-9) -> CellResult:
-        for c in self.cells:
-            if abs(c.gamma - gamma) <= tol and (
-                (c.p is None and p is None)
-                or (c.p is not None and p is not None and abs(c.p - p) <= tol)
-            ):
-                return c
-        raise KeyError(f"no cell at p={p}, gamma={gamma}")
-
 
 @dataclass(frozen=True)
 class RegionSummary:

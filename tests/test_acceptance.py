@@ -18,20 +18,19 @@ from qgame.circuits import (
     entangler,
     evolve_bayesian_circuit,
     evolve_two_player,
-    no_signaling_check,
 )
 from qgame.equilibrium import (
     classify,
-    find_ne_bayesian,
     find_ne_two_player,
     two_player_tables,
-    verify_ne,
+    verify_records,
 )
 from qgame.games import builtin_bayesian, builtin_da, builtin_pd, classical_bayesian_ne
 from qgame.strategies import DEFAULT_GRID, GridSteps, enumerate_strategies
 from qgame.sweep import SweepSpec, gamma_grid, p_grid, run_sweep
 
-from conftest import is_unitary, records_of
+from conftest import find_ne_at, is_unitary, records_of, sweep_cell
+from test_circuits import reference_bayesian_payoffs_mixture, reference_no_signaling_check
 
 PI = math.pi
 EPS_TIE = 1e-9
@@ -130,7 +129,7 @@ def test_c03_da_two_player_sweep(da_sweep):
             assert not dd, f"theta=(pi,pi) class too early at gamma={cell.gamma}"
         if cell.gamma >= 0.6 - 1e-9:
             assert dd, f"theta=(pi,pi) class missing at gamma={cell.gamma}"
-    top = da_sweep.cell(None, PI / 2)
+    top = sweep_cell(da_sweep, None, PI / 2)
     for cls in top.classes:
         assert cls.payoffs == pytest.approx((11.0, 9.0), abs=1e-6)
     assert len(top.classes) == 2
@@ -138,7 +137,7 @@ def test_c03_da_two_player_sweep(da_sweep):
 
 def test_c04_classical_anchor_at_gamma_zero(bayes_sweep):
     for p in p_grid():
-        cell = bayes_sweep.cell(p, 0.0)
+        cell = sweep_cell(bayes_sweep, p, 0.0)
         if p <= 0.15 + 1e-9:
             assert len(cell.classes) == 1
             assert cell.classes[0].payoffs == pytest.approx(
@@ -194,7 +193,7 @@ def test_c05d_region_e4(bayes_sweep):
     expected = {(p, g) for p, g in grid if g >= E4_GAMMA_EDGE and p <= e4_p_edge(g)}
     assert set(cells) == expected
     for p in (p for p in p_grid() if p <= 0.15 + 1e-9):
-        cell = bayes_sweep.cell(p, PI / 2)
+        cell = sweep_cell(bayes_sweep, p, PI / 2)
         (e4,) = classes_with_theta(cell, THETA_E4)
         (e2,) = classes_with_theta(cell, THETA_E2)
         assert e4.payoffs == pytest.approx(e2.payoffs, abs=1e-9)
@@ -202,8 +201,8 @@ def test_c05d_region_e4(bayes_sweep):
 
 
 def test_c05e_no_ne_cells_and_classical_tail(bayes_sweep):
-    assert bayes_sweep.cell(0.5, 0.3).classes == ()
-    assert bayes_sweep.cell(0.5, 1.4).classes == ()
+    assert sweep_cell(bayes_sweep, 0.5, 0.3).classes == ()
+    assert sweep_cell(bayes_sweep, 0.5, 1.4).classes == ()
     # gamma = 0 occupancy of the theta=(pi,pi,0) profile must match the
     # classical (D, D, C) branch exactly: present iff p > 1/6 on the grid.
     gamma0 = {
@@ -252,7 +251,7 @@ def test_c07_phase_relations(bayes_sweep):
     # The expected offset sets are negation-symmetric mod 2*pi, so the sum
     # and difference representations must both equal the printed set.
     for thetas, (p, gamma) in PROBE_CELLS.items():
-        (cls,) = classes_with_theta(bayes_sweep.cell(p, gamma), thetas)
+        (cls,) = classes_with_theta(sweep_cell(bayes_sweep, p, gamma), thetas)
         expected = EXPECTED_OFFSETS[thetas]
         for pair in ("A-B1", "A-B2"):
             assert cls.phase_sums[pair] == pytest.approx(expected, abs=1e-9)
@@ -288,7 +287,7 @@ def test_c09a_oracle_equivalence(grid8):
         p = float(rng.uniform())
         gamma = float(rng.uniform(0.0, PI / 2))
         game = builtin_bayesian()
-        fast = {r.profile for r in records_of(find_ne_bayesian(game, gamma, grid8, p, EPS_TIE))}
+        fast = {r.profile for r in records_of(find_ne_at(game, gamma, grid8, p, EPS_TIE))}
         assert fast == naive_bayesian_ne(game, gamma, grid8, p, EPS_TIE)
 
 
@@ -307,16 +306,14 @@ def test_c09b_unitarity_and_normalization(grid8):
 
 
 def test_c09c_global_phase_invariance(grid8):
-    from qgame.circuits import bayesian_payoffs_mixture
-
     game = builtin_bayesian()
     us = [grid8.unitaries[4], grid8.unitaries[5], grid8.unitaries[0]]
-    base = bayesian_payoffs_mixture(0.4, 0.9, *us, game)
+    base = reference_bayesian_payoffs_mixture(0.4, 0.9, *us, game)
     for delta in (PI / 7, 1.0, 3.0):
         for player in range(3):
             shifted = list(us)
             shifted[player] = np.exp(1j * delta) * shifted[player]
-            out = bayesian_payoffs_mixture(0.4, 0.9, *shifted, game)
+            out = reference_bayesian_payoffs_mixture(0.4, 0.9, *shifted, game)
             assert np.max(np.abs(np.array(out) - np.array(base))) < 1e-12
 
 
@@ -330,15 +327,15 @@ def test_c09d_no_signaling_of_entangled_distributions(grid8):
             probs = np.abs(np.kron(ua[x], ub[y]) @ base) ** 2
             for a, b in product(range(2), repeat=2):
                 dist[a, b, x, y] = probs[2 * a + b]
-        assert no_signaling_check(dist, EPS_TIE)
+        assert reference_no_signaling_check(dist, EPS_TIE)
 
 
 def test_c09e_found_equilibria_pass_independent_verification(grid8):
     for p, gamma in ((0.9, 0.3), (0.1, 0.5), (0.5, 0.8), (0.1, 1.3), (0.1, PI / 2)):
         game = builtin_bayesian()
-        records = find_ne_bayesian(game, gamma, grid8, p, EPS_TIE)
+        records = find_ne_at(game, gamma, grid8, p, EPS_TIE)
         assert records
-        assert all(verify_ne(rec, game, gamma, grid8, EPS_TIE, p) for rec in records_of(records))
+        assert all(verify_records(records, game, gamma, grid8, EPS_TIE, (p,)))
 
 
 def test_c10_performance(bayes_sweep):

@@ -11,15 +11,13 @@ from qgame.circuits import (
     StrategyParams,
     _controlled_entanglers,
     bayesian_payoffs_full_circuit,
-    bayesian_payoffs_mixture,
     entangler,
     evolve_bayesian_circuit,
     evolve_two_player,
-    no_signaling_check,
     payoff_expectation,
     strategy_unitary,
 )
-from qgame.games import builtin_bayesian
+from qgame.games import builtin_bayesian, check_probability
 from qgame.strategies import DEFAULT_GRID, GridSteps, enumerate_strategies
 
 from conftest import is_unitary
@@ -32,6 +30,58 @@ phases = st.floats(min_value=0.0, max_value=2.0 * PI - 1e-9, allow_nan=False)
 C_LIKE = StrategyParams(0.0)
 D_LIKE = StrategyParams(PI, 0.0, 0.0)
 D_LIKE_X = StrategyParams(PI, 0.0, PI / 2)
+
+
+def reference_bayesian_payoffs_mixture(p, gamma, u_a, u_b1, u_b2, game):
+    """Payoffs from the statistical mixture of the two subgame circuits.
+
+    The reference for the full four-qubit circuit, built on the public
+    two-player evolution.  A's payoff is p-weighted across the subgames
+    at the same gamma; each B player receives its conditional subgame
+    expectation, which does not depend on p or on the other B player's
+    strategy.  Strategies may be stacks; each payoff is then an array
+    over all their batch axes.
+    """
+    p = check_probability(p)
+    u_a, u_b1, u_b2 = (
+        strategy_unitary(u) if isinstance(u, StrategyParams) else np.asarray(u)
+        for u in (u_a, u_b1, u_b2)
+    )
+    full = np.broadcast_shapes(u_a.shape, u_b1.shape, u_b2.shape)
+    # Both subgames in one stacked evolution: A against B1, then against B2.
+    psi1, psi2 = evolve_two_player(
+        gamma, u_a, np.array([np.broadcast_to(u_b1, full), np.broadcast_to(u_b2, full)])
+    )
+    pay_a = p * payoff_expectation(psi1, game.subgame_b1.payoff_a) + (
+        1.0 - p
+    ) * payoff_expectation(psi2, game.subgame_b2.payoff_a)
+    pay_b1 = payoff_expectation(psi1, game.subgame_b1.payoff_b)
+    pay_b2 = payoff_expectation(psi2, game.subgame_b2.payoff_b)
+    return pay_a, pay_b1, pay_b2
+
+
+def reference_no_signaling_check(dist: np.ndarray, tol: float = 1e-9) -> bool:
+    """Check that outcome marginals are independent of the other side's type.
+
+    ``dist[a, b, x, y]`` holds P(a, b | x, y) for binary outcomes and
+    arbitrary type counts.  Each (x, y) slice must be normalized within
+    1e-9.  Returns True iff A's marginal is independent of y and B's
+    marginal is independent of x, within ``tol``.
+    """
+    dist = np.asarray(dist, dtype=float)
+    if dist.ndim != 4 or dist.shape[0] != 2 or dist.shape[1] != 2:
+        raise ValueError(f"distribution must have shape (2, 2, nx, ny), got {dist.shape}")
+    if np.any(dist < -1e-12) or np.any(dist > 1.0 + 1e-12):
+        raise ValueError("probabilities must lie in [0, 1]")
+    sums = dist.sum(axis=(0, 1))
+    if np.max(np.abs(sums - 1.0)) > 1e-9:
+        raise ValueError("each (x, y) slice must be normalized to 1 within 1e-9")
+
+    marg_a = dist.sum(axis=1)  # (a, x, y)
+    marg_b = dist.sum(axis=0)  # (b, x, y)
+    spread_a = marg_a.max(axis=2) - marg_a.min(axis=2)
+    spread_b = marg_b.max(axis=1) - marg_b.min(axis=1)
+    return bool(spread_a.max() <= tol and spread_b.max() <= tol)
 
 
 class TestStrategyUnitary:
@@ -150,35 +200,38 @@ class TestPayoffExpectation:
 class TestMixture:
     def test_p_one_is_pure_pd_subgame(self):
         game = builtin_bayesian()
-        pa, pb1, _ = bayesian_payoffs_mixture(1.0, 0.8, D_LIKE, D_LIKE_X, C_LIKE, game)
+        pa, pb1, _ = reference_bayesian_payoffs_mixture(1.0, 0.8, D_LIKE, D_LIKE_X, C_LIKE, game)
         psi = evolve_two_player(0.8, D_LIKE, D_LIKE_X)
         assert pa == pytest.approx(payoff_expectation(psi, game.subgame_b1.payoff_a), abs=1e-12)
         assert pb1 == pytest.approx(payoff_expectation(psi, game.subgame_b1.payoff_b), abs=1e-12)
 
     def test_half_weight_classical(self):
         game = builtin_bayesian()
-        pa, pb1, pb2 = bayesian_payoffs_mixture(0.5, 0.0, D_LIKE, D_LIKE, C_LIKE, game)
+        pa, pb1, pb2 = reference_bayesian_payoffs_mixture(0.5, 0.0, D_LIKE, D_LIKE, C_LIKE, game)
         assert pa == pytest.approx(0.5 * 6 + 0.5 * 10, abs=1e-12)
         assert pb1 == pytest.approx(6, abs=1e-12)
         assert pb2 == pytest.approx(1, abs=1e-12)
 
     def test_classical_ne_point(self):
         game = builtin_bayesian()
-        pa, pb1, pb2 = bayesian_payoffs_mixture(0.1, 0.0, C_LIKE, D_LIKE, C_LIKE, game)
+        pa, pb1, pb2 = reference_bayesian_payoffs_mixture(0.1, 0.0, C_LIKE, D_LIKE, C_LIKE, game)
         assert (pa, pb1, pb2) == pytest.approx((10.0, 10.0, 9.0), abs=1e-12)
 
     def test_invalid_p(self):
         with pytest.raises(ValueError, match="p must lie"):
-            bayesian_payoffs_mixture(1.2, 0.0, C_LIKE, C_LIKE, C_LIKE, builtin_bayesian())
+            reference_bayesian_payoffs_mixture(
+                1.2, 0.0, C_LIKE, C_LIKE, C_LIKE, builtin_bayesian()
+            )
 
     def test_b_payoffs_structurally_independent(self):
         # B1's payoff is a function of (gamma, u_a, u_b1) only: changing p or
         # B2's strategy must not change the float at all.
         game = builtin_bayesian()
-        ref = bayesian_payoffs_mixture(0.3, 0.9, D_LIKE, D_LIKE_X, C_LIKE, game)[1]
+        ref = reference_bayesian_payoffs_mixture(0.3, 0.9, D_LIKE, D_LIKE_X, C_LIKE, game)[1]
         for p in (0.0, 0.65, 1.0):
             for other in (C_LIKE, D_LIKE, D_LIKE_X):
-                assert bayesian_payoffs_mixture(p, 0.9, D_LIKE, D_LIKE_X, other, game)[1] == ref
+                out = reference_bayesian_payoffs_mixture(p, 0.9, D_LIKE, D_LIKE_X, other, game)
+                assert out[1] == ref
 
 
 class TestGlobalPhaseInvariance:
@@ -187,10 +240,10 @@ class TestGlobalPhaseInvariance:
     def test_mixture_payoffs_unchanged(self, delta, player):
         game = builtin_bayesian()
         us = [strategy_unitary(D_LIKE), strategy_unitary(D_LIKE_X), strategy_unitary(C_LIKE)]
-        base = bayesian_payoffs_mixture(0.4, 0.9, *us, game)
+        base = reference_bayesian_payoffs_mixture(0.4, 0.9, *us, game)
         shifted = list(us)
         shifted[player] = np.exp(1j * delta) * shifted[player]
-        out = bayesian_payoffs_mixture(0.4, 0.9, *shifted, game)
+        out = reference_bayesian_payoffs_mixture(0.4, 0.9, *shifted, game)
         assert np.max(np.abs(np.array(out) - np.array(base))) < 1e-12
 
 
@@ -200,20 +253,20 @@ class TestBayesianCircuit:
     def test_all_weight_on_da_branch_at_theta_zero(self):
         game = builtin_bayesian()
         out = bayesian_payoffs_full_circuit(0.0, 0.7, D_LIKE, D_LIKE_X, C_LIKE, game)
-        mix = bayesian_payoffs_mixture(0.0, 0.7, D_LIKE, D_LIKE_X, C_LIKE, game)
+        mix = reference_bayesian_payoffs_mixture(0.0, 0.7, D_LIKE, D_LIKE_X, C_LIKE, game)
         assert np.max(np.abs(np.array(out) - np.array(mix))) < 1e-12
 
     def test_all_weight_on_pd_branch_at_theta_pi(self):
         game = builtin_bayesian()
         out = bayesian_payoffs_full_circuit(1.0, 0.7, D_LIKE, D_LIKE_X, C_LIKE, game)
-        mix = bayesian_payoffs_mixture(1.0, 0.7, D_LIKE, D_LIKE_X, C_LIKE, game)
+        mix = reference_bayesian_payoffs_mixture(1.0, 0.7, D_LIKE, D_LIKE_X, C_LIKE, game)
         assert np.max(np.abs(np.array(out) - np.array(mix))) < 1e-12
 
     def test_equal_superposition_matches_half_mixture(self):
         game = builtin_bayesian()
         ua, ub1, ub2 = StrategyParams(1.3, 0.4, 5.0), D_LIKE_X, StrategyParams(0.0, 2.0, 0.0)
         out = bayesian_payoffs_full_circuit(0.5, 0.5, ua, ub1, ub2, game)
-        mix = bayesian_payoffs_mixture(0.5, 0.5, ua, ub1, ub2, game)
+        mix = reference_bayesian_payoffs_mixture(0.5, 0.5, ua, ub1, ub2, game)
         assert np.max(np.abs(np.array(out) - np.array(mix))) < 1e-9
 
     @pytest.mark.parametrize("p", [0.0, 1e-13, 0.3, 1.0 - 1e-13, 1.0])
@@ -225,7 +278,7 @@ class TestBayesianCircuit:
             us = _pi8_unitaries()[rng.integers(1824, size=12)].reshape(3, 4, 2, 2)
             stacks = (us[0][:, None, None], us[1][None, :, None], us[2][None, None, :])
             out = bayesian_payoffs_full_circuit(p, gamma, *stacks, game)
-            mix = bayesian_payoffs_mixture(p, gamma, *stacks, game)
+            mix = reference_bayesian_payoffs_mixture(p, gamma, *stacks, game)
             for x, y in zip(out, mix):
                 assert x.shape == (4, 4, 4)
                 assert np.max(np.abs(x - y)) < 1e-12
@@ -394,11 +447,11 @@ class TestStackedEvaluation:
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
     def test_bayesian_payoffs_mixture(self, grid24, p):
         game, us = builtin_bayesian(), grid24.unitaries
-        stacked = bayesian_payoffs_mixture(
+        stacked = reference_bayesian_payoffs_mixture(
             p, 0.9, us[:, None, None], us[None, :, None], us[None, None, :], game
         )
         for a, b1, b2 in _sampled_profiles(len(us), 60, 11):
-            single = bayesian_payoffs_mixture(p, 0.9, us[a], us[b1], us[b2], game)
+            single = reference_bayesian_payoffs_mixture(p, 0.9, us[a], us[b1], us[b2], game)
             assert tuple(t[a, b1, b2] for t in stacked) == single
 
     @pytest.mark.parametrize("p", [0.0, 0.35, 1.0])
@@ -443,7 +496,7 @@ class TestStackValidation:
         game, stack = builtin_bayesian(), grid24.unitaries.copy()
         stack[2] = matrix
         with pytest.raises(ValueError, match=message):
-            bayesian_payoffs_mixture(0.3, 0.9, C_LIKE, stack, D_LIKE, game)
+            reference_bayesian_payoffs_mixture(0.3, 0.9, C_LIKE, stack, D_LIKE, game)
         with pytest.raises(ValueError, match=message):
             bayesian_payoffs_full_circuit(0.3, 0.9, C_LIKE, D_LIKE, stack, game)
 
@@ -483,14 +536,14 @@ class TestNoSignaling:
         pa = np.array([[0.3, 0.7], [0.6, 0.4]])  # P(a|x)
         pb = np.array([[0.2, 0.8], [0.9, 0.1]])  # P(b|y)
         dist = np.einsum("xa,yb->abxy", pa, pb)
-        assert no_signaling_check(dist, 1e-9)
+        assert reference_no_signaling_check(dist, 1e-9)
 
     def test_outcome_copying_other_side_type_signals(self):
         dist = np.zeros((2, 2, 2, 2))
         for x in range(2):
             for y in range(2):
                 dist[y, 0, x, y] = 1.0  # a deterministically copies y
-        assert not no_signaling_check(dist, 1e-9)
+        assert not reference_no_signaling_check(dist, 1e-9)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.7, PI / 2])
     def test_local_strategies_on_shared_state(self, gamma):
@@ -505,9 +558,9 @@ class TestNoSignaling:
             probs = np.abs(np.kron(ua[x], ub[y]) @ base) ** 2
             for a, b in product(range(2), repeat=2):
                 dist[a, b, x, y] = probs[2 * a + b]
-        assert no_signaling_check(dist, 1e-9)
+        assert reference_no_signaling_check(dist, 1e-9)
 
     def test_unnormalized_input_rejected(self):
         dist = np.full((2, 2, 1, 1), 0.3)
         with pytest.raises(ValueError, match="normalized"):
-            no_signaling_check(dist, 1e-9)
+            reference_no_signaling_check(dist, 1e-9)

@@ -816,3 +816,55 @@ class TestLoadResultErrors:
         assert load_result(path).result.spec.p_values == (0.0, 0.5, 0.9, 1.0)
         assert main(["verify", "--in", path]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            lambda text: text.encode("utf-16"),
+            lambda text: b'{"game": 1' + b"0" * 5000 + b"}",
+        ],
+        ids=["utf-16", "integer-past-digit-limit"],
+    )
+    def test_unreadable_file_is_config_error_naming_it(self, tmp_path, capsys, command, content):
+        # UTF-16 starts with the bytes ff fe, which no UTF-8 text starts with;
+        # json refuses an integer literal past Python's digit limit.
+        if command == "solve":
+            text, argv = json.dumps(GAME_JSON), ["solve", "--gamma", "0.5", "--game"]
+        else:
+            text = Path(self._with_header(tmp_path, lambda data: None)).read_text("utf-8")
+            argv = ["verify", "--in"]
+        path = tmp_path / "unreadable.json"
+        path.write_bytes(content(text))
+        capsys.readouterr()
+        assert main(argv + [str(path)]) == 2
+        assert f"config error: {path} is not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit,field",
+        [
+            (lambda d: d.update(eps_tie=10**400), "eps_tie"),
+            (lambda d: d["cells"][0].update(gamma=10**400), "cells[0].gamma"),
+            (
+                lambda d: d["cells"][0]["classes"][0].update(payoffs=[10**400, 0.0, 0.0]),
+                "cells[0].classes[0].payoffs",
+            ),
+            (lambda g: g["payoffs"]["A_vs_B1"].update(A=[11, 1, 10, 10**400]), "payoffs.A_vs_B1.A"),
+        ],
+        ids=["eps-tie", "cell-gamma", "class-payoffs", "game-payoff-vector"],
+    )
+    def test_integer_too_large_for_a_float_is_config_error(self, tmp_path, capsys, edit, field):
+        # float() of a 400-digit integer raises OverflowError, not ValueError.
+        if field.startswith("payoffs."):
+            game = json.loads(json.dumps(GAME_JSON))
+            edit(game)
+            path, load = write_game(tmp_path, game), load_game
+            argv = ["solve", "--gamma", "0.5", "--game", path]
+        else:
+            path, load = self._with_header(tmp_path, edit), load_result
+            argv = ["verify", "--in", path]
+        with pytest.raises(ConfigError, match=re.escape(f"{field} holds an integer too large")):
+            load(path)
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert field in capsys.readouterr().err

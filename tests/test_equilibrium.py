@@ -10,7 +10,6 @@ import pytest
 
 from qgame.circuits import (
     bayesian_payoffs_full_circuit,
-    bayesian_payoffs_mixture,
     evolve_two_player,
     payoff_expectation,
 )
@@ -21,12 +20,10 @@ from qgame.equilibrium import (
     bayesian_circuit_tables,
     bayesian_tables,
     classify,
-    find_ne_bayesian,
     find_ne_bayesian_circuit,
     find_ne_bayesian_row,
     find_ne_two_player,
     two_player_tables,
-    verify_ne,
     verify_records,
 )
 from qgame import equilibrium
@@ -42,7 +39,8 @@ from qgame.serialize import load_result
 from qgame.strategies import DEFAULT_GRID, GridSteps, enumerate_strategies
 from qgame.sweep import SweepSpec, _row, gamma_grid, p_grid, run_sweep
 
-from conftest import cells_of, custom_bayesian, records_of
+from conftest import cell_records, cells_of, custom_bayesian, find_ne_at, record_set, records_of
+from test_circuits import reference_bayesian_payoffs_mixture
 
 PI = math.pi
 GOLDEN = Path(__file__).parent / "golden"
@@ -188,16 +186,16 @@ class TestFindNeTwoPlayer:
 
 class TestFindNeBayesian:
     def test_central_gap_has_no_ne(self, grid8):
-        assert len(find_ne_bayesian(builtin_bayesian(), 0.3, grid8, 0.5)) == 0
+        assert len(find_ne_at(builtin_bayesian(), 0.3, grid8, 0.5)) == 0
 
     def test_classical_limit_low_p(self, grid8):
-        (classes,) = classify(find_ne_bayesian(builtin_bayesian(), 0.0, grid8, 0.1), grid8)
+        (classes,) = classify(find_ne_at(builtin_bayesian(), 0.0, grid8, 0.1), grid8)
         assert len(classes) == 1
         assert classes[0].theta_profile == (0.0, PI, 0.0)
         assert classes[0].payoffs == pytest.approx((10.0, 10.0, 9.0), abs=1e-9)
 
     def test_high_p_low_gamma_class(self, grid8):
-        (classes,) = classify(find_ne_bayesian(builtin_bayesian(), 0.3, grid8, 0.9), grid8)
+        (classes,) = classify(find_ne_at(builtin_bayesian(), 0.3, grid8, 0.9), grid8)
         assert len(classes) == 1
         assert classes[0].theta_profile == (PI, PI, 0.0)
         assert classes[0].operator_label == "Y⊗X⊗Z"
@@ -205,7 +203,7 @@ class TestFindNeBayesian:
     @pytest.mark.parametrize("eps", [float("nan"), -1.0, float("inf")])
     def test_rejects_bad_tie_tolerance(self, grid8, eps):
         with pytest.raises(ValueError, match="eps_tie"):
-            find_ne_bayesian(builtin_bayesian(), 0.3, grid8, 0.5, eps)
+            find_ne_at(builtin_bayesian(), 0.3, grid8, 0.5, eps)
         with pytest.raises(ValueError, match="eps_tie"):
             find_ne_two_player(builtin_pd(), 0.3, grid8, eps)
         with pytest.raises(ValueError, match="eps_tie"):
@@ -213,7 +211,7 @@ class TestFindNeBayesian:
 
     def test_matches_four_qubit_circuit_search(self, grid8):
         game = builtin_bayesian()
-        mixture = {r.profile for r in records_of(find_ne_bayesian(game, 0.4, grid8, 0.85))}
+        mixture = {r.profile for r in records_of(find_ne_at(game, 0.4, grid8, 0.85))}
         circuit = {r.profile for r in records_of(find_ne_bayesian_circuit(game, 0.4, grid8, 0.85))}
         assert mixture == circuit
 
@@ -221,7 +219,7 @@ class TestFindNeBayesian:
 class TestFourQubitWitness:
     def test_search_runs_without_mixture_search_code(self, grid8, monkeypatch):
         game = builtin_bayesian()
-        mixture = find_ne_bayesian(game, 0.4, grid8, 0.85)
+        mixture = find_ne_at(game, 0.4, grid8, 0.85)
 
         def refuse(*args):
             raise AssertionError("the four-qubit witness reached the mixture search")
@@ -237,7 +235,7 @@ class TestFourQubitWitness:
         # At p = 0 and p = 1 one control branch is empty, so the circuit's
         # payoff for that branch's B player is the two-player fallback.
         game = builtin_bayesian()
-        mixture = find_ne_bayesian(game, gamma, grid24, p)
+        mixture = find_ne_at(game, gamma, grid24, p)
         circuit = find_ne_bayesian_circuit(game, gamma, grid24, p)
         assert circuit.profiles.tolist() == mixture.profiles.tolist()
 
@@ -341,54 +339,54 @@ class TestDenseNe:
 class TestVerifyNe:
     def test_all_found_records_verify(self, grid8):
         game = builtin_bayesian()
-        records = find_ne_bayesian(game, 0.3, grid8, 0.9)
+        records = find_ne_at(game, 0.3, grid8, 0.9)
         assert records
-        assert all(verify_ne(rec, game, 0.3, grid8, p=0.9) for rec in records_of(records))
+        assert all(verify_records(records, game, 0.3, grid8, p_values=(0.9,)))
 
     def test_perturbed_profile_fails(self, grid8):
         game = builtin_bayesian()
-        rec = records_of(find_ne_bayesian(game, 0.3, grid8, 0.9))[0]
+        rec = records_of(find_ne_at(game, 0.3, grid8, 0.9))[0]
         broken = EquilibriumRecord((IDENTITY,) + rec.profile[1:], rec.payoffs)
-        assert not verify_ne(broken, game, 0.3, grid8, p=0.9)
+        assert verify_records(record_set([broken]), game, 0.3, grid8, p_values=(0.9,)) == [False]
 
     def test_classical_cc_is_not_quantum_pd_ne(self, grid8):
         rec = EquilibriumRecord((IDENTITY, IDENTITY), (11.0, 9.0))
-        assert not verify_ne(rec, builtin_pd(), 0.0, grid8)
+        assert verify_records(record_set([rec]), builtin_pd(), 0.0, grid8) == [False]
 
     @pytest.mark.parametrize("shift", [1e-9, -1e-9])
     def test_stored_payoffs_within_tolerance_pass(self, grid8, shift):
         game = builtin_bayesian()
-        rec = records_of(find_ne_bayesian(game, 0.3, grid8, 0.9))[0]
+        rec = records_of(find_ne_at(game, 0.3, grid8, 0.9))[0]
         moved = tuple(x + shift for x in rec.payoffs)
-        assert verify_ne(EquilibriumRecord(rec.profile, moved), game, 0.3, grid8, p=0.9)
+        moved_set = record_set([EquilibriumRecord(rec.profile, moved)])
+        assert verify_records(moved_set, game, 0.3, grid8, p_values=(0.9,)) == [True]
 
     @pytest.mark.parametrize("player", [0, 1, 2])
     def test_wrong_stored_payoff_fails(self, grid8, player):
         game = builtin_bayesian()
-        rec = records_of(find_ne_bayesian(game, 0.3, grid8, 0.9))[0]
+        rec = records_of(find_ne_at(game, 0.3, grid8, 0.9))[0]
         payoffs = list(rec.payoffs)
         payoffs[player] += 1e-6
         wrong = EquilibriumRecord(rec.profile, tuple(payoffs))
-        assert not verify_ne(wrong, game, 0.3, grid8, p=0.9)
+        assert verify_records(record_set([wrong]), game, 0.3, grid8, p_values=(0.9,)) == [False]
 
     def test_zeroed_two_player_payoffs_fail(self, grid8):
         rec = records_of(find_ne_two_player(builtin_pd(), 0.5, grid8))[0]
         zeroed = EquilibriumRecord(rec.profile, (0.0, 0.0))
-        assert verify_ne(rec, builtin_pd(), 0.5, grid8)
-        assert not verify_ne(zeroed, builtin_pd(), 0.5, grid8)
+        assert verify_records(record_set([rec, zeroed]), builtin_pd(), 0.5, grid8) == [True, False]
 
     def test_bayesian_record_without_p_raises(self, grid8):
         game = builtin_bayesian()
-        rec = records_of(find_ne_bayesian(game, 0.3, grid8, 0.9))[0]
+        rec = records_of(find_ne_at(game, 0.3, grid8, 0.9))[0]
         with pytest.raises(ValueError, match="needs p"):
-            verify_ne(rec, game, 0.3, grid8)
+            verify_records(record_set([rec]), game, 0.3, grid8)
 
     @pytest.mark.parametrize("p", [-0.1, 1.2, math.nan])
     def test_bayesian_record_with_p_out_of_range_raises(self, grid8, p):
         game = builtin_bayesian()
-        rec = records_of(find_ne_bayesian(game, 0.3, grid8, 0.9))[0]
+        rec = records_of(find_ne_at(game, 0.3, grid8, 0.9))[0]
         with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
-            verify_ne(rec, game, 0.3, grid8, p=p)
+            verify_records(record_set([rec]), game, 0.3, grid8, p_values=(p,))
 
 
 def one_at_a_time(game, gamma, sset, p=None):
@@ -405,7 +403,7 @@ def one_at_a_time(game, gamma, sset, p=None):
                     payoff_expectation(psi, game.payoff_b),
                 )
             else:
-                cache[profile] = bayesian_payoffs_mixture(
+                cache[profile] = reference_bayesian_payoffs_mixture(
                     p, gamma, *(us[s] for s in profile), game
                 )
         return cache[profile]
@@ -464,7 +462,7 @@ class TestVerifyRecords:
         payoffs = one_at_a_time(spec.game, cell.gamma, sset, cell.p)
         records = with_decoys(found, len(sset), 3, np.random.default_rng(index), payoffs)
         verdicts = verify_records(
-            RecordSet.of(records), spec.game, cell.gamma, sset, p_values=(cell.p,)
+            record_set(records), spec.game, cell.gamma, sset, p_values=(cell.p,)
         )
         assert verdicts == oracle_verdicts(records, spec.game, cell.gamma, sset, cell.p)
         assert verdicts[: len(found)] == [True] * len(found)
@@ -475,13 +473,13 @@ class TestVerifyRecords:
         found = records_of(find_ne_two_player(game, 0.7, grid24))
         payoffs = one_at_a_time(game, 0.7, grid24)
         records = with_decoys(found, len(grid24), 2, np.random.default_rng(5), payoffs)
-        verdicts = verify_records(RecordSet.of(records), game, 0.7, grid24)
+        verdicts = verify_records(record_set(records), game, 0.7, grid24)
         assert verdicts == oracle_verdicts(records, game, 0.7, grid24)
         assert verdicts[: len(found)] == [True] * len(found)
         assert not all(verdicts)
 
     def test_empty_record_list(self, grid8):
-        none = RecordSet.of([])
+        none = record_set([])
         assert verify_records(none, builtin_bayesian(), 0.3, grid8, p_values=(0.9,)) == []
         assert verify_records(none, builtin_pd(), 0.3, grid8) == []
 
@@ -490,10 +488,10 @@ class TestVerifyRecords:
         # Blocks of 1 and 7 states split keys of 24 alternatives; blocks of
         # 24 fall exactly between keys.
         game = custom_bayesian()
-        found = records_of(find_ne_bayesian(game, 0.9, grid24, 0.3))[:40]
+        found = records_of(find_ne_at(game, 0.9, grid24, 0.3))[:40]
         payoffs = one_at_a_time(game, 0.9, grid24, 0.3)
         records = with_decoys(found, len(grid24), 3, np.random.default_rng(block), payoffs)
-        records = RecordSet.of(records)
+        records = record_set(records)
         whole = verify_records(records, game, 0.9, grid24, p_values=(0.3,))
         monkeypatch.setattr(equilibrium, "_VERIFY_BLOCK", block)
         assert verify_records(records, game, 0.9, grid24, p_values=(0.3,)) == whole
@@ -504,7 +502,7 @@ class TestVerifyRecords:
         # One row of n states per distinct a serves both B players, and one
         # per distinct B strategy in b1 or b2 serves A in both subgames.
         game = custom_bayesian()
-        found = records_of(find_ne_bayesian(game, 0.9, grid24, 0.3))
+        found = records_of(find_ne_at(game, 0.9, grid24, 0.3))
         payoffs = one_at_a_time(game, 0.9, grid24, 0.3)
         records = with_decoys(found, len(grid24), 3, np.random.default_rng(13), payoffs)
         evolve, states = equilibrium.evolve_two_player, []
@@ -515,7 +513,7 @@ class TestVerifyRecords:
             return psi
 
         monkeypatch.setattr(equilibrium, "evolve_two_player", counting)
-        verdicts = verify_records(RecordSet.of(records), game, 0.9, grid24, p_values=(0.3,))
+        verdicts = verify_records(record_set(records), game, 0.9, grid24, p_values=(0.3,))
         a, b1, b2 = np.array([rec.profile for rec in records]).T
         keys = len(np.unique(a)) + len(np.union1d(b1, b2))
         assert sum(states) == keys * len(grid24)
@@ -525,7 +523,7 @@ class TestVerifyRecords:
     def test_wrong_profile_length_raises(self, grid8):
         rec = EquilibriumRecord((0, 0), (0.0, 0.0))
         with pytest.raises(ValueError, match="strategy indices"):
-            verify_records(RecordSet.of([rec]), builtin_bayesian(), 0.3, grid8, p_values=(0.5,))
+            verify_records(record_set([rec]), builtin_bayesian(), 0.3, grid8, p_values=(0.5,))
 
 
 def per_cell_verdicts(records, game, gamma, sset, p_values=None):
@@ -533,7 +531,7 @@ def per_cell_verdicts(records, game, gamma, sset, p_values=None):
     verdicts = []
     for c in range(records.n_cells):
         p = None if p_values is None else (p_values[c],)
-        verdicts += verify_records(records.in_cell(c), game, gamma, sset, p_values=p)
+        verdicts += verify_records(cell_records(records, c), game, gamma, sset, p_values=p)
     return verdicts
 
 
@@ -593,7 +591,7 @@ class TestRowVerification:
         # The same candidates in every cell, found at different p: at p = 0
         # and p = 1 one of A's subgames has weight 0.
         game = custom_bayesian()
-        found = [records_of(find_ne_bayesian(game, 0.9, grid24, p)) for p in p_values]
+        found = [records_of(find_ne_at(game, 0.9, grid24, p)) for p in p_values]
         payoffs = [one_at_a_time(game, 0.9, grid24, p) for p in p_values]
         rng = np.random.default_rng(len(p_values))
         cells = [with_decoys(sum(found, []), len(grid24), 3, rng, pay) for pay in payoffs]
@@ -618,13 +616,13 @@ class TestRowVerification:
         for cell in result.cells:
             found = [rec for cls in cell.classes for rec in cls.members]
             payoffs = one_at_a_time(game, cell.gamma, grid24)
-            records = RecordSet.of(with_decoys(found, len(grid24), 2, rng, payoffs))
+            records = record_set(with_decoys(found, len(grid24), 2, rng, payoffs))
             verdicts = verify_records(records, game, cell.gamma, grid24, p_values=[cell.p])
             assert verdicts == per_cell_verdicts(records, game, cell.gamma, grid24)
             assert verdicts[: len(found)] == [True] * len(found)
 
     def test_cell_outside_the_p_values_raises(self, grid8):
-        one = RecordSet.of([EquilibriumRecord((0, 0, 0), (0.0, 0.0, 0.0))])
+        one = record_set([EquilibriumRecord((0, 0, 0), (0.0, 0.0, 0.0))])
         second = RecordSet(one.cell + 1, one.profiles, one.payoffs, 2)
         with pytest.raises(ValueError, match="index the 1 p values"):
             verify_records(second, builtin_bayesian(), 0.3, grid8, p_values=(0.5,))
@@ -642,7 +640,7 @@ class TestClassify:
         assert cls.n_profiles == 8
 
     def test_bayesian_cooperate_class(self, grid8):
-        (classes,) = classify(find_ne_bayesian(builtin_bayesian(), 0.5, grid8, 0.1), grid8)
+        (classes,) = classify(find_ne_at(builtin_bayesian(), 0.5, grid8, 0.1), grid8)
         assert len(classes) == 1
         cls = classes[0]
         assert cls.theta_profile == (0.0, PI, 0.0)
@@ -652,7 +650,7 @@ class TestClassify:
 
     def test_singleton_degenerate_class(self, grid8):
         rec = EquilibriumRecord((IDENTITY, IDENTITY), (11.0, 9.0))
-        ((cls,),) = classify(RecordSet.of([rec]), grid8)
+        ((cls,),) = classify(record_set([rec]), grid8)
         assert cls.theta_profile == (0.0, 0.0)
         assert cls.members == (rec,)
         # both players sit at a single phase value
@@ -660,7 +658,7 @@ class TestClassify:
 
     def test_payoff_spread_within_class(self, grid8):
         for gamma in (0.35, 0.8):
-            records = find_ne_bayesian(builtin_bayesian(), gamma, grid8, 0.8)
+            records = find_ne_at(builtin_bayesian(), gamma, grid8, 0.8)
             (classes,) = classify(records, grid8)
             found = dict(zip(map(tuple, records.profiles.tolist()), records.payoffs))
             assert sum(cls.n_profiles for cls in classes) == len(found) > 0
@@ -671,7 +669,7 @@ class TestClassify:
     def test_phase_class_closure(self, grid8):
         # Every grid profile consistent with the class theta-profile and its
         # reported phase-sum sets must itself be a member: no missing siblings.
-        records = find_ne_bayesian(builtin_bayesian(), 0.3, grid8, 0.9)
+        records = find_ne_at(builtin_bayesian(), 0.3, grid8, 0.9)
         for cls in classify(records, grid8)[0]:
             members = {rec.profile for rec in cls.members}
             thetas = [round(t, 9) for t in cls.theta_profile]
@@ -704,7 +702,7 @@ class TestOracleEquivalence:
             p = float(rng.uniform())
             gamma = float(rng.uniform(0.0, PI / 2))
             game = builtin_bayesian()
-            fast = {r.profile for r in records_of(find_ne_bayesian(game, gamma, grid8, p))}
+            fast = {r.profile for r in records_of(find_ne_at(game, gamma, grid8, p))}
             assert fast == naive_bayesian_ne(game, gamma, grid8, p, 1e-9)
 
 
@@ -713,7 +711,7 @@ class TestOracleEquivalence:
         # Classical limit: payoffs depend on theta only, so every best
         # response is tied across the free phases.
         game = builtin_bayesian()
-        fast = find_ne_bayesian(game, 0.0, grid24, p)
+        fast = find_ne_at(game, 0.0, grid24, p)
         assert len(fast) == 64
         assert {r.profile for r in records_of(fast)} == naive_bayesian_ne(game, 0.0, grid24, p, 1e-9)
 
@@ -723,7 +721,7 @@ class TestOracleEquivalence:
             p = float(rng.uniform())
             gamma = float(rng.uniform(0.0, PI / 2))
             game = builtin_bayesian()
-            fast = {r.profile for r in records_of(find_ne_bayesian(game, gamma, grid24, p))}
+            fast = {r.profile for r in records_of(find_ne_at(game, gamma, grid24, p))}
             assert fast == naive_bayesian_ne(game, gamma, grid24, p, 1e-9)
 
     def test_custom_game_with_distinct_a_payoffs_matches_naive(self, grid24):
@@ -734,20 +732,20 @@ class TestOracleEquivalence:
         found = 0
         game = custom_bayesian()
         for p, gamma in points:
-            records = find_ne_bayesian(game, gamma, grid24, p)
+            records = find_ne_at(game, gamma, grid24, p)
             assert {r.profile for r in records_of(records)} == naive_bayesian_ne(
                 game, gamma, grid24, p, 1e-9
             )
-            assert all(verify_ne(rec, game, gamma, grid24, p=p) for rec in records_of(records)[:5])
+            assert all(verify_records(records, game, gamma, grid24, p_values=(p,)))
             found += len(records)
         assert found > 0
 
     def test_block_boundaries_do_not_change_records(self, grid24, monkeypatch):
         game = custom_bayesian()
-        whole = find_ne_bayesian(game, 0.0, grid24, 0.4)
+        whole = find_ne_at(game, 0.0, grid24, 0.4)
         monkeypatch.setattr(equilibrium, "_TRIPLE_BLOCK", 5)
         monkeypatch.setattr(equilibrium, "_COLUMN_BLOCK", 30)
-        assert records_of(find_ne_bayesian(game, 0.0, grid24, 0.4)) == records_of(whole)
+        assert records_of(find_ne_at(game, 0.0, grid24, 0.4)) == records_of(whole)
         assert records_of(whole) == sorted(records_of(whole), key=lambda r: r.profile)
 
 
@@ -756,7 +754,7 @@ class TestRowSearch:
 
     @staticmethod
     def per_p(game, gamma, sset, p_values):
-        return [records_of(find_ne_bayesian(game, gamma, sset, p)) for p in p_values]
+        return [records_of(find_ne_at(game, gamma, sset, p)) for p in p_values]
 
     def test_matches_per_p_calls_at_random_points(self, grid24):
         rng = np.random.default_rng(161803)
@@ -815,20 +813,18 @@ class TestRecheck:
         )
         tampered = records[:-1] + [EquilibriumRecord(bad, records[-1].payoffs)]
         with pytest.raises(RuntimeError, match=re.escape(str(bad))):
-            _recheck(RecordSet.of(tampered), tables, [0.0])
+            _recheck(record_set(tampered), tables, [0.0])
 
     def test_row_search_rechecks_what_it_returns(self, monkeypatch, grid24):
-        # An unstable record from the search is caught by the re-check, in
-        # find_ne_bayesian_row and so in find_ne_bayesian.
+        # An unstable record from the search is caught by the re-check in
+        # find_ne_bayesian_row.
         game = builtin_bayesian()
-        found = records_of(find_ne_bayesian(game, 1.0, grid24, 0.0))
+        found = records_of(find_ne_at(game, 1.0, grid24, 0.0))
         bad = EquilibriumRecord((0, 0, 0), found[0].payoffs)
         assert bad not in found
-        monkeypatch.setattr(equilibrium, "_search_row", lambda tables, p: RecordSet.of([bad]))
+        monkeypatch.setattr(equilibrium, "_search_row", lambda tables, p: record_set([bad]))
         with pytest.raises(RuntimeError, match="failed deviation re-check"):
             find_ne_bayesian_row(bayesian_tables(game, 1.0, grid24), [0.0])
-        with pytest.raises(RuntimeError, match="failed deviation re-check"):
-            find_ne_bayesian(game, 1.0, grid24, 0.0)
 
     def test_tampered_record_sharing_a_good_pair_raises(self, grid24):
         # A's best deviation is taken once per (b1, b2).  The bad record
@@ -850,7 +846,7 @@ class TestRecheck:
             records + [EquilibriumRecord(bad, records[0].payoffs)], key=lambda r: r.profile
         )
         with pytest.raises(RuntimeError, match=re.escape(str(bad))):
-            _recheck(RecordSet.of(tampered), tables, [0.3])
+            _recheck(record_set(tampered), tables, [0.3])
 
     def test_search_and_recheck_work_at_the_tables_eps_tie(self, grid24):
         # 1e-8 above the classical threshold p = 1/6, A's C and D differ by
@@ -859,7 +855,7 @@ class TestRecheck:
         loose = bayesian_tables(game, 0.0, grid24, 1e-6)
         row = find_ne_bayesian_row(loose, p_values)
         cells = cells_of(row)
-        assert cells == [records_of(find_ne_bayesian(game, 0.0, grid24, p, 1e-6)) for p in p_values]
+        assert cells == [records_of(find_ne_at(game, 0.0, grid24, p, 1e-6)) for p in p_values]
         strict_tables = bayesian_tables(game, 0.0, grid24, 1e-9)
         strict = cells_of(find_ne_bayesian_row(strict_tables, p_values))
         assert len(cells[0]) > len(strict[0]) and cells[1] == strict[1]
@@ -876,7 +872,7 @@ class TestInvariants:
             p = 0.05 * i
             if abs(p - 1 / 6) <= 0.05:
                 continue
-            (classes,) = classify(find_ne_bayesian(builtin_bayesian(), 0.0, grid8, p), grid8)
+            (classes,) = classify(find_ne_at(builtin_bayesian(), 0.0, grid8, p), grid8)
             classical = classical_bayesian_ne(p)
             assert len(classes) == len(classical) == 1
             assert classes[0].payoffs == pytest.approx(classical[0][1], abs=1e-9)
@@ -898,6 +894,7 @@ class TestInvariants:
             game = builtin_bayesian()
             found = []
             for eps in (1e-9, 1e-6):
-                found.append({r.profile for r in records_of(find_ne_bayesian(game, gamma, grid8, p, eps))})
+                records = find_ne_at(game, gamma, grid8, p, eps)
+                found.append({r.profile for r in records_of(records)})
             strict, loose = found
             assert strict == loose

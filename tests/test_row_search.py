@@ -28,7 +28,7 @@ from qgame.games import builtin_bayesian
 from qgame.strategies import DEFAULT_GRID, GridSteps, enumerate_strategies
 from qgame.sweep import gamma_grid, p_grid
 
-from conftest import custom_bayesian, records_of
+from conftest import custom_bayesian, record_set, records_of
 
 PI = math.pi
 
@@ -268,7 +268,7 @@ class TestBoundBranches:
         tables, p_values = bound_tables(), [0.0, 0.25, 0.5, 0.75, 1.0]
         row = find_ne_bayesian_row(tables, p_values)
         assert hex_row(row) == reference_row_search(tables, p_values)
-        assert row.in_cell(2).profiles.tolist() == [[0, 0, 0], [2, 3, 3]]
+        assert row.profiles[row.cell == 2].tolist() == [[0, 0, 0], [2, 3, 3]]
 
 
 class TestRecheckBounds:
@@ -276,7 +276,7 @@ class TestRecheckBounds:
         # A pays 1.25 at (2, 3, 3): below U - eps_tie = 1.75, within
         # eps_tie of the maximum 1.25.
         record = EquilibriumRecord((2, 3, 3), (1.25, 5.5, 2.75))
-        _recheck(RecordSet.of([record]), bound_tables(), [0.5])
+        _recheck(record_set([record]), bound_tables(), [0.5])
 
     @pytest.mark.parametrize("gamma", [0.45, 1.2])
     def test_every_other_candidate_fails_with_distinct_a_tables(self, grid24, gamma):
@@ -294,7 +294,7 @@ class TestRecheckBounds:
         ]
         assert dropped
         for bad in dropped:
-            record = RecordSet.of([EquilibriumRecord(bad, (0.0, 0.0, 0.0))])
+            record = record_set([EquilibriumRecord(bad, (0.0, 0.0, 0.0))])
             with pytest.raises(RuntimeError, match=re.escape(f"record {bad} failed")):
                 _recheck(record, tables, [0.5])
 
@@ -302,7 +302,7 @@ class TestRecheckBounds:
         # A pays 0.75 at (3, 2, 2), in both B lists, but the maximum is 1.25.
         good = EquilibriumRecord((2, 3, 3), (1.25, 5.5, 2.75))
         bad = EquilibriumRecord((3, 2, 2), (0.75, 7.0, 3.5))
-        one = RecordSet.of([good, bad])
+        one = record_set([good, bad])
         # Cell 0 (p = 0) is empty; both records lie in cell 1 (p = 0.5).
         records = RecordSet(one.cell + 1, one.profiles, one.payoffs, n_cells=2)
         with pytest.raises(RuntimeError, match=re.escape(f"record {bad.profile} failed")):

@@ -18,6 +18,8 @@ from qgame.sweep import (
     value_grid,
 )
 
+from conftest import cell_records, sweep_cell
+
 PI = math.pi
 
 
@@ -81,8 +83,8 @@ class TestRunSweep:
     def test_boundary_column_p1_matches_pd_sweep(self, bayes_result, pd_result):
         # Project (A, B1) out of the p = 1 column and compare classes.
         for gamma in gamma_grid():
-            bayes = bayes_result.cell(1.0, gamma)
-            pd = pd_result.cell(None, gamma)
+            bayes = sweep_cell(bayes_result, 1.0, gamma)
+            pd = sweep_cell(pd_result, None, gamma)
             projected = {
                 (
                     round(c.theta_profile[0], 9),
@@ -105,8 +107,8 @@ class TestRunSweep:
 
     def test_boundary_column_p0_matches_da_sweep(self, bayes_result, da_result):
         for gamma in gamma_grid():
-            bayes = bayes_result.cell(0.0, gamma)
-            da = da_result.cell(None, gamma)
+            bayes = sweep_cell(bayes_result, 0.0, gamma)
+            da = sweep_cell(da_result, None, gamma)
             projected = {
                 (
                     round(c.theta_profile[0], 9),
@@ -280,7 +282,7 @@ def searched_cells(result):
         tables = bayesian_tables(spec.game, gamma, sset, spec.eps_tie)
         row = find_ne_bayesian_row(tables, spec.p_values)
         for i, p in enumerate(spec.p_values):
-            yield by_point[p, gamma], row.in_cell(i)
+            yield by_point[p, gamma], cell_records(row, i)
 
 
 class TestRowSharedClassFacts:
