@@ -45,9 +45,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .circuits import (
+    _as_unitary,
+    _two_player_states,
     bayesian_payoffs_full_circuit,
     entangler,
-    evolve_two_player,
     payoff_expectation,
 )
 from .games import BayesianGame, TwoPlayerGame, check_probability
@@ -698,7 +699,9 @@ def verify_records(
         p_cell = np.array([check_probability(p) for p in p_values], dtype=float)
     if not len(records):
         return []
-    us = sset.unitaries
+    # The grid's matrices are checked once; each block then evolves
+    # through the unchecked path.
+    us = _as_unitary(sset.unitaries)
     n, players = len(us), 3 if bayesian else 2
     profiles = records.profiles
     bad = (profiles.shape[1] != players) | ((profiles < 0) | (profiles >= n)).any(axis=1)
@@ -722,7 +725,7 @@ def verify_records(
         for start in range(0, total, _VERIFY_BLOCK):
             key, alt = np.divmod(np.arange(start, min(start + _VERIFY_BLOCK, total)), n)
             pair = (us[alt], us[keys[key]]) if deviator_first else (us[keys[key]], us[alt])
-            psi = evolve_two_player(gamma, *pair)
+            psi = _two_player_states(gamma, *pair)
             for row, vec in zip(out, vectors):
                 row[start : start + len(key)] = payoff_expectation(psi, vec)
         return out.reshape(len(vectors), len(keys), n)

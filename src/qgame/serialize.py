@@ -20,7 +20,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -187,6 +187,126 @@ def _class_from_dict(
     return EquilibriumClass(theta, payoffs, profiles, phase_sums, phase_diffs, label)
 
 
+def _cells_one_by_one(cells, bayesian: bool, n_players: int, n_strategies: int) -> tuple:
+    """The stored cells, checked cell by cell and class by class in file
+    order, so that the first fault raises ConfigError naming it."""
+    return tuple(
+        CellResult(
+            *_cell_coordinates(c, f"cells[{i}].", bayesian),
+            classes=tuple(
+                _class_from_dict(cd, n_players, n_strategies, f"cells[{i}].classes[{k}].")
+                for k, cd in enumerate(c["classes"])
+            ),
+        )
+        for i, c in enumerate(cells)
+    )
+
+
+def _of_type(values, *types) -> bool:
+    """Whether every item of ``values`` is exactly one of ``types``."""
+    return set(map(type, values)) <= set(types)
+
+
+def _float_rows(rows: list, width: int | None = None) -> list[tuple[float, ...]] | None:
+    """``rows`` as tuples when each is a JSON list of floats, of ``width``
+    items if given; None otherwise."""
+    if not _of_type(rows, list) or (width is not None and not set(map(len, rows)) <= {width}):
+        return None
+    if not _of_type(chain.from_iterable(rows), float):
+        return None
+    return list(map(tuple, rows))
+
+
+def _member_arrays(lists: list, n_players: int, n_strategies: int) -> list[np.ndarray] | None:
+    """Each class's members as a slice of one int array over the whole
+    file, when every list holds at least one profile of ``n_players``
+    ints in [0, n_strategies); None otherwise.  The ints go straight into
+    the array, so no flat list of them is held."""
+    if not _of_type(lists, list) or not all(lists):
+        return None
+    if not _of_type(chain.from_iterable(lists), list):
+        return None
+    if not set(map(len, chain.from_iterable(lists))) <= {n_players}:
+        return None
+    if not _of_type(chain.from_iterable(chain.from_iterable(lists)), int):
+        return None
+    counts = list(map(len, lists))
+    total = sum(counts)
+    indices = chain.from_iterable(chain.from_iterable(lists))
+    flat = np.fromiter(indices, dtype=np.int64, count=total * n_players)
+    if total and not (flat.min() >= 0 and flat.max() < n_strategies):
+        return None
+    profiles = flat.reshape(total, n_players)
+    ends = np.cumsum(counts).tolist()
+    return [profiles[lo:hi] for lo, hi in zip([0] + ends, ends)]
+
+
+def _phase_maps(maps: list) -> list[dict[str, tuple[float, ...]]] | None:
+    """Each class's phase map with its lists as tuples, when every map is a
+    JSON object of float lists; None otherwise."""
+    if not _of_type(maps, dict):
+        return None
+    rows = _float_rows(list(chain.from_iterable(map(dict.values, maps))))
+    if rows is None:
+        return None
+    # Each zip takes as many rows as its map has keys, in the maps' order.
+    rows = iter(rows)
+    return [dict(zip(m, rows)) for m in maps]
+
+
+_CLASS_FIELDS = ("theta", "payoffs", "members", "phase_sums", "phase_diffs", "operator_label")
+
+
+def _cells_in_passes(cells, bayesian: bool, n_players: int, n_strategies: int) -> tuple | None:
+    """The stored cells, checked and converted one field at a time over the
+    whole file; None where any check fails, for ``_cells_one_by_one`` to
+    name the first fault.
+
+    What a pass accepts, the one-by-one path accepts with the same values.
+    A pass refuses more: cells and classes that are not JSON objects in
+    lists (that path reads a string of classes as its characters), and
+    numbers other than floats in the coordinates, thetas, payoffs and
+    phase lists, go through that path.
+    """
+    if type(cells) is not list or not _of_type(cells, dict):
+        return None
+    try:
+        gammas = [c["gamma"] for c in cells]
+        ps = [c["p"] for c in cells] if bayesian else [None] * len(cells)
+        class_lists = [c["classes"] for c in cells]
+        if not _of_type(class_lists, list):
+            return None
+        classes = list(chain.from_iterable(class_lists))
+        if not _of_type(classes, dict):
+            return None
+        fields = [[cls[name] for cls in classes] for name in _CLASS_FIELDS]
+    except KeyError:
+        return None
+    if not _of_type(gammas, float) or not (
+        _of_type(ps, float) if bayesian else not any("p" in c for c in cells)
+    ):
+        return None
+    theta, payoffs, members, sums, diffs, labels = fields
+    try:
+        members = _member_arrays(members, n_players, n_strategies)
+    except OverflowError:  # an int past int64, outside any grid
+        return None
+    columns = (
+        _float_rows(theta, n_players),
+        _float_rows(payoffs, n_players),
+        members,
+        _phase_maps(sums),
+        _phase_maps(diffs),
+    )
+    if any(column is None for column in columns) or not _of_type(labels, str, type(None)):
+        return None
+    built = map(EquilibriumClass, *columns, labels)
+    return tuple(
+        CellResult(p, gamma, tuple(islice(built, len(own))))
+        for p, gamma, own in zip(ps, gammas, class_lists)
+    )
+
+
 def _header_dict(spec: SweepSpec, kind: str, circuit: str) -> dict:
     """A result's JSON object without its cells."""
     bayesian = isinstance(spec.game, BayesianGame)
@@ -257,10 +377,22 @@ class LoadedResult:
     circuit: str
 
 
+def _header_choice(data: dict, key: str, choices: tuple[str, ...]) -> str:
+    """The header field ``key``, one of ``choices``; an absent field reads
+    as the first of them."""
+    value = data.get(key, choices[0])
+    if type(value) is not str or value not in choices:
+        allowed = " or ".join(map(repr, choices))
+        raise ConfigError(f"field '{key}' must be {allowed}, got {value!r}")
+    return value
+
+
 def load_result(path: str) -> LoadedResult:
     data = _read_json(path)
     try:
         game = game_from_dict(_require(data, "game", ""))
+        kind = _header_choice(data, "kind", ("sweep", "solve"))
+        circuit = _header_choice(data, "circuit", ("mixture", "full"))
         steps_raw = _require(data, "grid_steps", "")
         steps = GridSteps(
             *(
@@ -276,26 +408,16 @@ def load_result(path: str) -> LoadedResult:
             eps_tie=_number(_require(data, "eps_tie", ""), "eps_tie"),
         )
         bayesian = isinstance(game, BayesianGame)
-        n_players = 3 if bayesian else 2
-        n_strategies = steps.n_strategies
-        cells = tuple(
-            CellResult(
-                *_cell_coordinates(c, f"cells[{i}].", bayesian),
-                classes=tuple(
-                    _class_from_dict(cd, n_players, n_strategies, f"cells[{i}].classes[{k}].")
-                    for k, cd in enumerate(c["classes"])
-                ),
-            )
-            for i, c in enumerate(_require(data, "cells", ""))
-        )
+        _header_choice(data, "mode", ("bayesian" if bayesian else "two-player",))
+        shape = (bayesian, 3 if bayesian else 2, steps.n_strategies)
+        stored = _require(data, "cells", "")
+        cells = _cells_in_passes(stored, *shape)
+        if cells is None:
+            cells = _cells_one_by_one(stored, *shape)
         _check_cells_on_axes(cells, spec)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed result file {path}: {exc}") from exc
-    return LoadedResult(
-        result=SweepResult(spec, cells),
-        kind=str(data.get("kind", "sweep")),
-        circuit=str(data.get("circuit", "mixture")),
-    )
+    return LoadedResult(result=SweepResult(spec, cells), kind=kind, circuit=circuit)
 
 
 BAYESIAN_CSV_HEADER = (
@@ -419,25 +541,53 @@ def _facts_text(cls: EquilibriumClass) -> tuple[str, str]:
     )
 
 
+# A payoff list of n finite floats, each written by its repr.
+_PAYOFF_TEMPLATES = {n: _list_text(["%r"] * n, _INDENT[6]) for n in (2, 3)}
+
+
+def _payoffs_text(payoffs) -> str:
+    template = _PAYOFF_TEMPLATES.get(len(payoffs))
+    if template and _of_type(payoffs, float) and all(map(math.isfinite, payoffs)):
+        return template % tuple(payoffs)
+    return _list_text([_number_text(float(x)) for x in payoffs], _INDENT[6])
+
+
 def _class_text(cls: EquilibriumClass, memo: dict) -> str:
     """A class's block, its payoffs rendered here and the rest through
     ``memo``, which holds what this writer call has rendered so far.
 
-    A fact block is keyed by the ``repr`` of its values as they are
+    A fact block is keyed first by the identity of the objects it is
+    written from, its theta-profile and each phase list, with its label
+    and the phase maps' keys.  The writer call holds the result, and so
+    each of these objects, while the memo lives, so no id is reused;
+    ``classify`` gives every class of one member set the same theta and
+    phase tuples, so a sweep's classes mostly find their block there.  A
+    class that shares no objects with an earlier one (a loaded result's,
+    say) is keyed again by the ``repr`` of its values as they are
     written: the thetas as floats and each phase list as a tuple of its
     items (an array's repr would round and elide).  The ``repr`` tells
     apart values that compare equal but are written apart (0.0 and -0.0,
     1 and 1.0).  A members list is keyed by its array's dtype, shape and
-    bytes.  A str key never equals a tuple key.
+    bytes, three items against an identity key's four; a str key never
+    equals a tuple key.
     """
-    phases = [[(k, tuple(v)) for k, v in m.items()] for m in (cls.phase_sums, cls.phase_diffs)]
-    key = repr((tuple(map(float, cls.theta_profile)), cls.operator_label, phases))
-    head, tail = memo.get(key) or memo.setdefault(key, _facts_text(cls))
+    label, sums, diffs = cls.operator_label, cls.phase_sums, cls.phase_diffs
+    key = (
+        id(cls.theta_profile),
+        label,
+        tuple(zip(sums, map(id, sums.values()))),
+        tuple(zip(diffs, map(id, diffs.values()))),
+    )
+    facts = memo.get(key)
+    if facts is None:
+        phases = [[(k, tuple(v)) for k, v in m.items()] for m in (sums, diffs)]
+        text_key = repr((tuple(map(float, cls.theta_profile)), label, phases))
+        facts = memo[key] = memo.get(text_key) or memo.setdefault(text_key, _facts_text(cls))
+    head, tail = facts
     profiles = cls.profiles
     key = (profiles.dtype, profiles.shape, profiles.tobytes())
     members = memo.get(key) or memo.setdefault(key, _members_text(profiles))
-    payoffs = _list_text([_number_text(float(x)) for x in cls.payoffs], _INDENT[6])
-    return f"{head}{payoffs}{tail}{members}{_CLASS_END}"
+    return f"{head}{_payoffs_text(cls.payoffs)}{tail}{members}{_CLASS_END}"
 
 
 def _cell_text(cell: CellResult, memo: dict) -> str:

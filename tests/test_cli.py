@@ -1,3 +1,4 @@
+import gzip
 import json
 import math
 import os
@@ -26,6 +27,7 @@ from qgame.strategies import GridSteps
 from qgame.sweep import CellResult, SweepResult, gamma_grid, p_grid
 
 PI = math.pi
+GOLDEN = Path(__file__).parent / "golden"
 
 GAME_JSON = {
     "game": "bayesian",
@@ -794,6 +796,44 @@ class TestLoadResultErrors:
         capsys.readouterr()
         assert main(["verify", "--in", path]) == 2
         assert main(["classify", "--in", path]) == 2
+
+    @pytest.mark.parametrize(
+        "edit,field",
+        [
+            (lambda d: d.update(kind=["x"]), "kind"),
+            (lambda d: d.update(kind="figure"), "kind"),
+            (lambda d: d.update(circuit=7), "circuit"),
+            (lambda d: d.update(circuit=None), "circuit"),
+            (lambda d: d.update(mode="two-player"), "mode"),
+            (lambda d: d.update(mode=None), "mode"),
+        ],
+        ids=["list-kind", "unknown-kind", "number-circuit", "null-circuit", "other-mode", "null-mode"],
+    )
+    def test_bad_header_field_is_config_error(self, tmp_path, capsys, edit, field):
+        # Each of these used to load, and re-emitting the file changed its bytes.
+        data = json.loads(gzip.decompress((GOLDEN / "sweep.json.gz").read_bytes()))
+        edit(data)
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"field '{field}' must be"):
+            load_result(str(path))
+        capsys.readouterr()
+        assert main(["classify", "--in", str(path)]) == 2
+        assert f"field '{field}'" in capsys.readouterr().err
+
+    def test_absent_header_fields_keep_their_defaults(self, tmp_path, capsys):
+        out = tmp_path / "pd.json"
+        main(["solve", "--game", "pd", "--gamma", "0.3", "--out", str(out)])
+        data = json.loads(out.read_text(encoding="utf-8"))
+        for field in ("kind", "mode", "circuit"):
+            del data[field]
+        out.write_text(json.dumps(data), encoding="utf-8")
+        loaded = load_result(str(out))
+        assert (loaded.kind, loaded.circuit) == ("sweep", "mixture")
+        data["mode"] = "bayesian"
+        out.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ConfigError, match="field 'mode' must be 'two-player', got 'bayesian'"):
+            load_result(str(out))
 
     def test_two_player_header_with_p_values_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "pd.json"

@@ -36,7 +36,7 @@ from qgame.games import (
     classical_bayesian_ne,
 )
 from qgame.serialize import load_result
-from qgame.strategies import DEFAULT_GRID, GridSteps, enumerate_strategies
+from qgame.strategies import DEFAULT_GRID, GridSteps, StrategySet, enumerate_strategies
 from qgame.sweep import SweepSpec, _row, gamma_grid, p_grid, run_sweep
 
 from conftest import cell_records, cells_of, custom_bayesian, find_ne_at, record_set, records_of
@@ -505,14 +505,14 @@ class TestVerifyRecords:
         found = records_of(find_ne_at(game, 0.9, grid24, 0.3))
         payoffs = one_at_a_time(game, 0.9, grid24, 0.3)
         records = with_decoys(found, len(grid24), 3, np.random.default_rng(13), payoffs)
-        evolve, states = equilibrium.evolve_two_player, []
+        evolve, states = equilibrium._two_player_states, []
 
         def counting(gamma, u_a, u_b):
             psi = evolve(gamma, u_a, u_b)
             states.append(psi.size // 4)
             return psi
 
-        monkeypatch.setattr(equilibrium, "evolve_two_player", counting)
+        monkeypatch.setattr(equilibrium, "_two_player_states", counting)
         verdicts = verify_records(record_set(records), game, 0.9, grid24, p_values=(0.3,))
         a, b1, b2 = np.array([rec.profile for rec in records]).T
         keys = len(np.unique(a)) + len(np.union1d(b1, b2))
@@ -626,6 +626,28 @@ class TestRowVerification:
         second = RecordSet(one.cell + 1, one.profiles, one.payoffs, 2)
         with pytest.raises(ValueError, match="index the 1 p values"):
             verify_records(second, builtin_bayesian(), 0.3, grid8, p_values=(0.5,))
+
+    def test_grid_unitaries_are_checked_once_per_call(self, grid24, monkeypatch):
+        # The grid's stacked matrices are checked once, however many
+        # 4,096-state blocks the row's tables take.
+        calls = []
+        check = equilibrium._as_unitary
+        monkeypatch.setattr(equilibrium, "_as_unitary", lambda u: calls.append(1) or check(u))
+        profiles = product(range(len(grid24)), repeat=3)
+        records = record_set([EquilibriumRecord(prof, (0.0, 0.0, 0.0)) for prof in profiles])
+        assert len(records) * 24 > 2 * equilibrium._VERIFY_BLOCK
+        verdicts = verify_records(records, builtin_bayesian(), 0.7, grid24, p_values=(0.4,))
+        assert len(verdicts) == len(records)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("corrupt", [2.0, math.nan], ids=["not-unitary", "non-finite"])
+    def test_corrupted_grid_unitary_raises(self, grid8, corrupt):
+        unitaries = grid8.unitaries.copy()
+        unitaries[5, 0, 1] = corrupt
+        bad = StrategySet(grid8.steps, grid8.codes, grid8.angles, unitaries)
+        records = record_set([EquilibriumRecord((0, 1, 2), (0.0, 0.0, 0.0))])
+        with pytest.raises(ValueError, match="strategy matrix"):
+            verify_records(records, builtin_bayesian(), 0.3, bad, p_values=(0.5,))
 
 
 class TestClassify:
