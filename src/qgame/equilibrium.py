@@ -6,16 +6,16 @@ them), each as one real matrix product over a rank-16 factorization of
 the Born payoff, built in cache-sized blocks; best-response sets are
 read off with an absolute tie tolerance, and a profile is an
 equilibrium when every player's strategy is in its best-response set
-against the others.  A Bayesian row keeps
-A's dense tables, one per distinct payoff vector of A, and each B
-player's table only as its list of best responses, reduced at one tie
-tolerance; the row's search reads nothing else.  It takes A's best
-deviation, the maximum of A's p-mixture over a column pair, in full only
-where rounding bounds from column maxima, argmax rows (also those of a
-gauge-turned pair) and the candidates' own payoffs cannot decide the tie
-test: correctly rounded arithmetic is monotone, so the bounds hold for
-the computed payoffs and the records are those of the full maximum, bit
-for bit.
+against the others.  A Bayesian row, or a block of consecutive rows
+stacked by column, keeps A's dense tables, one per distinct payoff
+vector of A, and each B player's table only as its list of best
+responses, reduced at one tie tolerance; the block's one search reads
+nothing else.  It takes A's best deviation, the maximum of A's
+p-mixture over a column pair, in full only where rounding bounds from
+column maxima, argmax rows (also those of a gauge-turned pair) and the
+candidates' own payoffs cannot decide the tie test: correctly rounded
+arithmetic is monotone, so the bounds hold for the computed payoffs and
+the records are those of the full maximum, bit for bit.
 
 ``verify_records`` is the independent oracle: it re-evaluates every
 unilateral deviation through the scalar circuit path, never consulting
@@ -214,16 +214,20 @@ def _table_blocks(factors, core: np.ndarray, columns: bool, out: np.ndarray | No
         yield rows, block
 
 
-def _payoff_table(factors, core: np.ndarray, columns: bool) -> tuple[np.ndarray, np.ndarray]:
+def _payoff_table(
+    factors, core: np.ndarray, columns: bool, out: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """T = Re(X C X^T), every block of ``_table_blocks`` written into one
     array, and the argmax of each block row, taken while it is in cache.
 
     With ``columns`` the table comes back in column-major order, so
     columns T[:, j] are contiguous, and the argmax rows are those of T's
-    columns; without, they are the argmax columns of T's rows.
+    columns; without, they are the argmax columns of T's rows.  ``out``,
+    when given, is the row-major n x n array and the n argmax entries to
+    write into.
     """
     n = len(factors[0])
-    table, top = np.empty((n, n)), np.empty(n, dtype=np.intp)
+    table, top = out if out is not None else (np.empty((n, n)), np.empty(n, dtype=np.intp))
     for rows, block in _table_blocks(factors, core, columns, table):
         top[rows] = block.argmax(axis=1)
     return (table.T if columns else table), top
@@ -244,21 +248,25 @@ def two_player_tables(
 
 
 class BayesianTables(NamedTuple):
-    """What the Bayesian search of one gamma row reads, reduced at one tie tolerance.
+    """What the Bayesian search of a block of gamma rows reads, reduced at one tie tolerance.
 
-    ``ta1[i, j]`` and ``ta2[i, j]`` are A's payoffs for playing i against
-    B1 and against B2 playing j, column-major; when both subgames give A
-    the same payoff vector they are one array (``ta2 is ta1``).
-    ``top1[j]`` is the row of column j's maximum in ``ta1``, the first
-    one as ``ta1[:, j].argmax()`` gives it, and ``top2`` likewise for
-    ``ta2`` (``top2 is top1`` when ``ta2 is ta1``).
-    ``br1`` holds B1's best responses as ascending row-major flat indices
-    ``a * n + b1`` of B1's table, the entries within ``eps_tie`` of row
-    a's maximum, and ``pay1`` B1's payoffs there; ``br2`` and ``pay2``
-    likewise for B2.  ``eps_tie`` is a 0-d array, so every field is an
-    array.  ``shift`` is the grid's gauge map ``StrategySet.gauge_shift``;
-    the search takes only lower bounds from it, so any map of valid
-    indices gives the same records.
+    The block's G consecutive gammas are stacked by column: with n
+    strategies, column ``g * n + b`` belongs to B's strategy b at the
+    block's g-th gamma, so ``ta1`` and ``ta2`` are n x G*n.  ``ta1[i,
+    g * n + j]`` and ``ta2[i, g * n + j]`` are A's payoffs at gamma g for
+    playing i against B1 and against B2 playing j, column-major; when both
+    subgames give A the same payoff vector they are one array (``ta2 is
+    ta1``).  ``top1[c]`` is the row of column c's maximum in ``ta1``, the
+    first one as ``ta1[:, c].argmax()`` gives it, and ``top2`` likewise
+    for ``ta2`` (``top2 is top1`` when ``ta2 is ta1``).  ``br1`` holds
+    B1's best responses as ascending flat indices ``(g * n + a) * n +
+    b1``, row key ``g * n + a``, of the entries of B1's table at gamma g
+    within ``eps_tie`` of row a's maximum, and ``pay1`` B1's payoffs
+    there; ``br2`` and ``pay2`` likewise for B2.  A one-gamma block is
+    one row's tables, G = 1.  ``eps_tie`` is a 0-d array, so every field
+    is an array.  ``shift`` is the grid's gauge map
+    ``StrategySet.gauge_shift``; the search takes only lower bounds from
+    it, so any map of valid indices gives the same records.
     """
 
     ta1: np.ndarray
@@ -299,36 +307,51 @@ def _best_responses(factors, core: np.ndarray, eps_tie: float) -> tuple[np.ndarr
 
 def bayesian_tables(
     game: BayesianGame,
-    gamma: float,
+    gamma: float | Sequence[float],
     sset: StrategySet,
     eps_tie: float = DEFAULT_EPS_TIE,
 ) -> BayesianTables:
-    """A's per-subgame tables and the B players' best-response lists at one gamma.
+    """A's per-subgame tables and the B players' best-response lists of a
+    block of gamma rows, stacked as one ``BayesianTables`` set.
 
+    ``gamma`` is one gamma, a block of one, or a sequence of them.
     Independent of p: A's Bayesian payoff against (b1, b2) is
     p * T_A1[b1] + (1 - p) * T_A2[b2] by columns, so sweeps over p share
-    these tables.  Every table is built in blocks of ``_COLUMN_BLOCK``
-    entries (``_table_blocks``).  Each block of a B table is reduced to
-    its best responses as soon as it is built, so no B table is ever
-    held whole.  A's blocks are written into its column-major table and
-    give each column's argmax row on the way; A's second table is the
-    first when the two payoff vectors agree byte for byte (so -0.0 never
-    stands in for 0.0).  The row therefore holds one n x n table per
-    distinct payoff vector of A and one block besides.
+    these tables.  The Born factors are computed once for the block, and
+    each gamma's tables are built as a row's are, in blocks of
+    ``_COLUMN_BLOCK`` entries (``_table_blocks``) written into that
+    gamma's slice, so every entry is bit for bit the one-row entry.  Each
+    block of a B table is reduced to its best responses as soon as it is
+    built, so no B table is ever held whole, and the B lists of every
+    gamma are built before A's tables are allocated.  A's blocks are
+    written into its column-major table and give each column's argmax
+    row on the way; A's second table is the first when the two payoff
+    vectors agree byte for byte (so -0.0 never stands in for 0.0).  The
+    block therefore holds one n x G*n table per distinct payoff vector
+    of A and one block besides.
     """
     check_eps_tie(eps_tie)
-    j, factors = entangler(gamma), _born_factors(sset)
+    js = [entangler(g) for g in np.atleast_1d(gamma).tolist()]
+    factors, n = _born_factors(sset), len(sset)
     subgames = (game.subgame_b1, game.subgame_b2)
-    (br1, pay1), (br2, pay2) = (
-        _best_responses(factors, _born_core(j, sub.payoff_b), eps_tie) for sub in subgames
-    )
+
+    def b_list(payoff_b) -> tuple[np.ndarray, np.ndarray]:
+        """One B player's list over the block, row a of gamma g at row key g * n + a."""
+        idx, pay = zip(*(_best_responses(factors, _born_core(j, payoff_b), eps_tie) for j in js))
+        return np.concatenate([i + g * n * n for g, i in enumerate(idx)]), np.concatenate(pay)
+
+    (br1, pay1), (br2, pay2) = (b_list(sub.payoff_b) for sub in subgames)
+
+    def a_tables(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        table, top = np.empty((len(js) * n, n)), np.empty(len(js) * n, dtype=np.intp)
+        for g, j in enumerate(js):
+            rows = slice(g * n, (g + 1) * n)
+            _payoff_table(factors, _born_core(j, vec), True, (table[rows], top[rows]))
+        return table.T, top
+
     vec1, vec2 = (np.asarray(sub.payoff_a, dtype=float) for sub in subgames)
-    ta1, top1 = _payoff_table(factors, _born_core(j, vec1), columns=True)
-    ta2, top2 = (
-        (ta1, top1)
-        if vec1.tobytes() == vec2.tobytes()
-        else _payoff_table(factors, _born_core(j, vec2), columns=True)
-    )
+    ta1, top1 = a_tables(vec1)
+    ta2, top2 = (ta1, top1) if vec1.tobytes() == vec2.tobytes() else a_tables(vec2)
     return BayesianTables(
         ta1, ta2, top1, top2, br1, pay1, br2, pay2, np.array(eps_tie), sset.gauge_shift
     )
@@ -398,9 +421,11 @@ def _gauge_hints(tables, per_pair, exact, group, best, undecided, pair_block) ->
     and m2 and largest candidate entries h1 and h2; ``best`` and
     ``undecided`` are a group's (p, pair) lower bounds and open entries,
     updated in place.  The B players' turns ``shift[k]`` of a pair
-    (b1, b2) form its orbit, keyed by the smallest code ``b1' * n + b2'``
-    over k.  At each p, the first open pair of an orbit takes the full
-    maximum with its row r*.  Another open pair, reached from it by the B
+    (b1, b2) at the block's gamma g (stacked columns g * n + b1 and
+    g * n + b2) form its orbit, keyed by ``g * n * n`` plus the smallest
+    code ``b1' * n + b2'`` over k, so an orbit never spans two gammas.
+    At each p, the first open pair of an orbit takes the full maximum
+    with its row r*.  Another open pair, reached from it by the B
     players' turn by -s, takes the mixture at A's row ``shift[s, r*]``,
     which the gauge makes the same payoff up to rounding.  That row is a
     real row of the pair's own columns, so its mixture is at most the
@@ -410,12 +435,19 @@ def _gauge_hints(tables, per_pair, exact, group, best, undecided, pair_block) ->
     ta1, ta2, shift, eps_tie = tables.ta1, tables.ta2, tables.shift, float(tables.eps_tie)
     n, turns = ta1.shape[0], len(shift)
     c1, c2, m1, m2, h1, h2 = (x[exact] for x in per_pair)
-    key = (c1 * n + c2).astype(np.int32)
+    # A pair's stacked columns c = g * n + b share their gamma g; the turns
+    # act on b, and the key's g * n * n (below 2**31) keeps each gamma's
+    # orbits apart.
+    g, b1 = np.divmod(c1, n)
+    b2 = c2 - g * n
+    key = (b1 * n + b2).astype(np.int32)
     turn = np.zeros(len(exact), dtype=np.intp)
     for k in range(1, turns):
-        code = shift[k, c1] * np.int32(n) + shift[k, c2]
+        code = shift[k, b1] * np.int32(n) + shift[k, b2]
         lower = code < key
         key[lower], turn[lower] = code[lower], k
+    key += (g * (n * n)).astype(np.int32)
+    del g, b1, b2  # freed before the maxima below, the row's peak
     for best_p, open_p, p in zip(best, undecided, group):
         sub = np.flatnonzero(open_p[exact])
         _, first, orbit_of = np.unique(key[sub], return_index=True, return_inverse=True)
@@ -438,13 +470,15 @@ def _gauge_hints(tables, per_pair, exact, group, best, undecided, pair_block) ->
 
 
 def find_ne_bayesian_row(tables: BayesianTables, p_values: Sequence[float]) -> RecordSet:
-    """The NE records of one gamma row's table set at each p of ``p_values``.
+    """The NE records of a block of gamma rows' table set at each p of ``p_values``.
 
-    Only A's payoff depends on p, so one search serves the whole row.
+    Only A's payoff depends on p, so one search serves the whole block.
     B1's payoff does not depend on b2 nor B2's on b1, so the candidate
-    triples are read straight off the two best-response lists, and A's
-    ties are taken at the ``eps_tie`` they were reduced at.  The
-    triples and their distinct (b1, b2) pairs are built once for the row.
+    triples are read straight off the two best-response lists, row key
+    by row key (``BayesianTables``), and A's ties are taken at the
+    ``eps_tie`` they were reduced at.  The triples and their distinct
+    pairs of stacked columns are built once for the block; a pair's two
+    columns always share their gamma.
 
     A candidate (a, b1, b2) is kept when its payoff ``pay_a`` is at least
     ``best - eps_tie``, where ``best`` is A's best deviation
@@ -476,8 +510,10 @@ def find_ne_bayesian_row(tables: BayesianTables, p_values: Sequence[float]) -> R
     Candidates, column blocks and the per-p bounds are processed in
     bounded chunks, and the tie test is one 2-D test per group of p
     whose candidates times p values stay within ``_TRIPLE_BLOCK``.
-    Records come back as one set for the row, cell i holding the
-    records of ``p_values[i]`` in profile order.
+    Records come back as one set for the block, cell ``g *
+    len(p_values) + i`` holding the records of ``p_values[i]`` at the
+    block's g-th gamma, in profile order; a one-gamma block's cell i is
+    that of ``p_values[i]``.
 
     The records are then re-checked against the tables (``_recheck``),
     after the search's working arrays are freed; a record that is not
@@ -490,17 +526,27 @@ def find_ne_bayesian_row(tables: BayesianTables, p_values: Sequence[float]) -> R
 
 
 def _search_row(tables: BayesianTables, p_values: list[float]) -> RecordSet:
-    """``find_ne_bayesian_row``'s search, before its re-check.
+    """``find_ne_bayesian_row``'s search of a block of gamma rows, before
+    its re-check.
 
-    The argmax rows of A's columns come with the tables (``top1`` and
-    ``top2``, taken while the tables were built); the search does not
-    scan A's tables for them.
+    A triple is a row key ``g * n + a`` of both B lists with one entry of
+    each, so its B strategies are read as A's stacked columns ``g * n +
+    b1`` and ``g * n + b2``: the per-triple gathers are those of a single
+    row, and the block index g is read off the columns only on pairs (in
+    ``_gauge_hints``) and on kept records.  The argmax rows of A's
+    columns come with the tables (``top1`` and ``top2``, taken while the
+    tables were built); the search does not scan A's tables for them.
     """
     ta1, ta2, eps_tie = tables.ta1, tables.ta2, float(tables.eps_tie)
-    n = ta1.shape[0]
-    a1, b1_of = np.divmod(tables.br1, n)
-    a2, b2_of = np.divmod(tables.br2, n)
-    count1, count2 = (np.bincount(rows, minlength=n) for rows in (a1, a2))
+    n, width = ta1.shape
+    # Each list entry's row key g * n + a, A strategy a and stacked column
+    # g * n + b; B2's list needs only its row counts and its columns.
+    key1, b1_of = np.divmod(tables.br1, n)
+    a_of = key1 % n
+    b1_of += key1 - a_of
+    b2_of = tables.br2 // (n * n) * n + tables.br2 % n
+    count1 = np.bincount(key1, minlength=width)
+    count2 = np.bincount(tables.br2 // n, minlength=width)
     end1 = np.cumsum(count1)
     start2 = np.cumsum(count2) - count2
     top1, top2 = tables.top1, tables.top2
@@ -510,15 +556,15 @@ def _search_row(tables: BayesianTables, p_values: list[float]) -> RecordSet:
     payoffs = [np.empty((0, 3))]
     for rows in _row_blocks(count1 * count2, _TRIPLE_BLOCK):
         offset = end1[rows.start] - count1[rows.start]
-        i1, i2 = _candidate_triples(a1[offset : end1[rows.stop - 1]], count2, start2)
+        i1, i2 = _candidate_triples(key1[offset : end1[rows.stop - 1]], count2, start2)
         i1 += offset
-        a, b1, b2 = a1[i1], b1_of[i1], b2_of[i2]
-        pairs, pair_of = np.unique(b1 * n + b2, return_inverse=True)
+        a, b1, b2 = a_of[i1], b1_of[i1], b2_of[i2]
+        pairs, pair_of = np.unique(b1 * width + b2, return_inverse=True)
         g1, g2 = ta1.T[b1, a], ta2.T[b2, a]
         # Per pair: A's entries at the argmax rows r1 of column c1 and r2
         # of column c2 (m1 and m2 are the column maxima), and the largest
         # candidate entries h1 and h2.
-        c1, c2 = np.divmod(pairs, n)
+        c1, c2 = np.divmod(pairs, width)
         r1, r2 = top1[c1], top2[c2]
         m1, y1, x2, m2 = ta1[r1, c1], ta2[r1, c2], ta1[r2, c1], ta2[r2, c2]
         h1, h2 = np.full(len(pairs), -np.inf), np.full(len(pairs), -np.inf)
@@ -553,18 +599,23 @@ def _search_row(tables: BayesianTables, p_values: list[float]) -> RecordSet:
                 threshold = best[ps][:, pair_of]
                 threshold -= eps_tie
                 kp, kt = np.nonzero(pay_a >= threshold)
-                cells.append(kp + (first + sub))
-                profiles.append(np.stack([a[kt], b1[kt], b2[kt]], axis=1))
+                g, k1 = np.divmod(b1[kt], n)
+                cells.append(g * len(p_values) + kp + (first + sub))
+                profiles.append(np.stack([a[kt], k1, b2[kt] - g * n], axis=1))
                 payoffs.append(
                     np.stack([pay_a[kp, kt], tables.pay1[i1[kt]], tables.pay2[i2[kt]]], axis=1)
                 )
+                # Freed before the next test and the records' assembly: this
+                # cuts the pi/8 gamma = 0 row's peak from 122 to 110 MB, and
+                # the default sweep's block search's traced peak from 2.4 to
+                # 1.8 MB.
+                del pay_a, threshold, kp, kt, g, k1
     cell = np.concatenate(cells)
     # Each block of candidates adds records to every cell; a stable sort by
     # cell puts them in (cell, profile) order.
     order = np.argsort(cell, kind="stable")
-    return RecordSet(
-        cell[order], np.concatenate(profiles)[order], np.concatenate(payoffs)[order], len(p_values)
-    )
+    profiles, payoffs = np.concatenate(profiles), np.concatenate(payoffs)
+    return RecordSet(cell[order], profiles[order], payoffs[order], width // n * len(p_values))
 
 
 def _in_sorted(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -576,7 +627,7 @@ def _in_sorted(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _recheck(records: RecordSet, tables: BayesianTables, p_values: Sequence[float]) -> None:
-    """Table-backed deviation re-check of every record of a gamma row.
+    """Table-backed deviation re-check of every record of a block of gamma rows.
 
     Recomputes each record's deviation payoffs from the tables alone and
     raises RuntimeError on the first record that is not stable.  A is
@@ -586,34 +637,39 @@ def _recheck(records: RecordSet, tables: BayesianTables, p_values: Sequence[floa
     column maxima of both tables is at least ``best``, since correctly
     rounded ``*`` by a non-negative factor and ``+`` are monotone, so a
     record that reaches ``U - eps_tie`` is stable; only the others take
-    the full maximum, once per distinct (b1, b2) of each cell, in blocks
-    of pairs.  The column maxima are computed here, apart from the
+    the full maximum, once per distinct (p, column pair) of the records,
+    in blocks of pairs.  The column maxima are computed here, apart from the
     search, once per distinct table.  Each B player is stable when its
     (a, b) is in its best-response list, found by binary search.  All
-    cells of the row are checked together, read off the record arrays.
+    cells of the block are checked together, read off the record arrays:
+    cell ``g * len(p_values) + i`` is ``p_values[i]`` at the block's g-th
+    gamma, whose strategy b is A's stacked column ``g * n + b``.
     """
     if not len(records):
         return
     ta1, ta2, eps_tie = tables.ta1, tables.ta2, float(tables.eps_tie)
-    n = ta1.shape[0]
+    n, width = ta1.shape
     p_cell = np.asarray(p_values, dtype=float)
-    cell = records.cell
-    p = p_cell[cell]
+    g, at = np.divmod(records.cell, len(p_cell))
+    p = p_cell[at]
     a, b1, b2 = records.profiles.T
+    c1, c2 = g * n + b1, g * n + b2
     top1 = ta1.max(axis=0)
     top2 = top1 if ta2 is ta1 else ta2.max(axis=0)
-    pay = p * ta1[a, b1] + (1.0 - p) * ta2[a, b2]
-    ok = pay >= p * top1[b1] + (1.0 - p) * top2[b2] - eps_tie
+    pay = p * ta1[a, c1] + (1.0 - p) * ta2[a, c2]
+    ok = pay >= p * top1[c1] + (1.0 - p) * top2[c2] - eps_tie
     rest = np.flatnonzero(~ok)
-    pairs, pair_of = np.unique((cell[rest] * n + b1[rest]) * n + b2[rest], return_inverse=True)
+    keys = (at[rest] * width + c1[rest]) * width + c2[rest]
+    pairs, pair_of = np.unique(keys, return_inverse=True)
     best = np.empty(len(pairs))
     step = max(1, _COLUMN_BLOCK // n)
     for start in range(0, len(pairs), step):
-        c, c1, c2 = np.unravel_index(pairs[start : start + step], (records.n_cells, n, n))
-        pc = p_cell[c]
-        best[start : start + step] = (pc * ta1[:, c1] + (1.0 - pc) * ta2[:, c2]).max(axis=0)
+        i, k1, k2 = np.unravel_index(pairs[start : start + step], (len(p_cell), width, width))
+        pc = p_cell[i]
+        best[start : start + step] = (pc * ta1[:, k1] + (1.0 - pc) * ta2[:, k2]).max(axis=0)
     ok[rest] = pay[rest] >= best[pair_of] - eps_tie
-    ok &= _in_sorted(a * n + b1, tables.br1) & _in_sorted(a * n + b2, tables.br2)
+    row = (g * n + a) * n
+    ok &= _in_sorted(row + b1, tables.br1) & _in_sorted(row + b2, tables.br2)
     if not ok.all():
         profile = tuple(records.profiles[np.argmin(ok)].tolist())
         raise RuntimeError(f"record {profile} failed deviation re-check")

@@ -187,6 +187,14 @@ def _class_from_dict(
     return EquilibriumClass(theta, payoffs, profiles, phase_sums, phase_diffs, label)
 
 
+def _list_field(data, key: str, path: str, items: str) -> list:
+    """The field ``key`` of ``data``, which must be a JSON list of ``items``."""
+    value = _require(data, key, path)
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}{key} must be a list of {items}, got {value!r}")
+    return value
+
+
 def _cells_one_by_one(cells, bayesian: bool, n_players: int, n_strategies: int) -> tuple:
     """The stored cells, checked cell by cell and class by class in file
     order, so that the first fault raises ConfigError naming it."""
@@ -195,7 +203,7 @@ def _cells_one_by_one(cells, bayesian: bool, n_players: int, n_strategies: int) 
             *_cell_coordinates(c, f"cells[{i}].", bayesian),
             classes=tuple(
                 _class_from_dict(cd, n_players, n_strategies, f"cells[{i}].classes[{k}].")
-                for k, cd in enumerate(c["classes"])
+                for k, cd in enumerate(_list_field(c, "classes", f"cells[{i}].", "classes"))
             ),
         )
         for i, c in enumerate(cells)
@@ -264,11 +272,11 @@ def _cells_in_passes(cells, bayesian: bool, n_players: int, n_strategies: int) -
 
     What a pass accepts, the one-by-one path accepts with the same values.
     A pass refuses more: cells and classes that are not JSON objects in
-    lists (that path reads a string of classes as its characters), and
-    numbers other than floats in the coordinates, thetas, payoffs and
-    phase lists, go through that path.
+    lists, and numbers other than floats in the coordinates, thetas,
+    payoffs and phase lists, go through that path, which names the first
+    fault (a cell's ``classes`` that is not a list among them).
     """
-    if type(cells) is not list or not _of_type(cells, dict):
+    if not _of_type(cells, dict):
         return None
     try:
         gammas = [c["gamma"] for c in cells]
@@ -410,7 +418,7 @@ def load_result(path: str) -> LoadedResult:
         bayesian = isinstance(game, BayesianGame)
         _header_choice(data, "mode", ("bayesian" if bayesian else "two-player",))
         shape = (bayesian, 3 if bayesian else 2, steps.n_strategies)
-        stored = _require(data, "cells", "")
+        stored = _list_field(data, "cells", "", "cells")
         cells = _cells_in_passes(stored, *shape)
         if cells is None:
             cells = _cells_one_by_one(stored, *shape)

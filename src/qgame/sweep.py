@@ -1,20 +1,24 @@
 """Parameter sweeps over entanglement gamma and type probability p.
 
 Bayesian sweeps cover the (p, gamma) plane; two-player games sweep
-gamma alone.  A gamma row is one unit of work and returns its NE
-records as one ``RecordSet``.  A Bayesian row builds one table set (A's
-payoff tables and the B players' best-response lists, reduced at the
-sweep's tie tolerance) and one search (``find_ne_bayesian_row``) reads
-the re-checked records of every p in the row off it, because only A's
-payoff depends on p; a two-player row is ``find_ne_two_player``.  The
-rows' records are joined into one set, and one ``classify`` call
-groups every cell of the sweep, so a class that recurs across cells is
-described once.  The records stay arrays from the search to the
-classes.  With ``workers > 1`` rows are evaluated in a process pool,
-each on its own copy of the strategy set; the rows are joined in gamma
-order either way, so output is identical regardless of parallelism.
-The worker count is capped by the row count and the CPU count.
-Grids above ``MAX_GRID_POINTS`` points per axis are refused.
+gamma alone.  A block of consecutive gamma rows is one unit of work and
+returns its NE records as one ``RecordSet``.  A Bayesian block takes as
+many rows G as keep G * n * n within ``_COLUMN_BLOCK`` entries for n
+strategies, and at least one: the 8- and 24-strategy sweeps are one
+block, and from 208 strategies up each row is a block of its own.  It
+builds one table set, stacked over its rows (A's payoff tables and the
+B players' best-response lists, reduced at the sweep's tie tolerance),
+and one search (``find_ne_bayesian_row``) reads the re-checked records
+of every p of every row off it, because only A's payoff depends on p.
+A two-player block is one row, ``find_ne_two_player``.  The blocks'
+records are joined into one set, and one ``classify`` call groups every
+cell of the sweep, so a class that recurs across cells is described
+once.  The records stay arrays from the search to the classes.  With
+``workers > 1`` blocks are evaluated in a process pool, each on its own
+copy of the strategy set; the blocks are joined in gamma order either
+way, so output is identical regardless of parallelism.  The worker
+count is capped by the block count and the CPU count.  Grids above
+``MAX_GRID_POINTS`` points per axis are refused.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import equilibrium
 from .equilibrium import (
     DEFAULT_EPS_TIE,
     EquilibriumClass,
@@ -141,17 +146,19 @@ class RegionSummary:
         return len(self.cells)
 
 
-def _row(args) -> RecordSet:
-    """One gamma row's NE records, cell i at ``p_values[i]``; a two-player
-    row is one cell."""
-    game, gamma, p_values, sset, eps_tie = args
+def _block(args) -> RecordSet:
+    """The NE records of a block of consecutive gamma rows, cell
+    ``g * len(p_values) + i`` at ``(p_values[i], gammas[g])``; a two-player
+    block is one row of one cell."""
+    game, gammas, p_values, sset, eps_tie = args
     if isinstance(game, BayesianGame):
-        return find_ne_bayesian_row(bayesian_tables(game, gamma, sset, eps_tie), p_values)
+        return find_ne_bayesian_row(bayesian_tables(game, gammas, sset, eps_tie), p_values)
+    (gamma,) = gammas
     return find_ne_two_player(game, gamma, sset, eps_tie)
 
 
-def effective_workers(requested: int | None, rows: int | None = None) -> int:
-    """Worker count: min(requested, rows, CPU count).
+def effective_workers(requested: int | None, blocks: int | None = None) -> int:
+    """Worker count: min(requested, blocks, CPU count).
 
     ``None`` requests one worker; a request below one is an error.
     """
@@ -160,16 +167,16 @@ def effective_workers(requested: int | None, rows: int | None = None) -> int:
     if int(requested) < 1:
         raise ValueError(f"worker count must be at least 1, got {requested}")
     workers = min(int(requested), os.cpu_count() or 1)
-    if rows is not None:
-        workers = max(1, min(workers, rows))
+    if blocks is not None:
+        workers = max(1, min(workers, blocks))
     return workers
 
 
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     """Evaluate every grid cell; deterministic regardless of parallelism.
 
-    The strategy grid is enumerated once and shared by every row, and the
-    records of all rows are classified in one call.  Cells come in
+    The strategy grid is enumerated once and shared by every block, and
+    the records of all blocks are classified in one call.  Cells come in
     (p, gamma) order.
     """
     # Looked up at call time, so a patch on the strategies module's
@@ -178,25 +185,36 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
 
     start = time.perf_counter()
     sset = enumerate_strategies(spec.steps)
-    jobs = [(spec.game, g, spec.p_values, sset, spec.eps_tie) for g in spec.gamma_values]
+    # As many Bayesian rows per block as keep G * n * n within _COLUMN_BLOCK
+    # (read at call time), at least one; a two-player block is one row.
+    size = 1
+    if isinstance(spec.game, BayesianGame):
+        size = max(1, equilibrium._COLUMN_BLOCK // len(sset) ** 2)
+    gammas = spec.gamma_values
+    jobs = [
+        (spec.game, gammas[g : g + size], spec.p_values, sset, spec.eps_tie)
+        for g in range(0, len(gammas), size)
+    ]
     workers = effective_workers(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_row, jobs))
+            blocks = list(pool.map(_block, jobs))
     else:
-        rows = [_row(job) for job in jobs]
+        blocks = [_block(job) for job in jobs]
 
-    # Cell g * len(p_values) + i of the joined set is (p_values[i], gamma_values[g]),
-    # so the rows joined in gamma order are in (cell, profile) order.  A
-    # two-player spec has no p values, and its rows one cell each.
+    # Each block's cells follow those of the blocks before it, so cell
+    # g * len(p_values) + i of the joined set is (p_values[i], gamma_values[g])
+    # and the blocks joined in gamma order are in (cell, profile) order.  A
+    # two-player spec has no p values, and its blocks one cell each.
     p_values = spec.p_values or (None,)
+    offsets = np.cumsum([0] + [block.n_cells for block in blocks])
     records = RecordSet(
-        np.concatenate([row.cell + g * len(p_values) for g, row in enumerate(rows)]),
-        np.concatenate([row.profiles for row in rows]),
-        np.concatenate([row.payoffs for row in rows]),
-        len(rows) * len(p_values),
+        np.concatenate([block.cell + offset for block, offset in zip(blocks, offsets)]),
+        np.concatenate([block.profiles for block in blocks]),
+        np.concatenate([block.payoffs for block in blocks]),
+        int(offsets[-1]),
     )
-    del rows  # kept through classify, they add 19 MB to the pi/8 diagram's peak
+    del blocks  # kept through classify, they add 19 MB to the pi/8 diagram's peak
     classes = classify(records, sset)
     cells = tuple(
         CellResult(p, gamma, classes[g * len(p_values) + i])

@@ -676,6 +676,37 @@ class TestLoadResultErrors:
         assert main(["verify", "--in", path]) == 2
         assert main(["classify", "--in", path]) == 2
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda d: d.update(cells={}), "cells must be a list of cells, got {}"),
+            (lambda d: d.update(cells=""), "cells must be a list of cells, got ''"),
+            (
+                lambda d: d["cells"][3].update(classes={}),
+                "cells[3].classes must be a list of classes, got {}",
+            ),
+            (
+                lambda d: d["cells"][3].update(classes="ab"),
+                "cells[3].classes must be a list of classes, got 'ab'",
+            ),
+        ],
+        ids=["cells-object", "cells-string", "classes-object", "classes-string"],
+    )
+    def test_non_list_cells_or_classes_is_config_error(self, tmp_path, capsys, edit, message):
+        # Each was read as a file, or a cell, with nothing in it.
+        data = json.loads(gzip.decompress((GOLDEN / "sweep.json.gz").read_bytes()))
+        edit(data)
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_result(str(path))
+        capsys.readouterr()
+        for command in ("verify", "classify"):
+            assert main([command, "--in", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"config error: {message}\n"
+
     def test_non_finite_stored_tolerance_is_config_error(self, tmp_path):
         out = tmp_path / "solve.json"
         main(["solve", "--game", "pd", "--gamma", "0.3", "--out", str(out)])

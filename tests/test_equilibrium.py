@@ -37,7 +37,7 @@ from qgame.games import (
 )
 from qgame.serialize import load_result
 from qgame.strategies import DEFAULT_GRID, GridSteps, StrategySet, enumerate_strategies
-from qgame.sweep import SweepSpec, _row, gamma_grid, p_grid, run_sweep
+from qgame.sweep import SweepSpec, _block, gamma_grid, p_grid, run_sweep
 
 from conftest import cell_records, cells_of, custom_bayesian, find_ne_at, record_set, records_of
 from test_circuits import reference_bayesian_payoffs_mixture
@@ -156,10 +156,10 @@ class TestTables:
         # one A table of n x n floats, plus one B table while it is reduced.
         sset = enumerate_strategies(GridSteps(PI / 8, PI / 8, PI / 8))
         n = len(sset)
-        job = (builtin_bayesian(), gamma_grid()[28], p_grid(0.2), sset, 1e-9)
+        job = (builtin_bayesian(), (gamma_grid()[28],), p_grid(0.2), sset, 1e-9)
         tracemalloc.start()
         try:
-            records = _row(job)
+            records = _block(job)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from qgame import equilibrium, sweep
 from qgame.equilibrium import bayesian_tables, classify, find_ne_bayesian_row
 from qgame.games import builtin_bayesian, builtin_da, builtin_pd
 from qgame.serialize import result_to_json_text
@@ -165,26 +166,43 @@ class TestRunSweep:
 
 
 class TestDeterminism:
-    def test_parallel_run_is_byte_identical(self):
-        spec = SweepSpec(
-            game=builtin_bayesian(),
-            gamma_values=gamma_grid(0.4),
-            p_values=p_grid(0.25),
-        )
+    def test_parallel_run_is_byte_identical(self, monkeypatch):
+        # 56 strategies take 20 gamma rows per block, so the 32 rows are two
+        # blocks, and two workers start a pool.
+        pools = []
+
+        class CountedPool(sweep.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", CountedPool)
+        grid56 = GridSteps(PI / 4, PI / 2, PI / 2)
+        spec = SweepSpec(builtin_bayesian(), gamma_grid(), p_grid(0.25), grid56)
         serial = result_to_json_text(run_sweep(spec, workers=1))
+        assert pools == []
         parallel = result_to_json_text(run_sweep(spec, workers=2))
+        assert pools == [2]
         assert serial == parallel
 
-    def test_workers_capped_by_rows_and_cpus(self, monkeypatch):
+    def test_one_block_sweep_runs_serially(self, monkeypatch):
+        # The default 8-strategy sweep is one block: no pool is started.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", None)
+        spec = SweepSpec(builtin_bayesian(), gamma_grid(0.4), p_grid(0.25))
+        assert len(run_sweep(spec, workers=2).cells) == 25
+
+    def test_workers_capped_by_blocks_and_cpus(self, monkeypatch):
         # Only the computed count is checked; no pool is started.
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         assert effective_workers(None) == 1
-        assert effective_workers(1000, rows=3) == 3
-        assert effective_workers(1000, rows=50) == 4
+        assert effective_workers(1000, blocks=3) == 3
+        assert effective_workers(1000, blocks=50) == 4
         assert effective_workers(1000) == 4
-        assert effective_workers(2, rows=50) == 2
+        assert effective_workers(2, blocks=50) == 2
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert effective_workers(1000, rows=50) == 1
+        assert effective_workers(1000, blocks=50) == 1
 
     @pytest.mark.parametrize("requested", [0, -3])
     def test_non_positive_worker_request_rejected(self, requested):
@@ -256,20 +274,23 @@ class TestSummarizeRegions:
         assert summarize_regions(result) == []
 
 
-def test_bayesian_sweep_searches_once_per_gamma(monkeypatch):
-    from qgame import sweep
-
+@pytest.mark.parametrize("column_block,searches", [(None, [(2, 4)]), (64, [(1, 4), (1, 4)])])
+def test_bayesian_sweep_searches_once_per_block(monkeypatch, column_block, searches):
+    # The 8-strategy sweep's two rows are one block; with room for one
+    # 8 x 8 table per block, each row is a block of its own.
     calls = []
     search = sweep.find_ne_bayesian_row
 
     def counted(tables, p_values):
-        calls.append(len(p_values))
+        calls.append((tables.ta1.shape[1] // tables.ta1.shape[0], len(p_values)))
         return search(tables, p_values)
 
+    if column_block is not None:
+        monkeypatch.setattr(equilibrium, "_COLUMN_BLOCK", column_block)
     monkeypatch.setattr(sweep, "find_ne_bayesian_row", counted)
     spec = SweepSpec(builtin_bayesian(), (0.0, 0.8), (0.0, 0.3, 0.6, 1.0))
     assert len(run_sweep(spec).cells) == 8
-    assert calls == [4, 4]
+    assert calls == searches
 
 
 def searched_cells(result):
