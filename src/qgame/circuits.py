@@ -209,9 +209,18 @@ def _sparse_rows(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _apply(op: tuple[np.ndarray, np.ndarray], psi: np.ndarray) -> np.ndarray:
     """op @ psi for planar states ``psi`` (2, d, stack) and an operator in
-    the form of ``_sparse_rows``."""
+    the form of ``_sparse_rows``, or with values (2, d, m, stack) that give
+    each state its own operator on the same columns.
+
+    The products are summed one column at a time, in index order, so no
+    array wider than the states is built.
+    """
     columns, values = op
-    return _sum_first(np.moveaxis(_cmul(values[..., None], psi[:, columns]), 2, 0))
+    values = values.reshape(values.shape[:3] + (-1,))
+    total = _cmul(values[:, :, 0], psi[:, columns[:, 0]])
+    for j in range(1, columns.shape[1]):
+        total = total + _cmul(values[:, :, j], psi[:, columns[:, j]])
+    return total
 
 
 def _checked_norm(psi: np.ndarray) -> np.ndarray:
@@ -225,8 +234,9 @@ def _checked_norm(psi: np.ndarray) -> np.ndarray:
 def _evolve(psi0: np.ndarray, strategies, op: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """op (I (x) U_1 (x) .. (x) U_m) psi0 for checked stacks of strategies U_i.
 
-    ``psi0`` is one n-qubit state as a planar (2, 2, .., 2, 1) array,
-    ``op`` is in the form of ``_sparse_rows``, and strategy i acts on
+    ``psi0`` is one n-qubit state as a planar (2, 2, .., 2, 1) array, or
+    one per state of the flattened batch, ``op`` is in the form taken by
+    ``_apply``, and strategy i acts on
     qubit n - m + i.  Returns the states as (batch..., 2**n).
     """
     n = psi0.ndim - 2
@@ -272,9 +282,37 @@ def evolve_two_player(gamma: float, u_a, u_b) -> np.ndarray:
     return _two_player_states(gamma, _as_unitary(u_a), _as_unitary(u_b))
 
 
-def _two_player_states(gamma: float, u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:
-    psi, j_dag = _entangled_pair(float(gamma))
-    return _evolve(psi, (u_a, u_b), j_dag)
+# The columns of J^dag's nonzero entries, row by row: (0, 3), (1, 2),
+# (1, 2), (0, 3).  At gamma = 0 the off-diagonal entries are zeros, whose
+# products add exact zeros, so the pattern serves every gamma.
+_J_DAG_COLUMNS = np.array([[0, 3], [1, 2], [1, 2], [0, 3]])
+
+
+@lru_cache(maxsize=64)
+def _entangled_columns(gamma: float):
+    """J|00> as planar (2, 4) amplitudes, and J^dag's entries on
+    ``_J_DAG_COLUMNS`` as planar (2, 4, 2) values."""
+    j = entangler(gamma)
+    return _planar(j[:, 0]), _planar(j.conj().T[np.arange(4)[:, None], _J_DAG_COLUMNS])
+
+
+def _two_player_states(gamma, u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:
+    """``evolve_two_player`` for checked stacks, at one gamma or at one
+    gamma per state of the stacks' broadcast batch.
+
+    Per-state gammas gather each state's J|00> and J^dag entries from the
+    distinct gammas; their payoffs are those of one call per gamma, bit
+    for bit, and an amplitude may differ only in the sign of a zero.
+    """
+    if np.ndim(gamma) == 0:
+        psi, j_dag = _entangled_pair(float(gamma))
+        return _evolve(psi, (u_a, u_b), j_dag)
+    batch = np.broadcast_shapes(u_a.shape[:-2], u_b.shape[:-2])
+    gammas, which = np.unique(np.broadcast_to(gamma, batch), return_inverse=True)
+    pairs = [_entangled_columns(g) for g in gammas.tolist()]
+    psi = np.stack([psi for psi, _ in pairs], axis=-1)[..., which.ravel()]
+    values = np.stack([values for _, values in pairs], axis=-1)[..., which.ravel()]
+    return _evolve(psi.reshape(2, 2, 2, -1), (u_a, u_b), (_J_DAG_COLUMNS, values))
 
 
 def payoff_expectation(psi: np.ndarray, payoff):

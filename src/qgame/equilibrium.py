@@ -20,7 +20,9 @@ the records are those of the full maximum, bit for bit.
 ``verify_records`` is the independent oracle: it re-evaluates every
 unilateral deviation through the scalar circuit path, never consulting
 the vectorized tables or best-response structure.  Its deviation states
-do not depend on p, so one call checks a whole gamma row's cells.
+do not depend on p, so one call checks a whole gamma row's cells; given
+one gamma per cell, it checks a block of rows, each state evolved at its
+own row's gamma within one stacked call.
 ``bayesian_circuit_tables`` is the four-qubit witness: it fills the
 profile cube through the scalar four-qubit circuit, in slabs of a
 bounded number of states.
@@ -720,39 +722,44 @@ def find_ne_bayesian_circuit(
 def verify_records(
     records: RecordSet,
     game: TwoPlayerGame | BayesianGame,
-    gamma: float,
+    gamma: float | Sequence[float],
     sset: StrategySet,
     eps_tie: float = DEFAULT_EPS_TIE,
     p_values: Sequence[float] | None = None,
 ) -> list[bool]:
-    """Independent NE check of the records of one gamma row's cells: every
+    """Independent NE check of the records of a block of cells: every
     unilateral deviation, re-evaluated.
 
     Payoffs are recomputed through the scalar circuit path, so the check
     shares nothing with the vectorized tables or best-response masks.
-    Every deviation is keyed by the deviator's subgame opponent.  Each B
-    player's payoff for every alternative is tabled against each distinct
-    a of the row, one state serving both B players; A's payoff in each
-    subgame is tabled against each distinct B strategy of the row, one
-    state serving both subgames.  None of these depends on p, so the
-    row's cells share them.  The states are evaluated in blocks of
-    ``_VERIFY_BLOCK``, and each table holds at most n x n floats.  A's
-    Bayesian payoff against (b1, b2) is ``p * E1[b1] + (1.0 - p) *
-    E2[b2]``, the mixture's own expression with the cell's p, maximized
-    once per distinct (cell, b1, b2) in blocks of ``_COLUMN_BLOCK``
-    entries; a two-player A reads its one table.  A player's deviation to
-    its recorded strategy is the base payoff, and a record also fails
-    when its stored payoffs are more than ``PAYOFF_TOL`` from the base
-    ones.  Bayesian record i was found at ``p_values[records.cell[i]]``,
-    and a Bayesian check needs ``p_values``; two-player records take no
-    p, and their check does not read ``p_values`` or ``records.cell``.
-    Returns one verdict per record, in order.
+    ``gamma`` is one angle for every record, or one per cell: record i
+    then lies at ``gamma[records.cell[i]]``, and each distinct gamma is a
+    row.  Every deviation is keyed by the deviator's row and subgame
+    opponent.  Each B player's payoff for every alternative is tabled
+    against each distinct (row, a), one state serving both B players; A's
+    payoff in each subgame is tabled against each distinct (row, b) over
+    b1 and b2, one state serving both subgames.  None of these depends on
+    p, so a row's cells share them.  The states are evaluated in stacked
+    calls of at most ``_VERIFY_BLOCK``, each state at its own row's gamma
+    where the block holds more than one, and each table holds at most
+    n x n floats per row.  A's Bayesian payoff against (b1, b2) is ``p *
+    E1[b1] + (1.0 - p) * E2[b2]``, the mixture's own expression with the
+    cell's p, maximized once per distinct (cell, b1, b2) in blocks of
+    ``_COLUMN_BLOCK`` entries; a two-player A reads its one table.  A
+    player's deviation to its recorded strategy is the base payoff, and a
+    record also fails when its stored payoffs are more than ``PAYOFF_TOL``
+    from the base ones.  Bayesian record i was found at
+    ``p_values[records.cell[i]]``, and a Bayesian check needs
+    ``p_values``; two-player records take no p.  Returns one verdict per
+    record, in order.
     """
     bayesian = isinstance(game, BayesianGame)
     if bayesian and p_values is None:
         raise ValueError("verifying a Bayesian record needs p")
     if bayesian:
         p_cell = np.array([check_probability(p) for p in p_values], dtype=float)
+    per_cell = np.ndim(gamma) > 0
+    gammas, row_of = np.unique(np.asarray(gamma, dtype=float), return_inverse=True)
     if not len(records):
         return []
     # The grid's matrices are checked once; each block then evolves
@@ -764,8 +771,13 @@ def verify_records(
     if bad.any():
         profile = tuple(profiles[np.argmax(bad)].tolist())
         raise ValueError(f"profile {profile} is not {players} strategy indices in [0, {n})")
-    if bayesian and not ((records.cell >= 0) & (records.cell < len(p_cell))).all():
-        raise ValueError(f"record cells must index the {len(p_cell)} p values")
+    counts = [("p", len(p_cell))] if bayesian else []
+    if per_cell:
+        counts.append(("gamma", len(row_of)))
+    for name, count in counts:
+        if not ((records.cell >= 0) & (records.cell < count)).all():
+            raise ValueError(f"record cells must index the {count} {name} values")
+    row = row_of[records.cell] if per_cell else 0
     a, *bs = profiles.T
     # Stored payoffs of the wrong length become NaN, which fails the test.
     stored = records.payoffs
@@ -775,38 +787,43 @@ def verify_records(
 
     def table(keys, vectors, deviator_first):
         """Payoffs ``vectors[k]`` of the deviator playing each alternative
-        against each key, as (len(vectors), len(keys), n)."""
+        against each key ``row * n + s``, strategy s at the row's gamma,
+        as (len(vectors), len(keys), n)."""
+        key_row, key_s = np.divmod(keys, n)
         total = len(keys) * n
         out = np.empty((len(vectors), total))
         for start in range(0, total, _VERIFY_BLOCK):
             key, alt = np.divmod(np.arange(start, min(start + _VERIFY_BLOCK, total)), n)
-            pair = (us[alt], us[keys[key]]) if deviator_first else (us[keys[key]], us[alt])
-            psi = _two_player_states(gamma, *pair)
-            for row, vec in zip(out, vectors):
-                row[start : start + len(key)] = payoff_expectation(psi, vec)
+            pair = (us[alt], us[key_s[key]]) if deviator_first else (us[key_s[key]], us[alt])
+            # A block of one row takes the one-gamma path, which costs less per state.
+            gamma_of = gammas[0] if len(gammas) == 1 else gammas[key_row[key]]
+            psi = _two_player_states(gamma_of, *pair)
+            for out_row, vec in zip(out, vectors):
+                out_row[start : start + len(key)] = payoff_expectation(psi, vec)
         return out.reshape(len(vectors), len(keys), n)
 
-    own, own_of = np.unique(a, return_inverse=True)
+    own, own_of = np.unique(row * n + a, return_inverse=True)
     table_b = table(own, [sub.payoff_b for sub in subgames], deviator_first=False)
     best_b = [t.max(axis=1)[own_of] for t in table_b]
     base_b = [t[own_of, b] for t, b in zip(table_b, bs)]
     del table_b  # freed before A's table is built, which lowers the peak
 
-    others, other_of = np.unique(np.concatenate(bs), return_inverse=True)
+    others, other_of = np.unique(np.concatenate([row * n + b for b in bs]), return_inverse=True)
     table_a = table(others, [sub.payoff_a for sub in subgames], deviator_first=True)
     keys = other_of.reshape(len(bs), len(records))
 
     def payoff_a(cell, key, alt):
-        """A's payoff for ``alt`` against the B strategies ``others[key]``:
-        the mixture's own expression at the p of ``cell`` (a column of
-        it broadcasts over a row of alternatives), or the one table of a
+        """A's payoff for ``alt`` against the B keys ``others[key]``: the
+        mixture's own expression at the p of ``cell`` (a column of it
+        broadcasts over a row of alternatives), or the one table of a
         two-player A."""
         if not bayesian:
             return table_a[0][key[0], alt]
         p = p_cell[cell]
         return p * table_a[0][key[0], alt] + (1.0 - p) * table_a[1][key[1], alt]
 
-    # A's best deviation depends on the cell only through p.
+    # A's best deviation depends on the cell only through p; the keys
+    # carry the row.
     cells = records.cell if bayesian else np.zeros(len(records), dtype=np.int64)
     shape = (len(p_cell) if bayesian else 1,) + (len(others),) * len(bs)
     pairs, pair_of = np.unique(np.ravel_multi_index((cells, *keys), shape), return_inverse=True)

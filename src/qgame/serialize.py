@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import csv
 import json
+import marshal
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -215,14 +216,28 @@ def _of_type(values, *types) -> bool:
     return set(map(type, values)) <= set(types)
 
 
-def _float_rows(rows: list, width: int | None = None) -> list[tuple[float, ...]] | None:
-    """``rows`` as tuples when each is a JSON list of floats, of ``width``
-    items if given; None otherwise."""
+def _float_lists(rows: list, width: int | None = None) -> bool:
+    """Whether each of ``rows`` is a JSON list of floats, of ``width``
+    items if given."""
     if not _of_type(rows, list) or (width is not None and not set(map(len, rows)) <= {width}):
-        return None
-    if not _of_type(chain.from_iterable(rows), float):
-        return None
-    return list(map(tuple, rows))
+        return False
+    return _of_type(chain.from_iterable(rows), float)
+
+
+def _shared(values: list, convert) -> list:
+    """``convert(v)`` for each of the JSON ``values``, made once per distinct
+    value and shared by all its copies, which lets the JSON writer's
+    identity memo find the fact blocks of a loaded result's classes.
+
+    Values are told apart by their ``marshal`` bytes (version 2 writes no
+    object references), which hold each float's eight IEEE bytes, so only
+    values of the same floats bit for bit share, 0.0 and -0.0 apart.
+    """
+    keys = list(map(marshal.dumps, values, repeat(2)))
+    distinct = dict(zip(keys, values))
+    for key, value in distinct.items():
+        distinct[key] = convert(value)
+    return list(map(distinct.__getitem__, keys))
 
 
 def _member_arrays(lists: list, n_players: int, n_strategies: int) -> list[np.ndarray] | None:
@@ -251,15 +266,13 @@ def _member_arrays(lists: list, n_players: int, n_strategies: int) -> list[np.nd
 
 def _phase_maps(maps: list) -> list[dict[str, tuple[float, ...]]] | None:
     """Each class's phase map with its lists as tuples, when every map is a
-    JSON object of float lists; None otherwise."""
+    JSON object of float lists; None otherwise.  Equal maps share their
+    tuples; each class gets its own dict."""
     if not _of_type(maps, dict):
         return None
-    rows = _float_rows(list(chain.from_iterable(map(dict.values, maps))))
-    if rows is None:
+    if not _float_lists(list(chain.from_iterable(map(dict.values, maps)))):
         return None
-    # Each zip takes as many rows as its map has keys, in the maps' order.
-    rows = iter(rows)
-    return [dict(zip(m, rows)) for m in maps]
+    return list(map(dict, _shared(maps, lambda m: {k: tuple(v) for k, v in m.items()})))
 
 
 _CLASS_FIELDS = ("theta", "payoffs", "members", "phase_sums", "phase_diffs", "operator_label")
@@ -300,8 +313,8 @@ def _cells_in_passes(cells, bayesian: bool, n_players: int, n_strategies: int) -
     except OverflowError:  # an int past int64, outside any grid
         return None
     columns = (
-        _float_rows(theta, n_players),
-        _float_rows(payoffs, n_players),
+        _shared(theta, tuple) if _float_lists(theta, n_players) else None,
+        list(map(tuple, payoffs)) if _float_lists(payoffs, n_players) else None,
         members,
         _phase_maps(sums),
         _phase_maps(diffs),
@@ -569,15 +582,15 @@ def _class_text(cls: EquilibriumClass, memo: dict) -> str:
     and the phase maps' keys.  The writer call holds the result, and so
     each of these objects, while the memo lives, so no id is reused;
     ``classify`` gives every class of one member set the same theta and
-    phase tuples, so a sweep's classes mostly find their block there.  A
-    class that shares no objects with an earlier one (a loaded result's,
-    say) is keyed again by the ``repr`` of its values as they are
-    written: the thetas as floats and each phase list as a tuple of its
-    items (an array's repr would round and elide).  The ``repr`` tells
-    apart values that compare equal but are written apart (0.0 and -0.0,
-    1 and 1.0).  A members list is keyed by its array's dtype, shape and
-    bytes, three items against an identity key's four; a str key never
-    equals a tuple key.
+    phase tuples, and ``load_result`` every class of the same stored
+    facts, so a sweep's classes mostly find their block there.  A class
+    that shares no objects with an earlier one is keyed again by the
+    ``repr`` of its values as they are written: the thetas as floats and
+    each phase list as a tuple of its items (an array's repr would round
+    and elide).  The ``repr`` tells apart values that compare equal but
+    are written apart (0.0 and -0.0, 1 and 1.0).  A members list is keyed
+    by its array's dtype, shape and bytes, three items against an
+    identity key's four; a str key never equals a tuple key.
     """
     label, sums, diffs = cls.operator_label, cls.phase_sums, cls.phase_diffs
     key = (

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgame import circuits
 from qgame.circuits import (
     StrategyParams,
     _controlled_entanglers,
+    _two_player_states,
     bayesian_payoffs_full_circuit,
     entangler,
     evolve_bayesian_circuit,
@@ -17,8 +19,9 @@ from qgame.circuits import (
     payoff_expectation,
     strategy_unitary,
 )
-from qgame.games import builtin_bayesian, check_probability
+from qgame.games import builtin_bayesian, builtin_da, builtin_pd, check_probability
 from qgame.strategies import DEFAULT_GRID, GridSteps, enumerate_strategies
+from qgame.sweep import gamma_grid
 
 from conftest import is_unitary
 
@@ -471,6 +474,49 @@ class TestStackedEvaluation:
         assert out.shape == (len(us), 5, 16)
         single = evolve_bayesian_circuit(0.3, 0.5, us[3], us[7], us[2])
         assert np.array_equal(out[7, 2], single)
+
+
+def gathered_apply(op, psi):
+    """The sparse product as one gather of every column and one sum in
+    index order: the reference for ``circuits._apply``."""
+    columns, values = op
+    return circuits._sum_first(
+        np.moveaxis(circuits._cmul(values[..., None], psi[:, columns]), 2, 0)
+    )
+
+
+class TestPerStateGamma:
+    """One gamma per stacked state gives each state the payoffs of a call
+    at its gamma alone, bit for bit."""
+
+    @pytest.mark.parametrize("steps", [DEFAULT_GRID, GridSteps(PI / 2, PI / 2, PI / 2)])
+    def test_payoffs_match_one_call_per_gamma(self, steps):
+        us = enumerate_strategies(steps).unitaries
+        gammas = np.array(gamma_grid())
+        assert gammas[0] == 0.0
+        a, b, g = (x.ravel() for x in np.indices((len(us), len(us), len(gammas))))
+        stacked = _two_player_states(gammas[g], us[a], us[b])
+        for k, gamma in enumerate(gammas.tolist()):
+            own = g == k
+            alone = _two_player_states(gamma, us[a[own]], us[b[own]])
+            # Amplitudes may differ only in the sign of a zero.
+            assert np.array_equal(stacked[own], alone)
+            for vec in (builtin_pd().payoff_a, builtin_pd().payoff_b, builtin_da().payoff_b):
+                hexes = [x.hex() for x in payoff_expectation(stacked[own], vec).tolist()]
+                assert hexes == [x.hex() for x in payoff_expectation(alone, vec).tolist()]
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.9, PI / 2])
+    def test_single_gamma_states_match_the_gathered_sum(self, grid24, gamma, monkeypatch):
+        # Summing the sparse products one column at a time keeps every bit.
+        us = grid24.unitaries
+        two = evolve_two_player(gamma, us[:, None], us[None, :])
+        four = evolve_bayesian_circuit(0.3, gamma, us[:, None, None], us[None, :, None], us[5])
+        monkeypatch.setattr(circuits, "_apply", gathered_apply)
+        assert two.tobytes() == evolve_two_player(gamma, us[:, None], us[None, :]).tobytes()
+        reference = evolve_bayesian_circuit(
+            0.3, gamma, us[:, None, None], us[None, :, None], us[5]
+        )
+        assert four.tobytes() == reference.tobytes()
 
 
 # One bad element in a stack of strategies, and the message its call fails with.

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qgame import cli
@@ -424,6 +425,69 @@ class TestResultFiles:
             f"{len(expected)} of {checked} recorded profiles are not equilibria"
             " with their stored payoffs"
         ]
+
+    def verify_output(self, path, capsys):
+        capsys.readouterr()
+        code = main(["verify", "--in", str(path)])
+        out, err = capsys.readouterr()
+        return out, err, code
+
+    @pytest.mark.parametrize(
+        "argv, tamper",
+        [
+            (["--grid-theta", "pi/2", "--grid-phi", "pi/2", "--grid-alpha", "pi/2",
+              "--p-step", "0.25", "--gamma-step", "0.1"], "shifted"),
+            (["--game", "pd"], "none"),
+            (["--game", "pd"], "zeroed"),
+            (["--game", "pd", "--grid-theta", "pi/2", "--grid-phi", "pi/2",
+              "--grid-alpha", "pi/2"], "shifted"),
+        ],
+        ids=["bayesian-24-shifted", "pd-8", "pd-8-zeroed", "pd-24-shifted"],
+    )
+    def test_verify_blocks_report_as_one_call_per_gamma(
+        self, tmp_path, capsys, monkeypatch, argv, tamper
+    ):
+        # Shuffled cells put each block's rows all over the file.
+        out = tmp_path / "sweep.json"
+        assert main(["sweep", "--format", "json", "--out", str(out)] + argv) == 0
+        data = json.loads(out.read_text(encoding="utf-8"))
+        random.Random(7).shuffle(data["cells"])
+        classes = [cls for cell in data["cells"] for cls in cell["classes"]]
+        for k, cls in enumerate(classes):
+            if tamper == "zeroed":
+                cls["payoffs"] = [0.0] * len(cls["payoffs"])
+            elif tamper == "shifted" and k % 3 == 0:
+                cls["payoffs"] = [x + 1e-6 for x in cls["payoffs"]]
+        out.write_text(json.dumps(data), encoding="utf-8")
+        blocked = self.verify_output(out, capsys)
+        assert blocked[2] == (0 if tamper == "none" else 3)
+        monkeypatch.setattr(cli, "_VERIFY_BLOCK", 1)  # one gamma row per block
+        assert self.verify_output(out, capsys) == blocked
+
+    @pytest.mark.parametrize(
+        "source, calls",
+        [("golden", 1), (["--game", "pd", "--grid-theta", "pi/4", "--grid-phi", "pi/4",
+                          "--grid-alpha", "pi/4"], 32)],
+        ids=["golden-sweep", "pd-208"],
+    )
+    def test_verify_oracle_calls_per_file(self, tmp_path, capsys, monkeypatch, source, calls):
+        # The 8-strategy sweep's 32 rows fit one block; from 46 strategies
+        # up each row is its own block.
+        out = tmp_path / "sweep.json"
+        if source == "golden":
+            out.write_bytes(gzip.decompress((GOLDEN / "sweep.json.gz").read_bytes()))
+        else:
+            assert main(["sweep", "--format", "json", "--out", str(out)] + source) == 0
+        seen = []
+        oracle = cli.verify_records
+
+        def counting(records, game, gamma, *args):
+            seen.append(len(np.unique(gamma)))
+            return oracle(records, game, gamma, *args)
+
+        monkeypatch.setattr(cli, "verify_records", counting)
+        assert self.verify_output(out, capsys)[2] == 0
+        assert len(seen) == calls and sum(seen) == 32
 
     def test_classify_command_summarizes_regions(self, tmp_path, capsys):
         res = str(tmp_path / "sweep.json")

@@ -650,6 +650,72 @@ class TestRowVerification:
             verify_records(records, builtin_bayesian(), 0.3, bad, p_values=(0.5,))
 
 
+def per_row_verdicts(records, game, gammas, sset, p_values=None):
+    """The reference for a block of rows: one ``verify_records`` call per
+    distinct gamma, cell c lying at ``gammas[c]``."""
+    gammas = np.asarray(gammas)
+    verdicts = np.empty(len(records), dtype=bool)
+    for gamma in np.unique(gammas).tolist():
+        cells = np.flatnonzero(gammas == gamma)
+        own = np.flatnonzero(gammas[records.cell] == gamma)
+        row = RecordSet(
+            np.searchsorted(cells, records.cell[own]),
+            records.profiles[own],
+            records.payoffs[own],
+            len(cells),
+        )
+        p = None if p_values is None else [p_values[c] for c in cells]
+        verdicts[own] = verify_records(row, game, gamma, sset, p_values=p)
+    return verdicts.tolist()
+
+
+@pytest.fixture(scope="module")
+def block_sources(golden_sweep, grid24):
+    """Result files' cells whose rows one call checks together: the golden
+    sweep, a 24-strategy Bayesian sweep and a 24-strategy PD sweep."""
+    return {
+        "golden": golden_sweep,
+        "bayesian-24": run_sweep(
+            SweepSpec(builtin_bayesian(), gamma_grid(), p_grid(0.25), grid24.steps)
+        ),
+        "pd-24": run_sweep(SweepSpec(builtin_pd(), gamma_grid(), (), grid24.steps)),
+    }
+
+
+class TestBlockVerification:
+    @pytest.mark.parametrize("fault", ["stored", "zeroed", "shifted", "moved"])
+    @pytest.mark.parametrize("source", ["golden", "bayesian-24", "pd-24"])
+    def test_per_cell_gammas_match_one_call_per_row(self, block_sources, source, fault):
+        result = block_sources[source]
+        game, cells = result.spec.game, result.cells
+        sset = enumerate_strategies(result.spec.steps)
+        players = 3 if isinstance(game, BayesianGame) else 2
+        classes = [(i, cls) for i, cell in enumerate(cells) for cls in cell.classes]
+        cell = np.concatenate([[i] * cls.n_profiles for i, cls in classes]).astype(np.int64)
+        profiles = np.concatenate([cls.profiles for _, cls in classes])
+        payoffs = np.concatenate([[cls.payoffs] * cls.n_profiles for _, cls in classes])
+        every = np.arange(len(profiles))
+        if fault == "zeroed":
+            payoffs = np.zeros_like(payoffs)
+        elif fault == "shifted":
+            payoffs[every % 3 == 0, every[every % 3 == 0] % players] += 1e-6
+        elif fault == "moved":
+            profiles[every % 4 == 0, 1] = (profiles[every % 4 == 0, 1] + len(sset) // 2) % len(sset)
+        records = RecordSet(cell, profiles, payoffs, len(cells))
+        gammas = [c.gamma for c in cells]
+        p_values = [c.p for c in cells] if players == 3 else None
+        assert len(set(gammas)) == 32
+        verdicts = verify_records(records, game, gammas, sset, p_values=p_values)
+        assert verdicts == per_row_verdicts(records, game, gammas, sset, p_values)
+        assert all(verdicts) == (fault == "stored")
+
+    def test_two_player_cell_outside_the_gammas_raises(self, grid8):
+        one = record_set([EquilibriumRecord((0, 0), (0.0, 0.0))])
+        second = RecordSet(one.cell + 1, one.profiles, one.payoffs, 2)
+        with pytest.raises(ValueError, match="index the 1 gamma values"):
+            verify_records(second, builtin_pd(), [0.3], grid8)
+
+
 class TestClassify:
     def test_pd_phase_class(self, grid8):
         (classes,) = classify(find_ne_two_player(builtin_pd(), 0.5, grid8), grid8)
