@@ -265,21 +265,17 @@ def _value(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-@lru_cache(maxsize=64)
-def _entangled_pair(gamma: float):
-    """J|00> as a planar (2, 2, 2, 1) amplitude array (A's qubit first), and
-    J^dag in the form of ``_sparse_rows``."""
-    j = entangler(gamma)
-    return _planar(j[:, 0].reshape(2, 2, 1)), _sparse_rows(j.conj().T)
-
-
 def evolve_two_player(gamma: float, u_a, u_b) -> np.ndarray:
     """Final two-qubit state J^dag (U_A (x) U_B) J |00>, or a stack of them.
 
     ``u_a`` and ``u_b`` may be stacks of 2x2 matrices; their batch axes
-    broadcast, and the states come back with the state index last.
+    broadcast, and the states come back with the state index last.  J^dag
+    acts on the fixed column pattern ``_J_DAG_COLUMNS``, so at gamma = 0,
+    where its off-diagonal entries are zeros, their exact zero products
+    may flip the sign of a zero amplitude against a diagonal J^dag (0.0
+    for -0.0); every payoff is the same.
     """
-    return _two_player_states(gamma, _as_unitary(u_a), _as_unitary(u_b))
+    return _two_player_states([float(gamma)], None, _as_unitary(u_a), _as_unitary(u_b))
 
 
 # The columns of J^dag's nonzero entries, row by row: (0, 3), (1, 2),
@@ -290,28 +286,25 @@ _J_DAG_COLUMNS = np.array([[0, 3], [1, 2], [1, 2], [0, 3]])
 
 @lru_cache(maxsize=64)
 def _entangled_columns(gamma: float):
-    """J|00> as planar (2, 4) amplitudes, and J^dag's entries on
-    ``_J_DAG_COLUMNS`` as planar (2, 4, 2) values."""
+    """J|00> as planar (2, 4, 1) amplitudes, and J^dag's entries on
+    ``_J_DAG_COLUMNS`` as planar (2, 4, 2, 1) values."""
     j = entangler(gamma)
-    return _planar(j[:, 0]), _planar(j.conj().T[np.arange(4)[:, None], _J_DAG_COLUMNS])
+    j_dag = j.conj().T[np.arange(4)[:, None], _J_DAG_COLUMNS]
+    return _planar(j[:, 0, None]), _planar(j_dag[..., None])
 
 
-def _two_player_states(gamma, u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:
-    """``evolve_two_player`` for checked stacks, at one gamma or at one
-    gamma per state of the stacks' broadcast batch.
+def _two_player_states(gammas, which, u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:
+    """``evolve_two_player`` for checked stacks, state i of the stacks'
+    flattened broadcast batch at ``gammas[which[i]]``.
 
-    Per-state gammas gather each state's J|00> and J^dag entries from the
-    distinct gammas; their payoffs are those of one call per gamma, bit
-    for bit, and an amplitude may differ only in the sign of a zero.
+    ``gammas`` holds distinct angles.  One gamma's entries broadcast over
+    the stack, and ``which`` is then not read; several are gathered per
+    state.  Either way each state's payoffs are those of a call at its
+    gamma alone, bit for bit.
     """
-    if np.ndim(gamma) == 0:
-        psi, j_dag = _entangled_pair(float(gamma))
-        return _evolve(psi, (u_a, u_b), j_dag)
-    batch = np.broadcast_shapes(u_a.shape[:-2], u_b.shape[:-2])
-    gammas, which = np.unique(np.broadcast_to(gamma, batch), return_inverse=True)
-    pairs = [_entangled_columns(g) for g in gammas.tolist()]
-    psi = np.stack([psi for psi, _ in pairs], axis=-1)[..., which.ravel()]
-    values = np.stack([values for _, values in pairs], axis=-1)[..., which.ravel()]
+    psi, values = (np.concatenate(x, axis=-1) for x in zip(*map(_entangled_columns, gammas)))
+    if len(gammas) > 1:
+        psi, values = psi[..., which], values[..., which]
     return _evolve(psi.reshape(2, 2, 2, -1), (u_a, u_b), (_J_DAG_COLUMNS, values))
 
 

@@ -18,7 +18,6 @@ import sys
 import numpy as np
 
 from .equilibrium import (
-    _VERIFY_BLOCK,
     DEFAULT_EPS_TIE,
     RecordSet,
     check_eps_tie,
@@ -312,26 +311,10 @@ def _cmd_verify(args) -> int:
     sset = enumerate_strategies(spec.steps)
     records = _stored_records(cells, 3 if isinstance(spec.game, BayesianGame) else 2)
     derived = classify(records, sset)
-    # One oracle call checks a block of consecutive distinct gammas, as many
-    # as keep the block's states per table, G * n * n, within one stacked
-    # circuit call; the file's cells may come in any order.
-    ok = np.empty(len(records), dtype=bool)
-    gammas, row_of = np.unique([cell.gamma for cell in cells], return_inverse=True)
-    rows = max(1, _VERIFY_BLOCK // max(len(sset) ** 2, 1))
-    block_of = row_of // rows
-    record_block = block_of[records.cell]
-    for block in range(math.ceil(len(gammas) / rows)):
-        block_cells = np.flatnonzero(block_of == block)
-        own = np.flatnonzero(record_block == block)
-        block_records = RecordSet(
-            np.searchsorted(block_cells, records.cell[own]),
-            records.profiles[own],
-            records.payoffs[own],
-            len(block_cells),
-        )
-        p_values = [cells[i].p for i in block_cells.tolist()]
-        block_gammas = gammas[row_of[block_cells]]
-        ok[own] = verify_records(block_records, spec.game, block_gammas, sset, eps, p_values)
+    # verify_records checks the file's gamma rows in blocks, whatever the
+    # order of its cells.
+    gammas, p_values = [cell.gamma for cell in cells], [cell.p for cell in cells]
+    ok = np.array(verify_records(records, spec.game, gammas, sset, eps, p_values), dtype=bool)
 
     def where(cell: CellResult) -> str:
         return f"FAIL p={cell.p} gamma={cell.gamma:.6g}"

@@ -19,10 +19,10 @@ the records are those of the full maximum, bit for bit.
 
 ``verify_records`` is the independent oracle: it re-evaluates every
 unilateral deviation through the scalar circuit path, never consulting
-the vectorized tables or best-response structure.  Its deviation states
-do not depend on p, so one call checks a whole gamma row's cells; given
-one gamma per cell, it checks a block of rows, each state evolved at its
-own row's gamma within one stacked call.
+the vectorized tables or best-response structure.  It takes each cell's
+p and gamma; its deviation states do not depend on p, so a gamma row's
+cells share them, and it checks consecutive rows in blocks as large as
+one stacked call's states allow, each state evolved at its own row's gamma.
 ``bayesian_circuit_tables`` is the four-qubit witness: it fills the
 profile cube through the scalar four-qubit circuit, in slabs of a
 bounded number of states.
@@ -72,7 +72,9 @@ _TRIPLE_BLOCK = 1 << 20
 _COLUMN_BLOCK = 1 << 16
 
 # States per stacked circuit call in ``verify_records`` and in
-# ``bayesian_circuit_tables``, which bounds the temporaries of one call.
+# ``bayesian_circuit_tables``, which bounds the temporaries of one call;
+# ``verify_records`` also checks as many gamma rows G at once as keep
+# G * n * n states, a table's size per vector, within it.
 _VERIFY_BLOCK = 1 << 12
 
 
@@ -727,39 +729,39 @@ def verify_records(
     eps_tie: float = DEFAULT_EPS_TIE,
     p_values: Sequence[float] | None = None,
 ) -> list[bool]:
-    """Independent NE check of the records of a block of cells: every
+    """Independent NE check of the records of a set of cells: every
     unilateral deviation, re-evaluated.
 
     Payoffs are recomputed through the scalar circuit path, so the check
     shares nothing with the vectorized tables or best-response masks.
-    ``gamma`` is one angle for every record, or one per cell: record i
-    then lies at ``gamma[records.cell[i]]``, and each distinct gamma is a
-    row.  Every deviation is keyed by the deviator's row and subgame
-    opponent.  Each B player's payoff for every alternative is tabled
-    against each distinct (row, a), one state serving both B players; A's
-    payoff in each subgame is tabled against each distinct (row, b) over
-    b1 and b2, one state serving both subgames.  None of these depends on
-    p, so a row's cells share them.  The states are evaluated in stacked
-    calls of at most ``_VERIFY_BLOCK``, each state at its own row's gamma
-    where the block holds more than one, and each table holds at most
-    n x n floats per row.  A's Bayesian payoff against (b1, b2) is ``p *
-    E1[b1] + (1.0 - p) * E2[b2]``, the mixture's own expression with the
-    cell's p, maximized once per distinct (cell, b1, b2) in blocks of
+    Record i lies at ``gamma[records.cell[i]]``, and a Bayesian record at
+    ``p_values[records.cell[i]]``; one angle serves all ``records.n_cells``
+    cells, and a Bayesian check needs ``p_values``.  Each distinct gamma
+    is a row, and consecutive rows are checked in blocks of as many rows G
+    as keep G * n * n states within ``_VERIFY_BLOCK``, whatever the order
+    of the cells.  Within a block every deviation is keyed by the
+    deviator's row and subgame opponent.  Each B player's payoff for every
+    alternative is tabled against each distinct (row, a), one state
+    serving both B players; A's payoff in each subgame is tabled against
+    each distinct (row, b) over b1 and b2, one state serving both
+    subgames.  None of these depends on p, so a row's cells share them.
+    The states are evaluated in stacked calls of at most ``_VERIFY_BLOCK``,
+    each state at its own row's gamma, and each table holds at most n x n
+    floats per row.  A's Bayesian payoff against (b1, b2) is ``p * E1[b1]
+    + (1.0 - p) * E2[b2]``, the mixture's own expression with the cell's
+    p, maximized once per distinct (cell, b1, b2) in blocks of
     ``_COLUMN_BLOCK`` entries; a two-player A reads its one table.  A
     player's deviation to its recorded strategy is the base payoff, and a
     record also fails when its stored payoffs are more than ``PAYOFF_TOL``
-    from the base ones.  Bayesian record i was found at
-    ``p_values[records.cell[i]]``, and a Bayesian check needs
-    ``p_values``; two-player records take no p.  Returns one verdict per
-    record, in order.
+    from the base ones.  Returns one verdict per record, in order.
     """
     bayesian = isinstance(game, BayesianGame)
     if bayesian and p_values is None:
         raise ValueError("verifying a Bayesian record needs p")
     if bayesian:
         p_cell = np.array([check_probability(p) for p in p_values], dtype=float)
-    per_cell = np.ndim(gamma) > 0
-    gammas, row_of = np.unique(np.asarray(gamma, dtype=float), return_inverse=True)
+    # One angle serves every cell.
+    gamma_cell = np.broadcast_to(np.asarray(gamma, float), np.shape(gamma) or (records.n_cells,))
     if not len(records):
         return []
     # The grid's matrices are checked once; each block then evolves
@@ -772,22 +774,18 @@ def verify_records(
         profile = tuple(profiles[np.argmax(bad)].tolist())
         raise ValueError(f"profile {profile} is not {players} strategy indices in [0, {n})")
     counts = [("p", len(p_cell))] if bayesian else []
-    if per_cell:
-        counts.append(("gamma", len(row_of)))
-    for name, count in counts:
+    for name, count in counts + [("gamma", len(gamma_cell))]:
         if not ((records.cell >= 0) & (records.cell < count)).all():
             raise ValueError(f"record cells must index the {count} {name} values")
-    row = row_of[records.cell] if per_cell else 0
-    a, *bs = profiles.T
     # Stored payoffs of the wrong length become NaN, which fails the test.
     stored = records.payoffs
     if stored.shape != profiles.shape:
         stored = np.full(profiles.shape, np.nan)
     subgames = (game.subgame_b1, game.subgame_b2) if bayesian else (game,)
 
-    def table(keys, vectors, deviator_first):
+    def table(gammas, keys, vectors, deviator_first):
         """Payoffs ``vectors[k]`` of the deviator playing each alternative
-        against each key ``row * n + s``, strategy s at the row's gamma,
+        against each key ``row * n + s``, strategy s at ``gammas[row]``,
         as (len(vectors), len(keys), n)."""
         key_row, key_s = np.divmod(keys, n)
         total = len(keys) * n
@@ -795,26 +793,14 @@ def verify_records(
         for start in range(0, total, _VERIFY_BLOCK):
             key, alt = np.divmod(np.arange(start, min(start + _VERIFY_BLOCK, total)), n)
             pair = (us[alt], us[key_s[key]]) if deviator_first else (us[key_s[key]], us[alt])
-            # A block of one row takes the one-gamma path, which costs less per state.
-            gamma_of = gammas[0] if len(gammas) == 1 else gammas[key_row[key]]
-            psi = _two_player_states(gamma_of, *pair)
+            psi = _two_player_states(gammas, key_row[key], *pair)
             for out_row, vec in zip(out, vectors):
                 out_row[start : start + len(key)] = payoff_expectation(psi, vec)
         return out.reshape(len(vectors), len(keys), n)
 
-    own, own_of = np.unique(row * n + a, return_inverse=True)
-    table_b = table(own, [sub.payoff_b for sub in subgames], deviator_first=False)
-    best_b = [t.max(axis=1)[own_of] for t in table_b]
-    base_b = [t[own_of, b] for t, b in zip(table_b, bs)]
-    del table_b  # freed before A's table is built, which lowers the peak
-
-    others, other_of = np.unique(np.concatenate([row * n + b for b in bs]), return_inverse=True)
-    table_a = table(others, [sub.payoff_a for sub in subgames], deviator_first=True)
-    keys = other_of.reshape(len(bs), len(records))
-
-    def payoff_a(cell, key, alt):
-        """A's payoff for ``alt`` against the B keys ``others[key]``: the
-        mixture's own expression at the p of ``cell`` (a column of it
+    def payoff_a(table_a, cell, key, alt):
+        """A's payoff for ``alt`` against the B keys ``key`` of ``table_a``:
+        the mixture's own expression at the p of ``cell`` (a column of it
         broadcasts over a row of alternatives), or the one table of a
         two-player A."""
         if not bayesian:
@@ -822,25 +808,53 @@ def verify_records(
         p = p_cell[cell]
         return p * table_a[0][key[0], alt] + (1.0 - p) * table_a[1][key[1], alt]
 
-    # A's best deviation depends on the cell only through p; the keys
-    # carry the row.
-    cells = records.cell if bayesian else np.zeros(len(records), dtype=np.int64)
-    shape = (len(p_cell) if bayesian else 1,) + (len(others),) * len(bs)
-    pairs, pair_of = np.unique(np.ravel_multi_index((cells, *keys), shape), return_inverse=True)
-    pair_cell, *pair_keys = np.unravel_index(pairs, shape)
-    best_a = np.empty(len(pairs))
-    step = max(1, _COLUMN_BLOCK // n)
-    for start in range(0, len(pairs), step):
-        block = slice(start, start + step)
-        key = [k[block] for k in pair_keys]
-        best_a[block] = payoff_a(pair_cell[block, None], key, slice(None)).max(axis=1)
-    base_a = payoff_a(records.cell, keys, a)
-    best = np.stack([best_a[pair_of]] + best_b, axis=1)
-    base = np.stack([base_a] + base_b, axis=1)
-    return (
-        (np.abs(stored - base) <= PAYOFF_TOL).all(axis=1)
-        & (best <= base + eps_tie).all(axis=1)
-    ).tolist()
+    def block_verdicts(gammas, row, cell, profiles, stored):
+        """The verdicts of one block's records, record i at
+        ``gammas[row[i]]``."""
+        a, *bs = profiles.T
+        own, own_of = np.unique(row * n + a, return_inverse=True)
+        table_b = table(gammas, own, [sub.payoff_b for sub in subgames], deviator_first=False)
+        best_b = [t.max(axis=1)[own_of] for t in table_b]
+        base_b = [t[own_of, b] for t, b in zip(table_b, bs)]
+        del table_b  # freed before A's table is built, which lowers the peak
+
+        others, other_of = np.unique(np.concatenate([row * n + b for b in bs]), return_inverse=True)
+        table_a = table(gammas, others, [sub.payoff_a for sub in subgames], deviator_first=True)
+        keys = other_of.reshape(len(bs), len(profiles))
+
+        # A's best deviation depends on the cell only through p; the keys
+        # carry the row.
+        cells = cell if bayesian else np.zeros(len(cell), dtype=np.int64)
+        shape = (len(p_cell) if bayesian else 1,) + (len(others),) * len(bs)
+        pairs, pair_of = np.unique(np.ravel_multi_index((cells, *keys), shape), return_inverse=True)
+        pair_cell, *pair_keys = np.unravel_index(pairs, shape)
+        best_a = np.empty(len(pairs))
+        step = max(1, _COLUMN_BLOCK // n)
+        for start in range(0, len(pairs), step):
+            block = slice(start, start + step)
+            key = [k[block] for k in pair_keys]
+            best_a[block] = payoff_a(table_a, pair_cell[block, None], key, slice(None)).max(axis=1)
+        base_a = payoff_a(table_a, cell, keys, a)
+        best = np.stack([best_a[pair_of]] + best_b, axis=1)
+        base = np.stack([base_a] + base_b, axis=1)
+        return (np.abs(stored - base) <= PAYOFF_TOL).all(axis=1) & (
+            best <= base + eps_tie
+        ).all(axis=1)
+
+    gammas, row_of = np.unique(gamma_cell, return_inverse=True)
+    block_rows = max(1, _VERIFY_BLOCK // (n * n))
+    block_of, row = np.divmod(row_of[records.cell], block_rows)
+    ok = np.empty(len(records), dtype=bool)
+    for b in np.flatnonzero(np.bincount(block_of)).tolist():  # the blocks that hold records
+        in_block = np.flatnonzero(block_of == b)
+        ok[in_block] = block_verdicts(
+            gammas[b * block_rows : (b + 1) * block_rows].tolist(),
+            row[in_block],
+            records.cell[in_block],
+            profiles[in_block],
+            stored[in_block],
+        )
+    return ok.tolist()
 
 
 # ``_round9`` scales by 1e9 and rounds to a whole number in float64.

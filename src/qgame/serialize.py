@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import csv
 import json
-import marshal
 import math
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -224,22 +223,6 @@ def _float_lists(rows: list, width: int | None = None) -> bool:
     return _of_type(chain.from_iterable(rows), float)
 
 
-def _shared(values: list, convert) -> list:
-    """``convert(v)`` for each of the JSON ``values``, made once per distinct
-    value and shared by all its copies, which lets the JSON writer's
-    identity memo find the fact blocks of a loaded result's classes.
-
-    Values are told apart by their ``marshal`` bytes (version 2 writes no
-    object references), which hold each float's eight IEEE bytes, so only
-    values of the same floats bit for bit share, 0.0 and -0.0 apart.
-    """
-    keys = list(map(marshal.dumps, values, repeat(2)))
-    distinct = dict(zip(keys, values))
-    for key, value in distinct.items():
-        distinct[key] = convert(value)
-    return list(map(distinct.__getitem__, keys))
-
-
 def _member_arrays(lists: list, n_players: int, n_strategies: int) -> list[np.ndarray] | None:
     """Each class's members as a slice of one int array over the whole
     file, when every list holds at least one profile of ``n_players``
@@ -266,13 +249,12 @@ def _member_arrays(lists: list, n_players: int, n_strategies: int) -> list[np.nd
 
 def _phase_maps(maps: list) -> list[dict[str, tuple[float, ...]]] | None:
     """Each class's phase map with its lists as tuples, when every map is a
-    JSON object of float lists; None otherwise.  Equal maps share their
-    tuples; each class gets its own dict."""
+    JSON object of float lists; None otherwise."""
     if not _of_type(maps, dict):
         return None
     if not _float_lists(list(chain.from_iterable(map(dict.values, maps)))):
         return None
-    return list(map(dict, _shared(maps, lambda m: {k: tuple(v) for k, v in m.items()})))
+    return [{k: tuple(v) for k, v in m.items()} for m in maps]
 
 
 _CLASS_FIELDS = ("theta", "payoffs", "members", "phase_sums", "phase_diffs", "operator_label")
@@ -313,7 +295,7 @@ def _cells_in_passes(cells, bayesian: bool, n_players: int, n_strategies: int) -
     except OverflowError:  # an int past int64, outside any grid
         return None
     columns = (
-        _shared(theta, tuple) if _float_lists(theta, n_players) else None,
+        list(map(tuple, theta)) if _float_lists(theta, n_players) else None,
         list(map(tuple, payoffs)) if _float_lists(payoffs, n_players) else None,
         members,
         _phase_maps(sums),
@@ -582,15 +564,15 @@ def _class_text(cls: EquilibriumClass, memo: dict) -> str:
     and the phase maps' keys.  The writer call holds the result, and so
     each of these objects, while the memo lives, so no id is reused;
     ``classify`` gives every class of one member set the same theta and
-    phase tuples, and ``load_result`` every class of the same stored
-    facts, so a sweep's classes mostly find their block there.  A class
-    that shares no objects with an earlier one is keyed again by the
-    ``repr`` of its values as they are written: the thetas as floats and
-    each phase list as a tuple of its items (an array's repr would round
-    and elide).  The ``repr`` tells apart values that compare equal but
-    are written apart (0.0 and -0.0, 1 and 1.0).  A members list is keyed
-    by its array's dtype, shape and bytes, three items against an
-    identity key's four; a str key never equals a tuple key.
+    phase tuples, so a sweep's classes mostly find their block there.  A
+    class that shares no objects with an earlier one, as every class that
+    ``load_result`` builds, is keyed again by the ``repr`` of its values as
+    they are written: the thetas as floats and each phase list as a tuple
+    of its items (an array's repr would round and elide).  The ``repr``
+    tells apart values that compare equal but are written apart (0.0 and
+    -0.0, 1 and 1.0).  A members list is keyed by its array's dtype, shape
+    and bytes, three items against an identity key's four; a str key never
+    equals a tuple key.
     """
     label, sums, diffs = cls.operator_label, cls.phase_sums, cls.phase_diffs
     key = (

@@ -478,32 +478,44 @@ class TestStackedEvaluation:
 
 def gathered_apply(op, psi):
     """The sparse product as one gather of every column and one sum in
-    index order: the reference for ``circuits._apply``."""
+    index order: the reference for ``circuits._apply``.  Values may carry
+    a trailing stack axis, as ``_apply`` takes them."""
     columns, values = op
-    return circuits._sum_first(
-        np.moveaxis(circuits._cmul(values[..., None], psi[:, columns]), 2, 0)
-    )
+    values = values.reshape(values.shape[:3] + (-1,))
+    return circuits._sum_first(np.moveaxis(circuits._cmul(values, psi[:, columns]), 2, 0))
+
+
+def reference_two_player_states(gamma, u_a, u_b):
+    """The one-gamma evolution, J|00> and J^dag read off ``entangler(gamma)``
+    with J^dag in the form of ``_sparse_rows``: the reference for
+    ``_two_player_states``."""
+    j = entangler(gamma)
+    psi = circuits._planar(j[:, 0].reshape(2, 2, 1))
+    return circuits._evolve(psi, (u_a, u_b), circuits._sparse_rows(j.conj().T))
 
 
 class TestPerStateGamma:
-    """One gamma per stacked state gives each state the payoffs of a call
-    at its gamma alone, bit for bit."""
+    """One gamma per stacked state, or one gamma for the stack, gives each
+    state the payoffs of the one-gamma reference at its gamma, bit for bit."""
 
     @pytest.mark.parametrize("steps", [DEFAULT_GRID, GridSteps(PI / 2, PI / 2, PI / 2)])
     def test_payoffs_match_one_call_per_gamma(self, steps):
         us = enumerate_strategies(steps).unitaries
-        gammas = np.array(gamma_grid())
+        gammas = gamma_grid()
         assert gammas[0] == 0.0
         a, b, g = (x.ravel() for x in np.indices((len(us), len(us), len(gammas))))
-        stacked = _two_player_states(gammas[g], us[a], us[b])
-        for k, gamma in enumerate(gammas.tolist()):
+        stacked = _two_player_states(gammas, g, us[a], us[b])
+        vectors = (builtin_pd().payoff_a, builtin_pd().payoff_b, builtin_da().payoff_b)
+        for k, gamma in enumerate(gammas):
             own = g == k
-            alone = _two_player_states(gamma, us[a[own]], us[b[own]])
-            # Amplitudes may differ only in the sign of a zero.
-            assert np.array_equal(stacked[own], alone)
-            for vec in (builtin_pd().payoff_a, builtin_pd().payoff_b, builtin_da().payoff_b):
-                hexes = [x.hex() for x in payoff_expectation(stacked[own], vec).tolist()]
-                assert hexes == [x.hex() for x in payoff_expectation(alone, vec).tolist()]
+            alone = reference_two_player_states(gamma, us[a[own]], us[b[own]])
+            single = _two_player_states([gamma], None, us[a[own]], us[b[own]])
+            for states in (stacked[own], single):
+                # Amplitudes may differ only in the sign of a zero.
+                assert np.array_equal(states, alone)
+                for vec in vectors:
+                    hexes = [x.hex() for x in payoff_expectation(states, vec).tolist()]
+                    assert hexes == [x.hex() for x in payoff_expectation(alone, vec).tolist()]
 
     @pytest.mark.parametrize("gamma", [0.0, 0.9, PI / 2])
     def test_single_gamma_states_match_the_gathered_sum(self, grid24, gamma, monkeypatch):

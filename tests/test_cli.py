@@ -8,10 +8,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from qgame import cli
+from qgame import cli, equilibrium
 from qgame.cli import main, parse_angle
 from qgame.equilibrium import DEFAULT_EPS_TIE
 from qgame.games import builtin_bayesian, builtin_pd
@@ -24,7 +23,7 @@ from qgame.serialize import (
     load_game,
     load_result,
 )
-from qgame.strategies import GridSteps
+from qgame.strategies import GridSteps, enumerate_strategies
 from qgame.sweep import CellResult, SweepResult, gamma_grid, p_grid
 
 PI = math.pi
@@ -461,33 +460,38 @@ class TestResultFiles:
         out.write_text(json.dumps(data), encoding="utf-8")
         blocked = self.verify_output(out, capsys)
         assert blocked[2] == (0 if tamper == "none" else 3)
-        monkeypatch.setattr(cli, "_VERIFY_BLOCK", 1)  # one gamma row per block
+        n = len(enumerate_strategies(load_result(str(out)).result.spec.steps))
+        monkeypatch.setattr(equilibrium, "_VERIFY_BLOCK", n * n)  # one gamma row per block
         assert self.verify_output(out, capsys) == blocked
 
     @pytest.mark.parametrize(
-        "source, calls",
-        [("golden", 1), (["--game", "pd", "--grid-theta", "pi/4", "--grid-phi", "pi/4",
-                          "--grid-alpha", "pi/4"], 32)],
+        "source, calls, rows",
+        [("golden", 1, 32), (["--game", "pd", "--grid-theta", "pi/4", "--grid-phi", "pi/4",
+                              "--grid-alpha", "pi/4"], 24, 24)],
         ids=["golden-sweep", "pd-208"],
     )
-    def test_verify_oracle_calls_per_file(self, tmp_path, capsys, monkeypatch, source, calls):
+    def test_verify_oracle_calls_per_file(
+        self, tmp_path, capsys, monkeypatch, source, calls, rows
+    ):
         # The 8-strategy sweep's 32 rows fit one block; from 46 strategies
-        # up each row is its own block.
+        # up each row is its own block, and the 208-strategy PD sweep's 8
+        # rows from gamma = 1.2 up hold no record, so they form none.
+        # Every stacked call of a block takes the block's gammas.
         out = tmp_path / "sweep.json"
         if source == "golden":
             out.write_bytes(gzip.decompress((GOLDEN / "sweep.json.gz").read_bytes()))
         else:
             assert main(["sweep", "--format", "json", "--out", str(out)] + source) == 0
-        seen = []
-        oracle = cli.verify_records
+        blocks = set()
+        evolve = equilibrium._two_player_states
 
-        def counting(records, game, gamma, *args):
-            seen.append(len(np.unique(gamma)))
-            return oracle(records, game, gamma, *args)
+        def counting(gammas, *args):
+            blocks.add(tuple(gammas))
+            return evolve(gammas, *args)
 
-        monkeypatch.setattr(cli, "verify_records", counting)
+        monkeypatch.setattr(equilibrium, "_two_player_states", counting)
         assert self.verify_output(out, capsys)[2] == 0
-        assert len(seen) == calls and sum(seen) == 32
+        assert len(blocks) == calls and sum(map(len, blocks)) == rows
 
     def test_classify_command_summarizes_regions(self, tmp_path, capsys):
         res = str(tmp_path / "sweep.json")

@@ -507,8 +507,8 @@ class TestVerifyRecords:
         records = with_decoys(found, len(grid24), 3, np.random.default_rng(13), payoffs)
         evolve, states = equilibrium._two_player_states, []
 
-        def counting(gamma, u_a, u_b):
-            psi = evolve(gamma, u_a, u_b)
+        def counting(gammas, which, u_a, u_b):
+            psi = evolve(gammas, which, u_a, u_b)
             states.append(psi.size // 4)
             return psi
 
