@@ -715,6 +715,17 @@ class TestBlockVerification:
         with pytest.raises(ValueError, match="index the 1 gamma values"):
             verify_records(second, builtin_pd(), [0.3], grid8)
 
+    def test_scalar_gamma_cell_outside_the_cells_raises(self, grid8):
+        # One angle serves the set's n_cells cells and no record beyond them.
+        one = record_set([EquilibriumRecord((0, 0), (0.0, 0.0))])
+        beyond = RecordSet(one.cell + 1, one.profiles, one.payoffs, 1)
+        with pytest.raises(ValueError, match="index the 1 gamma values"):
+            verify_records(beyond, builtin_pd(), 0.3, grid8)
+        inside = RecordSet(beyond.cell, one.profiles, one.payoffs, 2)
+        assert verify_records(inside, builtin_pd(), 0.3, grid8) == verify_records(
+            one, builtin_pd(), 0.3, grid8
+        )
+
 
 class TestClassify:
     def test_pd_phase_class(self, grid8):
