@@ -194,23 +194,27 @@ def _table_blocks(factors, core: np.ndarray, columns: bool, out: np.ndarray | No
     one buffer that the next block overwrites.  Every entry is bit for
     bit that of the whole product.
 
-    The blocks are equal up to one row, none shorter than the ``fill``
-    rows that hold ``_COLUMN_BLOCK`` entries: BLAS may round a product
-    of few rows with another kernel (OpenBLAS 0.3.31 does for one row of
-    any grid, up to 15 rows of the 80-strategy grid), so a short last
-    block could differ from the whole product.
+    Blocks start at multiples of ``step`` rows, the largest multiple of 8
+    whose rows hold at most ``_COLUMN_BLOCK`` entries (8 if none does);
+    each holds ``step`` rows but the last, which runs to the table's end,
+    so none is shorter than ``step`` and a table of fewer than 2 * ``step``
+    rows is one block.  BLAS kernels work through rows in groups of up to
+    8 (OpenBLAS 0.3.31's Haswell kernel rounds the last row of a 35-row
+    block unlike the whole product) and may round a product of few rows
+    with another kernel (it does for one row of any grid, up to 15 rows
+    of the 80-strategy grid), so blocks cut elsewhere, or short ones,
+    could differ from the whole product.
     """
     real, x = factors
     xc = x @ core
     left = np.hstack([xc.real, -xc.imag])
     first, second = (real, left.T) if columns else (left, real.T)
     n = len(real)
-    fill = max(1, _COLUMN_BLOCK // max(n, 1))
-    count = max(1, n // fill)
-    bounds = [k * n // count for k in range(count + 1)]
+    step = 8 * max(1, _COLUMN_BLOCK // max(n, 1) // 8)
+    bounds = [k * step for k in range(max(1, n // step))] + [n]
     reuse = out is None
     if reuse:
-        out = np.empty((-(-n // count), n))
+        out = np.empty((n - bounds[-2], n))
     for start, stop in zip(bounds, bounds[1:]):
         rows = slice(start, stop)
         block = out[: stop - start] if reuse else out[rows]
@@ -888,73 +892,50 @@ def _round9(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _facts_of_classes(members: np.ndarray, starts: np.ndarray, sset: StrategySet) -> list:
-    """The facts of the classes whose members are the runs of ``members``
-    beginning at ``starts``, each run one class whose members share their
-    theta codes: per class its theta-profile, phase sums and differences,
-    and operator label, read off the codes (module docstring).
-
-    One array pass serves every class.  The offsets of all classes and
-    pairs come from their distinct (class, pair, A's strategy, k's
-    strategy) codes, each ``round(g_A +- g_k, 9)`` of the angle wrapped
-    by ``wrap_angles``, and are deduplicated and sorted per class and
-    pair by one ``lexsort``.
-    """
-    steps, n, n_classes = sset.steps, len(sset), len(starts)
-    others = ("B",) if members.shape[1] == 2 else ("B1", "B2")
-    # Per strategy: on a pole, free phase a whole number of quarter turns,
-    # its Pauli index (pole, then quarter-turn parity: theta = 0 gives +-I
-    # or +-iZ, pi +-iY or +-iX) and its free phase.
+def _strategy_facts(sset: StrategySet) -> tuple[np.ndarray, ...]:
+    """Per strategy of ``sset``: its theta, whether it sits on a pole,
+    whether its free phase is a whole number of quarter turns, its Pauli
+    index (pole, then quarter-turn parity: theta = 0 gives +-I or +-iZ,
+    pi +-iY or +-iX) and its free phase, read off its codes (module
+    docstring)."""
+    steps = sset.steps
     t, f, a = sset.codes.T
     top = t == steps.n_theta
     turns4, size = 4 * np.where(top, a, f), np.where(top, steps.n_alpha, steps.n_phi)
-    on_pole, quarter, pauli = top | (t == 0), turns4 % size == 0, 2 * top + turns4 // size % 2
     free = np.where(top, sset.angles[:, 2], sset.angles[:, 1])
-    reps = members[starts]
-    pole = on_pole[reps]
-    owner = np.repeat(np.arange(n_classes), np.append(starts[1:], len(members)) - starts)
-    named = pole.all(axis=1)
-    rows = np.flatnonzero(named[owner])
-    named[owner[rows[~quarter[members[rows]].all(axis=1)]]] = False
-    labels = [
-        "⊗".join("IZYX"[i] for i in row) if ok else None
-        for ok, row in zip(named.tolist(), pauli[reps].tolist())
-    ]
-    maps: tuple[list[dict], list[dict]] = ([{} for _ in starts], [{} for _ in starts])
-    # Rows of the (class, pair) runs whose two players both sit on a pole.
-    both = pole[:, :1] & pole[:, 1:]
-    rows = np.flatnonzero(both.any(axis=1)[owner])
-    row, pair = np.nonzero(both[owner[rows]])
-    row = rows[row]
-    if len(row):
-        slot = pair * n_classes + owner[row]
-        # Distinct codes by the stable sort lexsort uses too: numpy's default
-        # sort and a bare np.unique each add 0.25-1.5 MB of resident memory
-        # (their own code and tables) on first call.
-        codes = (slot * n + members[row, 0]) * n + members[row, 1 + pair]
-        codes = codes[np.argsort(codes, kind="stable")]
-        codes = codes[np.concatenate([[True], codes[1:] != codes[:-1]])]
-        slot, code = np.divmod(codes, n * n)
-        g, h = free[np.stack(np.divmod(code, n))]
-        # One int per (kind, pair, class), kind 0 the sums and 1 the differences.
-        group = np.concatenate([slot, slot + len(others) * n_classes])
-        offsets = _round9(wrap_angles(np.concatenate([g + h, h - g])))
-        order = np.lexsort((offsets, group))
-        group, offsets = group[order], offsets[order]
-        fresh = np.ones(len(order), dtype=bool)
-        fresh[1:] = (group[1:] != group[:-1]) | (offsets[1:] != offsets[:-1])
-        group, offsets = group[fresh], offsets[fresh].tolist()
-        runs = np.flatnonzero(np.concatenate([[True], group[1:] != group[:-1]]))
-        bounds = runs.tolist() + [len(group)]
-        for key, lo, hi in zip(group[runs].tolist(), bounds, bounds[1:]):
-            kind, key = divmod(key, len(others) * n_classes)
-            k, c = divmod(key, n_classes)
-            maps[kind][c][f"A-{others[k]}"] = tuple(offsets[lo:hi])
-    thetas = sset.angles[members[starts], 0].tolist()
-    return [
-        (tuple(theta), sums, diffs, label)
-        for theta, sums, diffs, label in zip(thetas, *maps, labels)
-    ]
+    return sset.angles[:, 0], top | (t == 0), turns4 % size == 0, 2 * top + turns4 // size % 2, free
+
+
+def _describe(members: np.ndarray, facts: tuple[np.ndarray, ...]) -> tuple:
+    """The theta-profile, phase sums and differences, and operator label of
+    the class whose members, sharing their theta codes, are the rows of
+    ``members``; ``facts`` is ``_strategy_facts`` of their grid.
+
+    Theta-profile and label are the first member's; the label needs every
+    player on a pole and every member's free phases on quarter turns.  For
+    each pair whose two players sit on a pole, the offsets are the sorted
+    distinct ``round(g_A +- g_k, 9)`` over the members, each angle
+    wrapped by ``wrap_angles``.
+    """
+    theta, on_pole, quarter, pauli, free = facts
+    first = members[0]
+    pole = on_pole[first]
+    label = None
+    if pole.all() and quarter[members].all():
+        label = "⊗".join("IZYX"[i] for i in pauli[first].tolist())
+    sums: dict[str, tuple[float, ...]] = {}
+    diffs: dict[str, tuple[float, ...]] = {}
+    for k, other in enumerate(("B",) if len(first) == 2 else ("B1", "B2"), 1):
+        if pole[0] and pole[k]:
+            g, h = free[members[:, 0]], free[members[:, k]]
+            for phases, offsets in ((sums, g + h), (diffs, h - g)):
+                offsets = _round9(wrap_angles(offsets))
+                # By the stable sort: numpy's default sort and a bare np.unique
+                # each add 0.25-1.5 MB of resident memory on first call.
+                offsets = offsets[np.argsort(offsets, kind="stable")]
+                fresh = np.concatenate([[True], offsets[1:] != offsets[:-1]])
+                phases[f"A-{other}"] = tuple(offsets[fresh].tolist())
+    return tuple(theta[first].tolist()), sums, diffs, label
 
 
 def classify(records: RecordSet, sset: StrategySet) -> list[tuple[EquilibriumClass, ...]]:
@@ -976,9 +957,9 @@ def classify(records: RecordSet, sset: StrategySet) -> list[tuple[EquilibriumCla
     and operator label come from its first member.
 
     A class's facts depend only on its member profiles and ``sset``, so
-    each distinct member set is described once per call, all of them in
-    one array pass (``_facts_of_classes``); ``run_sweep`` classifies a
-    whole sweep in one call, so a class that recurs across its cells is
+    each distinct member set is described once per call, by ``_describe``
+    from per-strategy arrays built once per call; ``run_sweep`` classifies
+    a whole sweep in one call, so a class that recurs across its cells is
     described once.  Nothing is kept between calls and ``sset`` is not
     changed; each returned class gets its own phase dicts.
     """
@@ -1006,23 +987,21 @@ def classify(records: RecordSet, sset: StrategySet) -> list[tuple[EquilibriumCla
         profiles = profiles[order]
         starts = np.flatnonzero(new)
         ends = np.append(starts[1:], len(order))
-        bounds = list(zip(starts.tolist(), ends.tolist()))
-        keys = [profiles[lo:hi].tobytes() for lo, hi in bounds]
-        first: dict[bytes, int] = {}
-        for i, key in enumerate(keys):
-            first.setdefault(key, i)
-        runs = [bounds[i] for i in first.values()]
-        rows = np.concatenate([np.arange(lo, hi) for lo, hi in runs])
-        firsts = np.cumsum([0] + [hi - lo for lo, hi in runs[:-1]])
-        facts = dict(zip(first, _facts_of_classes(profiles[rows], firsts, sset)))
         first_payoffs = records.payoffs[order[starts]].tolist()
-        for c, (lo, hi), key, row in zip(cell[starts].tolist(), bounds, keys, first_payoffs):
-            theta_profile, phase_sums, phase_diffs, label = facts[key]
+        runs = zip(cell[starts].tolist(), starts.tolist(), ends.tolist(), first_payoffs)
+        facts = _strategy_facts(sset)
+        described: dict[bytes, tuple] = {}
+        for c, lo, hi, row in runs:
+            members = profiles[lo:hi]
+            key = members.tobytes()
+            if key not in described:
+                described[key] = _describe(members, facts)
+            theta_profile, phase_sums, phase_diffs, label = described[key]
             cells[c].append(
                 EquilibriumClass(
                     theta_profile=theta_profile,
                     payoffs=tuple(row),
-                    profiles=profiles[lo:hi],
+                    profiles=members,
                     phase_sums=dict(phase_sums),
                     phase_diffs=dict(phase_diffs),
                     operator_label=label,

@@ -147,22 +147,15 @@ def _profile(prof, n_players: int, n_strategies: int, path: str) -> None:
 
 def _members(value, n_players: int, n_strategies: int, path: str) -> np.ndarray:
     """A class's stored profiles as an int array, one row of ``n_players``
-    indices in [0, n_strategies) each, checked as one list.  Only a list
-    that fails goes through ``_profile`` member by member, to name the
-    first bad one."""
-    if (
-        isinstance(value, list)
-        and set(map(type, value)) == {list}
-        and set(map(len, value)) == {n_players}
-    ):
-        flat = list(chain.from_iterable(value))
-        if set(map(type, flat)) == {int} and min(flat) >= 0 and max(flat) < n_strategies:
-            return np.array(flat, dtype=np.int64).reshape(len(value), n_players)
+    indices in [0, n_strategies) each, checked member by member by
+    ``_profile`` so that the first bad one is named."""
     if not isinstance(value, list):
         raise ConfigError(f"{path}members must be a list of profiles, got {value!r}")
     for k, prof in enumerate(value):
         _profile(prof, n_players, n_strategies, f"{path}members[{k}]")
-    raise ConfigError(f"{path}members must list at least one profile")
+    if not value:
+        raise ConfigError(f"{path}members must list at least one profile")
+    return np.array(value, dtype=np.int64)
 
 
 def _phase_map(data: dict, key: str, path: str) -> dict[str, tuple[float, ...]]:

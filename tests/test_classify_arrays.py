@@ -1,7 +1,7 @@
 """Array-pass ``classify`` and its exact rounding against the code they replaced.
 
-``classify`` rounds payoffs with ``_round9`` and describes every new
-member set of a row in one batch (``_facts_of_classes``).
+``classify`` rounds payoffs with ``_round9`` and describes each distinct
+member set of a call once (``_describe``).
 ``reference_classify`` below is the classify those replaced: payoff rows
 ranked by Python ``round(x, 9)`` and ``sorted(set(...))``, and the facts
 of one class at a time.  Rounded values are compared by ``float.hex``,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qgame.circuits import StrategyParams, strategy_unitary
-from qgame.equilibrium import _facts_of_classes, two_player_tables
+from qgame.equilibrium import _describe, _strategy_facts, two_player_tables
 from qgame.games import builtin_pd
 from qgame.strategies import (
     DEFAULT_GRID,
@@ -264,10 +264,10 @@ def test_wrap_angles_matches_the_scalar_reference_bit_for_bit():
 
 def code_rule_names(sset) -> list[str | None]:
     """Each strategy's Pauli name by the code rule, read off the operator
-    label that ``_facts_of_classes`` gives the one-member class (i, i), all
-    classes described in one batch."""
-    each = np.arange(len(sset))
-    labels = (fact[3] for fact in _facts_of_classes(np.stack([each, each], axis=1), each, sset))
+    label that ``_describe`` gives the one-member class (i, i), every
+    class described from one set of per-strategy arrays."""
+    facts = _strategy_facts(sset)
+    labels = (_describe(np.array([[i, i]]), facts)[3] for i in range(len(sset)))
     return [None if label is None else label.split("⊗")[0] for label in labels]
 
 

@@ -1,7 +1,6 @@
 import math
 import os
 
-import numpy as np
 import pytest
 
 from qgame import equilibrium, sweep
@@ -329,14 +328,13 @@ class TestRowSharedClassFacts:
         from qgame import equilibrium
 
         calls = []
-        describe = equilibrium._facts_of_classes
+        describe = equilibrium._describe
 
-        def counted(members, starts, sset):
-            for run in np.split(members, starts[1:]):
-                calls.append(tuple(map(tuple, run.tolist())))
-            return describe(members, starts, sset)
+        def counted(members, facts):
+            calls.append(tuple(map(tuple, members.tolist())))
+            return describe(members, facts)
 
-        monkeypatch.setattr(equilibrium, "_facts_of_classes", counted)
+        monkeypatch.setattr(equilibrium, "_describe", counted)
         result = run_sweep(SweepSpec(builtin_bayesian(), (0.3, 1.2), p_grid()))
         per_row = {
             (cell.gamma, tuple(rec.profile for rec in cls.members))

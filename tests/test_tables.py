@@ -22,6 +22,7 @@ from qgame.equilibrium import (
     _in_sorted,
     _payoff_table,
     _best_responses,
+    _table_blocks,
     bayesian_tables,
 )
 from qgame.games import builtin_bayesian
@@ -70,6 +71,14 @@ def payoff_vectors():
     return list(vectors.values())
 
 
+def block_rows(steps) -> list[int]:
+    """The row count of each block that ``_table_blocks`` cuts a table of
+    the grid ``steps`` into."""
+    factors = _born_factors(enumerate_strategies(steps))
+    core = _born_core(entangler(0.7), payoff_vectors()[0])
+    return [rows.stop - rows.start for rows, _ in _table_blocks(factors, core, columns=False)]
+
+
 def assert_tables_match_whole_gemm(tables, game, gamma, sset):
     factors, j = _born_factors(sset), entangler(gamma)
     subgames = (game.subgame_b1, game.subgame_b2)
@@ -111,13 +120,29 @@ class TestBlockBuiltTables:
 
     @pytest.mark.parametrize("block", [1 << 13, 14_000, 1 << 14, 1 << 20])
     def test_other_block_sizes_give_the_same_bytes(self, block, monkeypatch):
-        # Five blocks of 41 or 42 rows, three of 69 or 70, two of 104, and
-        # one block for the whole table, on the 208 grid.
+        # Five blocks of 32 rows and one of 48, two of 64 and one of 80, one
+        # of 72 and one of 136, and one block for the whole table, on the
+        # 208 grid.
         grid = enumerate_strategies(GRIDS[208])
         monkeypatch.setattr(equilibrium, "_COLUMN_BLOCK", block)
         for gamma in GAMMAS:
             tables = bayesian_tables(custom_bayesian(), gamma, grid, 1e-6)
             assert_tables_match_whole_gemm(tables, custom_bayesian(), gamma, grid)
+
+    @pytest.mark.parametrize("block", [None, 1 << 13, 14_000])
+    def test_large_tables_are_cut_at_multiples_of_eight_rows(self, block, monkeypatch):
+        # BLAS kernels work through rows in groups of up to 8: under
+        # OpenBLAS's Haswell kernel a block of 35 rows of the 1824 grid
+        # rounds some last bits unlike the whole product.
+        if block is not None:
+            monkeypatch.setattr(equilibrium, "_COLUMN_BLOCK", block)
+        rows = block_rows(GRIDS[1824])
+        assert len(rows) > 1 and sum(rows) == 1824
+        assert all(count % 8 == 0 for count in rows)
+
+    @pytest.mark.parametrize("n", [8, 24, 208])
+    def test_small_tables_are_one_block(self, n):
+        assert block_rows(GRIDS[n]) == [n]
 
     def test_table_build_holds_one_table_and_a_block(self):
         # bayesian_tables of one pi/8 row (gamma index 28): A's one table of
