@@ -316,60 +316,33 @@ def _cmd_verify(args) -> int:
     gammas, p_values = [cell.gamma for cell in cells], [cell.p for cell in cells]
     ok = np.array(verify_records(records, spec.game, gammas, sset, eps, p_values), dtype=bool)
 
-    def where(cell: CellResult) -> str:
-        return f"FAIL p={cell.p} gamma={cell.gamma:.6g}"
+    def where(i: int) -> str:
+        return f"FAIL p={cells[i].p} gamma={cells[i].gamma:.6g}"
 
     # Records run in file cell order, so their failures do too.
     failures = [
-        f"{where(cells[records.cell[r]])} profile={tuple(records.profiles[r].tolist())}"
+        f"{where(records.cell[r])} profile={tuple(records.profiles[r].tolist())}"
         for r in np.flatnonzero(~ok).tolist()
     ]
-    # Records as (cell, profile) keys, the profile packed into one int as
-    # classify packs it and then ranked among the file's distinct profiles,
-    # so the keys sort in (cell, profile) order.
-    def packed(profiles):
-        key = 0
-        for column in profiles.T:
-            key = key * len(sset) + column
-        return key
-
-    # return_index takes numpy's stable sort, as verify's other sorts do;
-    # the default sort adds 0.8 MB of resident memory on its first call.
-    ranks = np.unique(packed(records.profiles), return_index=True)[0]
-
-    def keys(cell, profiles):
-        return cell * len(ranks) + np.searchsorted(ranks, packed(profiles))
-
-    record_keys = keys(records.cell, records.profiles)
-    stored = [(cell, cls) for cell in cells for cls in cell.classes]
-    sizes = np.array([cls.n_profiles for _, cls in stored], dtype=np.int64)
-    ends = np.cumsum(sizes)
-    # Each stored class must be the class its members re-derive to: the
-    # derived class of its cell that holds its first member, the last such
-    # where a profile repeats, found by binary search on the derived keys.
-    bad_classes = []
-    if stored:
-        found = [(i, cls) for i, classes in enumerate(derived) for cls in classes]
-        found_sizes = [cls.n_profiles for _, cls in found]
-        found_keys = keys(
-            np.repeat([i for i, _ in found], found_sizes),
-            np.concatenate([cls.profiles for _, cls in found]),
-        )
-        order = np.argsort(found_keys, kind="stable")
-        last = np.searchsorted(found_keys[order], record_keys[ends - sizes], side="right") - 1
-        owner = np.repeat(np.arange(len(found)), found_sizes)[order[last]]
-        bad_classes = [
-            f"{where(cell)} class={class_id(cls)}"
-            for (cell, cls), k in zip(stored, owner.tolist())
-            if found[k][1] != cls
-        ]
-    # A profile stored twice in one cell, in one class or in two.
-    _, first, count = np.unique(record_keys, return_index=True, return_counts=True)
+    stored = [(i, cls) for i, cell in enumerate(cells) for cls in cell.classes]
+    # Each stored class must be one of the classes its cell's records re-derive to.
+    bad_classes = [
+        f"{where(i)} class={class_id(cls)}" for i, cls in stored if cls not in derived[i]
+    ]
+    # A profile stored twice in one cell, in one class or in two, reported
+    # at its first record in file order.
+    _, first, count = np.unique(
+        np.column_stack([records.cell, records.profiles]),
+        axis=0,
+        return_index=True,
+        return_counts=True,
+    )
+    owner = np.repeat(np.arange(len(stored)), [cls.n_profiles for _, cls in stored])
     repeats = []
-    for r in sorted(first[count > 1].tolist()):
-        cell, cls = stored[np.searchsorted(ends, r, side="right")]
+    for r in np.sort(first[count > 1]).tolist():
+        i, cls = stored[owner[r]]
         profile = tuple(records.profiles[r].tolist())
-        repeats.append(f"{where(cell)} class={class_id(cls)} repeats profile={profile}")
+        repeats.append(f"{where(i)} class={class_id(cls)} repeats profile={profile}")
     checked = len(records)
     reports = (
         (failures, f"of {checked} recorded profiles are not equilibria with their stored payoffs"),

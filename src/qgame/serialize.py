@@ -552,34 +552,25 @@ def _class_text(cls: EquilibriumClass, memo: dict) -> str:
     """A class's block, its payoffs rendered here and the rest through
     ``memo``, which holds what this writer call has rendered so far.
 
-    A fact block is keyed first by the identity of the objects it is
-    written from, its theta-profile and each phase list, with its label
-    and the phase maps' keys.  The writer call holds the result, and so
-    each of these objects, while the memo lives, so no id is reused;
-    ``classify`` gives every class of one member set the same theta and
-    phase tuples, so a sweep's classes mostly find their block there.  A
-    class that shares no objects with an earlier one, as every class that
-    ``load_result`` builds, is keyed again by the ``repr`` of its values as
-    they are written: the thetas as floats and each phase list as a tuple
-    of its items (an array's repr would round and elide).  The ``repr``
-    tells apart values that compare equal but are written apart (0.0 and
-    -0.0, 1 and 1.0).  A members list is keyed by its array's dtype, shape
-    and bytes, three items against an identity key's four; a str key never
-    equals a tuple key.
+    A fact block is keyed by the identity of the objects it is written
+    from, its theta-profile and each phase list, with its label and the
+    phase maps' keys.  The writer call holds the result, and so each of
+    these objects, while the memo lives, so no id is reused; ``classify``
+    gives every class of one member set the same theta and phase tuples,
+    so a class whose member set recurs finds its block there.  A class
+    that shares no objects with an earlier one, as every class that
+    ``load_result`` builds, renders its own.  A members list is keyed by
+    its array's dtype, shape and bytes, three items against a fact key's
+    four.
     """
-    label, sums, diffs = cls.operator_label, cls.phase_sums, cls.phase_diffs
+    sums, diffs = cls.phase_sums, cls.phase_diffs
     key = (
         id(cls.theta_profile),
-        label,
+        cls.operator_label,
         tuple(zip(sums, map(id, sums.values()))),
         tuple(zip(diffs, map(id, diffs.values()))),
     )
-    facts = memo.get(key)
-    if facts is None:
-        phases = [[(k, tuple(v)) for k, v in m.items()] for m in (sums, diffs)]
-        text_key = repr((tuple(map(float, cls.theta_profile)), label, phases))
-        facts = memo[key] = memo.get(text_key) or memo.setdefault(text_key, _facts_text(cls))
-    head, tail = facts
+    head, tail = memo.get(key) or memo.setdefault(key, _facts_text(cls))
     profiles = cls.profiles
     key = (profiles.dtype, profiles.shape, profiles.tobytes())
     members = memo.get(key) or memo.setdefault(key, _members_text(profiles))

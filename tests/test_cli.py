@@ -161,6 +161,29 @@ class TestToleranceAndWorkerFlags:
         assert "--eps-tie" in err and "non-negative" in err
 
     @pytest.mark.parametrize(
+        "name, code, tail",
+        [
+            ("sweep", 0, []),
+            (
+                "fine_row_pi8_g14",
+                3,
+                ["1331 of 3008 recorded profiles are not equilibria with their stored payoffs"],
+            ),
+        ],
+    )
+    def test_verify_eps_tie_overrides_the_stored_tolerance(
+        self, tmp_path, capsys, name, code, tail
+    ):
+        # The fine row's ties hold only within the stored 1e-9; the
+        # default sweep's equilibria hold with no slack at all.
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(gzip.decompress((GOLDEN / f"{name}.json.gz").read_bytes()))
+        assert main(["verify", "--in", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--in", str(path), "--eps-tie", "0"]) == code
+        assert capsys.readouterr().err.splitlines()[-1:] == tail
+
+    @pytest.mark.parametrize(
         "flags,message",
         [
             (["--p-step", "1e-7", "--gamma-step", "1e-7"], "points"),
@@ -356,6 +379,31 @@ class TestResultFiles:
         cls = load_result(str(out)).result.cells[0].classes[0]
         assert err.splitlines() == [
             f"FAIL p=0.9 gamma=0.3 class={class_id(cls)} repeats profile={tuple(members[0])}",
+            "1 stored profiles repeat within their cell",
+        ]
+
+    def test_verify_command_flags_a_profile_stored_in_two_classes(self, tmp_path, capsys):
+        # Copy Y⊗X⊗X's first member into I⊗Y⊗I: the copy fails with I⊗Y⊗I's
+        # payoffs and only I⊗Y⊗I differs from its re-derived class; the
+        # repeat is named at its first record in file order.
+        data = json.loads(gzip.decompress((GOLDEN / "sweep.json.gz").read_bytes()))
+        cell = next(cell for cell in data["cells"] if len(cell["classes"]) > 1)
+        assert (cell["p"], cell["gamma"]) == (0.0, 0.55)
+        into, source = cell["classes"]
+        assert (into["operator_label"], source["operator_label"]) == ("I⊗Y⊗I", "Y⊗X⊗X")
+        assert source["members"][0] == [4, 5, 5]
+        into["members"].append([4, 5, 5])
+        data["cells"] = [cell]
+        out = tmp_path / "copied.json"
+        out.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["verify", "--in", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "FAIL p=0.0 gamma=0.55 profile=(4, 5, 5)",
+            "1 of 33 recorded profiles are not equilibria with their stored payoffs",
+            "FAIL p=0.0 gamma=0.55 class=0;3.14159265;0|I⊗Y⊗I",
+            "1 stored classes differ from the classes their members re-derive to",
+            "FAIL p=0.0 gamma=0.55 class=0;3.14159265;0|I⊗Y⊗I repeats profile=(4, 5, 5)",
             "1 stored profiles repeat within their cell",
         ]
 

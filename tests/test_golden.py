@@ -36,6 +36,11 @@ CASES = [
     ("figure_da.csv", ["emit-figure", "--fig", "da"]),
     ("figure_bayesian.csv", ["emit-figure", "--fig", "bayesian"]),
     ("regions.csv", ["classify", "--in", "{sweep}"]),
+    # Not byte-exact: since c592164 (stacked scalar-circuit witnesses) the
+    # program writes one payoff as 7.543799283451935 where this golden
+    # holds 7.543799283451933, and only the 1e-12 payoff allowance holds
+    # it.  Re-recording it waits for the golden decision of ROADMAP item
+    # 14, so CI byte-compares only the p = 1 full-circuit golden below.
     (
         "solve_circuit.json",
         ["solve", "--game", "bayesian", "--p", "0.3", "--gamma", "0.8", "--circuit", "full"],
