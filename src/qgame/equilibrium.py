@@ -1,9 +1,11 @@
 """Best-response search, Nash equilibrium enumeration, and classification.
 
 NE search is brute force over a finite strategy set: payoff tables are
-precomputed per gamma (they do not depend on p, so p-sweeps reuse
-them), each as one real matrix product over a rank-16 factorization of
-the Born payoff, built in cache-sized blocks; best-response sets are
+precomputed for a block of gamma rows at once (they do not depend on p,
+so p-sweeps reuse them), each as one real matrix product over a rank-16
+factorization of the Born payoff, built in cache-sized blocks that
+stack several gammas' whole tables or hold one gamma's rows, each
+gamma's product keeping one row's shapes; best-response sets are
 read off with an absolute tie tolerance, and a profile is an
 equilibrium when every player's strategy is in its best-response set
 against the others.  A Bayesian row, or a block of consecutive rows
@@ -171,72 +173,92 @@ def _born_factors(sset: StrategySet) -> tuple[np.ndarray, np.ndarray]:
     return np.hstack([x.real, x.imag]), x
 
 
-def _born_core(j: np.ndarray, payoff) -> np.ndarray:
-    """16x16 core C with T[a, b] = x_a^T C x_b for the Born payoff.
+def _born_cores(js: np.ndarray, payoff) -> np.ndarray:
+    """16x16 cores C_g with T_g[a, b] = x_a^T C_g x_b for the Born payoff,
+    one per entangler ``js[g]``, as one (G, 16, 16) array.
 
     The payoff is tr(K rho K^dag M) with K = U_a (x) U_b, rho = J|00><00|J^dag
     and M = J diag(payoff) J^dag.  Splitting each two-qubit index into
     (A bit, B bit) makes it bilinear in U_a (x) conj U_a and U_b (x) conj U_b.
+    Each step carries the gamma axis, and each gamma's entries are those
+    of its own one-gamma build, bit for bit.
     """
-    v = j[:, 0]
-    rho = np.outer(v, v.conj()).reshape(2, 2, 2, 2)
-    m = ((j * np.asarray(payoff, dtype=float)) @ j.conj().T).reshape(2, 2, 2, 2)
-    return np.einsum("cgdh,bfae->abcdefgh", rho, m).reshape(16, 16)
+    v = js[:, :, 0]
+    rho = (v[:, :, None] * v.conj()[:, None, :]).reshape(-1, 2, 2, 2, 2)
+    m = (js * np.asarray(payoff, dtype=float)) @ js.conj().transpose(0, 2, 1)
+    return np.einsum("icgdh,ibfae->iabcdefgh", rho, m.reshape(-1, 2, 2, 2, 2)).reshape(-1, 16, 16)
 
 
-def _table_blocks(factors, core: np.ndarray, columns: bool, out: np.ndarray | None = None):
-    """Blocks of T = Re(X C X^T), each one real GEMM [Re XC, -Im XC] @ [Re X, Im X]^T.
+def _table_blocks(factors, cores: np.ndarray, columns: bool, out: np.ndarray | None = None):
+    """Blocks of the tables T_g = Re(X C_g X^T), one per core, stacked as
+    G*n rows (row g * n + a is row a of T_g, or with ``columns`` of T_g^T,
+    that is column a of T_g), each block one stacked real GEMM
+    [Re XC_g, -Im XC_g] @ [Re X, Im X]^T.
 
-    Yields ``(rows, block)``: ``block`` holds the rows ``rows`` of T, or
-    with ``columns`` of T^T (the columns of T), about ``_COLUMN_BLOCK``
-    entries, so it stays in cache while it is read.  Each block is
-    written into the same rows of ``out`` when one is given, else into
-    one buffer that the next block overwrites.  Every entry is bit for
-    bit that of the whole product.
+    Yields ``(rows, block)``: ``block`` holds the stacked rows ``rows``,
+    about ``_COLUMN_BLOCK`` entries, so it stays in cache while it is
+    read.  Each block is written into the same rows of ``out`` when one
+    is given, else into one buffer that the next block overwrites.  Every
+    entry is bit for bit that of its gamma's whole product.
 
-    Blocks start at multiples of ``step`` rows, the largest multiple of 8
-    whose rows hold at most ``_COLUMN_BLOCK`` entries (8 if none does);
-    each holds ``step`` rows but the last, which runs to the table's end,
-    so none is shorter than ``step`` and a table of fewer than 2 * ``step``
-    rows is one block.  BLAS kernels work through rows in groups of up to
-    8 (OpenBLAS 0.3.31's Haswell kernel rounds the last row of a 35-row
-    block unlike the whole product) and may round a product of few rows
-    with another kernel (it does for one row of any grid, up to 15 rows
-    of the 80-strategy grid), so blocks cut elsewhere, or short ones,
-    could differ from the whole product.
+    A table's rows are cut at multiples of ``step`` rows, the largest
+    multiple of 8 whose rows hold at most ``_COLUMN_BLOCK`` entries (8 if
+    none does); each block holds ``step`` rows but the last, which runs to
+    the table's end, so none is shorter than ``step`` and a table of fewer
+    than 2 * ``step`` rows is one block (the grids of 8 to 208
+    strategies).  Such tables go whole, as many gammas to a block as keep
+    their entries within ``_COLUMN_BLOCK`` (at least one); larger ones go
+    one gamma's ``step`` rows at a time.  BLAS kernels work through rows
+    in groups of up to 8 (OpenBLAS 0.3.31's Haswell kernel rounds the last
+    row of a 35-row block unlike the whole product) and may round a
+    product of few rows with another kernel (it does for one row of any
+    grid, up to 15 rows of the 80-strategy grid), so blocks cut elsewhere,
+    or short ones, could differ from the whole product.  For the same
+    reason a block's product is stacked by gamma, each gamma's slice one
+    GEMM of a row's shapes, never one product over several gammas' rows.
+    ``X C_g`` is formed once for the gammas of a block of whole tables,
+    or for the one gamma of a run of row blocks, and freed before the
+    next gammas' is built.
     """
     real, x = factors
-    xc = x @ core
-    left = np.hstack([xc.real, -xc.imag])
-    first, second = (real, left.T) if columns else (left, real.T)
-    n = len(real)
+    n, count = len(real), len(cores)
     step = 8 * max(1, _COLUMN_BLOCK // max(n, 1) // 8)
     bounds = [k * step for k in range(max(1, n // step))] + [n]
+    per = max(1, _COLUMN_BLOCK // max(n * n, 1)) if len(bounds) == 2 else 1
     reuse = out is None
-    if reuse:
-        out = np.empty((n - bounds[-2], n))
-    for start, stop in zip(bounds, bounds[1:]):
-        rows = slice(start, stop)
-        block = out[: stop - start] if reuse else out[rows]
-        np.matmul(first[rows], second, out=block)
-        yield rows, block
+    for first in range(0, count, per):
+        xc = x @ cores[first : first + per]
+        left = np.empty(xc.shape[:2] + (32,))
+        left[..., :16] = xc.real
+        np.negative(xc.imag, out=left[..., 16:])
+        del xc
+        if out is None:  # the first block's gammas are the most; allocated once xc is freed
+            out = np.empty((len(left) * (n - bounds[-2]), n))
+        for start, stop in zip(bounds, bounds[1:]):
+            rows = slice(first * n + start, (first + len(left) - 1) * n + stop)
+            block = out[: rows.stop - rows.start] if reuse else out[rows]
+            if columns:
+                pair = real[start:stop], left.transpose(0, 2, 1)
+            else:
+                pair = left[:, start:stop], real.T
+            np.matmul(*pair, out=block.reshape(len(left), stop - start, n))
+            yield rows, block
+        del left, pair  # freed before the next gammas' operands are built
 
 
-def _payoff_table(
-    factors, core: np.ndarray, columns: bool, out: tuple[np.ndarray, np.ndarray] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """T = Re(X C X^T), every block of ``_table_blocks`` written into one
-    array, and the argmax of each block row, taken while it is in cache.
+def _payoff_table(factors, cores: np.ndarray, columns: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The tables T_g = Re(X C_g X^T) of ``_table_blocks``, every block
+    written into one array, and the argmax of each stacked row, taken
+    while its block is in cache.
 
-    With ``columns`` the table comes back in column-major order, so
-    columns T[:, j] are contiguous, and the argmax rows are those of T's
-    columns; without, they are the argmax columns of T's rows.  ``out``,
-    when given, is the row-major n x n array and the n argmax entries to
-    write into.
+    With ``columns`` the tables come back as one n x G*n column-major
+    array, column g * n + j being T_g[:, j], and the argmax rows are those
+    of these columns; without, as the G*n x n row-major stack of the T_g
+    with the argmax column of each row.
     """
     n = len(factors[0])
-    table, top = out if out is not None else (np.empty((n, n)), np.empty(n, dtype=np.intp))
-    for rows, block in _table_blocks(factors, core, columns, table):
+    table, top = np.empty((len(cores) * n, n)), np.empty(len(cores) * n, dtype=np.intp)
+    for rows, block in _table_blocks(factors, cores, columns, table):
         top[rows] = block.argmax(axis=1)
     return (table.T if columns else table), top
 
@@ -248,10 +270,10 @@ def two_player_tables(
 
     T_A is column-major (A's best responses scan columns), T_B row-major.
     """
-    j, factors = entangler(gamma), _born_factors(sset)
+    js, factors = entangler(gamma)[None], _born_factors(sset)
     return (
-        _payoff_table(factors, _born_core(j, game.payoff_a), columns=True)[0],
-        _payoff_table(factors, _born_core(j, game.payoff_b), columns=False)[0],
+        _payoff_table(factors, _born_cores(js, game.payoff_a), columns=True)[0],
+        _payoff_table(factors, _born_cores(js, game.payoff_b), columns=False)[0],
     )
 
 
@@ -289,23 +311,31 @@ class BayesianTables(NamedTuple):
     shift: np.ndarray
 
 
-def _best_responses(factors, core: np.ndarray, eps_tie: float) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of a row-major table's entries within ``eps_tie`` of
-    their row's maximum, and the entries there, each block of rows
-    reduced as soon as it is built, so the table is never held whole.
+def _best_responses(factors, cores: np.ndarray, eps_tie: float) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the stacked row-major tables' entries within
+    ``eps_tie`` of their row's maximum, and the entries there, each block
+    of ``_table_blocks`` reduced as soon as it is built, so no table is
+    held whole.  Row a of the g-th table has flat indices from
+    ``(g * n + a) * n`` on.
 
-    A block is first tested against the least of its rows' thresholds
-    ``max - eps_tie``, one scalar compare, and only the entries that pass
-    are tested against their own row's.  Every entry at or above its
-    row's threshold is at or above the least one, so the kept set is
-    exactly that of the per-row test.  The payoff vectors are checked to
-    be finite, so no entry or threshold is NaN.
+    A block of one table's rows (fewer than n) is first tested against
+    the least of its rows' thresholds ``max - eps_tie``, one scalar
+    compare, and only the entries that pass are tested against their own
+    row's.  Every entry at or above its row's threshold is at or above
+    the least one, so the kept set is exactly that of the per-row test.
+    A block of whole tables is tested against each row's own threshold
+    at once: its rows are short and their maxima spread, so the least one
+    would pass 62% of the entries of the 56-strategy sweep's first block,
+    whose second test would take several times as long as the per-row
+    compare and hold four arrays of them.  The payoff vectors are checked
+    to be finite, so no entry or threshold is NaN.
     """
     n = len(factors[0])
     idx, pay = [], []
-    for rows, block in _table_blocks(factors, core, columns=False):
+    for rows, block in _table_blocks(factors, cores, columns=False):
         threshold = block.max(axis=1) - eps_tie
-        candidates = np.flatnonzero(block >= threshold.min())
+        first = threshold.min() if len(block) < n else threshold[:, None]
+        candidates = np.flatnonzero(block >= first)
         values = block.ravel()[candidates]
         kept = values >= threshold[candidates // n]
         pay.append(values[kept])
@@ -322,44 +352,40 @@ def bayesian_tables(
     """A's per-subgame tables and the B players' best-response lists of a
     block of gamma rows, stacked as one ``BayesianTables`` set.
 
-    ``gamma`` is one gamma, a block of one, or a sequence of them.
-    Independent of p: A's Bayesian payoff against (b1, b2) is
+    ``gamma`` is one gamma, a block of one, or a non-empty sequence of
+    them.  Independent of p: A's Bayesian payoff against (b1, b2) is
     p * T_A1[b1] + (1 - p) * T_A2[b2] by columns, so sweeps over p share
     these tables.  The Born factors are computed once for the block, and
-    each gamma's tables are built as a row's are, in blocks of
-    ``_COLUMN_BLOCK`` entries (``_table_blocks``) written into that
-    gamma's slice, so every entry is bit for bit the one-row entry.  Each
-    block of a B table is reduced to its best responses as soon as it is
-    built, so no B table is ever held whole, and the B lists of every
-    gamma are built before A's tables are allocated.  A's blocks are
-    written into its column-major table and give each column's argmax
-    row on the way; A's second table is the first when the two payoff
-    vectors agree byte for byte (so -0.0 never stands in for 0.0).  The
-    block therefore holds one n x G*n table per distinct payoff vector
-    of A and one block besides.
+    each payoff vector's cores for all its gammas in one stacked pass
+    (``_born_cores``).  Every table is then built in blocks of about
+    ``_COLUMN_BLOCK`` entries (``_table_blocks``): the whole tables of as
+    many gammas as fit, or one gamma's rows, each block one stacked GEMM
+    that keeps one row's shapes per gamma, so every entry is bit for bit
+    the one-row entry.  Each block of the B tables is reduced to its best
+    responses as soon as it is built, once for all its gammas, so no B
+    table is ever held whole, and the B lists are built before A's tables
+    are allocated.  A's blocks are written into its column-major table and
+    give each column's argmax row on the way; A's second table is the
+    first when the two payoff vectors agree byte for byte (so -0.0 never
+    stands in for 0.0).  The block therefore holds one n x G*n table per
+    distinct payoff vector of A and one block besides.
     """
     check_eps_tie(eps_tie)
-    js = [entangler(g) for g in np.atleast_1d(gamma).tolist()]
-    factors, n = _born_factors(sset), len(sset)
+    gammas = np.atleast_1d(gamma).tolist()
+    if not gammas:
+        raise ValueError("gamma must hold at least one angle")
+    js = np.stack([entangler(g) for g in gammas])
+    factors = _born_factors(sset)
     subgames = (game.subgame_b1, game.subgame_b2)
-
-    def b_list(payoff_b) -> tuple[np.ndarray, np.ndarray]:
-        """One B player's list over the block, row a of gamma g at row key g * n + a."""
-        idx, pay = zip(*(_best_responses(factors, _born_core(j, payoff_b), eps_tie) for j in js))
-        return np.concatenate([i + g * n * n for g, i in enumerate(idx)]), np.concatenate(pay)
-
-    (br1, pay1), (br2, pay2) = (b_list(sub.payoff_b) for sub in subgames)
-
-    def a_tables(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        table, top = np.empty((len(js) * n, n)), np.empty(len(js) * n, dtype=np.intp)
-        for g, j in enumerate(js):
-            rows = slice(g * n, (g + 1) * n)
-            _payoff_table(factors, _born_core(j, vec), True, (table[rows], top[rows]))
-        return table.T, top
-
+    (br1, pay1), (br2, pay2) = (
+        _best_responses(factors, _born_cores(js, sub.payoff_b), eps_tie) for sub in subgames
+    )
     vec1, vec2 = (np.asarray(sub.payoff_a, dtype=float) for sub in subgames)
-    ta1, top1 = a_tables(vec1)
-    ta2, top2 = (ta1, top1) if vec1.tobytes() == vec2.tobytes() else a_tables(vec2)
+    ta1, top1 = _payoff_table(factors, _born_cores(js, vec1), columns=True)
+    if vec1.tobytes() == vec2.tobytes():
+        ta2, top2 = ta1, top1
+    else:
+        ta2, top2 = _payoff_table(factors, _born_cores(js, vec2), columns=True)
     return BayesianTables(
         ta1, ta2, top1, top2, br1, pay1, br2, pay2, np.array(eps_tie), sset.gauge_shift
     )
@@ -673,8 +699,8 @@ def _recheck(records: RecordSet, tables: BayesianTables, p_values: Sequence[floa
     step = max(1, _COLUMN_BLOCK // n)
     for start in range(0, len(pairs), step):
         i, k1, k2 = np.unravel_index(pairs[start : start + step], (len(p_cell), width, width))
-        pc = p_cell[i]
-        best[start : start + step] = (pc * ta1[:, k1] + (1.0 - pc) * ta2[:, k2]).max(axis=0)
+        pc = p_cell[i][:, None]
+        best[start : start + step] = (pc * ta1.T[k1] + (1.0 - pc) * ta2.T[k2]).max(axis=1)
     ok[rest] = pay[rest] >= best[pair_of] - eps_tie
     row = (g * n + a) * n
     ok &= _in_sorted(row + b1, tables.br1) & _in_sorted(row + b2, tables.br2)

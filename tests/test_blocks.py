@@ -99,6 +99,11 @@ class TestStackedTables:
             expected = np.concatenate([getattr(r, pay) for r in rows])
             assert getattr(stacked, pay).tobytes() == expected.tobytes()
 
+    def test_an_empty_block_is_refused(self, sset):
+        for gammas in ([], (), np.empty(0)):
+            with pytest.raises(ValueError, match="gamma must hold at least one angle"):
+                bayesian_tables(builtin_bayesian(), gammas, sset)
+
     def test_one_gamma_is_a_block_of_one(self, sset):
         one = bayesian_tables(builtin_bayesian(), 0.7, sset)
         block = bayesian_tables(builtin_bayesian(), [0.7], sset)

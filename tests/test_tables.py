@@ -1,11 +1,14 @@
 """Payoff tables built in blocks against the whole matrix product.
 
-Every table is built from row blocks of one real GEMM
-(``equilibrium._table_blocks``); ``whole_gemm_table`` below is the whole
+Every table is built from blocks of one stacked real GEMM
+(``equilibrium._table_blocks``), from cores built for a block of gammas
+at once (``equilibrium._born_cores``); ``reference_born_core`` below is
+one gamma's core on its own, and ``whole_gemm_table`` one gamma's whole
 product in one call.  A block's entries are the same dot products as the
 whole product's, so the tables, A's argmax rows and the B players'
-best-response lists must equal the whole product's byte for byte, in
-both orientations, at the default block size and at others.
+best-response lists must equal the whole product's byte for byte, each
+gamma's slice of a stacked block its own, in both orientations, at the
+default block size and at others.
 """
 
 import math
@@ -17,7 +20,7 @@ import pytest
 from qgame import equilibrium
 from qgame.circuits import entangler
 from qgame.equilibrium import (
-    _born_core,
+    _born_cores,
     _born_factors,
     _in_sorted,
     _payoff_table,
@@ -36,9 +39,22 @@ GAMMAS = [0.0, 0.7, 1.15, PI / 2]
 GRIDS = {
     8: DEFAULT_GRID,
     24: GridSteps(PI / 2, PI / 2, PI / 2),
+    56: GridSteps(PI / 4, PI / 2, PI / 2),
     208: GridSteps(PI / 4, PI / 4, PI / 4),
     1824: GridSteps(PI / 8, PI / 8, PI / 8),
 }
+
+
+def reference_born_core(j: np.ndarray, payoff) -> np.ndarray:
+    """One gamma's 16x16 core, built on its own from its entangler ``j``."""
+    v = j[:, 0]
+    rho = np.outer(v, v.conj()).reshape(2, 2, 2, 2)
+    m = ((j * np.asarray(payoff, dtype=float)) @ j.conj().T).reshape(2, 2, 2, 2)
+    return np.einsum("cgdh,bfae->abcdefgh", rho, m).reshape(16, 16)
+
+
+def stacked_cores(gammas, payoff) -> np.ndarray:
+    return _born_cores(np.stack([entangler(g) for g in gammas]), payoff)
 
 
 def whole_gemm_table(factors, core, columns: bool) -> np.ndarray:
@@ -75,24 +91,44 @@ def block_rows(steps) -> list[int]:
     """The row count of each block that ``_table_blocks`` cuts a table of
     the grid ``steps`` into."""
     factors = _born_factors(enumerate_strategies(steps))
-    core = _born_core(entangler(0.7), payoff_vectors()[0])
-    return [rows.stop - rows.start for rows, _ in _table_blocks(factors, core, columns=False)]
+    cores = stacked_cores([0.7], payoff_vectors()[0])
+    return [rows.stop - rows.start for rows, _ in _table_blocks(factors, cores, columns=False)]
 
 
-def assert_tables_match_whole_gemm(tables, game, gamma, sset):
-    factors, j = _born_factors(sset), entangler(gamma)
+def assert_tables_match_whole_gemm(tables, game, gammas, sset):
+    """Each gamma's slice of a block's tables and lists equals its own
+    whole product, and its own best-response lists, byte for byte."""
+    factors, n = _born_factors(sset), len(sset)
     subgames = (game.subgame_b1, game.subgame_b2)
-    for ta, top, sub in zip((tables.ta1, tables.ta2), (tables.top1, tables.top2), subgames):
-        expected = whole_gemm_table(factors, _born_core(j, sub.payoff_a), columns=True)
-        assert ta.flags.f_contiguous
-        assert ta.tobytes("A") == expected.tobytes("A")
-        assert top.tobytes() == expected.T.argmax(axis=1).tobytes()
+    assert tables.ta1.shape == (n, len(gammas) * n)
+    assert tables.ta1.flags.f_contiguous and tables.ta2.flags.f_contiguous
     lists = ((tables.br1, tables.pay1), (tables.br2, tables.pay2))
-    for (idx, pay), sub in zip(lists, subgames):
-        tb = whole_gemm_table(factors, _born_core(j, sub.payoff_b), columns=False)
-        expected_idx, expected_pay = reference_best_responses(tb, float(tables.eps_tie))
-        assert idx.tobytes() == expected_idx.tobytes()
-        assert pay.tobytes() == expected_pay.tobytes()
+    for g, j in enumerate(entangler(gamma) for gamma in gammas):
+        cols = slice(g * n, (g + 1) * n)
+        for ta, top, sub in zip((tables.ta1, tables.ta2), (tables.top1, tables.top2), subgames):
+            expected = whole_gemm_table(factors, reference_born_core(j, sub.payoff_a), columns=True)
+            assert ta[:, cols].tobytes("A") == expected.tobytes("A")
+            assert top[cols].tobytes() == expected.T.argmax(axis=1).tobytes()
+        for (idx, pay), sub in zip(lists, subgames):
+            tb = whole_gemm_table(factors, reference_born_core(j, sub.payoff_b), columns=False)
+            expected_idx, expected_pay = reference_best_responses(tb, float(tables.eps_tie))
+            mine = (idx >= g * n * n) & (idx < (g + 1) * n * n)
+            assert (idx[mine] - g * n * n).tobytes() == expected_idx.tobytes()
+            assert pay[mine].tobytes() == expected_pay.tobytes()
+    for idx, _ in lists:
+        assert (np.diff(idx) > 0).all() and 0 <= idx.min() and idx.max() < len(gammas) * n * n
+
+
+class TestStackedCores:
+    def test_cores_equal_one_gamma_cores(self):
+        # Every angle of the sweep, every payoff vector: the stacked outer
+        # product, J diag(payoff) J^dag and Born einsum keep each gamma's bits.
+        gammas = gamma_grid()
+        for vec in payoff_vectors():
+            cores = stacked_cores(gammas, vec)
+            assert cores.shape == (len(gammas), 16, 16)
+            for core, gamma in zip(cores, gammas):
+                assert core.tobytes() == reference_born_core(entangler(gamma), vec).tobytes()
 
 
 class TestBlockBuiltTables:
@@ -100,9 +136,9 @@ class TestBlockBuiltTables:
     def test_payoff_tables_equal_the_whole_product(self, sset, gamma):
         factors, j = _born_factors(sset), entangler(gamma)
         for vec in payoff_vectors():
-            core = _born_core(j, vec)
+            core = reference_born_core(j, vec)
             for columns in (True, False):
-                table, top = _payoff_table(factors, core, columns)
+                table, top = _payoff_table(factors, stacked_cores([gamma], vec), columns)
                 expected = whole_gemm_table(factors, core, columns)
                 assert table.flags.f_contiguous if columns else table.flags.c_contiguous
                 assert table.tobytes("A") == expected.tobytes("A")
@@ -116,18 +152,34 @@ class TestBlockBuiltTables:
         tables = bayesian_tables(game(), gamma, sset)
         assert (tables.ta2 is tables.ta1) == (game is builtin_bayesian)
         assert (tables.top2 is tables.top1) == (tables.ta2 is tables.ta1)
-        assert_tables_match_whole_gemm(tables, game(), gamma, sset)
+        assert_tables_match_whole_gemm(tables, game(), [gamma], sset)
 
-    @pytest.mark.parametrize("block", [1 << 13, 14_000, 1 << 14, 1 << 20])
+    @pytest.mark.parametrize("n", [8, 24])
+    @pytest.mark.parametrize("game", [builtin_bayesian, custom_bayesian])
+    def test_stacked_blocks_equal_each_gammas_whole_product(self, n, game):
+        # Every gamma of the sweep in one call: one block of whole tables
+        # of 32 gammas on both grids, each gamma's slice its own product.
+        grid = enumerate_strategies(GRIDS[n])
+        gammas = gamma_grid()
+        cores = stacked_cores(gammas, payoff_vectors()[0])
+        blocks = list(_table_blocks(_born_factors(grid), cores, columns=False))
+        assert [rows for rows, _ in blocks] == [slice(0, len(gammas) * n)]
+        tables = bayesian_tables(game(), gammas, grid)
+        assert_tables_match_whole_gemm(tables, game(), gammas, grid)
+
+    @pytest.mark.parametrize("block", [1 << 13, 14_000, 1 << 14, 1 << 17, 1 << 20])
     def test_other_block_sizes_give_the_same_bytes(self, block, monkeypatch):
         # Five blocks of 32 rows and one of 48, two of 64 and one of 80, one
         # of 72 and one of 136, and one block for the whole table, on the
-        # 208 grid.
+        # 208 grid; a block of the four gammas' whole tables holds 3 of them
+        # at 1 << 17 (then one) and all 4 at 1 << 20.
         grid = enumerate_strategies(GRIDS[208])
         monkeypatch.setattr(equilibrium, "_COLUMN_BLOCK", block)
         for gamma in GAMMAS:
             tables = bayesian_tables(custom_bayesian(), gamma, grid, 1e-6)
-            assert_tables_match_whole_gemm(tables, custom_bayesian(), gamma, grid)
+            assert_tables_match_whole_gemm(tables, custom_bayesian(), [gamma], grid)
+        tables = bayesian_tables(custom_bayesian(), GAMMAS, grid, 1e-6)
+        assert_tables_match_whole_gemm(tables, custom_bayesian(), GAMMAS, grid)
 
     @pytest.mark.parametrize("block", [None, 1 << 13, 14_000])
     def test_large_tables_are_cut_at_multiples_of_eight_rows(self, block, monkeypatch):
@@ -157,6 +209,39 @@ class TestBlockBuiltTables:
             tracemalloc.stop()
         assert tables.ta2 is tables.ta1
         assert peak < 1.125 * n * n * 8
+
+    @pytest.mark.parametrize("n", [56, 208])
+    @pytest.mark.parametrize("game", [builtin_bayesian, custom_bayesian])
+    def test_stacked_build_holds_no_whole_b_tables(self, n, game, monkeypatch):
+        # Every gamma of the sweep in one call: blocks of 20 gammas' whole
+        # tables on the 56 grid, one gamma's table per block on the 208
+        # grid.  Until A's first table is allocated the build holds the B
+        # lists, and after it what it returns, besides one block of entries,
+        # its gammas' operands X C_g and [Re XC_g, -Im XC_g] (64 floats per
+        # strategy and gamma, about another block on the 56 grid) and the
+        # call's cores (a quarter block): up to 2.13 blocks on these grids.
+        # Holding the call's 32 whole B tables reads 3.4 blocks on the 56
+        # grid and 22 on the 208 grid.
+        grid = enumerate_strategies(GRIDS[n])
+        lists_peak, payoff_table = [], equilibrium._payoff_table
+
+        def first_a_table(*args, **kwargs):
+            if not lists_peak:
+                lists_peak.append(tracemalloc.get_traced_memory()[1])
+            return payoff_table(*args, **kwargs)
+
+        monkeypatch.setattr(equilibrium, "_payoff_table", first_a_table)
+        tracemalloc.start()
+        try:
+            tables = bayesian_tables(game(), gamma_grid(), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = equilibrium._COLUMN_BLOCK * 8
+        lists = sum(a.nbytes for a in (tables.br1, tables.pay1, tables.br2, tables.pay2))
+        a_tables = {id(a): a.nbytes for a in tables[:4]}  # ta2 and top2 may be ta1 and top1
+        assert lists_peak[0] < lists + 2.5 * block
+        assert peak < lists + sum(a_tables.values()) + 2.5 * block
 
 
 def reduce_hand_built(table: np.ndarray, rows_per_block: int, eps_tie: float, monkeypatch):

@@ -15,7 +15,7 @@ from qgame import equilibrium
 WITNESSES = ("verify_records", "bayesian_circuit_tables", "find_ne_bayesian_circuit")
 TABLE_NAMES = frozenset(
     {
-        "_born_core",
+        "_born_cores",
         "_born_factors",
         "_table_blocks",
         "_payoff_table",
